@@ -137,19 +137,19 @@ class BoostComputeBackend : public core::Backend {
 
     int32_t* ol = out.left_rows.data<int32_t>();
     int32_t* orr = out.right_rows.data<int32_t>();
-    uint32_t* c = counter.data();
-    auto probe = bcsim::make_function("nlj_probe_s32", [=](int32_t key_row) {
-      const size_t i = static_cast<size_t>(key_row);
+    // The probe appends each match via an atomic ticket, kept in probe-row
+    // order by gpusim::OrderedAppend.
+    auto probe = [=](size_t i, size_t slot) {
       const int32_t key = right[i];
       for (size_t j = 0; j < nl; ++j) {
         if (left[j] == key) {
-          const uint32_t t = gpusim::AtomicAdd(c, uint32_t{1});
-          ol[t] = static_cast<int32_t>(j);
-          orr[t] = static_cast<int32_t>(i);
-          break;
+          ol[slot] = static_cast<int32_t>(j);
+          orr[slot] = static_cast<int32_t>(i);
+          return true;
         }
       }
-    });
+      return false;
+    };
     // for_each_n over a counting sequence of probe row ids. Charge the
     // nested scan's traffic explicitly (the functor reads the build side).
     {
@@ -160,8 +160,11 @@ class BoostComputeBackend : public core::Backend {
       stats.bytes_written = nr * 2 * sizeof(int32_t);
       stats.ops = static_cast<uint64_t>(nr) * nl;
       queue_.ensure_program("bcsim.for_each.nlj_probe_s32");
-      gpusim::ParallelFor(queue_.stream(), nr, stats,
-                          [&probe](size_t i) { probe(static_cast<int32_t>(i)); });
+      gpusim::OrderedAppend(queue_.stream(), nr, stats, counter.data(), probe,
+                            [=](size_t from, size_t to) {
+                              ol[to] = ol[from];
+                              orr[to] = orr[from];
+                            });
     }
     uint32_t count = 0;
     gpusim::CopyDeviceToHost(queue_.stream(), &count, counter.data(),

@@ -31,6 +31,12 @@ using core::SupportLevel;
 using storage::DataType;
 using storage::DeviceColumn;
 
+/// Relocates one selected row id during gpusim::OrderedAppend's compaction.
+struct MoveRowId {
+  uint32_t* rows;
+  void operator()(size_t from, size_t to) const { rows[to] = rows[from]; }
+};
+
 /// POD predicate evaluator usable inside kernels (no virtual dispatch).
 struct PredEval {
   DataType type = DataType::kInt32;
@@ -145,14 +151,16 @@ class HandwrittenBackend : public core::Backend {
       stats.name = "hw::select_cmp_cols";
       stats.bytes_read = n * 2 * sizeof(T);
       stats.bytes_written = n * sizeof(uint32_t);
-      uint32_t* c = counter.data();
       uint32_t* rows =
           reinterpret_cast<uint32_t*>(out.row_ids.data<int32_t>());
-      gpusim::ParallelFor(stream_, n, stats, [=](size_t i) {
-        if (ApplyCompare(op, pa[i], pb[i])) {
-          rows[gpusim::AtomicAdd(c, uint32_t{1})] = static_cast<uint32_t>(i);
-        }
-      });
+      gpusim::OrderedAppend(
+          stream_, n, stats, counter.data(),
+          [=](size_t i, size_t slot) {
+            if (!ApplyCompare(op, pa[i], pb[i])) return false;
+            rows[slot] = static_cast<uint32_t>(i);
+            return true;
+          },
+          MoveRowId{rows});
       uint32_t got = 0;
       gpusim::CopyDeviceToHost(stream_, &got, counter.data(),
                                sizeof(uint32_t));
@@ -164,9 +172,9 @@ class HandwrittenBackend : public core::Backend {
   }
 
   /// Encoded conjunctive selection as ONE fused kernel over the encoded
-  /// payloads (atomic-ticket compaction), mirroring SelectFused: predicates
-  /// on packed columns compare codes via core::RewritePredicate, RLE
-  /// predicates compare run values. One 4-byte count readback.
+  /// payloads (ordered atomic-ticket compaction), mirroring SelectFused:
+  /// predicates on packed columns compare codes via core::RewritePredicate,
+  /// RLE predicates compare run values. One 4-byte count readback.
   SelectionResult SelectConjunctiveEncoded(
       const std::vector<core::ScanColumnRef>& columns,
       const std::vector<Predicate>& preds) override {
@@ -192,16 +200,19 @@ class HandwrittenBackend : public core::Backend {
     stats.bytes_read = bytes_per_row_scan;
     stats.bytes_written = n * sizeof(uint32_t);
     stats.ops = n * preds.size();
-    uint32_t* c = counter.data();
     uint32_t* rows = reinterpret_cast<uint32_t*>(out.row_ids.data<int32_t>());
     const auto* ms = matchers.data();
     const size_t num_preds = matchers.size();
-    gpusim::ParallelFor(stream_, n, stats, [=](size_t i) {
-      for (size_t p = 0; p < num_preds; ++p) {
-        if (!ms[p](i)) return;
-      }
-      rows[gpusim::AtomicAdd(c, uint32_t{1})] = static_cast<uint32_t>(i);
-    });
+    gpusim::OrderedAppend(
+        stream_, n, stats, counter.data(),
+        [=](size_t i, size_t slot) {
+          for (size_t p = 0; p < num_preds; ++p) {
+            if (!ms[p](i)) return false;
+          }
+          rows[slot] = static_cast<uint32_t>(i);
+          return true;
+        },
+        MoveRowId{rows});
     uint32_t count = 0;
     gpusim::CopyDeviceToHost(stream_, &count, counter.data(),
                              sizeof(uint32_t));
@@ -609,26 +620,26 @@ class HandwrittenBackend : public core::Backend {
     stats.bytes_read = n * bytes_per_row;
     stats.bytes_written = n * sizeof(uint32_t);
     stats.ops = n * num_preds;
-    uint32_t* c = counter.data();
     uint32_t* rows = reinterpret_cast<uint32_t*>(out.row_ids.data<int32_t>());
-    gpusim::ParallelFor(stream_, n, stats, [=](size_t i) {
-      bool keep = conjunctive;
-      for (size_t p = 0; p < num_preds; ++p) {
-        const bool hit = evals[p](i);
-        if (conjunctive && !hit) {
-          keep = false;
-          break;
-        }
-        if (!conjunctive && hit) {
-          keep = true;
-          break;
-        }
-      }
-      if (keep) {
-        const uint32_t slot = gpusim::AtomicAdd(c, uint32_t{1});
-        rows[slot] = static_cast<uint32_t>(i);
-      }
-    });
+    gpusim::OrderedAppend(
+        stream_, n, stats, counter.data(),
+        [=](size_t i, size_t slot) {
+          bool keep = conjunctive;
+          for (size_t p = 0; p < num_preds; ++p) {
+            const bool hit = evals[p](i);
+            if (conjunctive && !hit) {
+              keep = false;
+              break;
+            }
+            if (!conjunctive && hit) {
+              keep = true;
+              break;
+            }
+          }
+          if (keep) rows[slot] = static_cast<uint32_t>(i);
+          return keep;
+        },
+        MoveRowId{rows});
     uint32_t count = 0;
     gpusim::CopyDeviceToHost(stream_, &count, counter.data(),
                              sizeof(uint32_t));

@@ -129,21 +129,24 @@ class ThrustBackend : public core::Backend {
 
     int32_t* ol = out.left_rows.data<int32_t>();
     int32_t* orr = out.right_rows.data<int32_t>();
-    uint32_t* c = counter.data();
     // for_each_n over the probe side; the functor scans the (unique-key)
     // build side and appends via an atomic ticket.
-    thrustsim::for_each_index(
-        pol(), nr,
-        [=](size_t i) {
+    thrustsim::for_each_index_append(
+        pol(), nr, counter.data(),
+        [=](size_t i, size_t slot) {
           const int32_t key = right[i];
           for (size_t j = 0; j < nl; ++j) {
             if (left[j] == key) {
-              const uint32_t t = gpusim::AtomicAdd(c, uint32_t{1});
-              ol[t] = static_cast<int32_t>(j);
-              orr[t] = static_cast<int32_t>(i);
-              break;
+              ol[slot] = static_cast<int32_t>(j);
+              orr[slot] = static_cast<int32_t>(i);
+              return true;
             }
           }
+          return false;
+        },
+        [=](size_t from, size_t to) {
+          ol[to] = ol[from];
+          orr[to] = orr[from];
         },
         /*extra_read_bytes=*/nr * sizeof(int32_t) +
             static_cast<uint64_t>(nr) * nl * sizeof(int32_t),

@@ -1,20 +1,26 @@
 // Kernel launch API of the simulated device.
 //
-// Two launch shapes cover the algorithms in this repository:
+// Three launch shapes cover the algorithms in this repository:
 //  * ParallelFor   — a grid of independent threads, f(i) per global index.
 //  * LaunchBlocks  — a grid of cooperative thread *blocks*; the body runs
 //                    once per block and may loop over the block's threads,
 //                    modelling shared-memory algorithms (tile reduce, block
 //                    scan, histogram) whose intra-block execution is
 //                    sequentialized, which preserves semantics.
+//  * OrderedAppend — a grid of independent threads that each append at most
+//                    one record, the atomic-ticket compaction of fused
+//                    selections and probes, with the records kept in
+//                    thread order.
 //
-// Both charge the owning stream with the declared KernelStats. Grids are
+// All three charge the owning stream with the declared KernelStats. Grids are
 // distributed over the device's host thread pool.
 #ifndef GPUSIM_KERNEL_H_
 #define GPUSIM_KERNEL_H_
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "gpusim/launch_config.h"
 #include "gpusim/stream.h"
@@ -45,6 +51,48 @@ void ParallelFor(Stream& stream, size_t n, KernelStats stats, Body&& body) {
     const size_t end = std::min(begin + chunk, n);
     for (size_t i = begin; i < end; ++i) body(i);
   });
+}
+
+/// Launches `n` simulated threads that each append at most one record: the
+/// one-kernel compaction `out[atomicAdd(counter, 1)] = record(i)`, with the
+/// records in ascending i order instead of ticket order. body(i, slot)
+/// returns whether thread i kept a record, having written it at index
+/// `slot` of the caller's output arrays (room for n records);
+/// move(from, to) relocates one record to a lower index. Each host chunk
+/// compacts into the front of its own index range, then the chunks move
+/// down in chunk order, so the output does not depend on the chunking or on
+/// host scheduling. `*counter` receives the record count, as the ticket
+/// counter would; the count is also returned. Charged like ParallelFor.
+template <typename Body, typename Move>
+size_t OrderedAppend(Stream& stream, size_t n, KernelStats stats,
+                     uint32_t* counter, Body&& body, Move&& move) {
+  stats.ops = std::max<uint64_t>(stats.ops, n);
+  stream.ChargeKernel(stats);
+  size_t count = 0;
+  if (n <= kInlineGridThreshold) {
+    for (size_t i = 0; i < n; ++i) count += body(i, count) ? 1 : 0;
+  } else {
+    const size_t chunk =
+        HostChunkThreads(n, stream.device().pool().num_threads());
+    const size_t num_chunks = NumHostChunks(n, chunk);
+    std::vector<size_t> kept(num_chunks);
+    stream.device().pool().ParallelFor(num_chunks, [&](size_t c) {
+      const size_t begin = c * chunk;
+      const size_t end = std::min(begin + chunk, n);
+      size_t w = begin;
+      for (size_t i = begin; i < end; ++i) w += body(i, w) ? 1 : 0;
+      kept[c] = w - begin;
+    });
+    for (size_t c = 0; c < num_chunks; ++c) {
+      const size_t begin = c * chunk;
+      if (count != begin) {
+        for (size_t k = 0; k < kept[c]; ++k) move(begin + k, count + k);
+      }
+      count += kept[c];
+    }
+  }
+  *counter = static_cast<uint32_t>(count);
+  return count;
 }
 
 /// Context passed to a block kernel body.

@@ -3,7 +3,8 @@
 // (hashing: hash join, hash-based grouped aggregation).
 //
 // These kernels are fused: selection emits its result in ONE kernel (atomic
-// ticketing) instead of the library's transform + scan + gather pipeline;
+// ticketing, realized by gpusim::OrderedAppend so the row ids come out in
+// row order) instead of the library's transform + scan + gather pipeline;
 // filter+aggregate queries run as a single pass; joins and grouping use
 // open-addressing hash tables built and probed with device atomics.
 #ifndef HANDWRITTEN_HANDWRITTEN_H_
@@ -51,8 +52,8 @@ inline uint64_t MixHash(uint64_t k) {
 
 /// Single-kernel selection: writes the row ids of all rows satisfying
 /// pred(col[i]) into out_indices via an atomic ticket counter and returns the
-/// match count. Result order is nondeterministic (a deliberate trade the
-/// hand-tuned kernel makes that libraries cannot).
+/// match count. One kernel and one counter readback (a trade the hand-tuned
+/// kernel makes that libraries cannot); the row ids are in ascending order.
 template <typename T, typename Pred>
 size_t SelectIndices(gpusim::Stream& stream, const T* col, size_t n,
                      uint32_t* out_indices, Pred pred) {
@@ -62,13 +63,14 @@ size_t SelectIndices(gpusim::Stream& stream, const T* col, size_t n,
   stats.name = "hw::select_fused";
   stats.bytes_read = n * sizeof(T);
   stats.bytes_written = n * sizeof(uint32_t);  // upper bound
-  uint32_t* c = counter.data();
-  gpusim::ParallelFor(stream, n, stats, [=](size_t i) {
-    if (pred(col[i])) {
-      const uint32_t slot = gpusim::AtomicAdd(c, uint32_t{1});
-      out_indices[slot] = static_cast<uint32_t>(i);
-    }
-  });
+  gpusim::OrderedAppend(
+      stream, n, stats, counter.data(),
+      [=](size_t i, size_t slot) {
+        if (!pred(col[i])) return false;
+        out_indices[slot] = static_cast<uint32_t>(i);
+        return true;
+      },
+      [=](size_t from, size_t to) { out_indices[to] = out_indices[from]; });
   uint32_t count = 0;
   gpusim::CopyDeviceToHost(stream, &count, counter.data(), sizeof(uint32_t));
   return count;
@@ -148,9 +150,9 @@ class HashJoin {
   }
 
   /// Probes with probe_keys; appends (build_row, probe_row) pairs for every
-  /// match via an atomic ticket. out_* must have room for probe n entries
-  /// (PK side is unique, so each probe row matches at most once). Returns
-  /// the number of result pairs.
+  /// match via an atomic ticket, in probe-row order. out_* must have room for
+  /// probe n entries (PK side is unique, so each probe row matches at most
+  /// once). Returns the number of result pairs.
   size_t Probe(const K* probe_keys, size_t n, uint32_t* out_build_rows,
                uint32_t* out_probe_rows) const {
     gpusim::DeviceArray<uint32_t> counter(1, stream_.device());
@@ -163,22 +165,26 @@ class HashJoin {
     const K* table_keys = keys_.data();
     const uint32_t* table_rows = rows_.data();
     const size_t mask = capacity_ - 1;
-    uint32_t* c = counter.data();
-    gpusim::ParallelFor(stream_, n, stats, [=](size_t i) {
-      const K key = probe_keys[i];
-      size_t slot = detail::MixHash(static_cast<uint64_t>(key)) & mask;
-      while (true) {
-        const K stored = table_keys[slot];
-        if (stored == kEmpty) return;  // no match
-        if (stored == key) {
-          const uint32_t ticket = gpusim::AtomicAdd(c, uint32_t{1});
-          out_build_rows[ticket] = table_rows[slot];
-          out_probe_rows[ticket] = static_cast<uint32_t>(i);
-          return;
-        }
-        slot = (slot + 1) & mask;
-      }
-    });
+    gpusim::OrderedAppend(
+        stream_, n, stats, counter.data(),
+        [=](size_t i, size_t out) {
+          const K key = probe_keys[i];
+          size_t slot = detail::MixHash(static_cast<uint64_t>(key)) & mask;
+          while (true) {
+            const K stored = table_keys[slot];
+            if (stored == kEmpty) return false;  // no match
+            if (stored == key) {
+              out_build_rows[out] = table_rows[slot];
+              out_probe_rows[out] = static_cast<uint32_t>(i);
+              return true;
+            }
+            slot = (slot + 1) & mask;
+          }
+        },
+        [=](size_t from, size_t to) {
+          out_build_rows[to] = out_build_rows[from];
+          out_probe_rows[to] = out_probe_rows[from];
+        });
     uint32_t count = 0;
     gpusim::CopyDeviceToHost(stream_, &count, counter.data(),
                              sizeof(uint32_t));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -13,12 +14,11 @@
 #include "plan/explain.h"
 #include "plan/optimizer.h"
 #include "plan/partition_detail.h"
-#include "storage/encoded_column.h"
 
 namespace plan {
 namespace {
 
-/// Host bytes of one device's accumulated partials — the payload the gather
+/// Host bytes of one device's merged partials — the payload the gather
 /// exchange moves. Exact for the run that produced the partials, so the
 /// charged exchange traffic is deterministic for fixed inputs.
 uint64_t PartialBytes(TpchQuery q, const detail::Partials& p) {
@@ -57,49 +57,77 @@ uint64_t EstimatePartialBytes(TpchQuery q, size_t shard_rows) {
   return 0;
 }
 
+/// Where a sharded run puts its slices: orderkey-snapped row ranges (one per
+/// device of the group unless `force_shards` overrides), range s dealt to the
+/// s-th live device round-robin, and the gather into the lowest live device.
+/// With every device healthy this is `s % N` into device 0. RunSharded and
+/// PlanShardedExecution both place through here, so EXPLAIN shows the plan
+/// that runs.
+struct ShardLayout {
+  std::vector<detail::RowRange> ranges;  ///< ascending row order
+  std::vector<int> device;               ///< device of each range
+  int coordinator = 0;
+};
+
+ShardLayout LayoutShards(TpchQuery q, const storage::Table& lineitem,
+                         const gpusim::DeviceGroup& group,
+                         size_t force_shards) {
+  const std::vector<int> alive = group.AliveDevices();
+  if (alive.empty()) {
+    throw gpusim::DeviceLost("sharded run: no live device in the group");
+  }
+  const size_t shards =
+      force_shards > 0 ? force_shards : static_cast<size_t>(group.size());
+  ShardLayout layout;
+  layout.ranges =
+      detail::PartitionRanges(lineitem, shards, detail::NeedsOrders(q));
+  for (size_t s = 0; s < layout.ranges.size(); ++s) {
+    layout.device.push_back(alive[s % alive.size()]);
+  }
+  layout.coordinator = alive.front();
+  return layout;
+}
+
 /// Per-device state of one sharded run; the backend outlives the worker
 /// thread so the coordinator can charge exchanges against its stream. The
 /// state persists across recovery rounds: a surviving device that takes
-/// replacement slices keeps its backend, stream timeline, and accumulated
-/// partials.
+/// replacement slices keeps its backend, stream timeline, and finished
+/// slices.
 struct WorkerState {
   std::unique_ptr<core::Backend> backend;
-  detail::Partials partials;
   DeviceShardStats stats;
   uint64_t broadcast_bytes = 0;
   uint64_t start_ns = 0;
   std::exception_ptr error;
   /// The device fired a sticky DeviceLost during this round. Unlike `error`
   /// this is recoverable: `unfinished` holds the slices that still need a
-  /// home, and `partials` keeps everything the device finished before dying.
+  /// home, and `slices` keeps everything the device finished before dying.
   bool device_lost = false;
-  std::vector<std::pair<size_t, size_t>> unfinished;
-  /// Checkpoint ledger: row ranges whose results have been accumulated into
-  /// `partials` (host memory). A loss reuses these instead of recomputing;
-  /// `checkpoints_counted` marks how many have already been credited to
+  std::vector<detail::RowRange> unfinished;
+  /// Every slice this device finished, in any round: host-resident partials
+  /// (the checkpoints) that a loss reuses instead of recomputing.
+  std::vector<detail::SliceResult> slices;
+  /// How many of `slices` a loss already credited to
   /// ShardedRunStats::checkpointed_slices_reused, so a device that dies,
   /// readmits, and dies again never double-counts.
-  std::vector<std::pair<size_t, size_t>> checkpoints;
-  size_t checkpoints_counted = 0;
+  size_t slices_credited = 0;
 };
 
 /// Runs one device's shard list: bind the device, build a private backend
 /// (or reuse the round-1 backend on a recovery round), admit against the
-/// device's governor, broadcast the build-side tables, then execute each
-/// slice exactly as the single-device partitioned path does (upload, pinned
-/// plan, accumulate). A sticky DeviceLost is caught here: the device is
-/// marked dead in the group, its per-device breaker records the failure, the
-/// governor grant is returned, and the slices that did not finish are
-/// reported for re-placement.
+/// device's governor, and hand the ranges to the slice runner. A sticky
+/// DeviceLost is caught here: the device is marked dead in the group, its
+/// per-device breaker records the failure, the governor grant is returned,
+/// and the slices that did not finish are reported for re-placement.
 void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
                      gpusim::DeviceGroup& group, int d,
                      const std::string& backend_name,
-                     const std::vector<std::pair<size_t, size_t>>& ranges,
+                     const std::vector<detail::RowRange>& ranges,
                      const ShardedQueryOptions& options, uint64_t footprint,
                      WorkerState& ws) {
   bool admitted = false;
   uint64_t stream_id = 0;
-  size_t next_range = 0;  // first range not yet accumulated
+  detail::SliceProgress run;
   ws.device_lost = false;
   ws.unfinished.clear();
   try {
@@ -109,12 +137,11 @@ void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
       ws.backend = core::BackendRegistry::Instance().Create(backend_name);
       ws.start_ns = ws.backend->stream().now_ns();
     }
-    gpusim::Stream& stream = ws.backend->stream();
-    stream_id = stream.id();
+    stream_id = ws.backend->stream().id();
 
     if (options.governor != nullptr) {
-      const core::AdmissionTicket ticket = options.governor->Admit(
-          d, stream_id, footprint, options.admit_timeout_ms);
+      const core::AdmissionTicket ticket =
+          options.governor->Admit(d, stream_id, footprint);
       if (!ticket.admitted()) {
         throw std::runtime_error("device " + std::to_string(d) +
                                  " admission rejected for " +
@@ -125,62 +152,8 @@ void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
     }
     {
       gpusim::Device::ReservationScope scope(dev, stream_id);
-      const auto upload = [&](const storage::Table& t, uint64_t* bytes) {
-        // Transient wire faults replay the upload, mirroring the executor's
-        // node-replay policy; simulated time of failed attempts stays
-        // charged. DeviceLost is sticky and escapes to the recovery path.
-        for (int attempt = 1;; ++attempt) {
-          try {
-            if (options.use_encoding) {
-              return storage::UploadTableEncoded(stream, t, bytes);
-            }
-            if (bytes != nullptr) *bytes = detail::HostTableBytes(t);
-            return storage::UploadTable(stream, t);
-          } catch (const gpusim::TransferFault&) {
-            core::ResilienceManager::Global().NoteFaultSeen();
-            if (attempt >= 4) throw;
-            core::ResilienceManager::Global().NoteRetry(0);
-          }
-        }
-      };
-
-      storage::DeviceTable orders, customer, part;
-      uint64_t bcast = 0;
-      uint64_t b = 0;
-      if (detail::NeedsOrders(q)) {
-        orders = upload(*tables.orders, &b);
-        bcast += b;
-      }
-      if (detail::NeedsCustomer(q)) {
-        customer = upload(*tables.customer, &b);
-        bcast += b;
-      }
-      if (detail::NeedsPart(q)) {
-        part = upload(*tables.part, &b);
-        bcast += b;
-      }
-      ws.broadcast_bytes += bcast;
-      ws.stats.upload_bytes += bcast;
-
-      OptimizerOptions opt;
-      opt.pin_backend = ws.backend->name();
-      for (; next_range < ranges.size(); ++next_range) {
-        const auto& [lo, hi] = ranges[next_range];
-        if (lo >= hi) continue;  // orderkey alignment emptied this range
-        const storage::Table slice = detail::SliceTable(*tables.lineitem, lo, hi);
-        uint64_t slice_bytes = 0;
-        const storage::DeviceTable lineitem = upload(slice, &slice_bytes);
-        const QueryPlanBundle bundle =
-            detail::BuildBundle(q, lineitem, orders, customer, part);
-        const PhysicalPlan phys = Optimize(bundle.plan, opt);
-        const ExecutionResult res = RunPinned(phys, *ws.backend);
-        detail::Accumulate(q, bundle, res, ws.partials);
-        ws.checkpoints.emplace_back(lo, hi);  // host partials now cover [lo,hi)
-        ws.stats.upload_bytes += slice_bytes;
-        ws.stats.download_bytes += detail::DownloadedBytes(bundle, res);
-        ws.stats.rows += hi - lo;
-        ++ws.stats.shards;
-      }
+      detail::RunSlices(q, tables, *ws.backend, ranges, options.use_encoding,
+                        run);
     }
     ws.stats.busy_ns = ws.backend->stream().now_ns() - ws.start_ns;
     if (admitted) options.governor->Release(d, stream_id);
@@ -190,17 +163,25 @@ void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
     core::ResilienceManager::Global().RecordFailure(backend_name, d);
     ws.device_lost = true;
     ws.stats.lost = true;
-    // The slice in flight (nothing of it was accumulated) and everything
-    // after it still need a home; finished slices stay in ws.partials.
-    for (size_t i = next_range; i < ranges.size(); ++i) {
-      ws.unfinished.push_back(ranges[i]);
-    }
+    // The slice in flight and everything after it still need a home.
+    ws.unfinished.assign(ranges.begin() + static_cast<std::ptrdiff_t>(run.next),
+                         ranges.end());
     if (ws.backend != nullptr) {
       ws.stats.busy_ns = ws.backend->stream().now_ns() - ws.start_ns;
     }
   } catch (...) {
     if (admitted) options.governor->Release(d, stream_id);
     ws.error = std::current_exception();
+  }
+  // Finished slices are in host memory whatever became of the device.
+  ws.broadcast_bytes += run.broadcast_bytes;
+  ws.stats.upload_bytes += run.broadcast_bytes;
+  for (detail::SliceResult& s : run.done) {
+    ws.stats.upload_bytes += s.upload_bytes;
+    ws.stats.download_bytes += s.download_bytes;
+    ws.stats.rows += s.rows.second - s.rows.first;
+    ++ws.stats.shards;
+    ws.slices.push_back(std::move(s));
   }
 }
 
@@ -247,23 +228,21 @@ ShardedPlanSpec PlanShardedExecution(TpchQuery query,
                                      const gpusim::DeviceGroup& group,
                                      size_t force_shards) {
   detail::RequireTables(query, tables);
+  const ShardLayout layout =
+      LayoutShards(query, *tables.lineitem, group, force_shards);
   ShardedPlanSpec spec;
   spec.devices = group.size();
-  spec.shards = force_shards > 0 ? force_shards
-                                 : static_cast<size_t>(group.size());
-  const bool align = detail::NeedsOrders(query);
-  const std::vector<size_t> bounds =
-      detail::PartitionBounds(*tables.lineitem, spec.shards, align);
+  spec.shards = layout.ranges.size();
+  spec.coordinator = layout.coordinator;
   const size_t li_rows = tables.lineitem->num_rows();
   const uint64_t li_bytes = detail::HostTableBytes(*tables.lineitem);
   const uint64_t row_bytes = li_rows > 0 ? li_bytes / li_rows : 0;
 
-  // Shard s lands on device s % N (round-robin, same as RunSharded).
-  for (size_t s = 0; s + 1 < bounds.size(); ++s) {
+  for (size_t s = 0; s < layout.ranges.size(); ++s) {
     ShardPlacement p;
-    p.device = static_cast<int>(s % static_cast<size_t>(group.size()));
-    p.row_begin = bounds[s];
-    p.row_end = bounds[s + 1];
+    p.device = layout.device[s];
+    p.row_begin = layout.ranges[s].first;
+    p.row_end = layout.ranges[s].second;
     p.upload_bytes = (p.row_end - p.row_begin) * row_bytes;
     spec.placements.push_back(p);
 
@@ -280,9 +259,7 @@ ShardedPlanSpec PlanShardedExecution(TpchQuery query,
 
   // Devices that received at least one shard get the build-side broadcasts.
   std::vector<bool> used(static_cast<size_t>(group.size()), false);
-  for (const ShardPlacement& p : spec.placements) {
-    used[static_cast<size_t>(p.device)] = true;
-  }
+  for (const int d : layout.device) used[static_cast<size_t>(d)] = true;
   const auto broadcast = [&](const char* name, const storage::Table& t) {
     for (int d = 0; d < group.size(); ++d) {
       if (!used[static_cast<size_t>(d)]) continue;
@@ -302,12 +279,13 @@ ShardedPlanSpec PlanShardedExecution(TpchQuery query,
   if (detail::NeedsCustomer(query)) broadcast("customer", *tables.customer);
   if (detail::NeedsPart(query)) broadcast("part", *tables.part);
 
-  // One gather edge per non-coordinator device, routed by the topology.
+  // One gather edge per other device that ran shards, routed by the
+  // topology into the coordinator.
   const size_t shard_rows =
       spec.shards > 0 ? (li_rows + spec.shards - 1) / spec.shards : li_rows;
-  for (int d = 1; d < group.size(); ++d) {
-    if (!used[static_cast<size_t>(d)]) continue;
-    const gpusim::LinkPath link = group.Link(d, 0);
+  for (int d = 0; d < group.size(); ++d) {
+    if (d == spec.coordinator || !used[static_cast<size_t>(d)]) continue;
+    const gpusim::LinkPath link = group.Link(d, spec.coordinator);
     ExchangeEdge e;
     e.kind = ExchangeEdge::Kind::kGather;
     e.device = d;
@@ -317,9 +295,10 @@ ShardedPlanSpec PlanShardedExecution(TpchQuery query,
     e.peer = link.peer;
     e.hops = link.hops;
     spec.edges.push_back(e);
-    spec.exchange_plan.ExchangeGather(d, e.bytes, e.rows,
-                                      "partials dev" + std::to_string(d) +
-                                          "->dev0");
+    spec.exchange_plan.ExchangeGather(
+        d, e.bytes, e.rows,
+        "partials dev" + std::to_string(d) + "->dev" +
+            std::to_string(spec.coordinator));
   }
   return spec;
 }
@@ -342,7 +321,8 @@ std::string ExplainSharded(const ShardedPlanSpec& spec,
   for (const ExchangeEdge& e : spec.edges) {
     os << "  " << ExchangeEdgeKindName(e.kind) << "  " << e.what;
     if (e.kind == ExchangeEdge::Kind::kGather) {
-      os << "  dev" << e.device << " -> dev0  " << e.bytes << " B  "
+      os << "  dev" << e.device << " -> dev" << spec.coordinator << "  "
+         << e.bytes << " B  "
          << (e.peer ? "p2p link (1 hop)" : "via host (2 hops)");
     } else {
       os << "  host -> dev" << e.device << "  " << e.bytes << " B  pcie";
@@ -370,58 +350,11 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
   st = ShardedRunStats();
   st.devices = nd;
 
-  if (nd == 1) {
-    // Degenerate case: exactly the governed single-device path (bit-identical
-    // simulated timeline), with the group's device bound for the backend.
-    gpusim::Device::DeviceGuard guard(group.device(0));
-    std::unique_ptr<core::Backend> backend =
-        core::BackendRegistry::Instance().Create(backend_name);
-    gpusim::Stream& stream = backend->stream();
-    bool admitted = false;
-    uint64_t granted = 0;
-    if (options.governor != nullptr) {
-      const uint64_t footprint = EstimateQueryFootprint(
-          query, tables, backend_name, 1, options.use_encoding);
-      const core::AdmissionTicket ticket = options.governor->Admit(
-          0, stream.id(), footprint, options.admit_timeout_ms);
-      if (!ticket.admitted()) {
-        throw std::runtime_error("device 0 admission rejected for " +
-                                 std::string(TpchQueryName(query)));
-      }
-      admitted = true;
-      granted = ticket.granted_bytes;
-    }
-    GovernedQueryOptions gopt;
-    gopt.force_partitions = options.force_shards;
-    gopt.use_encoding = options.use_encoding;
-    GovernedRunStats gstats;
-    TpchQueryResult result;
-    try {
-      result = RunGoverned(query, tables, *backend, gopt, &gstats);
-    } catch (...) {
-      if (admitted) options.governor->Release(0, stream.id());
-      throw;
-    }
-    if (admitted) options.governor->Release(0, stream.id());
-    st.shards = gstats.partitions;
-    st.simulated_ns = gstats.simulated_ns;
-    DeviceShardStats ds;
-    ds.device = 0;
-    ds.shards = gstats.partitions;
-    ds.rows = tables.lineitem->num_rows();
-    ds.upload_bytes = gstats.spill_h2d_bytes;
-    ds.download_bytes = gstats.spill_d2h_bytes;
-    ds.busy_ns = gstats.simulated_ns;
-    ds.granted_bytes = granted;
-    ds.peak_bytes = group.PerDevicePeakBytes()[0];
-    st.per_device.push_back(ds);
-    return result;
-  }
-
-  {
+  if (nd > 1) {
     // Probe once: a backend routed through process-global library state
     // (ArrayFire's implicit JIT stream, the adaptive hybrid) cannot run one
-    // instance per device-thread.
+    // instance per device-thread. A 1-device group runs one worker thread,
+    // so it takes any backend.
     gpusim::Device::DeviceGuard guard(group.device(0));
     const std::unique_ptr<core::Backend> probe =
         core::BackendRegistry::Instance().Create(backend_name);
@@ -439,31 +372,19 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
   // ordinal. No-op — and charge-free — unless some device is Probing.
   ProbeAndReadmit(group, workers, /*tick=*/false, st);
 
-  const size_t shards =
-      options.force_shards > 0 ? options.force_shards : static_cast<size_t>(nd);
-  st.shards = shards;
-  const bool align = detail::NeedsOrders(query);
-  const std::vector<size_t> bounds =
-      detail::PartitionBounds(*tables.lineitem, shards, align);
-  // Shards are dealt round-robin over the devices alive at planning time —
-  // with every device healthy this is exactly `s % nd`, so the healthy-path
-  // placement (and therefore the simulated timeline) is unchanged.
-  std::vector<std::vector<std::pair<size_t, size_t>>> assigned(
+  const ShardLayout layout =
+      LayoutShards(query, *tables.lineitem, group, options.force_shards);
+  st.shards = layout.ranges.size();
+  std::vector<std::vector<detail::RowRange>> assigned(
       static_cast<size_t>(nd));
-  {
-    const std::vector<int> alive = group.AliveDevices();
-    if (alive.empty()) {
-      throw gpusim::DeviceLost("sharded run: no live device in the group");
-    }
-    for (size_t s = 0; s + 1 < bounds.size(); ++s) {
-      const int d = alive[s % alive.size()];
-      assigned[static_cast<size_t>(d)].emplace_back(bounds[s], bounds[s + 1]);
-    }
+  for (size_t s = 0; s < layout.ranges.size(); ++s) {
+    assigned[static_cast<size_t>(layout.device[s])].push_back(
+        layout.ranges[s]);
   }
   // Each device's grant covers its largest single slice plus the broadcast
   // tables — the same per-slice footprint the governed ladder would size.
   const uint64_t footprint = EstimateQueryFootprint(
-      query, tables, backend_name, shards, options.use_encoding);
+      query, tables, backend_name, st.shards, options.use_encoding);
 
   // Run rounds until every slice has executed somewhere. Round 1 is the
   // normal sharded run; a round ends by collecting the unfinished slices of
@@ -487,20 +408,19 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
       if (ws.error != nullptr) std::rethrow_exception(ws.error);
     }
 
-    std::vector<std::pair<size_t, size_t>> unfinished;
+    std::vector<detail::RowRange> unfinished;
     for (int d = 0; d < nd; ++d) {
       WorkerState& ws = workers[static_cast<size_t>(d)];
       assigned[static_cast<size_t>(d)].clear();
       if (!ws.device_lost) continue;
       ws.device_lost = false;
       ++st.devices_lost;
-      // Everything the dead device had finished is checkpointed in host
-      // memory (ws.partials); those slices merge into the answer without
-      // ever re-running. Credit each checkpoint at most once across
-      // repeated losses of the same device.
-      st.checkpointed_slices_reused +=
-          ws.checkpoints.size() - ws.checkpoints_counted;
-      ws.checkpoints_counted = ws.checkpoints.size();
+      // Everything the dead device had finished is in host memory
+      // (ws.slices); those slices merge into the answer without ever
+      // re-running. Credit each one at most once across repeated losses of
+      // the same device.
+      st.checkpointed_slices_reused += ws.slices.size() - ws.slices_credited;
+      ws.slices_credited = ws.slices.size();
       unfinished.insert(unfinished.end(), ws.unfinished.begin(),
                         ws.unfinished.end());
       ws.unfinished.clear();
@@ -528,13 +448,14 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
     st.replaced_shards += unfinished.size();
   }
 
-  // Gather: every non-coordinator device ships its partials to the
-  // coordinator — the lowest live device that ran work; device 0 on the
-  // healthy path — over the fabric (in fixed device order, so the
-  // coordinator stream's timeline is deterministic); the host merge itself
-  // is free. Dead devices cannot touch the fabric: their partials are
-  // already host-resident (Accumulate downloads every slice result), so
-  // they are drained from host staging without an exchange charge.
+  // Gather: every non-coordinator device ships the merged partials of its
+  // slices to the coordinator — the lowest live device that ran work; the
+  // layout's coordinator on the healthy path — over the fabric (in fixed
+  // device order, so the coordinator stream's timeline is deterministic).
+  // Dead devices cannot touch the fabric: their slices are already
+  // host-resident (every slice downloads its partials), so they are drained
+  // from host staging without an exchange charge. The host then folds every
+  // slice in ascending row order, whichever device ran it.
   int coord = -1;
   for (int d = 0; d < nd; ++d) {
     if (workers[static_cast<size_t>(d)].backend != nullptr &&
@@ -547,24 +468,28 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
     throw gpusim::DeviceLost(
         "sharded run: no live device left to coordinate the gather");
   }
-  detail::Partials acc = std::move(workers[static_cast<size_t>(coord)].partials);
   gpusim::Stream& dst = workers[static_cast<size_t>(coord)].backend->stream();
+  std::vector<detail::SliceResult> slices;
   for (int d = 0; d < nd; ++d) {
-    if (d == coord) continue;
     WorkerState& ws = workers[static_cast<size_t>(d)];
     if (ws.backend == nullptr) continue;  // no shards landed on this device
-    const uint64_t bytes = std::max<uint64_t>(PartialBytes(query, ws.partials),
-                                              sizeof(double));
-    bool charged = false;
-    if (group.IsAlive(d)) {
+    if (d != coord && group.IsAlive(d)) {
+      const uint64_t bytes = std::max<uint64_t>(
+          PartialBytes(query, detail::MergeSlices(query, ws.slices)),
+          sizeof(double));
       // A transient TransferFault on the gather edge replays the exchange (a
       // fault fires before any pricing, so the successful attempt charges
       // exactly once). After the retry budget — or a DeviceLost on the edge
       // — fall back to draining the host-resident partials uncharged.
-      for (int attempt = 0; attempt < 4; ++attempt) {
+      for (int attempt = 1; attempt <= detail::kTransferAttempts; ++attempt) {
         try {
           group.ChargeExchange(d, ws.backend->stream(), coord, dst, bytes);
-          charged = true;
+          st.exchange_bytes += bytes;
+          if (group.IsPeer(d, coord)) {
+            st.exchange_p2p_bytes += bytes;
+          } else {
+            st.exchange_via_host_bytes += bytes;
+          }
           break;
         } catch (const gpusim::TransferFault&) {
           ++st.transfer_retries;
@@ -578,15 +503,7 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
         }
       }
     }
-    if (charged) {
-      st.exchange_bytes += bytes;
-      if (group.IsPeer(d, coord)) {
-        st.exchange_p2p_bytes += bytes;
-      } else {
-        st.exchange_via_host_bytes += bytes;
-      }
-    }
-    detail::MergePartials(query, acc, ws.partials);
+    std::move(ws.slices.begin(), ws.slices.end(), std::back_inserter(slices));
   }
 
   const std::vector<uint64_t> peaks = group.PerDevicePeakBytes();
@@ -602,7 +519,7 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
     st.per_device.push_back(ds);
   }
   st.simulated_ns = makespan;
-  return detail::Finalize(query, std::move(acc));
+  return detail::Finalize(query, detail::MergeSlices(query, slices));
 }
 
 core::QueryFn MakeShardedQuery(TpchQuery query, TpchHostTables tables,

@@ -4,51 +4,56 @@
 // another on one device; this module places the same slices across N devices
 // and runs them in parallel, one host thread per device, each against a
 // private backend instance bound to its device (gpusim::Device::DeviceGuard).
-// Small build-side tables (orders/customer/part) are broadcast to every
-// device; each device's partial result is exchanged to device 0 over the
-// group's fabric — a direct peer link inside an island, a two-hop via-host
-// path across islands — before the host merges partials exactly as the
-// single-device spill path does (plan/partition_detail.h).
+// Both paths run their slices through the one slice runner
+// (plan/partition_detail.h): small build-side tables (orders/customer/part)
+// are broadcast to every device that takes slices, and each slice's partials
+// land in host memory as it finishes. Each device's merged partials are then
+// exchanged to the coordinator — the lowest live device that ran slices —
+// over the group's fabric: a direct peer link inside an island, a two-hop
+// via-host path across islands.
 //
 // Correctness inherits from the partitioned path: shard boundaries snap to
-// l_orderkey change points for the join/group queries, so per-shard partials
-// merge by addition or disjoint concatenation regardless of which device
-// computed them. Simulated time stays deterministic: each device's stream
-// timeline is a pure function of the commands charged to it, the exchange
-// charges happen in fixed device order, and the reported makespan is the
-// maximum per-device timeline delta — independent of host thread scheduling.
-// A 1-device group degenerates to RunGoverned and is bit-identical to it.
+// l_orderkey change points for the join/group queries, so per-slice partials
+// merge by addition or disjoint concatenation, and the host folds every slice
+// in ascending row order whichever device ran it. For a fixed slice count the
+// answer is therefore the same on any number of devices, on any recovery
+// path, and on the governed single-device path, wherever the per-slice
+// results themselves are deterministic. Simulated time stays deterministic:
+// each device's stream timeline is a pure function of the commands charged
+// to it, the exchange charges happen in fixed device order, and the reported
+// makespan is the maximum per-device timeline delta — independent of host
+// thread scheduling. A 1-device group runs the same way with one worker and
+// no exchange, so its timeline equals the governed path's at the same slice
+// count.
 //
 // Device loss degrades the run instead of failing it. A worker whose device
 // fires a sticky gpusim::DeviceLost marks the device dead in the group,
-// keeps the partials of the slices it already finished (they are in host
-// memory after Accumulate), and reports its unfinished slices. RunSharded
-// then re-places those slices deterministically — sorted by row_begin,
-// round-robin over the surviving devices in ascending order — re-uploading
-// the broadcast tables once on each device that takes replacement work, and
-// repeats until every slice has run somewhere or no device survives
-// (DeviceLost is rethrown only then). The gather re-routes around dead
-// devices: a dead device's partials are drained from host staging without a
-// fabric charge, the coordinator moves to the lowest surviving device, and
-// transient TransferFaults on a gather edge retry a bounded number of times
-// before falling back to a host-staged drain.
+// keeps the slices it already finished (their partials are in host memory),
+// and reports its unfinished slices. RunSharded then re-places those slices
+// deterministically — sorted by row_begin, round-robin over the surviving
+// devices in ascending order — re-uploading the broadcast tables once on
+// each device that takes replacement work, and repeats until every slice has
+// run somewhere or no device survives (DeviceLost is rethrown only then). The
+// gather re-routes around dead devices: a dead device's partials are drained
+// from host staging without a fabric charge, the coordinator moves to the
+// lowest surviving device, and transient TransferFaults on a gather edge
+// retry against the same budget as uploads before falling back to a
+// host-staged drain.
 //
-// Loss is no longer forever. Completed slices checkpoint to host memory as
-// they finish (each worker records the ranges it has accumulated), so when a
-// device dies only its *unfinished* slices re-deal — the checkpointed ones
-// merge into the final answer without recompute (counted in
-// checkpointed_slices_reused). Between recovery rounds RunSharded drives the
-// group's lifecycle machine: an armed auto-reset policy ticks Lost devices
-// back to Probing (DeviceGroup::ArmAutoReset), every Probing device gets a
-// half-open probe kernel, and a device that passes is readmitted — its
-// breakers healed via ResilienceManager::SyncDeviceProbe, its worker (and
-// the host checkpoints of the slices it finished before dying) retained,
-// broadcast tables re-uploaded when the next round hands it slices. Probing
-// also runs
-// once before initial placement, so a group whose operator called MarkReset
-// between queries re-admits on the next run. When no fault fires, none of
-// this machinery charges anything, so the healthy-path simulated timeline
-// is bit-identical to the fault-free build.
+// Finished slices are checkpoints: when a device dies only its *unfinished*
+// slices re-deal, and the finished ones merge into the final answer without
+// recompute (counted in checkpointed_slices_reused). A lost device can also
+// come back: between recovery rounds RunSharded drives the group's lifecycle
+// machine. An armed auto-reset policy ticks Lost devices back to Probing
+// (DeviceGroup::ArmAutoReset), every Probing device gets a half-open probe
+// kernel, and a device that passes is readmitted — its breakers healed via
+// ResilienceManager::SyncDeviceProbe, its worker (and the slices it finished
+// before dying) retained, broadcast tables re-uploaded when the next round
+// hands it slices. Probing also runs once before initial placement, so a
+// group whose operator called MarkReset between queries re-admits on the
+// next run. When no fault fires, none of this machinery charges anything, so
+// the healthy-path simulated timeline is bit-identical to the fault-free
+// build.
 #ifndef PLAN_EXCHANGE_H_
 #define PLAN_EXCHANGE_H_
 
@@ -93,16 +98,19 @@ const char* ExchangeEdgeKindName(ExchangeEdge::Kind kind);
 struct ShardedPlanSpec {
   int devices = 1;
   size_t shards = 1;
+  int coordinator = 0;  ///< device the gather edges lead into
   std::vector<ShardPlacement> placements;
   std::vector<ExchangeEdge> edges;
   Plan exchange_plan;
 };
 
-/// Plans a sharded execution: orderkey-snapped shard bounds (one shard per
-/// device unless `force_shards` overrides), round-robin shard->device
-/// placement, broadcast edges for every non-lineitem table the query reads,
-/// and one gather edge per non-coordinator device routed per the group
-/// topology. Pure function of its inputs.
+/// Plans a sharded execution exactly as RunSharded places it: orderkey-snapped
+/// shard bounds (one shard per device unless `force_shards` overrides),
+/// shards dealt round-robin over the live devices, broadcast edges for every
+/// non-lineitem table the query reads, and one gather edge per other device
+/// that takes shards, routed per the group topology into the lowest live
+/// device. Pure function of its inputs; throws gpusim::DeviceLost when no
+/// device of the group is alive.
 ShardedPlanSpec PlanShardedExecution(TpchQuery query,
                                      const TpchHostTables& tables,
                                      const gpusim::DeviceGroup& group,
@@ -126,8 +134,6 @@ struct ShardedQueryOptions {
   /// admits its own footprint against its own device's governor before
   /// uploading anything, and releases on completion.
   core::MultiGovernor* governor = nullptr;
-  /// Admission timeout passed to MultiGovernor::Admit (0 = governor default).
-  uint64_t admit_timeout_ms = 0;
 };
 
 /// Per-device accounting of one sharded run.
@@ -149,8 +155,9 @@ struct ShardedRunStats {
   int devices = 1;
   size_t shards = 1;
   /// Makespan: max per-device timeline delta, including the partial-result
-  /// exchanges into device 0. For a 1-device group this equals
-  /// GovernedRunStats::simulated_ns of the equivalent governed run.
+  /// exchanges into the coordinator. For a 1-device group this equals
+  /// GovernedRunStats::simulated_ns of a governed run at the same slice
+  /// count.
   uint64_t simulated_ns = 0;
   uint64_t exchange_bytes = 0;           ///< partials moved between devices
   uint64_t exchange_p2p_bytes = 0;       ///< share over direct peer links
@@ -174,9 +181,8 @@ struct ShardedRunStats {
 /// `backend_name` instances (one per device, each on its own host thread).
 /// Throws std::invalid_argument when the backend is not concurrency-safe and
 /// the group has more than one device, and std::runtime_error when a
-/// device's admission is rejected. A 1-device group delegates to RunGoverned
-/// (force_shards becomes force_partitions), so its simulated timeline is
-/// bit-identical to the governed single-device path. A device lost mid-run
+/// device's admission is rejected. A 1-device group runs one worker on the
+/// same path, with `force_shards` slices (one when 0). A device lost mid-run
 /// is marked dead in the group and its unfinished slices complete on the
 /// survivors (see the file comment); gpusim::DeviceLost escapes only when
 /// every device of the group is dead.

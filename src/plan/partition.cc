@@ -7,7 +7,9 @@
 #include <unordered_set>
 #include <utility>
 
+#include "core/resilience.h"
 #include "gpusim/device.h"
+#include "gpusim/fault.h"
 #include "gpusim/trace.h"
 #include "plan/executor.h"
 #include "plan/optimizer.h"
@@ -130,10 +132,6 @@ storage::DeviceTable MetaTableEncoded(const storage::Table& table,
   return out;
 }
 
-}  // namespace
-
-namespace detail {
-
 /// Host-side row-range copy [lo, hi) of every column.
 storage::Table SliceTable(const storage::Table& table, size_t lo, size_t hi) {
   storage::Table out(table.name());
@@ -169,28 +167,35 @@ storage::Table SliceTable(const storage::Table& table, size_t lo, size_t hi) {
   return out;
 }
 
-/// K+1 partition boundaries over lineitem. With `align_orderkey`, each
-/// boundary moves forward to the next l_orderkey change point, so no order's
-/// lineitems straddle two partitions (the generator emits them contiguously
-/// with nondecreasing keys) — which keeps per-partition group-key sets
-/// disjoint for Q3's group-by and Q4's semi-join. Pure function of (rows,
-/// keys, k): partition shapes — and with them simulated timings — replay.
-std::vector<size_t> PartitionBounds(const storage::Table& lineitem, size_t k,
-                                    bool align_orderkey) {
+}  // namespace
+
+namespace detail {
+
+/// K ranges between K+1 boundaries over lineitem. With `align_orderkey`,
+/// each boundary moves forward to the next l_orderkey change point, so no
+/// order's lineitems straddle two partitions (the generator emits them
+/// contiguously with nondecreasing keys) — which keeps per-partition
+/// group-key sets disjoint for Q3's group-by and Q4's semi-join. Pure
+/// function of (rows, keys, k): partition shapes — and with them simulated
+/// timings — replay.
+std::vector<RowRange> PartitionRanges(const storage::Table& lineitem,
+                                      size_t k, bool align_orderkey) {
   const size_t n = lineitem.num_rows();
   const std::vector<int32_t>* keys =
       align_orderkey ? &lineitem.column("l_orderkey").values<int32_t>()
                      : nullptr;
-  std::vector<size_t> bounds{0};
-  for (size_t p = 1; p < k; ++p) {
-    size_t b = std::min(n, n * p / k);
+  std::vector<RowRange> ranges;
+  size_t lo = 0;
+  for (size_t p = 1; p <= k; ++p) {
+    size_t b = p == k ? n : std::min(n, n * p / k);
     if (keys != nullptr) {
       while (b > 0 && b < n && (*keys)[b] == (*keys)[b - 1]) ++b;
     }
-    bounds.push_back(std::max(b, bounds.back()));
+    b = std::max(b, lo);
+    ranges.emplace_back(lo, b);
+    lo = b;
   }
-  bounds.push_back(n);
-  return bounds;
+  return ranges;
 }
 
 /// Worst-case device footprint of one pinned plan execution: upload bytes of
@@ -350,6 +355,9 @@ uint64_t FootprintOfPlan(const PhysicalPlan& phys, bool include_scans) {
 
 namespace {
 
+/// Top of RunGoverned's repartitioning ladder; past it OOM propagates.
+constexpr size_t kMaxPartitions = 256;
+
 void Emit(const GovernedQueryOptions& options, gpusim::Stream& stream,
           PressureEvent::Kind kind, std::string detail, uint64_t bytes,
           size_t partitions) {
@@ -374,34 +382,36 @@ void Emit(const GovernedQueryOptions& options, gpusim::Stream& stream,
 }  // namespace
 
 namespace detail {
+namespace {
 
-void Accumulate(TpchQuery q, const QueryPlanBundle& bundle,
-                const ExecutionResult& res, Partials& acc) {
+/// One slice's partials, read off its executed plan.
+Partials ExtractPartials(TpchQuery q, const QueryPlanBundle& bundle,
+                         const ExecutionResult& res) {
+  Partials p;
   switch (q) {
     case TpchQuery::kQ1:
-      acc.q1.Merge(ExtractQ1Partials(bundle, res));
+      p.q1 = ExtractQ1Partials(bundle, res);
       break;
-    case TpchQuery::kQ3: {
-      const std::vector<tpch::Q3Row> groups = ExtractQ3Groups(bundle, res);
-      acc.q3_groups.insert(acc.q3_groups.end(), groups.begin(), groups.end());
+    case TpchQuery::kQ3:
+      p.q3_groups = ExtractQ3Groups(bundle, res);
       break;
-    }
     case TpchQuery::kQ4:
       for (const tpch::Q4Row& row : ExtractQ4(bundle, res)) {
-        acc.q4_counts[row.orderpriority] += row.order_count;
+        p.q4_counts[row.orderpriority] += row.order_count;
       }
       break;
     case TpchQuery::kQ6:
-      acc.q6_sum += ExtractQ6(bundle, res);
+      p.q6_sum = ExtractQ6(bundle, res);
       break;
     case TpchQuery::kQ14: {
       const NodeValue& total = res.values[bundle.marks.at("total")];
       const NodeValue& promo = res.values[bundle.marks.at("promo")];
-      if (total.computed) acc.q14_total += total.scalar;
-      if (promo.computed) acc.q14_promo += promo.scalar;
+      if (total.computed) p.q14_total = total.scalar;
+      if (promo.computed) p.q14_promo = promo.scalar;
       break;
     }
   }
+  return p;
 }
 
 void MergePartials(TpchQuery q, Partials& acc, const Partials& other) {
@@ -426,6 +436,102 @@ void MergePartials(TpchQuery q, Partials& acc, const Partials& other) {
       acc.q14_promo += other.q14_promo;
       break;
   }
+}
+
+/// Host bytes the marked fetch/reduce nodes downloaded from the device.
+uint64_t DownloadedBytes(const QueryPlanBundle& bundle,
+                         const ExecutionResult& res) {
+  uint64_t bytes = 0;
+  for (const auto& [name, node] : bundle.marks) {
+    const NodeValue& v = res.values[node];
+    if (!v.computed) continue;
+    bytes += v.host_keys.size() * sizeof(int32_t) +
+             v.host_vals_f.size() * sizeof(double) +
+             v.host_vals_i.size() * sizeof(int64_t) +
+             v.host_first.size() * sizeof(double) +
+             v.host_second.size() * sizeof(int32_t);
+    if (bundle.plan.nodes[node].kind == NodeKind::kReduce) {
+      bytes += sizeof(double);  // the scalar itself comes down
+    }
+  }
+  return bytes;
+}
+
+}  // namespace
+
+void RunSlices(TpchQuery q, const TpchHostTables& tables,
+               core::Backend& backend, const std::vector<RowRange>& ranges,
+               bool use_encoding, SliceProgress& progress,
+               const std::function<void(size_t, const SliceResult&)>& on_slice) {
+  progress = SliceProgress();
+  gpusim::Stream& stream = backend.stream();
+  // Uploads `t` and sets `bytes` to what crossed the link. DeviceLost is
+  // sticky and propagates at once.
+  const auto upload = [&](const storage::Table& t, uint64_t& bytes) {
+    core::ResilienceManager& rm = core::ResilienceManager::Global();
+    for (int attempt = 1;; ++attempt) {
+      try {
+        bytes = 0;
+        if (use_encoding) return storage::UploadTableEncoded(stream, t, &bytes);
+        bytes = HostTableBytes(t);
+        return storage::UploadTable(stream, t);
+      } catch (const gpusim::TransferFault&) {
+        rm.NoteFaultSeen();
+        if (attempt >= kTransferAttempts) throw;
+        rm.NoteRetry(0);
+      }
+    }
+  };
+
+  storage::DeviceTable orders, customer, part;
+  uint64_t bytes = 0;
+  if (NeedsOrders(q)) {
+    orders = upload(*tables.orders, bytes);
+    progress.broadcast_bytes += bytes;
+  }
+  if (NeedsCustomer(q)) {
+    customer = upload(*tables.customer, bytes);
+    progress.broadcast_bytes += bytes;
+  }
+  if (NeedsPart(q)) {
+    part = upload(*tables.part, bytes);
+    progress.broadcast_bytes += bytes;
+  }
+
+  OptimizerOptions opt;
+  opt.pin_backend = backend.name();
+  const storage::Table& host = *tables.lineitem;
+  for (; progress.next < ranges.size(); ++progress.next) {
+    const auto [lo, hi] = ranges[progress.next];
+    if (lo >= hi) continue;  // orderkey alignment emptied this range
+    SliceResult s;
+    s.rows = {lo, hi};
+    // The slice's device memory is freed (credited back to the reservation)
+    // when this iteration ends, before the next slice uploads. With encoding
+    // on, the slice crosses the link at its encoded size.
+    const storage::DeviceTable lineitem =
+        lo == 0 && hi == host.num_rows()
+            ? upload(host, s.upload_bytes)
+            : upload(SliceTable(host, lo, hi), s.upload_bytes);
+    const QueryPlanBundle bundle =
+        BuildBundle(q, lineitem, orders, customer, part);
+    const PhysicalPlan phys = Optimize(bundle.plan, opt);
+    const ExecutionResult res = RunPinned(phys, backend);
+    s.partials = ExtractPartials(q, bundle, res);
+    s.download_bytes = DownloadedBytes(bundle, res);
+    progress.done.push_back(std::move(s));
+    if (on_slice) on_slice(progress.next, progress.done.back());
+  }
+}
+
+Partials MergeSlices(TpchQuery q, std::vector<SliceResult>& slices) {
+  std::sort(slices.begin(), slices.end(),
+            [](const SliceResult& a, const SliceResult& b) {
+              return a.rows < b.rows;
+            });
+  Partials acc;
+  for (const SliceResult& s : slices) MergePartials(q, acc, s.partials);
+  return acc;
 }
 
 TpchQueryResult Finalize(TpchQuery q, Partials acc) {
@@ -454,25 +560,6 @@ TpchQueryResult Finalize(TpchQuery q, Partials acc) {
   return r;
 }
 
-/// Host bytes the marked fetch/reduce nodes downloaded from the device.
-uint64_t DownloadedBytes(const QueryPlanBundle& bundle,
-                         const ExecutionResult& res) {
-  uint64_t bytes = 0;
-  for (const auto& [name, node] : bundle.marks) {
-    const NodeValue& v = res.values[node];
-    if (!v.computed) continue;
-    bytes += v.host_keys.size() * sizeof(int32_t) +
-             v.host_vals_f.size() * sizeof(double) +
-             v.host_vals_i.size() * sizeof(int64_t) +
-             v.host_first.size() * sizeof(double) +
-             v.host_second.size() * sizeof(int32_t);
-    if (bundle.plan.nodes[node].kind == NodeKind::kReduce) {
-      bytes += sizeof(double);  // the scalar itself comes down
-    }
-  }
-  return bytes;
-}
-
 uint64_t HostTableBytes(const storage::Table& t) {
   uint64_t bytes = 0;
   for (const std::string& name : t.column_names()) {
@@ -482,94 +569,6 @@ uint64_t HostTableBytes(const storage::Table& t) {
 }
 
 }  // namespace detail
-
-namespace {
-
-/// One execution attempt at a fixed partition count. Throws
-/// gpusim::OutOfDeviceMemory when K is still too coarse for the live memory
-/// state; the caller owns the repartitioning ladder.
-TpchQueryResult RunAttempt(TpchQuery q, const TpchHostTables& tables,
-                           core::Backend& backend, size_t k,
-                           const GovernedQueryOptions& options,
-                           GovernedRunStats& stats) {
-  gpusim::Stream& stream = backend.stream();
-  OptimizerOptions opt;
-  opt.pin_backend = backend.name();
-
-  const auto upload = [&](const storage::Table& t,
-                          uint64_t* bytes = nullptr) {
-    return options.use_encoding ? storage::UploadTableEncoded(stream, t, bytes)
-                                : storage::UploadTable(stream, t);
-  };
-
-  storage::DeviceTable orders, customer, part;
-  if (NeedsOrders(q)) orders = upload(*tables.orders);
-  if (NeedsCustomer(q)) customer = upload(*tables.customer);
-  if (NeedsPart(q)) part = upload(*tables.part);
-
-  if (k <= 1) {
-    // Unpartitioned: byte-for-byte the ordinary upload + pinned-plan run.
-    const storage::DeviceTable lineitem = upload(*tables.lineitem);
-    const QueryPlanBundle bundle =
-        BuildBundle(q, lineitem, orders, customer, part);
-    const PhysicalPlan phys = Optimize(bundle.plan, opt);
-    const ExecutionResult res = RunPinned(phys, backend);
-    TpchQueryResult r;
-    switch (q) {
-      case TpchQuery::kQ1:
-        r.q1 = ExtractQ1(bundle, res);
-        break;
-      case TpchQuery::kQ3:
-        r.q3 = ExtractQ3(bundle, res, tpch::Q3Params());
-        break;
-      case TpchQuery::kQ4:
-        r.q4 = ExtractQ4(bundle, res);
-        break;
-      case TpchQuery::kQ6:
-        r.scalar = ExtractQ6(bundle, res);
-        break;
-      case TpchQuery::kQ14:
-        r.scalar = ExtractQ14(bundle, res);
-        break;
-    }
-    return r;
-  }
-
-  const bool align = NeedsOrders(q);  // q3/q4 group or join on l_orderkey
-  const std::vector<size_t> bounds =
-      PartitionBounds(*tables.lineitem, k, align);
-  Partials acc;
-  for (size_t p = 0; p + 1 < bounds.size(); ++p) {
-    const size_t lo = bounds[p];
-    const size_t hi = bounds[p + 1];
-    if (lo >= hi) continue;  // orderkey alignment emptied this range
-    const storage::Table slice = SliceTable(*tables.lineitem, lo, hi);
-    // Slice upload, per-partition plan, partial extraction; the slice's
-    // device memory is freed (credited back to the reservation) when the
-    // scope ends, before the next slice uploads. With encoding on, the
-    // slice crosses the link (and counts as spill) at its encoded size.
-    uint64_t slice_bytes = 0;
-    const storage::DeviceTable lineitem = upload(slice, &slice_bytes);
-    if (!options.use_encoding) slice_bytes = HostTableBytes(slice);
-    const QueryPlanBundle bundle =
-        BuildBundle(q, lineitem, orders, customer, part);
-    const PhysicalPlan phys = Optimize(bundle.plan, opt);
-    const ExecutionResult res = RunPinned(phys, backend);
-    Accumulate(q, bundle, res, acc);
-    const uint64_t down = DownloadedBytes(bundle, res);
-    stats.spill_h2d_bytes += slice_bytes;
-    stats.spill_d2h_bytes += down;
-    Emit(options, stream, PressureEvent::Kind::kSpill,
-         "partition " + std::to_string(p) + "/" + std::to_string(k) +
-             " rows [" + std::to_string(lo) + ", " + std::to_string(hi) +
-             ") h2d " + std::to_string(slice_bytes) + " B, d2h " +
-             std::to_string(down) + " B",
-         slice_bytes + down, k);
-  }
-  return Finalize(q, std::move(acc));
-}
-
-}  // namespace
 
 const char* TpchQueryName(TpchQuery query) {
   switch (query) {
@@ -637,9 +636,6 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
   RequireTables(query, tables);
   gpusim::Stream& stream = backend.stream();
   gpusim::Device& device = stream.device();
-  const size_t max_k =
-      options.max_partitions == 0 ? 256 : options.max_partitions;
-
   GovernedRunStats local;
   GovernedRunStats& st = stats != nullptr ? *stats : local;
   st = GovernedRunStats();
@@ -655,12 +651,12 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
   if (options.force_partitions > 0) {
     k = options.force_partitions;
   } else {
-    while (k < max_k &&
+    while (k < kMaxPartitions &&
            EstimateQueryFootprint(query, tables, backend.name(), k,
                                   options.use_encoding) > budget) {
       k *= 2;
     }
-    k = std::min(k, max_k);
+    k = std::min(k, kMaxPartitions);
   }
   Emit(options, stream, PressureEvent::Kind::kAdmission,
        std::string(TpchQueryName(query)) + " footprint " +
@@ -675,6 +671,7 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
   // from the grant instead of racing concurrent clients for capacity.
   gpusim::Device::ReservationScope scope(device, stream.id());
   const uint64_t sim_start = stream.now_ns();
+  const bool align = NeedsOrders(query);  // q3/q4 group or join on l_orderkey
   for (;;) {
     if (k > 1) {
       Emit(options, stream, PressureEvent::Kind::kPartition,
@@ -685,15 +682,30 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
     try {
       st.spill_h2d_bytes = 0;  // an abandoned attempt's traffic is not spill
       st.spill_d2h_bytes = 0;
-      TpchQueryResult result =
-          RunAttempt(query, tables, backend, k, options, st);
+      SliceProgress run;
+      RunSlices(query, tables, backend,
+                PartitionRanges(*tables.lineitem, k, align),
+                options.use_encoding, run,
+                [&](size_t p, const SliceResult& s) {
+                  if (k == 1) return;  // the whole table spills nothing
+                  st.spill_h2d_bytes += s.upload_bytes;
+                  st.spill_d2h_bytes += s.download_bytes;
+                  Emit(options, stream, PressureEvent::Kind::kSpill,
+                       "partition " + std::to_string(p) + "/" +
+                           std::to_string(k) + " rows [" +
+                           std::to_string(s.rows.first) + ", " +
+                           std::to_string(s.rows.second) + ") h2d " +
+                           std::to_string(s.upload_bytes) + " B, d2h " +
+                           std::to_string(s.download_bytes) + " B",
+                       s.upload_bytes + s.download_bytes, k);
+                });
       st.partitions = k;
       st.simulated_ns = stream.now_ns() - sim_start;
-      return result;
+      return Finalize(query, MergeSlices(query, run.done));
     } catch (const gpusim::OutOfDeviceMemory&) {
       device.TrimPool();
-      if (options.force_partitions > 0 || k >= max_k) throw;
-      k = std::min(max_k, k * 2);
+      if (options.force_partitions > 0 || k >= kMaxPartitions) throw;
+      k = std::min(kMaxPartitions, k * 2);
       ++st.oom_fallbacks;
       Emit(options, stream, PressureEvent::Kind::kFallback,
            std::string(TpchQueryName(query)) +

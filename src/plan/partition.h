@@ -8,15 +8,20 @@
 // sliced upload, and per-partition partials merge host-side. Host tables
 // stay the source of truth, so the only extra cost is the priced
 // host<->device traffic of the slices and partial downloads ("spill" bytes).
+// The slices run through the same slice runner as multi-device sharded
+// execution (plan/partition_detail.h); K == 1 is one slice covering the
+// whole table.
 //
 // Correctness: partials merge by addition (Q1/Q4/Q6/Q14 sums and counts) or
 // disjoint concatenation (Q3 per-orderkey groups; lineitem is generated
 // grouped by order with nondecreasing l_orderkey, and partition boundaries
 // snap to orderkey change points, so per-partition key sets are disjoint).
-// Integer results are exact; float sums are re-associated and compared with
-// tolerance. Simulated time stays deterministic: partition sizes and counts
-// are pure functions of the inputs, so a partitioned run's simulated-ns is
-// as replayable as an unpartitioned one.
+// Each slice keeps its own partials and they fold in ascending row order, so
+// for a fixed K the float sums add up in one order only — the same order a
+// sharded run over the same slices uses, on any number of devices.
+// Simulated time stays deterministic: partition sizes and counts are pure
+// functions of the inputs, so a partitioned run's simulated-ns is as
+// replayable as an unpartitioned one.
 #ifndef PLAN_PARTITION_H_
 #define PLAN_PARTITION_H_
 
@@ -95,8 +100,6 @@ struct GovernedQueryOptions {
   /// Skip grant-driven sizing and use exactly this many partitions (0 =
   /// derive from the grant). Used by the timing-invariance golden test.
   size_t force_partitions = 0;
-  /// Upper bound on the repartitioning ladder; past it OOM propagates.
-  size_t max_partitions = 256;
   /// Observer for admission/partition/spill events; may be null. Called on
   /// the executing thread.
   std::function<void(const PressureEvent&)> on_event;
@@ -122,9 +125,10 @@ struct GovernedRunStats {
 /// stream's admission grant (gpusim::Device::ReservationRemaining) — or, for
 /// ungoverned streams, the device capacity — is smaller than the estimated
 /// footprint. Recurring OutOfDeviceMemory doubles K and restarts (the
-/// partials accumulated so far are discarded; queries are idempotent) until
-/// max_partitions, then propagates. K == 1 is byte-for-byte the ordinary
-/// unpartitioned plan execution.
+/// partials accumulated so far are discarded; queries are idempotent) up to
+/// 256 partitions, then propagates. A transient TransferFault on an upload
+/// replays that upload. K == 1 charges exactly the ordinary unpartitioned
+/// plan execution.
 TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
                             core::Backend& backend,
                             const GovernedQueryOptions& options = {},

@@ -1,20 +1,25 @@
 // Shared internals of the partitioned execution paths.
 //
 // plan/partition.cc (single-device spill-to-host execution) and
-// plan/exchange.cc (multi-device sharded execution) split the same tables on
-// the same orderkey-snapped boundaries, build the same per-slice plans, and
-// merge the same per-slice partials — one slice at a time on one device in
-// the former, one slice per device in parallel in the latter. These helpers
-// are that common core. They are implementation detail: no stability
-// promises, not part of the plan/ public API.
+// plan/exchange.cc (multi-device sharded execution) both run a query as a
+// list of lineitem row ranges cut on the same orderkey-snapped boundaries.
+// RunSlices is the one loop that runs such a list on one backend; the
+// governed path calls it once per attempt, the sharded path once per device
+// and round. Every finished slice keeps its own partials, and MergeSlices
+// folds them in ascending row order, so an answer does not depend on how the
+// slices were spread over devices, in what order they finished, or where
+// recovery re-ran them. These helpers are implementation detail: no
+// stability promises, not part of the plan/ public API.
 #ifndef PLAN_PARTITION_DETAIL_H_
 #define PLAN_PARTITION_DETAIL_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
-#include "plan/executor.h"
+#include "core/backend.h"
 #include "plan/optimizer.h"
 #include "plan/partition.h"
 #include "plan/tpch_plans.h"
@@ -22,6 +27,11 @@
 
 namespace plan {
 namespace detail {
+
+/// Attempts a host<->device move gets against transient
+/// gpusim::TransferFaults, the first one included: RunSlices' uploads and
+/// the sharded gather's exchange edges share this budget.
+constexpr int kTransferAttempts = 4;
 
 bool NeedsOrders(TpchQuery q);
 bool NeedsCustomer(TpchQuery q);
@@ -37,18 +47,18 @@ QueryPlanBundle BuildBundle(TpchQuery q, const storage::DeviceTable& lineitem,
                             const storage::DeviceTable& customer,
                             const storage::DeviceTable& part);
 
-/// Host-side row-range copy [lo, hi) of every column.
-storage::Table SliceTable(const storage::Table& table, size_t lo, size_t hi);
+/// A lineitem row range [first, second).
+using RowRange = std::pair<size_t, size_t>;
 
-/// K+1 partition boundaries over lineitem; with `align_orderkey` each
-/// boundary snaps forward to the next l_orderkey change point so no order
-/// straddles two slices. Pure function of (rows, keys, k).
-std::vector<size_t> PartitionBounds(const storage::Table& lineitem, size_t k,
-                                    bool align_orderkey);
+/// K consecutive row ranges covering lineitem, in ascending row order; with
+/// `align_orderkey` each boundary snaps forward to the next l_orderkey change
+/// point so no order straddles two ranges (which can leave a range empty).
+/// Pure function of (rows, keys, k).
+std::vector<RowRange> PartitionRanges(const storage::Table& lineitem,
+                                      size_t k, bool align_orderkey);
 
-/// Mergeable per-partition state across the five queries. Merging is
-/// addition (Q1/Q4/Q6/Q14) or disjoint concatenation (Q3), so partials can
-/// accumulate in any order — including across devices.
+/// Mergeable per-slice state across the five queries. Merging is addition
+/// (Q1/Q4/Q6/Q14) or disjoint concatenation (Q3).
 struct Partials {
   Q1Partials q1;
   std::vector<tpch::Q3Row> q3_groups;
@@ -58,20 +68,43 @@ struct Partials {
   double q14_promo = 0;
 };
 
-/// Folds one slice's execution result into `acc`.
-void Accumulate(TpchQuery q, const QueryPlanBundle& bundle,
-                const ExecutionResult& res, Partials& acc);
+/// One finished slice: its partials and the link traffic it cost.
+struct SliceResult {
+  RowRange rows;
+  Partials partials;
+  uint64_t upload_bytes = 0;    ///< slice h2d (encoded size with encoding on)
+  uint64_t download_bytes = 0;  ///< d2h of the slice's partial results
+};
 
-/// Merges `other` into `acc` (slice-order-independent for exact results;
-/// float sums re-associate within the usual tolerance).
-void MergePartials(TpchQuery q, Partials& acc, const Partials& other);
+/// How far one RunSlices call got. It is updated as the call runs, so it is
+/// exact after a throw too.
+struct SliceProgress {
+  uint64_t broadcast_bytes = 0;   ///< build-side tables uploaded
+  size_t next = 0;                ///< ranges[next..] have not finished
+  std::vector<SliceResult> done;  ///< finished slices, in range order
+};
 
-/// Converts the accumulated partials into the query's final result.
+/// The one slice loop. Resets `progress`, uploads the build-side tables `q`
+/// reads, then runs `ranges` in order on `backend`: upload the slice (the
+/// host table itself when the range covers all of it), BuildBundle ->
+/// Optimize -> RunPinned, and record the slice's partials in progress.done
+/// before the next slice starts. `on_slice`, if set, then sees the record
+/// and its index in `ranges`. Empty ranges are skipped. An upload that hits
+/// a transient TransferFault replays, up to kTransferAttempts attempts in
+/// all; the simulated time of failed attempts stays charged. Whatever
+/// escapes, `progress` still holds every slice that finished.
+void RunSlices(
+    TpchQuery q, const TpchHostTables& tables, core::Backend& backend,
+    const std::vector<RowRange>& ranges, bool use_encoding,
+    SliceProgress& progress,
+    const std::function<void(size_t, const SliceResult&)>& on_slice = {});
+
+/// Sorts `slices` into ascending row order and merges their partials in
+/// that order.
+Partials MergeSlices(TpchQuery q, std::vector<SliceResult>& slices);
+
+/// Converts merged partials into the query's final result.
 TpchQueryResult Finalize(TpchQuery q, Partials acc);
-
-/// Host bytes the marked fetch/reduce nodes downloaded from the device.
-uint64_t DownloadedBytes(const QueryPlanBundle& bundle,
-                         const ExecutionResult& res);
 
 /// Worst-case device footprint of executing `phys` once: base-table upload
 /// bytes (skipped with include_scans == false — the tables are already

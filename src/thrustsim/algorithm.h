@@ -115,18 +115,23 @@ It for_each_n(It first, size_t n, F f) {
   return for_each_n(device, first, n, f);
 }
 
-/// Like thrust::counting_iterator-driven for_each: f(i) for i in [0, n).
-/// Convenience used by join kernels (index-space iteration).
-template <typename F>
-void for_each_index(execution_policy policy, size_t n, F f,
-                    uint64_t extra_read_bytes = 0, uint64_t extra_ops = 0,
-                    uint64_t extra_written_bytes = 0) {
+/// Like thrust::counting_iterator-driven for_each over [0, n) whose functor
+/// appends at most one record per index through an atomic ticket, as the
+/// join kernels do: f(i, slot) and move(from, to) as in
+/// gpusim::OrderedAppend, which keeps the records in index order. `counter`
+/// receives the record count.
+template <typename F, typename Move>
+size_t for_each_index_append(execution_policy policy, size_t n,
+                             uint32_t* counter, F f, Move move,
+                             uint64_t extra_read_bytes = 0,
+                             uint64_t extra_ops = 0,
+                             uint64_t extra_written_bytes = 0) {
   gpusim::KernelStats stats;
   stats.name = "thrust::for_each(counting)";
   stats.bytes_read = extra_read_bytes;
   stats.bytes_written = extra_written_bytes;
   stats.ops = extra_ops;
-  gpusim::ParallelFor(policy.get(), n, stats, f);
+  return gpusim::OrderedAppend(policy.get(), n, stats, counter, f, move);
 }
 
 template <typename It, typename T>

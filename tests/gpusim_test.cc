@@ -229,6 +229,35 @@ TEST(KernelTest, LaunchBlocksCoversBlockIds) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+// The atomic-ticket compaction must not depend on host scheduling: records
+// come out in thread order for any pool size, inline grids included, and the
+// launch is charged as one kernel.
+TEST(KernelTest, OrderedAppendKeepsThreadOrderForAnyPoolSize) {
+  for (const size_t n : {size_t{100}, size_t{200000}}) {
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+      Device device(DeviceProperties(), threads);
+      Stream stream(device, ApiProfile::Cuda());
+      std::vector<uint32_t> out(n);
+      uint32_t counter = 0;
+      const uint64_t kernels_before = device.Snapshot().kernels_launched;
+      const size_t count = OrderedAppend(
+          stream, n, KernelStats{}, &counter,
+          [&](size_t i, size_t slot) {
+            if (i % 3 != 1) return false;
+            out[slot] = static_cast<uint32_t>(i);
+            return true;
+          },
+          [&](size_t from, size_t to) { out[to] = out[from]; });
+      EXPECT_EQ(device.Snapshot().kernels_launched, kernels_before + 1);
+      ASSERT_EQ(count, (n + 1) / 3);
+      EXPECT_EQ(counter, count);
+      for (size_t k = 0; k < count; ++k) {
+        ASSERT_EQ(out[k], 3 * k + 1) << "n=" << n << " threads=" << threads;
+      }
+    }
+  }
+}
+
 TEST(MemoryTest, HostDeviceRoundtrip) {
   Device device;
   Stream stream(device, ApiProfile::Cuda());

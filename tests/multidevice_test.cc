@@ -10,9 +10,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backends/backends.h"
@@ -974,6 +976,115 @@ TEST_F(MultiDeviceQueryTest, ArmedAutoResetKeepsZeroFaultTimelineIdentical) {
     EXPECT_EQ(armed_stats.simulated_ns, bare_stats.simulated_ns);
     EXPECT_EQ(armed_stats.devices_readmitted, 0);
     EXPECT_EQ(armed.fleet_stats().probes, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One placement, one fold: EXPLAIN shows the placement the run uses, and the
+// answer does not depend on where the slices ran.
+
+TEST_F(MultiDeviceQueryTest, ExplainPlacesShardsLikeTheDegradedRun) {
+  // With device 1 already dead, EXPLAIN must neither place a shard on it nor
+  // route an edge through it, and each device's shard count must be the one
+  // RunSharded reports for the same group.
+  gpusim::DeviceGroup group(3);
+  group.MarkLost(1);
+  const plan::ShardedPlanSpec spec =
+      plan::PlanShardedExecution(TpchQuery::kQ3, Tables(), group);
+  std::map<int, size_t> planned;
+  for (const plan::ShardPlacement& p : spec.placements) {
+    EXPECT_NE(p.device, 1);
+    ++planned[p.device];
+  }
+  for (const plan::ExchangeEdge& e : spec.edges) {
+    EXPECT_NE(e.device, 1) << plan::ExchangeEdgeKindName(e.kind) << " "
+                           << e.what;
+  }
+  const std::string text =
+      plan::ExplainSharded(spec, group, backends::kHandwritten);
+  EXPECT_EQ(text.find("dev1"), std::string::npos) << text;
+  EXPECT_EQ(text.find("device 1"), std::string::npos) << text;
+
+  plan::ShardedRunStats stats;
+  (void)plan::RunSharded(TpchQuery::kQ3, Tables(), group,
+                         backends::kHandwritten, {}, &stats);
+  std::map<int, size_t> ran;
+  for (const plan::DeviceShardStats& d : stats.per_device) {
+    ran[d.device] = d.shards;
+  }
+  EXPECT_EQ(planned, ran);
+}
+
+void ExpectSameAnswer(TpchQuery q, const plan::TpchQueryResult& want,
+                      const plan::TpchQueryResult& got) {
+  switch (q) {
+    case TpchQuery::kQ1:
+      ADD_FAILURE() << "Q1's grouped sums do not repeat run to run yet";
+      break;
+    case TpchQuery::kQ3:
+      ASSERT_EQ(got.q3.size(), want.q3.size());
+      for (size_t i = 0; i < want.q3.size(); ++i) {
+        EXPECT_EQ(got.q3[i].orderkey, want.q3[i].orderkey) << "row " << i;
+        EXPECT_EQ(got.q3[i].revenue, want.q3[i].revenue) << "row " << i;
+      }
+      break;
+    case TpchQuery::kQ4:
+      ASSERT_EQ(got.q4.size(), want.q4.size());
+      for (size_t i = 0; i < want.q4.size(); ++i) {
+        EXPECT_EQ(got.q4[i].orderpriority, want.q4[i].orderpriority);
+        EXPECT_EQ(got.q4[i].order_count, want.q4[i].order_count);
+      }
+      break;
+    case TpchQuery::kQ6:
+    case TpchQuery::kQ14:
+      EXPECT_EQ(got.scalar, want.scalar);
+      break;
+  }
+}
+
+TEST_F(MultiDeviceQueryTest, SliceOrderFoldKeepsAnswersBitIdentical) {
+  // Eight slices fold in ascending row order wherever they ran, so 1-4
+  // devices, a run that loses a device mid-query, and the governed
+  // single-device path all add the same partials in the same order. Only
+  // backend/query pairs whose per-slice results already repeat run here:
+  // Handwritten and Q1 still combine floats in host-schedule order.
+  for (const char* backend : {backends::kThrust, backends::kBoostCompute}) {
+    for (const TpchQuery q : {TpchQuery::kQ3, TpchQuery::kQ4, TpchQuery::kQ6,
+                              TpchQuery::kQ14}) {
+      SCOPED_TRACE(std::string(backend) + " " + plan::TpchQueryName(q));
+      plan::ShardedQueryOptions options;
+      options.force_shards = 8;
+      std::vector<std::pair<std::string, plan::TpchQueryResult>> runs;
+      for (const int nd : {1, 2, 3, 4}) {
+        gpusim::DeviceGroup group(nd);
+        runs.emplace_back(
+            std::to_string(nd) + " device(s)",
+            plan::RunSharded(q, Tables(), group, backend, options));
+      }
+      {
+        gpusim::DeviceGroup group(4);
+        KillDeviceOnceAtKernel(group, /*victim=*/1, /*at_call=*/2);
+        plan::ShardedRunStats stats;
+        runs.emplace_back(
+            "device 1 killed",
+            plan::RunSharded(q, Tables(), group, backend, options, &stats));
+        EXPECT_EQ(stats.devices_lost, 1);
+      }
+      {
+        gpusim::DeviceGroup group(1);
+        gpusim::Device::DeviceGuard guard(group.device(0));
+        const std::unique_ptr<core::Backend> b =
+            core::BackendRegistry::Instance().Create(backend);
+        plan::GovernedQueryOptions governed;
+        governed.force_partitions = 8;
+        runs.emplace_back("governed",
+                          plan::RunGoverned(q, Tables(), *b, governed));
+      }
+      for (size_t i = 1; i < runs.size(); ++i) {
+        SCOPED_TRACE(runs[i].first + " vs " + runs[0].first);
+        ExpectSameAnswer(q, runs[0].second, runs[i].second);
+      }
+    }
   }
 }
 
