@@ -194,8 +194,9 @@ bool Near(double got, double want) {
 }
 
 /// Encoded-path vs raw-path answers: integers and counts exact, float sums
-/// with 1e-9 relative tolerance (the handwritten backend's atomic-ticket
-/// aggregation makes row order — hence float association — run-dependent).
+/// with 1e-9 relative tolerance (the two paths may associate a sum
+/// differently, e.g. the handwritten backend's dense-code vs hash-table
+/// aggregation).
 bool SameAnswer(const std::string& query, const RunOut& raw, const RunOut& enc,
                 std::string* why) {
   if (query == "q1") {

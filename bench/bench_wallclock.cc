@@ -6,10 +6,15 @@
 // whole suite can run. Simulated time is charged as usual but not reported.
 // Pool allocator effectiveness shows up as the pool_hits / pool_misses
 // counters: after the first iteration every scratch buffer of the multi-pass
-// primitives should be served from the device pool.
+// primitives should be served from the device pool. The grouped-combine
+// paths run at both ends of group cardinality (4 and 262144 groups over 1M
+// rows), where tile-private partials are cheapest and dearest to merge.
+#include <algorithm>
+
 #include "bench_common.h"
 
 #include "gpusim/algorithms.h"
+#include "handwritten/handwritten.h"
 
 namespace bench {
 
@@ -24,6 +29,20 @@ const char* HotPathName(HotPath p) {
     case HotPath::kAllocFree: return "AllocFree";
   }
   return "?";
+}
+
+/// Items processed plus the device pool's counters over the timed loop.
+void ReportPoolCounters(benchmark::State& state,
+                        const gpusim::CounterSnapshot& delta, size_t n) {
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+  state.counters["pool_hits"] = static_cast<double>(delta.pool_hits);
+  state.counters["pool_misses"] = static_cast<double>(delta.pool_misses);
+  state.counters["bytes_pooled"] = static_cast<double>(delta.bytes_pooled);
+  state.counters["hit_rate"] =
+      delta.pool_hits + delta.pool_misses > 0
+          ? static_cast<double>(delta.pool_hits) /
+                static_cast<double>(delta.pool_hits + delta.pool_misses)
+          : 0.0;
 }
 
 void WallClockBench(benchmark::State& state, HotPath path) {
@@ -68,16 +87,45 @@ void WallClockBench(benchmark::State& state, HotPath path) {
       }
     }
   }
-  const auto delta = device.Snapshot().Delta(start);
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-  state.counters["pool_hits"] = static_cast<double>(delta.pool_hits);
-  state.counters["pool_misses"] = static_cast<double>(delta.pool_misses);
-  state.counters["bytes_pooled"] = static_cast<double>(delta.bytes_pooled);
-  state.counters["hit_rate"] =
-      delta.pool_hits + delta.pool_misses > 0
-          ? static_cast<double>(delta.pool_hits) /
-                static_cast<double>(delta.pool_hits + delta.pool_misses)
-          : 0.0;
+  ReportPoolCounters(state, device.Snapshot().Delta(start), n);
+}
+
+enum class GroupPath { kHashGroupByReduce, kReduceByKey };
+
+/// Grouped sums of doubles at a given group count: the handwritten hash
+/// aggregation over unsorted keys, and the segmented reduction the
+/// libraries run after a sort, over sorted keys.
+void GroupByWallClockBench(benchmark::State& state, GroupPath path) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const auto groups = static_cast<int32_t>(state.range(1));
+  gpusim::Device device;
+  gpusim::Stream stream(device, gpusim::ApiProfile::Cuda());
+
+  std::vector<int32_t> host_keys = UniformInts(n, groups);
+  if (path == GroupPath::kReduceByKey) {
+    std::sort(host_keys.begin(), host_keys.end());
+  }
+  const gpusim::DeviceArray<int32_t> keys =
+      gpusim::ToDevice(stream, host_keys, device);
+  const gpusim::DeviceArray<double> vals =
+      gpusim::ToDevice(stream, UniformDoubles(n, 1000.0), device);
+  gpusim::DeviceArray<int32_t> out_keys(n, device);
+  gpusim::DeviceArray<double> out_vals(n, device);
+  const auto plus = [](double a, double b) { return a + b; };
+
+  const auto start = device.Snapshot();
+  for (auto _ : state) {
+    if (path == GroupPath::kHashGroupByReduce) {
+      const auto grouped = handwritten::HashGroupByReduce(
+          stream, keys.data(), vals.data(), n, 0.0, plus);
+      benchmark::DoNotOptimize(grouped.num_groups);
+    } else {
+      benchmark::DoNotOptimize(gpusim::ReduceByKey(
+          stream, keys.data(), vals.data(), n, out_keys.data(),
+          out_vals.data(), plus));
+    }
+  }
+  ReportPoolCounters(state, device.Snapshot().Delta(start), n);
 }
 
 void RegisterBenchmarks() {
@@ -88,6 +136,14 @@ void RegisterBenchmarks() {
         (std::string("WallClock/") + HotPathName(path)).c_str(),
         [path](benchmark::State& s) { WallClockBench(s, path); });
     for (const int64_t n : {1 << 14, 1 << 20}) b->Arg(n);
+  }
+  for (const GroupPath path :
+       {GroupPath::kHashGroupByReduce, GroupPath::kReduceByKey}) {
+    auto* b = benchmark::RegisterBenchmark(
+        path == GroupPath::kHashGroupByReduce ? "WallClock/HashGroupByReduce"
+                                              : "WallClock/ReduceByKey",
+        [path](benchmark::State& s) { GroupByWallClockBench(s, path); });
+    for (const int64_t groups : {4, 1 << 18}) b->Args({1 << 20, groups});
   }
 }
 

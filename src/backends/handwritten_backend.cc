@@ -4,9 +4,11 @@
 // aggregation and joins use hash tables — the operators Table II shows no
 // library supports. This backend is what the paper's "handwritten operator
 // implementations" compare against.
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <limits>
+#include <memory>
 
 #include "backends/backends.h"
 #include "backends/common.h"
@@ -36,6 +38,39 @@ struct MoveRowId {
   uint32_t* rows;
   void operator()(size_t from, size_t to) const { rows[to] = rows[from]; }
 };
+
+/// The combine kernel of the dense-code aggregations, one
+/// gpusim::OrderedCombine launch over `n` rows into the `domain`-entry
+/// `table`. Each tile folds its rows into partials of its own, one per code
+/// and seeded with `identity`; then each code's partials fold into its table
+/// entry in tile order. The scratch is one domain-sized partial array per
+/// tile of gpusim::kCombineTileThreads rows.
+template <typename T, typename CodeOf, typename ValueOf, typename Op>
+void DenseCodeCombine(gpusim::Stream& stream, size_t n,
+                      const gpusim::KernelStats& stats, T* table,
+                      size_t domain, T identity, CodeOf code_of,
+                      ValueOf value_of, Op op) {
+  const size_t num_tiles = gpusim::NumCombineTiles(n);
+  std::unique_ptr<T[]> partials(new T[num_tiles * domain]);
+  gpusim::OrderedCombine(
+      stream, n, stats,
+      [&](size_t t, size_t begin, size_t end) {
+        T* p = partials.get() + t * domain;
+        std::fill(p, p + domain, identity);
+        for (size_t i = begin; i < end; ++i) {
+          T& acc = p[code_of(i)];
+          acc = op(acc, value_of(i));
+        }
+      },
+      domain,
+      [&](size_t code) {
+        T acc = table[code];
+        for (size_t t = 0; t < num_tiles; ++t) {
+          acc = op(acc, partials[t * domain + code]);
+        }
+        table[code] = acc;
+      });
+}
 
 /// POD predicate evaluator usable inside kernels (no virtual dispatch).
 struct PredEval {
@@ -364,14 +399,14 @@ class HandwrittenBackend : public core::Backend {
       stats.bytes_read = n * (sizeof(int32_t) + key_bytes);
       stats.bytes_written = n * sizeof(int64_t);
       stats.ops = 2 * n;
-      int64_t* sp = sums.data();
-      gpusim::ParallelFor(stream_, n, stats, [=](size_t i) {
-        const size_t row = static_cast<size_t>(row_ids[i]);
-        const uint64_t code = storage::UnpackBit(words, bits, row);
-        gpusim::detail::AtomicCombine(
-            &sp[code], int64_t{1},
-            [](int64_t a, int64_t b) { return a + b; });
-      });
+      DenseCodeCombine(
+          stream_, n, stats, sums.data(), domain, int64_t{0},
+          [=](size_t i) {
+            return storage::UnpackBit(words, bits,
+                                      static_cast<size_t>(row_ids[i]));
+          },
+          [](size_t) { return int64_t{1}; },
+          [](int64_t a, int64_t b) { return a + b; });
       DeviceColumn agg(DataType::kInt64, domain, device());
       gpusim::CopyDeviceToDevice(stream_, agg.raw_data(), sums.data(),
                                  domain * sizeof(int64_t));
@@ -394,23 +429,20 @@ class HandwrittenBackend : public core::Backend {
       stats.bytes_read = n * (sizeof(int32_t) + key_bytes + sizeof(T));
       stats.bytes_written = n * sizeof(double);
       stats.ops = 3 * n;
-      double* sp = sums.data();
-      gpusim::ParallelFor(stream_, n, stats, [=](size_t i) {
-        const size_t row = static_cast<size_t>(row_ids[i]);
-        const uint64_t code = storage::UnpackBit(words, bits, row);
-        const double v = static_cast<double>(pv[i]);
-        gpusim::detail::AtomicCombine(&sp[code], v,
-                                      [aop](double a, double b) {
-                                        switch (aop) {
-                                          case AggOp::kMin:
-                                            return b < a ? b : a;
-                                          case AggOp::kMax:
-                                            return a < b ? b : a;
-                                          default:
-                                            return a + b;
-                                        }
-                                      });
-      });
+      DenseCodeCombine(
+          stream_, n, stats, sums.data(), domain, identity,
+          [=](size_t i) {
+            return storage::UnpackBit(words, bits,
+                                      static_cast<size_t>(row_ids[i]));
+          },
+          [=](size_t i) { return static_cast<double>(pv[i]); },
+          [aop](double a, double b) {
+            switch (aop) {
+              case AggOp::kMin: return b < a ? b : a;
+              case AggOp::kMax: return a < b ? b : a;
+              default: return a + b;
+            }
+          });
     });
     DeviceColumn agg(DataType::kFloat64, domain, device());
     gpusim::CopyDeviceToDevice(stream_, agg.raw_data(), sums.data(),

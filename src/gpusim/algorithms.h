@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <type_traits>
 
 #include "gpusim/atomic_ops.h"
@@ -539,30 +540,18 @@ void RadixSortPairs(Stream& stream, K* keys, V* values, size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// Reduce by key (requires sorted keys; head flags + scan + atomic combine)
+// Reduce by key (requires sorted keys; head flags + scan + ordered combine)
 // ---------------------------------------------------------------------------
-
-namespace detail {
-
-/// CAS-loop combine for generic commutative+associative ops.
-template <typename V, typename BinOp>
-void AtomicCombine(V* address, V val, BinOp op) {
-  std::atomic_ref<V> ref(*address);
-  V old = ref.load(std::memory_order_relaxed);
-  while (!ref.compare_exchange_weak(old, op(old, val),
-                                    std::memory_order_acq_rel)) {
-  }
-}
-
-}  // namespace detail
 
 /// Segmented reduction over equal consecutive keys, the GPU realization of
 /// grouped aggregation after a sort-by-key (Table II: reduce_by_key /
-/// sumByKey). `op` must be commutative and associative; like Thrust's
-/// reduce_by_key, only actual segment elements are combined (each segment is
-/// seeded from its head element, so no identity value is needed). Returns
-/// the number of distinct segments; out_keys/out_vals must have room for n
-/// entries.
+/// sumByKey). `op` must be associative; like Thrust's reduce_by_key, only
+/// actual segment elements are combined (each segment is seeded from its
+/// head element, so no identity value is needed). Through OrderedCombine,
+/// each segment folds its rows in row order within a tile and its tiles'
+/// pieces in tile order, so the values repeat bit for bit on any pool.
+/// Returns the number of distinct segments; out_keys/out_vals must have
+/// room for n entries.
 template <typename K, typename V, typename BinOp>
 size_t ReduceByKey(Stream& stream, const K* keys, const V* vals, size_t n,
                    K* out_keys, V* out_vals, BinOp op) {
@@ -610,11 +599,32 @@ size_t ReduceByKey(Stream& stream, const K* keys, const V* vals, size_t n,
     stats.ops = 2 * n;
     const uint32_t* f = flags.data();
     const uint32_t* s = segids.data();
-    ParallelFor(stream, n, stats, [=](size_t i) {
-      if (!f[i]) {
-        detail::AtomicCombine(&out_vals[s[i] - 1], vals[i], op);
-      }
-    });
+    // Each tile folds its rows in row order. A segment headed in the tile is
+    // written whole, or as the prefix of a segment that runs on; a tile that
+    // starts inside a segment keeps its leading rows as a carry, and the
+    // carries fold into their segments in tile order.
+    std::unique_ptr<V[]> carry(new V[NumCombineTiles(n)]);
+    OrderedCombine(
+        stream, n, stats,
+        [&](size_t t, size_t begin, size_t end) {
+          size_t i = begin;
+          V* dst = &carry[t];
+          while (i < end) {
+            if (f[i]) dst = &out_vals[s[i] - 1];
+            V acc = vals[i];
+            while (++i < end && !f[i]) acc = op(acc, vals[i]);
+            *dst = acc;
+          }
+        },
+        1,
+        [&](size_t) {
+          for (size_t t = 1; t < NumCombineTiles(n); ++t) {
+            const size_t begin = t * kCombineTileThreads;
+            if (f[begin]) continue;
+            V& v = out_vals[s[begin] - 1];
+            v = op(v, carry[t]);
+          }
+        });
   }
   return num_segments;
 }

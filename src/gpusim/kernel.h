@@ -1,18 +1,21 @@
 // Kernel launch API of the simulated device.
 //
-// Three launch shapes cover the algorithms in this repository:
-//  * ParallelFor   — a grid of independent threads, f(i) per global index.
-//  * LaunchBlocks  — a grid of cooperative thread *blocks*; the body runs
-//                    once per block and may loop over the block's threads,
-//                    modelling shared-memory algorithms (tile reduce, block
-//                    scan, histogram) whose intra-block execution is
-//                    sequentialized, which preserves semantics.
-//  * OrderedAppend — a grid of independent threads that each append at most
-//                    one record, the atomic-ticket compaction of fused
-//                    selections and probes, with the records kept in
-//                    thread order.
+// Four launch shapes cover the algorithms in this repository:
+//  * ParallelFor    — a grid of independent threads, f(i) per global index.
+//  * LaunchBlocks   — a grid of cooperative thread *blocks*; the body runs
+//                     once per block and may loop over the block's threads,
+//                     modelling shared-memory algorithms (tile reduce, block
+//                     scan, histogram) whose intra-block execution is
+//                     sequentialized, which preserves semantics.
+//  * OrderedAppend  — a grid of independent threads that each append at most
+//                     one record, the atomic-ticket compaction of fused
+//                     selections and probes, with the records kept in
+//                     thread order.
+//  * OrderedCombine — a grid of threads that combine values into shared
+//                     groups, the atomic combine of grouped aggregation,
+//                     realized as tile-private partials merged in tile order.
 //
-// All three charge the owning stream with the declared KernelStats. Grids are
+// All four charge the owning stream with the declared KernelStats. Grids are
 // distributed over the device's host thread pool.
 #ifndef GPUSIM_KERNEL_H_
 #define GPUSIM_KERNEL_H_
@@ -93,6 +96,39 @@ size_t OrderedAppend(Stream& stream, size_t n, KernelStats stats,
   }
   *counter = static_cast<uint32_t>(count);
   return count;
+}
+
+/// Simulated threads per OrderedCombine tile. A constant, so the tile
+/// boundaries, and so every partial folded per tile, are the same for any
+/// host pool size (HostChunkThreads is not).
+inline constexpr size_t kCombineTileThreads = kMinChunkThreads;
+
+/// Number of OrderedCombine tiles of an n-thread grid.
+constexpr size_t NumCombineTiles(size_t n) {
+  return (n + kCombineTileThreads - 1) / kCombineTileThreads;
+}
+
+/// Launches `n` simulated threads that combine into shared groups, the
+/// `atomicAdd(&group[key(i)], value(i))` of grouped aggregation, without the
+/// contended atomics. tile(t, begin, end) folds threads [begin, end) of tile
+/// t into partials private to the tile, in thread order; tiles run
+/// concurrently. Once every tile is done, merge(p) runs for each merge part
+/// p in [0, num_parts), concurrently across parts, and folds the tiles'
+/// partials of its part in tile order. Tiles are kCombineTileThreads wide
+/// whatever the pool, so the combined values do not depend on the pool size
+/// or on host scheduling. Charged like ParallelFor.
+template <typename Tile, typename Merge>
+void OrderedCombine(Stream& stream, size_t n, KernelStats stats, Tile&& tile,
+                    size_t num_parts, Merge&& merge) {
+  stats.ops = std::max<uint64_t>(stats.ops, n);
+  stream.ChargeKernel(stats);
+  if (n == 0) return;
+  ThreadPool& pool = stream.device().pool();
+  pool.ParallelFor(NumCombineTiles(n), [&](size_t t) {
+    const size_t begin = t * kCombineTileThreads;
+    tile(t, begin, std::min(begin + kCombineTileThreads, n));
+  });
+  pool.ParallelFor(num_parts, merge);
 }
 
 /// Context passed to a block kernel body.

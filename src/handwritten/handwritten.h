@@ -6,13 +6,20 @@
 // ticketing, realized by gpusim::OrderedAppend so the row ids come out in
 // row order) instead of the library's transform + scan + gather pipeline;
 // filter+aggregate queries run as a single pass; joins and grouping use
-// open-addressing hash tables built and probed with device atomics.
+// open-addressing hash tables. The join table is built with device atomics.
+// Grouping aggregates each tile privately and then merges the tiles in tile
+// order (gpusim::OrderedCombine), so group placement and every float sum
+// repeat bit for bit on any host pool.
 #ifndef HANDWRITTEN_HANDWRITTEN_H_
 #define HANDWRITTEN_HANDWRITTEN_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "gpusim/algorithms.h"
 #include "gpusim/atomic_ops.h"
@@ -43,6 +50,141 @@ inline uint64_t MixHash(uint64_t k) {
   k *= 0xc4ceb9fe1a85ec53ULL;
   k ^= k >> 33;
   return k;
+}
+
+/// Most merge regions a group table's slot space splits into.
+inline constexpr size_t kMaxMergeRegions = 64;
+
+/// Merge regions the slot space of a `capacity`-slot group table splits
+/// into: enough for a parallel merge at high group counts, few enough that
+/// each tile's partials of one region lie in long runs. Depends on the
+/// capacity only.
+inline size_t NumMergeRegions(size_t capacity) {
+  return std::clamp<size_t>(capacity / 16384, 1, kMaxMergeRegions);
+}
+
+/// The combine kernel of the hash aggregations, one gpusim::OrderedCombine
+/// launch over `n` rows into the table `table_keys` (`capacity` slots, a
+/// power of two, pre-filled with the empty key).
+///
+/// Each tile folds its rows into a private table in row order: start(i)
+/// opens a key's partial at its first row and fold(acc, i) adds each later
+/// row. The tile lists its partials grouped by the merge region of the key's
+/// home slot. Then one task per region inserts its keys into the shared
+/// table, tile by tile in tile order, probing only inside the region, and
+/// merge(slot, acc) folds each partial into its slot. A key whose probe
+/// would leave its region is deferred; deferred keys are placed after every
+/// region is done, in region order. Slot placement and every fold order
+/// therefore depend on the input alone.
+template <typename K, typename Acc, typename Start, typename Fold,
+          typename Merge>
+void OrderedHashCombine(gpusim::Stream& stream,
+                        const gpusim::KernelStats& stats, const K* keys,
+                        size_t n, K* table_keys, size_t capacity, Start start,
+                        Fold fold, Merge merge) {
+  constexpr K kEmpty = std::numeric_limits<K>::max();
+  constexpr uint16_t kNoEntry = std::numeric_limits<uint16_t>::max();
+  static_assert(gpusim::kCombineTileThreads < kNoEntry,
+                "a tile's entry indices must fit the private index");
+  const size_t mask = capacity - 1;
+  const size_t num_regions = NumMergeRegions(capacity);
+  // Both counts are powers of two, so a region is a run of 2^shift slots.
+  const int region_shift = std::countr_zero(capacity / num_regions);
+
+  // Home slots are stored in 32 bits: tables stay below 2^32 slots, as row
+  // ids stay below 2^32 rows.
+  struct Entry {
+    K key;
+    uint32_t home;
+    Acc acc;
+  };
+  // Tile t's partials lie at partials[t * kCombineTileThreads...], grouped
+  // by region; region r's run of them starts run_begin[r * num_tiles + t]
+  // entries in and ends where region r + 1's starts.
+  const size_t num_tiles = gpusim::NumCombineTiles(n);
+  const std::unique_ptr<Entry[]> partials(new Entry[n]);
+  std::vector<uint32_t> run_begin((num_regions + 1) * num_tiles);
+  std::vector<std::vector<Entry>> deferred(num_regions);
+
+  gpusim::OrderedCombine(
+      stream, n, stats,
+      [&](size_t t, size_t begin, size_t end) {
+        // Scratch of one tile at a time, reused by each host thread: the
+        // private table's index, and the partials in first-row order.
+        thread_local std::vector<uint16_t> index_buffer;
+        thread_local std::vector<Entry> scratch_buffer;
+        const size_t index_mask = NextPow2(2 * (end - begin)) - 1;
+        index_buffer.assign(index_mask + 1, kNoEntry);
+        scratch_buffer.resize(end - begin);
+        uint16_t* index = index_buffer.data();
+        Entry* scratch = scratch_buffer.data();
+        uint16_t count = 0;
+        for (size_t i = begin; i < end; ++i) {
+          const K key = keys[i];
+          const uint64_t h = MixHash(static_cast<uint64_t>(key));
+          for (size_t p = h & index_mask;; p = (p + 1) & index_mask) {
+            const uint16_t e = index[p];
+            if (e == kNoEntry) {
+              index[p] = count;
+              scratch[count++] =
+                  Entry{key, static_cast<uint32_t>(h & mask), start(i)};
+              break;
+            }
+            if (scratch[e].key == key) {
+              fold(scratch[e].acc, i);
+              break;
+            }
+          }
+        }
+        // Counting sort by region; first-row order is kept within a region.
+        uint32_t cursor[kMaxMergeRegions + 1] = {};
+        for (uint16_t e = 0; e < count; ++e) {
+          ++cursor[(scratch[e].home >> region_shift) + 1];
+        }
+        for (size_t r = 0; r < num_regions; ++r) {
+          cursor[r + 1] += cursor[r];
+          run_begin[r * num_tiles + t] = cursor[r];
+        }
+        run_begin[num_regions * num_tiles + t] = count;
+        Entry* out = &partials[t * gpusim::kCombineTileThreads];
+        for (uint16_t e = 0; e < count; ++e) {
+          out[cursor[scratch[e].home >> region_shift]++] = scratch[e];
+        }
+      },
+      num_regions,
+      [&](size_t r) {
+        const size_t region_end = (r + 1) << region_shift;
+        const uint32_t* run = &run_begin[r * num_tiles];
+        const uint32_t* run_end = run + num_tiles;
+        for (size_t t = 0; t < num_tiles; ++t) {
+          const Entry* entries = &partials[t * gpusim::kCombineTileThreads];
+          for (uint32_t e = run[t]; e < run_end[t]; ++e) {
+            const Entry& entry = entries[e];
+            size_t slot = entry.home;
+            while (slot < region_end && table_keys[slot] != entry.key &&
+                   table_keys[slot] != kEmpty) {
+              ++slot;
+            }
+            if (slot == region_end) {
+              deferred[r].push_back(entry);
+              continue;
+            }
+            table_keys[slot] = entry.key;
+            merge(slot, entry.acc);
+          }
+        }
+      });
+
+  for (const std::vector<Entry>& region : deferred) {
+    for (const Entry& entry : region) {
+      size_t slot = entry.home;
+      while (table_keys[slot] != entry.key && table_keys[slot] != kEmpty) {
+        slot = (slot + 1) & mask;
+      }
+      table_keys[slot] = entry.key;
+      merge(slot, entry.acc);
+    }
+  }
 }
 }  // namespace detail
 
@@ -215,10 +357,12 @@ struct GroupedSums {
   size_t num_groups = 0;
 };
 
-/// One-pass grouped sum+count using an open-addressing hash table with
-/// atomic accumulation, then a compaction of occupied slots. Contrast with
-/// the libraries' only option: sort_by_key + reduce_by_key (Table II).
-/// Keys must not equal numeric_limits<K>::max().
+/// One-pass grouped sum+count into an open-addressing hash table (one
+/// combine kernel: tile-private tables merged in tile order), then a
+/// compaction of occupied slots. Contrast with the libraries' only option:
+/// sort_by_key + reduce_by_key (Table II). Groups come out in slot order,
+/// which depends on the keys alone. Keys must not equal
+/// numeric_limits<K>::max().
 template <typename K, typename V>
 GroupedSums<K, V> HashGroupBySum(gpusim::Stream& stream, const K* keys,
                                  const V* values, size_t n,
@@ -240,26 +384,23 @@ GroupedSums<K, V> HashGroupBySum(gpusim::Stream& stream, const K* keys,
     stats.bytes_read = n * (sizeof(K) + sizeof(V));
     stats.bytes_written = n * (sizeof(V) + sizeof(uint64_t));
     stats.ops = 4 * n;
-    K* tk = table_keys.data();
+    struct SumCount {
+      V sum;
+      uint64_t count;
+    };
     V* ts = table_sums.data();
     uint64_t* tc = table_counts.data();
-    const size_t mask = capacity - 1;
-    gpusim::ParallelFor(stream, n, stats, [=](size_t i) {
-      const K key = keys[i];
-      size_t slot = detail::MixHash(static_cast<uint64_t>(key)) & mask;
-      while (true) {
-        const K stored = gpusim::AtomicLoad(&tk[slot]);
-        if (stored == key) break;
-        if (stored == kEmpty) {
-          if (gpusim::AtomicCas(&tk[slot], kEmpty, key) == kEmpty) break;
-          continue;  // lost the race; re-read this slot
-        }
-        slot = (slot + 1) & mask;
-      }
-      gpusim::detail::AtomicCombine(&ts[slot], values[i],
-                                    [](V a, V b) { return a + b; });
-      gpusim::AtomicAdd(&tc[slot], uint64_t{1});
-    });
+    detail::OrderedHashCombine<K, SumCount>(
+        stream, stats, keys, n, table_keys.data(), capacity,
+        [=](size_t i) { return SumCount{values[i], 1}; },
+        [=](SumCount& acc, size_t i) {
+          acc.sum += values[i];
+          ++acc.count;
+        },
+        [=](size_t slot, const SumCount& acc) {
+          ts[slot] += acc.sum;
+          tc[slot] += acc.count;
+        });
   }
 
   // Compact occupied slots (flags over the slot space + scan + scatter).
@@ -319,7 +460,7 @@ GroupedSums<K, V> HashGroupBySum(gpusim::Stream& stream, const K* keys,
 
 /// Generic one-pass hash grouped reduction (sum/min/max with the matching
 /// identity). Same structure as HashGroupBySum but with a caller-provided
-/// combine. Returns compacted (keys, values).
+/// associative combine. Returns compacted (keys, values).
 template <typename K, typename V, typename BinOp>
 GroupedSums<K, V> HashGroupByReduce(gpusim::Stream& stream, const K* keys,
                                     const V* values, size_t n, V identity,
@@ -339,23 +480,12 @@ GroupedSums<K, V> HashGroupByReduce(gpusim::Stream& stream, const K* keys,
     stats.bytes_read = n * (sizeof(K) + sizeof(V));
     stats.bytes_written = n * sizeof(V);
     stats.ops = 4 * n;
-    K* tk = table_keys.data();
     V* tv = table_vals.data();
-    const size_t mask = capacity - 1;
-    gpusim::ParallelFor(stream, n, stats, [=](size_t i) {
-      const K key = keys[i];
-      size_t slot = detail::MixHash(static_cast<uint64_t>(key)) & mask;
-      while (true) {
-        const K stored = gpusim::AtomicLoad(&tk[slot]);
-        if (stored == key) break;
-        if (stored == kEmpty) {
-          if (gpusim::AtomicCas(&tk[slot], kEmpty, key) == kEmpty) break;
-          continue;
-        }
-        slot = (slot + 1) & mask;
-      }
-      gpusim::detail::AtomicCombine(&tv[slot], values[i], op);
-    });
+    detail::OrderedHashCombine<K, V>(
+        stream, stats, keys, n, table_keys.data(), capacity,
+        [=](size_t i) { return values[i]; },
+        [=](V& acc, size_t i) { acc = op(acc, values[i]); },
+        [=](size_t slot, const V& acc) { tv[slot] = op(tv[slot], acc); });
   }
 
   GroupedSums<K, V> out;

@@ -40,10 +40,6 @@ uint64_t Xfer(const CostModel* m, const ApiProfile& api, uint64_t bytes) {
   return m->TransferTime(bytes, api);
 }
 
-uint64_t Copy(const CostModel* m, const ApiProfile& api, uint64_t bytes) {
-  return m->DeviceCopyTime(bytes, api);
-}
-
 /// gpusim::ExclusiveScan / InclusiveScan: per-tile scan kernel, then a
 /// recursive scan of the tile totals plus a uniform-add kernel when more
 /// than one tile exists (3 launches for 1k < n <= 1M).

@@ -358,8 +358,9 @@ TEST_P(EncodedQueryDifferentialTest, Q1EncodedMatchesRaw) {
     EXPECT_EQ(raw[i].returnflag, enc[i].returnflag);
     EXPECT_EQ(raw[i].linestatus, enc[i].linestatus);
     EXPECT_EQ(raw[i].count_order, enc[i].count_order);
-    // Float sums may re-associate (the handwritten backend's atomic-ticket
-    // row order is run-dependent): tolerance, not bit equality.
+    // Float sums may re-associate (the handwritten backend aggregates
+    // encoded keys by dense code, raw keys by hash table): tolerance, not
+    // bit equality.
     EXPECT_TRUE(Near(enc[i].sum_qty, raw[i].sum_qty));
     EXPECT_TRUE(Near(enc[i].sum_base_price, raw[i].sum_base_price));
     EXPECT_TRUE(Near(enc[i].sum_disc_price, raw[i].sum_disc_price));

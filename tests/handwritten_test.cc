@@ -165,6 +165,69 @@ TEST_F(HandwrittenTest, HashGroupBySumMatchesReference) {
   }
 }
 
+TEST_F(HandwrittenTest, HashGroupBySumPlacesProbesThatLeaveTheirRegion) {
+  // Keys whose probe runs past the end of their merge region are placed
+  // after every region is merged: here two keys share the last home slot of
+  // a region, at the table's end (16 slots, one region) and at the boundary
+  // of a two-region table (32768 slots), where the next region's first slot
+  // is also taken.
+  const auto keys_with_home = [](size_t mask, size_t home, int count) {
+    std::vector<int32_t> out;
+    for (int32_t k = 0; static_cast<int>(out.size()) < count; ++k) {
+      if ((handwritten::detail::MixHash(static_cast<uint64_t>(k)) & mask) ==
+          home) {
+        out.push_back(k);
+      }
+    }
+    return out;
+  };
+  struct Case {
+    size_t expected_groups;
+    std::vector<int32_t> distinct;
+  };
+  std::vector<Case> cases(2);
+  cases[0].expected_groups = 8;  // 16 slots
+  cases[0].distinct = keys_with_home(15, 15, 3);
+  for (const int32_t k : keys_with_home(15, 0, 2)) {
+    cases[0].distinct.push_back(k);
+  }
+  cases[1].expected_groups = 16384;  // 32768 slots, two regions
+  cases[1].distinct = keys_with_home(32767, 16383, 2);
+  for (const int32_t k : keys_with_home(32767, 16384, 1)) {
+    cases[1].distinct.push_back(k);
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << c.expected_groups << " expected");
+    std::vector<int32_t> keys;
+    std::vector<double> vals;
+    std::map<int32_t, double> ref_sum;
+    std::map<int32_t, uint64_t> ref_count;
+    for (int rep = 0; rep < 3000; ++rep) {
+      const int32_t k = c.distinct[rep % c.distinct.size()];
+      keys.push_back(k);
+      vals.push_back(rep * 0.5);
+      ref_sum[k] += rep * 0.5;
+      ++ref_count[k];
+    }
+    auto dk = gpusim::ToDevice(stream_, keys);
+    auto dv = gpusim::ToDevice(stream_, vals);
+    auto grouped = handwritten::HashGroupBySum(stream_, dk.data(), dv.data(),
+                                               keys.size(), c.expected_groups);
+    ASSERT_EQ(grouped.num_groups, ref_sum.size());
+    auto gk = gpusim::ToHost(stream_, grouped.keys);
+    auto gs = gpusim::ToHost(stream_, grouped.sums);
+    auto gc = gpusim::ToHost(stream_, grouped.counts);
+    std::map<int32_t, double> got_sum;
+    for (size_t i = 0; i < grouped.num_groups; ++i) {
+      ASSERT_TRUE(ref_sum.count(gk[i])) << gk[i];
+      EXPECT_FALSE(got_sum.count(gk[i])) << "key " << gk[i] << " twice";
+      got_sum[gk[i]] = gs[i];
+      EXPECT_EQ(gc[i], ref_count[gk[i]]);
+    }
+    EXPECT_EQ(got_sum, ref_sum);
+  }
+}
+
 TEST_F(HandwrittenTest, HashGroupByReduceMinMax) {
   std::vector<int32_t> keys{1, 2, 1, 2, 1};
   std::vector<double> vals{5, 9, -1, 3, 7};

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "plan/partition.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
+#include "tpch_answer_testing.h"
 
 namespace {
 
@@ -800,8 +802,9 @@ TEST(DeviceLifecycleTest, TransitionsLandInFaultTraceCategory) {
   std::vector<std::string> fault_events;
   bool saw_probe_kernel = false;
   for (const gpusim::TraceEvent& ev : tracer.events()) {
-    if (ev.category == "fault") fault_events.push_back(ev.name);
-    if (ev.category == "kernel" && ev.name == "fleet_probe") {
+    const std::string_view category = ev.category;
+    if (category == "fault") fault_events.push_back(ev.name);
+    if (category == "kernel" && ev.name == "fleet_probe") {
       saw_probe_kernel = true;
     }
   }
@@ -1015,42 +1018,14 @@ TEST_F(MultiDeviceQueryTest, ExplainPlacesShardsLikeTheDegradedRun) {
   EXPECT_EQ(planned, ran);
 }
 
-void ExpectSameAnswer(TpchQuery q, const plan::TpchQueryResult& want,
-                      const plan::TpchQueryResult& got) {
-  switch (q) {
-    case TpchQuery::kQ1:
-      ADD_FAILURE() << "Q1's grouped sums do not repeat run to run yet";
-      break;
-    case TpchQuery::kQ3:
-      ASSERT_EQ(got.q3.size(), want.q3.size());
-      for (size_t i = 0; i < want.q3.size(); ++i) {
-        EXPECT_EQ(got.q3[i].orderkey, want.q3[i].orderkey) << "row " << i;
-        EXPECT_EQ(got.q3[i].revenue, want.q3[i].revenue) << "row " << i;
-      }
-      break;
-    case TpchQuery::kQ4:
-      ASSERT_EQ(got.q4.size(), want.q4.size());
-      for (size_t i = 0; i < want.q4.size(); ++i) {
-        EXPECT_EQ(got.q4[i].orderpriority, want.q4[i].orderpriority);
-        EXPECT_EQ(got.q4[i].order_count, want.q4[i].order_count);
-      }
-      break;
-    case TpchQuery::kQ6:
-    case TpchQuery::kQ14:
-      EXPECT_EQ(got.scalar, want.scalar);
-      break;
-  }
-}
-
 TEST_F(MultiDeviceQueryTest, SliceOrderFoldKeepsAnswersBitIdentical) {
   // Eight slices fold in ascending row order wherever they ran, so 1-4
   // devices, a run that loses a device mid-query, and the governed
-  // single-device path all add the same partials in the same order. Only
-  // backend/query pairs whose per-slice results already repeat run here:
-  // Handwritten and Q1 still combine floats in host-schedule order.
-  for (const char* backend : {backends::kThrust, backends::kBoostCompute}) {
-    for (const TpchQuery q : {TpchQuery::kQ3, TpchQuery::kQ4, TpchQuery::kQ6,
-                              TpchQuery::kQ14}) {
+  // single-device path all add the same partials in the same order.
+  for (const char* backend : {backends::kThrust, backends::kBoostCompute,
+                              backends::kHandwritten}) {
+    for (const TpchQuery q : {TpchQuery::kQ1, TpchQuery::kQ3, TpchQuery::kQ4,
+                              TpchQuery::kQ6, TpchQuery::kQ14}) {
       SCOPED_TRACE(std::string(backend) + " " + plan::TpchQueryName(q));
       plan::ShardedQueryOptions options;
       options.force_shards = 8;
@@ -1082,7 +1057,7 @@ TEST_F(MultiDeviceQueryTest, SliceOrderFoldKeepsAnswersBitIdentical) {
       }
       for (size_t i = 1; i < runs.size(); ++i) {
         SCOPED_TRACE(runs[i].first + " vs " + runs[0].first);
-        ExpectSameAnswer(q, runs[0].second, runs[i].second);
+        tpch_testing::ExpectSameAnswer(q, runs[0].second, runs[i].second);
       }
     }
   }
