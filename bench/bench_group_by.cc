@@ -3,9 +3,10 @@
 // The libraries' only realization is sort-based: sort_by_key + reduce_by_key
 // (Thrust/Boost) or sort + sumByKey (ArrayFire) — the cost is dominated by
 // the sort and is nearly independent of the group count. The handwritten
-// backend aggregates into a hash table sized by the group count: it wins
-// everywhere, most dramatically at low group counts. This is the "hashing
-// left on the table" result of the paper.
+// backend aggregates into a hash table sized from its tile partials (at most
+// the group count per 4096-row tile), so it wins everywhere, most
+// dramatically at low group counts. This is the "hashing left on the table"
+// result of the paper.
 #include "bench_common.h"
 
 namespace bench {

@@ -8,13 +8,17 @@
 // counters: after the first iteration every scratch buffer of the multi-pass
 // primitives should be served from the device pool. The grouped-combine
 // paths run at both ends of group cardinality (4 and 262144 groups over 1M
-// rows), where tile-private partials are cheapest and dearest to merge.
+// rows), where tile-private partials are cheapest and dearest to merge. The
+// encoded-scan paths evaluate predicates and decode rows of FOR, dictionary
+// and RLE columns once per row, the per-row cost of serving encoded tables.
 #include <algorithm>
 
 #include "bench_common.h"
 
 #include "gpusim/algorithms.h"
 #include "handwritten/handwritten.h"
+#include "storage/encoded_column.h"
+#include "storage/encoding.h"
 
 namespace bench {
 
@@ -128,6 +132,89 @@ void GroupByWallClockBench(benchmark::State& state, GroupPath path) {
   ReportPoolCounters(state, device.Snapshot().Delta(start), n);
 }
 
+/// Uploads `values` encoded as `encoding` (packed schemes take the width
+/// and frame the column needs) on the backend's stream.
+template <typename T>
+storage::EncodedDeviceColumn UploadEncoded(core::Backend& backend,
+                                           const std::vector<T>& values,
+                                           storage::Encoding encoding) {
+  const storage::Column column((std::vector<T>(values)));
+  storage::EncodingChoice choice;
+  choice.encoding = encoding;
+  if (encoding == storage::Encoding::kFor) {
+    const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+    choice.reference = static_cast<int64_t>(*lo);
+    choice.bit_width = storage::BitsForMax(static_cast<uint64_t>(*hi - *lo));
+  }
+  return storage::UploadColumnEncoded(backend.stream(),
+                                      storage::EncodeColumn(column, choice));
+}
+
+/// Q6's scan shape on 1M encoded rows through the handwritten fused kernel:
+/// a date range on a FOR column and a range on a dictionary column.
+void SelectEncodedWallClockBench(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  auto backend = core::BackendRegistry::Instance().Create(
+      backends::kHandwritten);
+  std::vector<int32_t> dates = UniformInts(n, 2557);
+  for (int32_t& d : dates) d += 8036;
+  std::vector<double> discounts = UniformDoubles(n, 11.0, 99);
+  for (double& d : discounts) d = static_cast<int32_t>(d) / 100.0;
+  const storage::EncodedDeviceColumn date_col =
+      UploadEncoded(*backend, dates, storage::Encoding::kFor);
+  const storage::EncodedDeviceColumn discount_col =
+      UploadEncoded(*backend, discounts, storage::Encoding::kDictionary);
+  const std::vector<core::ScanColumnRef> columns{
+      core::ScanColumnRef::Encoded(date_col),
+      core::ScanColumnRef::Encoded(date_col),
+      core::ScanColumnRef::Encoded(discount_col),
+      core::ScanColumnRef::Encoded(discount_col)};
+  const std::vector<core::Predicate> preds{
+      core::Predicate::Make("d", core::CompareOp::kGe, 8766),
+      core::Predicate::Make("d", core::CompareOp::kLt, 9131),
+      core::Predicate::Make("x", core::CompareOp::kGe, 0.05),
+      core::Predicate::Make("x", core::CompareOp::kLe, 0.07)};
+
+  gpusim::Device& device = backend->stream().device();
+  const auto start = device.Snapshot();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        backend->SelectConjunctiveEncoded(columns, preds).count);
+  }
+  ReportPoolCounters(state, device.Snapshot().Delta(start), n);
+}
+
+/// Late materialization of every other row of 1M encoded rows: RLE int32
+/// runs (binary search per row) or dictionary doubles.
+void GatherDecodeWallClockBench(benchmark::State& state,
+                                storage::Encoding encoding) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  auto backend = core::BackendRegistry::Instance().Create(
+      backends::kHandwritten);
+  storage::EncodedDeviceColumn column;
+  if (encoding == storage::Encoding::kRle) {
+    std::vector<int32_t> keys = UniformInts(n, static_cast<int32_t>(n / 4));
+    std::sort(keys.begin(), keys.end());
+    column = UploadEncoded(*backend, keys, encoding);
+  } else {
+    std::vector<double> prices = UniformDoubles(n, 64.0);
+    for (double& p : prices) p = static_cast<int32_t>(p) * 0.25;
+    column = UploadEncoded(*backend, prices, encoding);
+  }
+  std::vector<int32_t> rows(n / 2);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = static_cast<int32_t>(2 * i);
+  }
+  const storage::DeviceColumn ids = Upload(*backend, rows);
+
+  gpusim::Device& device = backend->stream().device();
+  const auto start = device.Snapshot();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(backend->GatherDecode(column, ids).size());
+  }
+  ReportPoolCounters(state, device.Snapshot().Delta(start), rows.size());
+}
+
 void RegisterBenchmarks() {
   for (const HotPath path :
        {HotPath::kReduce, HotPath::kScan, HotPath::kSort, HotPath::kCompact,
@@ -144,6 +231,17 @@ void RegisterBenchmarks() {
                                               : "WallClock/ReduceByKey",
         [path](benchmark::State& s) { GroupByWallClockBench(s, path); });
     for (const int64_t groups : {4, 1 << 18}) b->Args({1 << 20, groups});
+  }
+  benchmark::RegisterBenchmark("WallClock/SelectConjunctiveEncoded",
+                               SelectEncodedWallClockBench)
+      ->Arg(1 << 20);
+  for (const storage::Encoding e :
+       {storage::Encoding::kRle, storage::Encoding::kDictionary}) {
+    benchmark::RegisterBenchmark(
+        (std::string("WallClock/GatherDecode/") + storage::EncodingName(e))
+            .c_str(),
+        [e](benchmark::State& s) { GatherDecodeWallClockBench(s, e); })
+        ->Arg(1 << 20);
   }
 }
 

@@ -6,7 +6,6 @@
 // implementations" compare against.
 #include <algorithm>
 #include <array>
-#include <functional>
 #include <limits>
 #include <memory>
 
@@ -71,33 +70,6 @@ void DenseCodeCombine(gpusim::Stream& stream, size_t n,
         table[code] = acc;
       });
 }
-
-/// POD predicate evaluator usable inside kernels (no virtual dispatch).
-struct PredEval {
-  DataType type = DataType::kInt32;
-  const void* data = nullptr;
-  CompareOp op = CompareOp::kLt;
-  double lit_f = 0.0;
-  int64_t lit_i = 0;
-
-  bool operator()(size_t row) const {
-    switch (type) {
-      case DataType::kInt32:
-        return ApplyCompare(op, static_cast<int64_t>(
-                                    static_cast<const int32_t*>(data)[row]),
-                            lit_i);
-      case DataType::kInt64:
-        return ApplyCompare(op, static_cast<const int64_t*>(data)[row], lit_i);
-      case DataType::kFloat64:
-        return ApplyCompare(op, static_cast<const double*>(data)[row], lit_f);
-      case DataType::kFloat32:
-        return ApplyCompare(
-            op, static_cast<double>(static_cast<const float*>(data)[row]),
-            lit_f);
-    }
-    return false;
-  }
-};
 
 constexpr size_t kMaxFusedPredicates = 8;
 
@@ -217,43 +189,16 @@ class HandwrittenBackend : public core::Backend {
       throw std::invalid_argument(
           "SelectConjunctiveEncoded: bad predicate list");
     }
-    const size_t n = columns[0].size();
-    std::vector<std::function<bool(size_t)>> matchers;
+    std::vector<core::ScanMatcher> matchers;
     matchers.reserve(preds.size());
-    uint64_t bytes_per_row_scan = 0;
+    uint64_t bytes_read = 0;
     for (size_t p = 0; p < preds.size(); ++p) {
       matchers.push_back(core::MakeScanMatcher(columns[p], preds[p]));
-      bytes_per_row_scan += core::ScanColumnSeqBytes(columns[p]);
+      bytes_read += core::ScanColumnSeqBytes(columns[p]);
     }
-
-    SelectionResult out;
-    out.row_ids = DeviceColumn(DataType::kInt32, n, device());
-    gpusim::DeviceArray<uint32_t> counter(1, device());
-    gpusim::MemsetDevice(stream_, counter.data(), 0, sizeof(uint32_t));
-    gpusim::KernelStats stats;
-    stats.name = "hw::select_encoded_fused";
-    stats.bytes_read = bytes_per_row_scan;
-    stats.bytes_written = n * sizeof(uint32_t);
-    stats.ops = n * preds.size();
-    uint32_t* rows = reinterpret_cast<uint32_t*>(out.row_ids.data<int32_t>());
-    const auto* ms = matchers.data();
-    const size_t num_preds = matchers.size();
-    gpusim::OrderedAppend(
-        stream_, n, stats, counter.data(),
-        [=](size_t i, size_t slot) {
-          for (size_t p = 0; p < num_preds; ++p) {
-            if (!ms[p](i)) return false;
-          }
-          rows[slot] = static_cast<uint32_t>(i);
-          return true;
-        },
-        MoveRowId{rows});
-    uint32_t count = 0;
-    gpusim::CopyDeviceToHost(stream_, &count, counter.data(),
-                             sizeof(uint32_t));
-    out.count = count;
-    out.row_ids = Shrink(out.row_ids, count);
-    return out;
+    return SelectMatching("hw::select_encoded_fused", matchers.data(),
+                          matchers.size(), columns[0].size(), bytes_read,
+                          /*conjunctive=*/true);
   }
 
   JoinResult NestedLoopsJoin(const DeviceColumn& left_keys,
@@ -631,25 +576,31 @@ class HandwrittenBackend : public core::Backend {
       throw std::invalid_argument("SelectFused: bad predicate list");
     }
     const size_t n = columns[0]->size();
-    std::array<PredEval, kMaxFusedPredicates> evals{};
+    std::array<core::ScanMatcher, kMaxFusedPredicates> matchers{};
     uint64_t bytes_per_row = 0;
     for (size_t p = 0; p < preds.size(); ++p) {
-      evals[p].type = columns[p]->type();
-      evals[p].data = columns[p]->raw_data();
-      evals[p].op = preds[p].op;
-      evals[p].lit_f = preds[p].value_f;
-      evals[p].lit_i = preds[p].value_i;
+      matchers[p] = core::MakeScanMatcher(
+          core::ScanColumnRef::Raw(*columns[p]), preds[p]);
       bytes_per_row += storage::DataTypeSize(columns[p]->type());
     }
-    const size_t num_preds = preds.size();
+    return SelectMatching("hw::select_multi_fused", matchers.data(),
+                          preds.size(), n, n * bytes_per_row, conjunctive);
+  }
 
+  /// ONE fused selection kernel (ordered atomic-ticket compaction) over `n`
+  /// rows that keeps a row when all (`conjunctive`) or any of the
+  /// `num_preds` matchers hold, then one 4-byte count readback.
+  SelectionResult SelectMatching(const char* name,
+                                 const core::ScanMatcher* matchers,
+                                 size_t num_preds, size_t n,
+                                 uint64_t bytes_read, bool conjunctive) {
     SelectionResult out;
     out.row_ids = DeviceColumn(DataType::kInt32, n, device());
     gpusim::DeviceArray<uint32_t> counter(1, device());
     gpusim::MemsetDevice(stream_, counter.data(), 0, sizeof(uint32_t));
     gpusim::KernelStats stats;
-    stats.name = "hw::select_multi_fused";
-    stats.bytes_read = n * bytes_per_row;
+    stats.name = name;
+    stats.bytes_read = bytes_read;
     stats.bytes_written = n * sizeof(uint32_t);
     stats.ops = n * num_preds;
     uint32_t* rows = reinterpret_cast<uint32_t*>(out.row_ids.data<int32_t>());
@@ -658,13 +609,8 @@ class HandwrittenBackend : public core::Backend {
         [=](size_t i, size_t slot) {
           bool keep = conjunctive;
           for (size_t p = 0; p < num_preds; ++p) {
-            const bool hit = evals[p](i);
-            if (conjunctive && !hit) {
-              keep = false;
-              break;
-            }
-            if (!conjunctive && hit) {
-              keep = true;
+            if (matchers[p](i) != conjunctive) {
+              keep = !conjunctive;
               break;
             }
           }

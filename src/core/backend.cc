@@ -1,8 +1,8 @@
 #include "core/backend.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
+#include <stdexcept>
 
 #include "gpusim/algorithms.h"
 #include "gpusim/kernel.h"
@@ -167,11 +167,8 @@ uint64_t RandAccessBytes(const EncodedDeviceColumn& e) {
   }
 }
 
-/// Index of the run containing `row` (rle_ends is cumulative, ascending).
-size_t RunIndex(const uint32_t* ends, size_t num_runs, size_t row) {
-  return static_cast<size_t>(
-      std::upper_bound(ends, ends + num_runs, static_cast<uint32_t>(row)) -
-      ends);
+bool IsFloat(DataType t) {
+  return t == DataType::kFloat64 || t == DataType::kFloat32;
 }
 
 }  // namespace
@@ -186,149 +183,60 @@ uint64_t ScanColumnSeqBytes(const ScanColumnRef& ref) {
   return e.encoded_byte_size();
 }
 
-std::function<bool(size_t)> MakeScanMatcher(const ScanColumnRef& ref,
-                                            const Predicate& pred) {
+ColumnReader MakeColumnReader(const ScanColumnRef& ref) {
+  ColumnReader r;
   if (ref.raw != nullptr) {
-    const DeviceColumn& c = *ref.raw;
-    const CompareOp op = pred.op;
-    switch (c.type()) {
-      case DataType::kInt32: {
-        const int32_t* p = c.data<int32_t>();
-        const int64_t lit = pred.value_i;
-        return [=](size_t i) {
-          return ApplyCompareOp(op, static_cast<int64_t>(p[i]), lit);
-        };
-      }
-      case DataType::kInt64: {
-        const int64_t* p = c.data<int64_t>();
-        const int64_t lit = pred.value_i;
-        return [=](size_t i) { return ApplyCompareOp(op, p[i], lit); };
-      }
-      case DataType::kFloat64: {
-        const double* p = c.data<double>();
-        const double lit = pred.value_f;
-        return [=](size_t i) { return ApplyCompareOp(op, p[i], lit); };
-      }
-      case DataType::kFloat32: {
-        const float* p = c.data<float>();
-        const double lit = pred.value_f;
-        return [=](size_t i) {
-          return ApplyCompareOp(op, static_cast<double>(p[i]), lit);
-        };
-      }
-    }
-    throw std::invalid_argument("MakeMatcher: bad column type");
+    r.type = ref.raw->type();
+    r.values = ref.raw->raw_data();
+    return r;
   }
-
   const EncodedDeviceColumn& e = *ref.enc;
-  if (e.encoding == Encoding::kRle) {
-    // RLE holds raw values per run; the predicate applies to the run value
-    // found by binary search. Still never decodes a row.
-    const int32_t* vals = e.rle_values.data<int32_t>();
-    const uint32_t* ends = e.rle_ends_data();
-    const size_t runs = e.num_runs();
-    const CompareOp op = pred.op;
-    const int64_t lit = pred.value_i;
-    return [=](size_t i) {
-      const size_t r = RunIndex(ends, runs, i);
-      return ApplyCompareOp(op, static_cast<int64_t>(vals[r]), lit);
-    };
+  r.type = e.type;
+  r.words = e.words_data();
+  r.bits = e.bit_width;
+  switch (e.encoding) {
+    case Encoding::kBitPack:
+    case Encoding::kFor:
+      if (IsFloat(e.type)) break;
+      r.layout = ColumnReader::Layout::kFor;
+      r.reference = e.reference;
+      return r;
+    case Encoding::kDictionary:
+      r.layout = ColumnReader::Layout::kDictionary;
+      r.values = e.dict.raw_data();
+      return r;
+    case Encoding::kRle:
+      if (IsFloat(e.type)) break;
+      r.layout = ColumnReader::Layout::kRle;
+      r.type = DataType::kInt32;
+      r.values = e.rle_values.raw_data();
+      r.ends = e.rle_ends_data();
+      r.runs = e.num_runs();
+      return r;
+    case Encoding::kNone:
+      break;
   }
+  throw std::invalid_argument(
+      "MakeColumnReader: bad encoding (float columns only dictionary-encode)");
+}
 
-  const EncodedPredicate ep = RewritePredicate(e, pred);
-  const uint64_t* words = e.words_data();
-  const unsigned bits = e.bit_width;
-  return [=](size_t i) {
-    return ep.Matches(storage::UnpackBit(words, bits, i));
-  };
+ScanMatcher MakeScanMatcher(const ScanColumnRef& ref, const Predicate& pred) {
+  ScanMatcher m;
+  m.column = MakeColumnReader(ref);
+  m.op = pred.op;
+  m.lit_i = pred.value_i;
+  m.lit_f = pred.value_f;
+  if (m.column.layout == ColumnReader::Layout::kFor ||
+      m.column.layout == ColumnReader::Layout::kDictionary) {
+    m.domain = ScanMatcher::Domain::kCode;
+    m.folded = RewritePredicate(*ref.enc, pred);
+  } else if (IsFloat(m.column.type)) {
+    m.domain = ScanMatcher::Domain::kFloat;
+  }
+  return m;
 }
 
 namespace {
-
-/// Per-row decoded value of an integer-typed raw/encoded column, as int64.
-std::function<int64_t(size_t)> MakeIntReader(const ScanColumnRef& ref) {
-  if (ref.raw != nullptr) {
-    const DeviceColumn& c = *ref.raw;
-    if (c.type() == DataType::kInt32) {
-      const int32_t* p = c.data<int32_t>();
-      return [=](size_t i) { return static_cast<int64_t>(p[i]); };
-    }
-    const int64_t* p = c.data<int64_t>();
-    return [=](size_t i) { return p[i]; };
-  }
-  const EncodedDeviceColumn& e = *ref.enc;
-  switch (e.encoding) {
-    case Encoding::kBitPack:
-    case Encoding::kFor: {
-      const uint64_t* words = e.words_data();
-      const unsigned bits = e.bit_width;
-      const int64_t base = e.reference;
-      return [=](size_t i) {
-        return base +
-               static_cast<int64_t>(storage::UnpackBit(words, bits, i));
-      };
-    }
-    case Encoding::kDictionary: {
-      const uint64_t* words = e.words_data();
-      const unsigned bits = e.bit_width;
-      if (e.type == DataType::kInt32) {
-        const int32_t* dict = e.dict.data<int32_t>();
-        return [=](size_t i) {
-          return static_cast<int64_t>(
-              dict[storage::UnpackBit(words, bits, i)]);
-        };
-      }
-      const int64_t* dict = e.dict.data<int64_t>();
-      return [=](size_t i) {
-        return dict[storage::UnpackBit(words, bits, i)];
-      };
-    }
-    case Encoding::kRle: {
-      const int32_t* vals = e.rle_values.data<int32_t>();
-      const uint32_t* ends = e.rle_ends_data();
-      const size_t runs = e.num_runs();
-      return [=](size_t i) {
-        return static_cast<int64_t>(vals[RunIndex(ends, runs, i)]);
-      };
-    }
-    case Encoding::kNone: break;
-  }
-  throw std::invalid_argument("MakeIntReader: bad encoding");
-}
-
-/// Per-row decoded value of a float-typed raw/encoded column, as double.
-std::function<double(size_t)> MakeFloatReader(const ScanColumnRef& ref) {
-  if (ref.raw != nullptr) {
-    const DeviceColumn& c = *ref.raw;
-    if (c.type() == DataType::kFloat64) {
-      const double* p = c.data<double>();
-      return [=](size_t i) { return p[i]; };
-    }
-    const float* p = c.data<float>();
-    return [=](size_t i) { return static_cast<double>(p[i]); };
-  }
-  const EncodedDeviceColumn& e = *ref.enc;
-  if (e.encoding != Encoding::kDictionary) {
-    throw std::invalid_argument(
-        "MakeFloatReader: float columns only dictionary-encode");
-  }
-  const uint64_t* words = e.words_data();
-  const unsigned bits = e.bit_width;
-  if (e.type == DataType::kFloat64) {
-    const double* dict = e.dict.data<double>();
-    return [=](size_t i) {
-      return dict[storage::UnpackBit(words, bits, i)];
-    };
-  }
-  const float* dict = e.dict.data<float>();
-  return [=](size_t i) {
-    return static_cast<double>(dict[storage::UnpackBit(words, bits, i)]);
-  };
-}
-
-bool IsFloat(DataType t) {
-  return t == DataType::kFloat64 || t == DataType::kFloat32;
-}
 
 /// Library-shaped tail of a selection over per-row flags: exclusive scan,
 /// count readback over the link, scatter of matching row ids.
@@ -359,6 +267,44 @@ SelectionResult FinishFlagSelection(gpusim::Stream& stream,
   gpusim::ParallelFor(stream, n, stats, [=](size_t i) {
     if (flags[i] != 0) rows[pos[i]] = static_cast<int32_t>(i);
   });
+  return out;
+}
+
+/// One decode kernel: out[i] = src decoded at row row_of(i), i in [0, m).
+template <typename RowOf>
+DeviceColumn DecodeRows(gpusim::Stream& s, const gpusim::KernelStats& stats,
+                        const EncodedDeviceColumn& src, size_t m,
+                        RowOf row_of) {
+  DeviceColumn out(src.type, m, s.device());
+  const ColumnReader rd = MakeColumnReader(ScanColumnRef::Encoded(src));
+  switch (src.type) {
+    case DataType::kInt32: {
+      int32_t* po = m > 0 ? out.data<int32_t>() : nullptr;
+      gpusim::ParallelFor(s, m, stats, [=](size_t i) {
+        po[i] = static_cast<int32_t>(rd.Int(row_of(i)));
+      });
+      break;
+    }
+    case DataType::kInt64: {
+      int64_t* po = m > 0 ? out.data<int64_t>() : nullptr;
+      gpusim::ParallelFor(s, m, stats,
+                          [=](size_t i) { po[i] = rd.Int(row_of(i)); });
+      break;
+    }
+    case DataType::kFloat64: {
+      double* po = m > 0 ? out.data<double>() : nullptr;
+      gpusim::ParallelFor(s, m, stats,
+                          [=](size_t i) { po[i] = rd.Float(row_of(i)); });
+      break;
+    }
+    case DataType::kFloat32: {
+      float* po = m > 0 ? out.data<float>() : nullptr;
+      gpusim::ParallelFor(s, m, stats, [=](size_t i) {
+        po[i] = static_cast<float>(rd.Float(row_of(i)));
+      });
+      break;
+    }
+  }
   return out;
 }
 
@@ -420,7 +366,7 @@ SelectionResult Backend::SelectConjunctiveEncoded(
   gpusim::Stream& s = stream();
   const size_t n = columns[0].size();
 
-  std::vector<std::function<bool(size_t)>> matchers;
+  std::vector<ScanMatcher> matchers;
   matchers.reserve(preds.size());
   uint64_t bytes_per_scan = 0;
   for (size_t p = 0; p < preds.size(); ++p) {
@@ -430,7 +376,7 @@ SelectionResult Backend::SelectConjunctiveEncoded(
 
   gpusim::DeviceArray<uint32_t> flags(n, s.device());
   uint32_t* f = flags.data();
-  const auto* ms = matchers.data();
+  const ScanMatcher* ms = matchers.data();
   const size_t num_preds = matchers.size();
   gpusim::KernelStats stats;
   stats.name = "enc::pred_flags";
@@ -456,18 +402,11 @@ SelectionResult Backend::SelectCompareColumnsEncoded(const ScanColumnRef& a,
   gpusim::Stream& s = stream();
   const size_t n = a.size();
 
-  std::function<bool(size_t)> match;
-  if (IsFloat(a.type())) {
-    auto ra = MakeFloatReader(a);
-    auto rb = MakeFloatReader(b);
-    match = [=](size_t i) { return ApplyCompareOp(op, ra(i), rb(i)); };
-  } else {
-    // Integer sides decode to int64 on the fly; for FOR-vs-FOR this is the
-    // folded pa + (refA - refB) vs pb comparison, wide enough not to wrap.
-    auto ra = MakeIntReader(a);
-    auto rb = MakeIntReader(b);
-    match = [=](size_t i) { return ApplyCompareOp(op, ra(i), rb(i)); };
-  }
+  // Integer sides decode to int64 on the fly; for FOR-vs-FOR this is the
+  // folded pa + (refA - refB) vs pb comparison, wide enough not to wrap.
+  const ColumnReader ra = MakeColumnReader(a);
+  const ColumnReader rb = MakeColumnReader(b);
+  const bool floats = IsFloat(a.type());
 
   gpusim::DeviceArray<uint32_t> flags(n, s.device());
   uint32_t* f = flags.data();
@@ -475,8 +414,11 @@ SelectionResult Backend::SelectCompareColumnsEncoded(const ScanColumnRef& a,
   stats.name = "enc::cmp_cols_flags";
   stats.bytes_read = ScanColumnSeqBytes(a) + ScanColumnSeqBytes(b);
   stats.bytes_written = n * sizeof(uint32_t);
-  gpusim::ParallelFor(s, n, stats,
-                      [=](size_t i) { f[i] = match(i) ? 1u : 0u; });
+  gpusim::ParallelFor(s, n, stats, [=](size_t i) {
+    const bool hit = floats ? ApplyCompareOp(op, ra.Float(i), rb.Float(i))
+                            : ApplyCompareOp(op, ra.Int(i), rb.Int(i));
+    f[i] = hit ? 1u : 0u;
+  });
   return FinishFlagSelection(s, f, n);
 }
 
@@ -484,96 +426,25 @@ storage::DeviceColumn Backend::GatherDecode(
     const storage::EncodedDeviceColumn& src,
     const storage::DeviceColumn& indices) {
   EncodedOpPrologue("gather_decode", 1);
-  gpusim::Stream& s = stream();
   const size_t m = indices.size();
   const int32_t* map = indices.data<int32_t>();
-  DeviceColumn out(src.type, m, s.device());
-
   gpusim::KernelStats stats;
   stats.name = "enc::gather_decode";
   stats.bytes_read = m * (sizeof(int32_t) + RandAccessBytes(src));
   stats.bytes_written = m * storage::DataTypeSize(src.type);
-
-  const ScanColumnRef ref = ScanColumnRef::Encoded(src);
-  switch (src.type) {
-    case DataType::kInt32: {
-      auto rd = MakeIntReader(ref);
-      int32_t* po = m > 0 ? out.data<int32_t>() : nullptr;
-      gpusim::ParallelFor(s, m, stats, [=](size_t i) {
-        po[i] = static_cast<int32_t>(rd(map[i]));
-      });
-      break;
-    }
-    case DataType::kInt64: {
-      auto rd = MakeIntReader(ref);
-      int64_t* po = m > 0 ? out.data<int64_t>() : nullptr;
-      gpusim::ParallelFor(s, m, stats,
-                          [=](size_t i) { po[i] = rd(map[i]); });
-      break;
-    }
-    case DataType::kFloat64: {
-      auto rd = MakeFloatReader(ref);
-      double* po = m > 0 ? out.data<double>() : nullptr;
-      gpusim::ParallelFor(s, m, stats,
-                          [=](size_t i) { po[i] = rd(map[i]); });
-      break;
-    }
-    case DataType::kFloat32: {
-      auto rd = MakeFloatReader(ref);
-      float* po = m > 0 ? out.data<float>() : nullptr;
-      gpusim::ParallelFor(s, m, stats, [=](size_t i) {
-        po[i] = static_cast<float>(rd(map[i]));
-      });
-      break;
-    }
-  }
-  return out;
+  return DecodeRows(stream(), stats, src, m,
+                    [=](size_t i) { return static_cast<size_t>(map[i]); });
 }
 
 storage::DeviceColumn Backend::DecodeColumn(
     const storage::EncodedDeviceColumn& src) {
   EncodedOpPrologue("decode_column", 1);
-  gpusim::Stream& s = stream();
-  const size_t n = src.size;
-  DeviceColumn out(src.type, n, s.device());
-
   gpusim::KernelStats stats;
   stats.name = "enc::decode_column";
   stats.bytes_read = src.encoded_byte_size();
-  stats.bytes_written = n * storage::DataTypeSize(src.type);
-
-  const ScanColumnRef ref = ScanColumnRef::Encoded(src);
-  switch (src.type) {
-    case DataType::kInt32: {
-      auto rd = MakeIntReader(ref);
-      int32_t* po = n > 0 ? out.data<int32_t>() : nullptr;
-      gpusim::ParallelFor(s, n, stats, [=](size_t i) {
-        po[i] = static_cast<int32_t>(rd(i));
-      });
-      break;
-    }
-    case DataType::kInt64: {
-      auto rd = MakeIntReader(ref);
-      int64_t* po = n > 0 ? out.data<int64_t>() : nullptr;
-      gpusim::ParallelFor(s, n, stats, [=](size_t i) { po[i] = rd(i); });
-      break;
-    }
-    case DataType::kFloat64: {
-      auto rd = MakeFloatReader(ref);
-      double* po = n > 0 ? out.data<double>() : nullptr;
-      gpusim::ParallelFor(s, n, stats, [=](size_t i) { po[i] = rd(i); });
-      break;
-    }
-    case DataType::kFloat32: {
-      auto rd = MakeFloatReader(ref);
-      float* po = n > 0 ? out.data<float>() : nullptr;
-      gpusim::ParallelFor(s, n, stats, [=](size_t i) {
-        po[i] = static_cast<float>(rd(i));
-      });
-      break;
-    }
-  }
-  return out;
+  stats.bytes_written = src.size * storage::DataTypeSize(src.type);
+  return DecodeRows(stream(), stats, src, src.size,
+                    [](size_t i) { return i; });
 }
 
 double Backend::ReduceEncoded(const storage::EncodedDeviceColumn& values,

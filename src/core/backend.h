@@ -11,8 +11,8 @@
 #ifndef CORE_BACKEND_H_
 #define CORE_BACKEND_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -162,13 +162,89 @@ struct EncodedPredicate {
 EncodedPredicate RewritePredicate(const storage::EncodedDeviceColumn& column,
                                   const Predicate& pred);
 
-/// Kernel building blocks for encoded scans, shared by backends that fuse
-/// their own selection kernels: a per-row matcher evaluating `pred` against
-/// a raw or encoded scan column (predicates on packed encodings go through
-/// RewritePredicate; RLE binary-searches its run ends), and the device bytes
-/// one sequential scan of the column reads.
-std::function<bool(size_t)> MakeScanMatcher(const ScanColumnRef& ref,
-                                            const Predicate& pred);
+/// Plain-data reader of a raw or encoded scan column: row i decoded, as
+/// int64 (integer columns) or as double (float columns). Kernels capture it
+/// by value, so its reads inline into them; the layout switch takes the
+/// same branch for every row of a launch.
+struct ColumnReader {
+  enum class Layout : uint8_t {
+    kRaw,         ///< values[i]
+    kFor,         ///< reference + packed code (bit-pack and FOR)
+    kDictionary,  ///< values[packed code]
+    kRle,         ///< values[run containing i], by binary search of `ends`
+  };
+  Layout layout = Layout::kRaw;
+  storage::DataType type = storage::DataType::kInt32;  ///< of `values`
+  const void* values = nullptr;  ///< raw values, dictionary or run values
+  const uint64_t* words = nullptr;
+  unsigned bits = 0;
+  int64_t reference = 0;
+  const uint32_t* ends = nullptr;  ///< cumulative run ends
+  size_t runs = 0;
+
+  uint64_t Code(size_t i) const { return storage::UnpackBit(words, bits, i); }
+
+  int64_t Int(size_t i) const {
+    if (layout == Layout::kFor) {
+      return reference + static_cast<int64_t>(Code(i));
+    }
+    const size_t k = Element(i);
+    return type == storage::DataType::kInt32
+               ? static_cast<const int32_t*>(values)[k]
+               : static_cast<const int64_t*>(values)[k];
+  }
+
+  double Float(size_t i) const {
+    const size_t k = Element(i);
+    return type == storage::DataType::kFloat64
+               ? static_cast<const double*>(values)[k]
+               : static_cast<double>(static_cast<const float*>(values)[k]);
+  }
+
+ private:
+  /// Index into `values` that row i reads.
+  size_t Element(size_t i) const {
+    switch (layout) {
+      case Layout::kDictionary: return Code(i);
+      case Layout::kRle:
+        return static_cast<size_t>(
+            std::upper_bound(ends, ends + runs, static_cast<uint32_t>(i)) -
+            ends);
+      default: return i;
+    }
+  }
+};
+
+/// Plain-data evaluator of `pred` on a raw or encoded scan column, shared
+/// by backends that fuse their own selection kernels. Packed encodings
+/// (bit-pack, FOR, dictionary) compare codes against the predicate folded
+/// by RewritePredicate; raw and RLE columns compare decoded values,
+/// integers in int64 and floats in double.
+struct ScanMatcher {
+  enum class Domain : uint8_t { kCode, kInt, kFloat };
+  ColumnReader column;
+  Domain domain = Domain::kInt;
+  EncodedPredicate folded;  ///< kCode
+  CompareOp op = CompareOp::kLt;
+  int64_t lit_i = 0;
+  double lit_f = 0.0;
+
+  bool operator()(size_t i) const {
+    switch (domain) {
+      case Domain::kCode: return folded.Matches(column.Code(i));
+      case Domain::kInt: return ApplyCompareOp(op, column.Int(i), lit_i);
+      case Domain::kFloat: return ApplyCompareOp(op, column.Float(i), lit_f);
+    }
+    return false;
+  }
+};
+
+/// Evaluators of `ref`. Both throw std::invalid_argument for an encoded
+/// float column that is not dictionary-encoded.
+ColumnReader MakeColumnReader(const ScanColumnRef& ref);
+ScanMatcher MakeScanMatcher(const ScanColumnRef& ref, const Predicate& pred);
+
+/// Device bytes one sequential scan of the column reads.
 uint64_t ScanColumnSeqBytes(const ScanColumnRef& ref);
 
 /// Result of a selection: matching row ids (int32, device-resident).

@@ -7,9 +7,10 @@
 // row order) instead of the library's transform + scan + gather pipeline;
 // filter+aggregate queries run as a single pass; joins and grouping use
 // open-addressing hash tables. The join table is built with device atomics.
-// Grouping aggregates each tile privately and then merges the tiles in tile
-// order (gpusim::OrderedCombine), so group placement and every float sum
-// repeat bit for bit on any host pool.
+// Grouping aggregates each tile privately in one launch, reads back the
+// number of tile partials, and merges the tiles in tile order into a table
+// sized from that count, not from the input; group placement and every
+// float sum repeat bit for bit on any host pool.
 #ifndef HANDWRITTEN_HANDWRITTEN_H_
 #define HANDWRITTEN_HANDWRITTEN_H_
 
@@ -52,140 +53,6 @@ inline uint64_t MixHash(uint64_t k) {
   return k;
 }
 
-/// Most merge regions a group table's slot space splits into.
-inline constexpr size_t kMaxMergeRegions = 64;
-
-/// Merge regions the slot space of a `capacity`-slot group table splits
-/// into: enough for a parallel merge at high group counts, few enough that
-/// each tile's partials of one region lie in long runs. Depends on the
-/// capacity only.
-inline size_t NumMergeRegions(size_t capacity) {
-  return std::clamp<size_t>(capacity / 16384, 1, kMaxMergeRegions);
-}
-
-/// The combine kernel of the hash aggregations, one gpusim::OrderedCombine
-/// launch over `n` rows into the table `table_keys` (`capacity` slots, a
-/// power of two, pre-filled with the empty key).
-///
-/// Each tile folds its rows into a private table in row order: start(i)
-/// opens a key's partial at its first row and fold(acc, i) adds each later
-/// row. The tile lists its partials grouped by the merge region of the key's
-/// home slot. Then one task per region inserts its keys into the shared
-/// table, tile by tile in tile order, probing only inside the region, and
-/// merge(slot, acc) folds each partial into its slot. A key whose probe
-/// would leave its region is deferred; deferred keys are placed after every
-/// region is done, in region order. Slot placement and every fold order
-/// therefore depend on the input alone.
-template <typename K, typename Acc, typename Start, typename Fold,
-          typename Merge>
-void OrderedHashCombine(gpusim::Stream& stream,
-                        const gpusim::KernelStats& stats, const K* keys,
-                        size_t n, K* table_keys, size_t capacity, Start start,
-                        Fold fold, Merge merge) {
-  constexpr K kEmpty = std::numeric_limits<K>::max();
-  constexpr uint16_t kNoEntry = std::numeric_limits<uint16_t>::max();
-  static_assert(gpusim::kCombineTileThreads < kNoEntry,
-                "a tile's entry indices must fit the private index");
-  const size_t mask = capacity - 1;
-  const size_t num_regions = NumMergeRegions(capacity);
-  // Both counts are powers of two, so a region is a run of 2^shift slots.
-  const int region_shift = std::countr_zero(capacity / num_regions);
-
-  // Home slots are stored in 32 bits: tables stay below 2^32 slots, as row
-  // ids stay below 2^32 rows.
-  struct Entry {
-    K key;
-    uint32_t home;
-    Acc acc;
-  };
-  // Tile t's partials lie at partials[t * kCombineTileThreads...], grouped
-  // by region; region r's run of them starts run_begin[r * num_tiles + t]
-  // entries in and ends where region r + 1's starts.
-  const size_t num_tiles = gpusim::NumCombineTiles(n);
-  const std::unique_ptr<Entry[]> partials(new Entry[n]);
-  std::vector<uint32_t> run_begin((num_regions + 1) * num_tiles);
-  std::vector<std::vector<Entry>> deferred(num_regions);
-
-  gpusim::OrderedCombine(
-      stream, n, stats,
-      [&](size_t t, size_t begin, size_t end) {
-        // Scratch of one tile at a time, reused by each host thread: the
-        // private table's index, and the partials in first-row order.
-        thread_local std::vector<uint16_t> index_buffer;
-        thread_local std::vector<Entry> scratch_buffer;
-        const size_t index_mask = NextPow2(2 * (end - begin)) - 1;
-        index_buffer.assign(index_mask + 1, kNoEntry);
-        scratch_buffer.resize(end - begin);
-        uint16_t* index = index_buffer.data();
-        Entry* scratch = scratch_buffer.data();
-        uint16_t count = 0;
-        for (size_t i = begin; i < end; ++i) {
-          const K key = keys[i];
-          const uint64_t h = MixHash(static_cast<uint64_t>(key));
-          for (size_t p = h & index_mask;; p = (p + 1) & index_mask) {
-            const uint16_t e = index[p];
-            if (e == kNoEntry) {
-              index[p] = count;
-              scratch[count++] =
-                  Entry{key, static_cast<uint32_t>(h & mask), start(i)};
-              break;
-            }
-            if (scratch[e].key == key) {
-              fold(scratch[e].acc, i);
-              break;
-            }
-          }
-        }
-        // Counting sort by region; first-row order is kept within a region.
-        uint32_t cursor[kMaxMergeRegions + 1] = {};
-        for (uint16_t e = 0; e < count; ++e) {
-          ++cursor[(scratch[e].home >> region_shift) + 1];
-        }
-        for (size_t r = 0; r < num_regions; ++r) {
-          cursor[r + 1] += cursor[r];
-          run_begin[r * num_tiles + t] = cursor[r];
-        }
-        run_begin[num_regions * num_tiles + t] = count;
-        Entry* out = &partials[t * gpusim::kCombineTileThreads];
-        for (uint16_t e = 0; e < count; ++e) {
-          out[cursor[scratch[e].home >> region_shift]++] = scratch[e];
-        }
-      },
-      num_regions,
-      [&](size_t r) {
-        const size_t region_end = (r + 1) << region_shift;
-        const uint32_t* run = &run_begin[r * num_tiles];
-        const uint32_t* run_end = run + num_tiles;
-        for (size_t t = 0; t < num_tiles; ++t) {
-          const Entry* entries = &partials[t * gpusim::kCombineTileThreads];
-          for (uint32_t e = run[t]; e < run_end[t]; ++e) {
-            const Entry& entry = entries[e];
-            size_t slot = entry.home;
-            while (slot < region_end && table_keys[slot] != entry.key &&
-                   table_keys[slot] != kEmpty) {
-              ++slot;
-            }
-            if (slot == region_end) {
-              deferred[r].push_back(entry);
-              continue;
-            }
-            table_keys[slot] = entry.key;
-            merge(slot, entry.acc);
-          }
-        }
-      });
-
-  for (const std::vector<Entry>& region : deferred) {
-    for (const Entry& entry : region) {
-      size_t slot = entry.home;
-      while (table_keys[slot] != entry.key && table_keys[slot] != kEmpty) {
-        slot = (slot + 1) & mask;
-      }
-      table_keys[slot] = entry.key;
-      merge(slot, entry.acc);
-    }
-  }
-}
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
@@ -357,183 +224,315 @@ struct GroupedSums {
   size_t num_groups = 0;
 };
 
-/// One-pass grouped sum+count into an open-addressing hash table (one
-/// combine kernel: tile-private tables merged in tile order), then a
-/// compaction of occupied slots. Contrast with the libraries' only option:
-/// sort_by_key + reduce_by_key (Table II). Groups come out in slot order,
-/// which depends on the keys alone. Keys must not equal
-/// numeric_limits<K>::max().
+namespace detail {
+
+/// A tile sorts its partials into 2^kBucketBits buckets by the top bits of
+/// the key's hash. Home slots are top bits of the hash too, so at any table
+/// capacity a merge region is a run of whole buckets.
+inline constexpr int kBucketBits = 6;
+inline constexpr size_t kNumBuckets = size_t{1} << kBucketBits;
+
+/// The 32-bit hash of a group key: the top half of MixHash.
+template <typename K>
+uint32_t GroupHash(K key) {
+  return static_cast<uint32_t>(MixHash(static_cast<uint64_t>(key)) >> 32);
+}
+
+/// Home slot of a group hash in a `capacity`-slot table (a power of two up
+/// to 2^32): the hash's top log2(capacity) bits.
+inline size_t HomeSlot(uint32_t hash, size_t capacity) {
+  return static_cast<uint64_t>(hash) >> (32 - std::countr_zero(capacity));
+}
+
+/// Merge regions the slot space of a `capacity`-slot group table splits
+/// into: enough for a parallel merge at high group counts, few enough that
+/// each tile's partials of one region lie in long runs. Depends on the
+/// capacity only.
+inline size_t NumMergeRegions(size_t capacity) {
+  return std::clamp<size_t>(capacity / 16384, 1, kNumBuckets);
+}
+
+/// What the fold launch of a hash aggregation leaves for the merge launch.
 template <typename K, typename V>
-GroupedSums<K, V> HashGroupBySum(gpusim::Stream& stream, const K* keys,
-                                 const V* values, size_t n,
-                                 size_t expected_groups = 0) {
-  constexpr K kEmpty = std::numeric_limits<K>::max();
-  gpusim::Device& device = stream.device();
-  const size_t hint = expected_groups > 0 ? expected_groups : n;
-  const size_t capacity = detail::NextPow2(hint < 8 ? 16 : 2 * hint);
-  gpusim::DeviceArray<K> table_keys(capacity, device);
-  gpusim::DeviceArray<V> table_sums(capacity, device);
-  gpusim::DeviceArray<uint64_t> table_counts(capacity, device);
-  gpusim::Fill(stream, table_keys.data(), capacity, kEmpty);
-  gpusim::Fill(stream, table_sums.data(), capacity, V{});
-  gpusim::Fill(stream, table_counts.data(), capacity, uint64_t{0});
+struct TilePartials {
+  /// One group of one tile: its rows folded in row order, and their count.
+  struct Entry {
+    K key;
+    uint32_t count;
+    V value;
+  };
+  size_t num_tiles = 0;
+  /// Tile t's partials, grouped by bucket, start at
+  /// entries[t * kCombineTileThreads]; bucket b's run of them starts
+  /// bucket_begin[b * num_tiles + t] entries in and ends where bucket b + 1's
+  /// starts.
+  std::unique_ptr<Entry[]> entries;
+  std::vector<uint32_t> bucket_begin;
+};
 
-  {
-    gpusim::KernelStats stats;
-    stats.name = "hw::hash_group_by";
-    stats.bytes_read = n * (sizeof(K) + sizeof(V));
-    stats.bytes_written = n * (sizeof(V) + sizeof(uint64_t));
-    stats.ops = 4 * n;
-    struct SumCount {
-      V sum;
-      uint64_t count;
-    };
-    V* ts = table_sums.data();
-    uint64_t* tc = table_counts.data();
-    detail::OrderedHashCombine<K, SumCount>(
-        stream, stats, keys, n, table_keys.data(), capacity,
-        [=](size_t i) { return SumCount{values[i], 1}; },
-        [=](SumCount& acc, size_t i) {
-          acc.sum += values[i];
-          ++acc.count;
-        },
-        [=](size_t slot, const SumCount& acc) {
-          ts[slot] += acc.sum;
-          tc[slot] += acc.count;
-        });
-  }
-
-  // Compact occupied slots (flags over the slot space + scan + scatter).
-  GroupedSums<K, V> out;
-  out.keys = gpusim::DeviceArray<K>(capacity, device);
-  out.sums = gpusim::DeviceArray<V>(capacity, device);
-  out.counts = gpusim::DeviceArray<uint64_t>(capacity, device);
-  gpusim::DeviceArray<uint32_t> flags(capacity, device);
-  gpusim::DeviceArray<uint32_t> positions(capacity, device);
-  {
-    gpusim::KernelStats stats;
-    stats.name = "hw::group_slot_flags";
-    stats.bytes_read = capacity * sizeof(K);
-    stats.bytes_written = capacity * sizeof(uint32_t);
-    const K* tk = table_keys.data();
-    uint32_t* f = flags.data();
-    gpusim::ParallelFor(stream, capacity, stats,
-                        [=](size_t i) { f[i] = tk[i] != kEmpty ? 1u : 0u; });
-  }
-  gpusim::ExclusiveScan(stream, flags.data(), positions.data(), capacity,
-                        uint32_t{0},
-                        [](uint32_t a, uint32_t b) { return a + b; });
-  uint32_t last_pos = 0, last_flag = 0;
-  gpusim::CopyDeviceToHost(stream, &last_pos,
-                           positions.data() + (capacity - 1),
-                           sizeof(uint32_t));
-  gpusim::CopyDeviceToHost(stream, &last_flag, flags.data() + (capacity - 1),
-                           sizeof(uint32_t));
-  out.num_groups = last_pos + last_flag;
-  {
-    gpusim::KernelStats stats;
-    stats.name = "hw::group_compact";
-    stats.bytes_read =
-        capacity * (sizeof(K) + sizeof(V) + sizeof(uint64_t) +
-                    2 * sizeof(uint32_t));
-    stats.bytes_written =
-        out.num_groups * (sizeof(K) + sizeof(V) + sizeof(uint64_t));
-    const K* tk = table_keys.data();
-    const V* ts = table_sums.data();
-    const uint64_t* tc = table_counts.data();
-    const uint32_t* f = flags.data();
-    const uint32_t* pos = positions.data();
-    K* ok = out.keys.data();
-    V* os = out.sums.data();
-    uint64_t* oc = out.counts.data();
-    gpusim::ParallelFor(stream, capacity, stats, [=](size_t i) {
-      if (f[i]) {
-        const uint32_t p = pos[i];
-        ok[p] = tk[i];
-        os[p] = ts[i];
-        oc[p] = tc[i];
-      }
-    });
-  }
+/// The fold launch of a hash aggregation over `n` rows. Each fixed
+/// gpusim::kCombineTileThreads tile folds its rows into a private table in
+/// row order, value = op(value, values[i]) from the group's first row on,
+/// counts each group's rows, and lists its partials grouped by bucket. Each
+/// tile adds its partial count to `*counter`, so the launch leaves U, the
+/// number of partials, there: U bounds the group count and does not depend
+/// on the host pool.
+template <typename K, typename V, typename Op>
+TilePartials<K, V> FoldTiles(gpusim::Stream& stream,
+                             const gpusim::KernelStats& stats, const K* keys,
+                             const V* values, size_t n, Op op,
+                             uint32_t* counter) {
+  using Entry = typename TilePartials<K, V>::Entry;
+  constexpr uint16_t kNoEntry = std::numeric_limits<uint16_t>::max();
+  static_assert(gpusim::kCombineTileThreads < kNoEntry,
+                "a tile's entry indices must fit the private index");
+  TilePartials<K, V> out;
+  out.num_tiles = gpusim::NumCombineTiles(n);
+  out.entries.reset(new Entry[n]);
+  out.bucket_begin.resize((kNumBuckets + 1) * out.num_tiles);
+  const size_t num_tiles = out.num_tiles;
+  Entry* entries = out.entries.get();
+  uint32_t* bucket_begin = out.bucket_begin.data();
+  gpusim::LaunchBlocks(
+      stream, num_tiles, gpusim::kCombineTileThreads, stats,
+      [=](const gpusim::BlockContext& ctx) {
+        const size_t t = ctx.block_id;
+        const size_t begin = t * gpusim::kCombineTileThreads;
+        const size_t end = std::min(begin + gpusim::kCombineTileThreads, n);
+        // Scratch of one tile at a time, reused by each host thread: the
+        // private table's index, and the partials and their buckets in
+        // first-row order.
+        thread_local std::vector<uint16_t> index_buffer;
+        thread_local std::vector<Entry> scratch_buffer;
+        thread_local std::vector<uint8_t> bucket_buffer;
+        const size_t index_mask = NextPow2(2 * (end - begin)) - 1;
+        index_buffer.assign(index_mask + 1, kNoEntry);
+        scratch_buffer.resize(end - begin);
+        bucket_buffer.resize(end - begin);
+        uint16_t* index = index_buffer.data();
+        Entry* scratch = scratch_buffer.data();
+        uint8_t* bucket = bucket_buffer.data();
+        uint16_t count = 0;
+        for (size_t i = begin; i < end; ++i) {
+          const K key = keys[i];
+          const uint32_t hash = GroupHash(key);
+          for (size_t p = hash & index_mask;; p = (p + 1) & index_mask) {
+            const uint16_t e = index[p];
+            if (e == kNoEntry) {
+              index[p] = count;
+              bucket[count] = static_cast<uint8_t>(hash >> (32 - kBucketBits));
+              scratch[count++] = Entry{key, 1, values[i]};
+              break;
+            }
+            if (scratch[e].key == key) {
+              scratch[e].value = op(scratch[e].value, values[i]);
+              ++scratch[e].count;
+              break;
+            }
+          }
+        }
+        // Counting sort by bucket; first-row order is kept within a bucket.
+        uint32_t cursor[kNumBuckets + 1] = {};
+        for (uint16_t e = 0; e < count; ++e) ++cursor[bucket[e] + 1];
+        for (size_t b = 0; b < kNumBuckets; ++b) {
+          cursor[b + 1] += cursor[b];
+          bucket_begin[b * num_tiles + t] = cursor[b];
+        }
+        bucket_begin[kNumBuckets * num_tiles + t] = count;
+        Entry* tile_out = entries + begin;
+        for (uint16_t e = 0; e < count; ++e) {
+          tile_out[cursor[bucket[e]]++] = scratch[e];
+        }
+        gpusim::AtomicAdd(counter, static_cast<uint32_t>(count));
+      });
   return out;
 }
 
-/// Generic one-pass hash grouped reduction (sum/min/max with the matching
-/// identity). Same structure as HashGroupBySum but with a caller-provided
-/// associative combine. Returns compacted (keys, values).
-template <typename K, typename V, typename BinOp>
-GroupedSums<K, V> HashGroupByReduce(gpusim::Stream& stream, const K* keys,
-                                    const V* values, size_t n, V identity,
-                                    BinOp op, size_t expected_groups = 0) {
+/// The merge launch of a hash aggregation: folds `partials` into the table
+/// `table_keys` (`capacity` slots, a power of two, pre-filled with the
+/// empty key). One block per merge region inserts the region's keys tile by
+/// tile in tile order, probing only inside the region, and merge(slot,
+/// entry) folds each partial into its slot. A key whose probe would leave
+/// its region is deferred; deferred keys are placed after every region is
+/// done, in region order. Slot placement and every fold order therefore
+/// depend on the keys alone.
+template <typename K, typename V, typename Merge>
+void MergeTiles(gpusim::Stream& stream, const gpusim::KernelStats& stats,
+                const TilePartials<K, V>& partials, K* table_keys,
+                size_t capacity, Merge merge) {
+  using Entry = typename TilePartials<K, V>::Entry;
+  constexpr K kEmpty = std::numeric_limits<K>::max();
+  const size_t num_regions = NumMergeRegions(capacity);
+  const size_t region_slots = capacity / num_regions;
+  const size_t buckets_per_region = kNumBuckets / num_regions;
+  const size_t num_tiles = partials.num_tiles;
+  std::vector<std::vector<Entry>> deferred(num_regions);
+
+  gpusim::LaunchBlocks(
+      stream, num_regions, gpusim::kDefaultBlockSize, stats,
+      [&](const gpusim::BlockContext& ctx) {
+        const size_t r = ctx.block_id;
+        const size_t region_end = (r + 1) * region_slots;
+        const uint32_t* run = partials.bucket_begin.data() +
+                              r * buckets_per_region * num_tiles;
+        const uint32_t* run_end = run + buckets_per_region * num_tiles;
+        for (size_t t = 0; t < num_tiles; ++t) {
+          const Entry* entries =
+              &partials.entries[t * gpusim::kCombineTileThreads];
+          for (uint32_t e = run[t]; e < run_end[t]; ++e) {
+            const Entry& entry = entries[e];
+            size_t slot = HomeSlot(GroupHash(entry.key), capacity);
+            while (slot < region_end && table_keys[slot] != entry.key &&
+                   table_keys[slot] != kEmpty) {
+              ++slot;
+            }
+            if (slot == region_end) {
+              deferred[r].push_back(entry);
+              continue;
+            }
+            table_keys[slot] = entry.key;
+            merge(slot, entry);
+          }
+        }
+      });
+
+  const size_t mask = capacity - 1;
+  for (const std::vector<Entry>& region : deferred) {
+    for (const Entry& entry : region) {
+      size_t slot = HomeSlot(GroupHash(entry.key), capacity);
+      while (table_keys[slot] != entry.key && table_keys[slot] != kEmpty) {
+        slot = (slot + 1) & mask;
+      }
+      table_keys[slot] = entry.key;
+      merge(slot, entry);
+    }
+  }
+}
+
+/// The hash aggregation HashGroupBySum and HashGroupByReduce run, sized
+/// from the groups instead of the input:
+///  1. the fold launch (FoldTiles), charged as `fold_stats`, counts the
+///     tile partials U;
+///  2. a 4-byte readback of U;
+///  3. a table of NextPow2(max(16, 2U)) slots, keys empty and values at
+///     `identity` (counts at 0 when `with_counts`);
+///  4. the merge launch (MergeTiles);
+///  5. one ordered compaction of the occupied slots (gpusim::OrderedAppend)
+///     and a 4-byte readback of the group count.
+/// Groups come out in slot order, which depends on the keys alone. Keys
+/// must not equal numeric_limits<K>::max().
+template <typename K, typename V, typename Op>
+GroupedSums<K, V> HashGroupBy(gpusim::Stream& stream,
+                              const gpusim::KernelStats& fold_stats,
+                              const K* keys, const V* values, size_t n,
+                              V identity, Op op, bool with_counts) {
   constexpr K kEmpty = std::numeric_limits<K>::max();
   gpusim::Device& device = stream.device();
-  const size_t hint = expected_groups > 0 ? expected_groups : n;
-  const size_t capacity = detail::NextPow2(hint < 8 ? 16 : 2 * hint);
+  // counters[0] receives U, counters[1] the group count.
+  gpusim::DeviceArray<uint32_t> counters(2, device);
+  gpusim::MemsetDevice(stream, counters.data(), 0, 2 * sizeof(uint32_t));
+  const TilePartials<K, V> partials =
+      FoldTiles(stream, fold_stats, keys, values, n, op, counters.data());
+  uint32_t u = 0;
+  gpusim::CopyDeviceToHost(stream, &u, counters.data(), sizeof(uint32_t));
+
+  const size_t capacity = NextPow2(std::max<size_t>(16, 2 * size_t{u}));
+  const uint64_t acc_bytes = sizeof(V) + (with_counts ? sizeof(uint64_t) : 0);
   gpusim::DeviceArray<K> table_keys(capacity, device);
   gpusim::DeviceArray<V> table_vals(capacity, device);
+  gpusim::DeviceArray<uint64_t> table_counts;
   gpusim::Fill(stream, table_keys.data(), capacity, kEmpty);
   gpusim::Fill(stream, table_vals.data(), capacity, identity);
-
+  if (with_counts) {
+    table_counts = gpusim::DeviceArray<uint64_t>(capacity, device);
+    gpusim::Fill(stream, table_counts.data(), capacity, uint64_t{0});
+  }
+  K* tk = table_keys.data();
+  V* tv = table_vals.data();
+  uint64_t* tc = with_counts ? table_counts.data() : nullptr;
   {
     gpusim::KernelStats stats;
-    stats.name = "hw::hash_group_reduce";
-    stats.bytes_read = n * (sizeof(K) + sizeof(V));
-    stats.bytes_written = n * sizeof(V);
-    stats.ops = 4 * n;
-    V* tv = table_vals.data();
-    detail::OrderedHashCombine<K, V>(
-        stream, stats, keys, n, table_keys.data(), capacity,
-        [=](size_t i) { return values[i]; },
-        [=](V& acc, size_t i) { acc = op(acc, values[i]); },
-        [=](size_t slot, const V& acc) { tv[slot] = op(tv[slot], acc); });
+    stats.name = "hw::group_merge";
+    stats.bytes_read = 2 * uint64_t{u} * (sizeof(K) + acc_bytes);
+    stats.bytes_written = uint64_t{u} * (sizeof(K) + acc_bytes);
+    stats.ops = 4 * uint64_t{u};
+    MergeTiles(stream, stats, partials, tk, capacity,
+               [=](size_t slot, const typename TilePartials<K, V>::Entry& e) {
+                 tv[slot] = op(tv[slot], e.value);
+                 if (tc != nullptr) tc[slot] += e.count;
+               });
   }
 
   GroupedSums<K, V> out;
   out.keys = gpusim::DeviceArray<K>(capacity, device);
   out.sums = gpusim::DeviceArray<V>(capacity, device);
-  gpusim::DeviceArray<uint32_t> flags(capacity, device);
-  gpusim::DeviceArray<uint32_t> positions(capacity, device);
+  if (with_counts) out.counts = gpusim::DeviceArray<uint64_t>(capacity, device);
+  K* ok = out.keys.data();
+  V* os = out.sums.data();
+  uint64_t* oc = with_counts ? out.counts.data() : nullptr;
   {
-    gpusim::KernelStats stats;
-    stats.name = "hw::group_slot_flags";
-    stats.bytes_read = capacity * sizeof(K);
-    stats.bytes_written = capacity * sizeof(uint32_t);
-    const K* tk = table_keys.data();
-    uint32_t* f = flags.data();
-    gpusim::ParallelFor(stream, capacity, stats,
-                        [=](size_t i) { f[i] = tk[i] != kEmpty ? 1u : 0u; });
-  }
-  gpusim::ExclusiveScan(stream, flags.data(), positions.data(), capacity,
-                        uint32_t{0},
-                        [](uint32_t a, uint32_t b) { return a + b; });
-  uint32_t last_pos = 0, last_flag = 0;
-  gpusim::CopyDeviceToHost(stream, &last_pos,
-                           positions.data() + (capacity - 1),
-                           sizeof(uint32_t));
-  gpusim::CopyDeviceToHost(stream, &last_flag, flags.data() + (capacity - 1),
-                           sizeof(uint32_t));
-  out.num_groups = last_pos + last_flag;
-  {
+    // U bounds the group count, so the accumulator reads and all writes are
+    // declared at U groups.
     gpusim::KernelStats stats;
     stats.name = "hw::group_compact";
-    stats.bytes_read =
-        capacity * (sizeof(K) + sizeof(V) + 2 * sizeof(uint32_t));
-    stats.bytes_written = out.num_groups * (sizeof(K) + sizeof(V));
-    const K* tk = table_keys.data();
-    const V* tv = table_vals.data();
-    const uint32_t* f = flags.data();
-    const uint32_t* pos = positions.data();
-    K* ok = out.keys.data();
-    V* os = out.sums.data();
-    gpusim::ParallelFor(stream, capacity, stats, [=](size_t i) {
-      if (f[i]) {
-        const uint32_t p = pos[i];
-        ok[p] = tk[i];
-        os[p] = tv[i];
-      }
-    });
+    stats.bytes_read = capacity * sizeof(K) + uint64_t{u} * acc_bytes;
+    stats.bytes_written = uint64_t{u} * (sizeof(K) + acc_bytes);
+    gpusim::OrderedAppend(
+        stream, capacity, stats, counters.data() + 1,
+        [=](size_t i, size_t slot) {
+          if (tk[i] == kEmpty) return false;
+          ok[slot] = tk[i];
+          os[slot] = tv[i];
+          if (oc != nullptr) oc[slot] = tc[i];
+          return true;
+        },
+        [=](size_t from, size_t to) {
+          ok[to] = ok[from];
+          os[to] = os[from];
+          if (oc != nullptr) oc[to] = oc[from];
+        });
   }
+  uint32_t num_groups = 0;
+  gpusim::CopyDeviceToHost(stream, &num_groups, counters.data() + 1,
+                           sizeof(uint32_t));
+  out.num_groups = num_groups;
   return out;
+}
+
+}  // namespace detail
+
+/// One-pass grouped sum+count into an open-addressing hash table sized from
+/// the groups (detail::HashGroupBy). Contrast with the libraries' only
+/// option: sort_by_key + reduce_by_key (Table II). Groups come out in slot
+/// order, which depends on the keys alone. Keys must not equal
+/// numeric_limits<K>::max().
+template <typename K, typename V>
+GroupedSums<K, V> HashGroupBySum(gpusim::Stream& stream, const K* keys,
+                                 const V* values, size_t n) {
+  gpusim::KernelStats stats;
+  stats.name = "hw::hash_group_by";
+  stats.bytes_read = n * (sizeof(K) + sizeof(V));
+  stats.bytes_written = n * (sizeof(V) + sizeof(uint64_t));
+  stats.ops = 4 * n;
+  return detail::HashGroupBy(stream, stats, keys, values, n, V{},
+                             [](V a, V b) { return static_cast<V>(a + b); },
+                             /*with_counts=*/true);
+}
+
+/// Generic one-pass hash grouped reduction (sum/min/max with the matching
+/// identity): HashGroupBySum's sequence with a caller-provided associative
+/// combine and no counts. Returns compacted (keys, values).
+template <typename K, typename V, typename BinOp>
+GroupedSums<K, V> HashGroupByReduce(gpusim::Stream& stream, const K* keys,
+                                    const V* values, size_t n, V identity,
+                                    BinOp op) {
+  gpusim::KernelStats stats;
+  stats.name = "hw::hash_group_reduce";
+  stats.bytes_read = n * (sizeof(K) + sizeof(V));
+  stats.bytes_written = n * sizeof(V);
+  stats.ops = 4 * n;
+  return detail::HashGroupBy(stream, stats, keys, values, n, identity, op,
+                             /*with_counts=*/false);
 }
 
 // ---------------------------------------------------------------------------

@@ -267,17 +267,20 @@ uint64_t CostEstimator::GroupBy(const std::string& b, size_t n, size_t groups,
   const auto api = ProfileFor(b);
   const uint64_t g = std::max<size_t>(groups, 1);
   if (Is(b, backends::kHandwritten)) {
-    // Hash aggregation sized for the worst case (no group-count hint):
-    // capacity = next-pow2(2n). Key/value fills + one atomic accumulate
-    // pass + slot flags + scan over capacity + count readbacks + compaction
-    // + aggregate conversion.
-    const uint64_t cap = NextPow2(2 * std::max<uint64_t>(n, 8));
-    return K(api, 0, cap * 4) + K(api, 0, cap * val_bytes) +
-           K(api, n * (4 + val_bytes), n * (val_bytes + 8), 4 * n) +
-           K(api, cap * 4, cap * 4, cap) + ScanCost(model_, api, cap, 4) +
-           2 * D2H(api, 4) +
-           K(api, cap * (4 + val_bytes + 8), g * (4 + val_bytes), cap) +
-           D2D(api, g * 4) + K(api, g * val_bytes, g * 8, g);
+    // Hash aggregation sized from the groups: counter memset, the tile fold
+    // launch, a 4-byte readback of the partial count U, key/value fills
+    // over next-pow2(2U) slots, the merge launch, one ordered compaction
+    // plus its count readback, then key shrink + aggregate conversion. Each
+    // tile holds min(groups, tile rows) partials.
+    const uint64_t u = std::min<uint64_t>(
+        n, gpusim::NumCombineTiles(n) *
+               std::min<uint64_t>(g, gpusim::kCombineTileThreads));
+    const uint64_t cap = NextPow2(2 * u);
+    return K(api, 0, 8) + K(api, n * (4 + val_bytes), n * val_bytes, 4 * n) +
+           D2H(api, 4) + K(api, 0, cap * 4) + K(api, 0, cap * val_bytes) +
+           K(api, 2 * u * (4 + val_bytes), u * (4 + val_bytes), 4 * u) +
+           K(api, cap * 4 + u * val_bytes, u * (4 + val_bytes), cap) +
+           D2H(api, 4) + D2D(api, g * 4) + K(api, g * val_bytes, g * 8, g);
   }
   // Library route (Table II): copy keys and values, radix sort_by_key on
   // 32-bit keys, reduce_by_key over the sorted runs, shrink + convert.

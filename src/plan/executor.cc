@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "backends/common.h"
 #include "core/error.h"
 #include "core/registry.h"
 #include "core/resilience.h"
@@ -19,37 +18,6 @@ namespace {
 
 using storage::DataType;
 using storage::DeviceColumn;
-
-/// POD predicate evaluator for the fused filter+sum kernel (mirrors the
-/// handwritten backend's).
-struct PredEval {
-  DataType type = DataType::kInt32;
-  const void* data = nullptr;
-  core::CompareOp op = core::CompareOp::kLt;
-  double lit_f = 0.0;
-  int64_t lit_i = 0;
-
-  bool operator()(size_t row) const {
-    switch (type) {
-      case DataType::kInt32:
-        return backends::ApplyCompare(
-            op,
-            static_cast<int64_t>(static_cast<const int32_t*>(data)[row]),
-            lit_i);
-      case DataType::kInt64:
-        return backends::ApplyCompare(
-            op, static_cast<const int64_t*>(data)[row], lit_i);
-      case DataType::kFloat64:
-        return backends::ApplyCompare(
-            op, static_cast<const double*>(data)[row], lit_f);
-      case DataType::kFloat32:
-        return backends::ApplyCompare(
-            op, static_cast<double>(static_cast<const float*>(data)[row]),
-            lit_f);
-    }
-    return false;
-  }
-};
 
 class Executor {
  public:
@@ -476,7 +444,7 @@ class Executor {
   void ExecuteFusedFilterSum(const PlanNode& node, gpusim::Stream& stream,
                              NodeValue& value) {
     const size_t n = Col(node.pred_cols[0]).size();
-    std::vector<PredEval> evals;
+    std::vector<core::ScanMatcher> evals;
     std::set<const void*> buffers;
     uint64_t bytes_per_row = 0;
     auto account = [&](const DeviceColumn& c) {
@@ -490,13 +458,8 @@ class Executor {
         throw std::logic_error("plan: fused filter-sum domains differ");
       }
       account(c);
-      PredEval e;
-      e.type = c.type();
-      e.data = c.raw_data();
-      e.op = node.preds[k].op;
-      e.lit_f = node.preds[k].value_f;
-      e.lit_i = node.preds[k].value_i;
-      evals.push_back(e);
+      evals.push_back(
+          core::MakeScanMatcher(core::ScanColumnRef::Raw(c), node.preds[k]));
     }
     const DeviceColumn& va = Col(node.fused_value_a);
     if (va.size() != n) {
@@ -514,9 +477,9 @@ class Executor {
       pb = vb.data<double>();
     }
     const bool conj = node.conjunctive;
-    const std::vector<PredEval>* pe = &evals;
+    const std::vector<core::ScanMatcher>* pe = &evals;
     auto pred = [pe, conj](size_t i) {
-      for (const PredEval& e : *pe) {
+      for (const core::ScanMatcher& e : *pe) {
         const bool ok = e(i);
         if (conj && !ok) return false;
         if (!conj && ok) return true;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "backends/backends.h"
+#include "backends/common.h"
 #include "core/backend.h"
 #include "core/registry.h"
 #include "plan/executor.h"
@@ -208,8 +209,9 @@ class PredicateRewriteTest : public ::testing::Test {
   gpusim::Stream stream_{gpusim::Device::Default(),
                          gpusim::ApiProfile::Cuda()};
 
-  /// Uploads `values` under the forced `choice` and checks that the encoded
-  /// scan matcher agrees with a plain host evaluation for every row.
+  /// Uploads `values` under the forced `choice`, and raw, and checks that
+  /// the scan matcher of each upload agrees with a plain host evaluation
+  /// for every row.
   template <typename T>
   void ExpectMatcherAgrees(const std::vector<T>& values,
                            const EncodingChoice& choice,
@@ -217,14 +219,18 @@ class PredicateRewriteTest : public ::testing::Test {
     const Column host((std::vector<T>(values)));
     const storage::EncodedDeviceColumn dev =
         storage::UploadColumnEncoded(stream_, EncodeColumn(host, choice));
-    const auto matcher =
+    const storage::DeviceColumn raw = storage::UploadColumn(stream_, host);
+    const core::ScanMatcher encoded_matcher =
         core::MakeScanMatcher(core::ScanColumnRef::Encoded(dev), pred);
+    const core::ScanMatcher raw_matcher =
+        core::MakeScanMatcher(core::ScanColumnRef::Raw(raw), pred);
     for (size_t i = 0; i < values.size(); ++i) {
       const double x = static_cast<double>(values[i]);
       const bool want = core::ApplyCompareOp(pred.op, x, pred.value_f);
-      EXPECT_EQ(matcher(i), want)
+      EXPECT_EQ(encoded_matcher(i), want)
           << "row " << i << " value " << x << " op "
           << core::CompareOpName(pred.op) << " " << pred.value_f;
+      EXPECT_EQ(raw_matcher(i), want) << "raw row " << i;
     }
   }
 };
@@ -283,6 +289,172 @@ TEST_F(PredicateRewriteTest, RewriteFoldsOutOfRangeToConstants) {
   const core::EncodedPredicate above =
       core::RewritePredicate(dev, Predicate::Make("c", CompareOp::kLt, 500.0));
   EXPECT_EQ(above.kind, core::EncodedPredicate::Kind::kAlwaysTrue);
+}
+
+// ---------------------------------------------------------------------------
+// Device decoding per encoding, every backend
+// ---------------------------------------------------------------------------
+
+/// One encoded column shape: a host column and the encoding it is forced
+/// into.
+struct DecodeCase {
+  const char* name;
+  Column column;
+  EncodingChoice choice;
+};
+
+const std::vector<DecodeCase>& DecodeCases() {
+  static const std::vector<DecodeCase>* cases = [] {
+    constexpr size_t kRows = 5000;  // above the inline grid threshold
+    std::mt19937 rng(37);
+    std::vector<int32_t> packed(kRows), dict_i32(kRows), rle;
+    std::vector<int64_t> frame(kRows), dict_i64(kRows);
+    std::vector<double> dict_f64(kRows);
+    std::vector<float> dict_f32(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      packed[i] = static_cast<int32_t>(rng() % 1000);
+      frame[i] = 5'000'000'000 + static_cast<int64_t>(rng() % 4096);
+      dict_i32[i] = static_cast<int32_t>(rng() % 37) * 1000 - 18000;
+      dict_i64[i] = (static_cast<int64_t>(rng() % 50) - 25) * 1'000'000'007;
+      dict_f64[i] = static_cast<double>(rng() % 11) / 100.0;
+      dict_f32[i] = static_cast<float>(rng() % 23) / 8.0f - 1.0f;
+    }
+    int32_t value = -40;
+    while (rle.size() < kRows) {
+      const size_t run = 1 + rng() % 9;
+      for (size_t k = 0; k < run && rle.size() < kRows; ++k) {
+        rle.push_back(value);
+      }
+      value += 1 + static_cast<int32_t>(rng() % 5);
+    }
+    return new std::vector<DecodeCase>{
+        {"BitPackI32", Column(std::move(packed)),
+         Force(Encoding::kBitPack, 10)},
+        {"ForI64", Column(std::move(frame)),
+         Force(Encoding::kFor, 12, 5'000'000'000)},
+        {"DictionaryI32", Column(std::move(dict_i32)),
+         Force(Encoding::kDictionary)},
+        {"DictionaryI64", Column(std::move(dict_i64)),
+         Force(Encoding::kDictionary)},
+        {"DictionaryF64", Column(std::move(dict_f64)),
+         Force(Encoding::kDictionary)},
+        {"DictionaryF32", Column(std::move(dict_f32)),
+         Force(Encoding::kDictionary)},
+        {"RleI32", Column(std::move(rle)), Force(Encoding::kRle)},
+    };
+  }();
+  return *cases;
+}
+
+/// Row i of a host column, as a double (exact for the values used here).
+double HostValue(const Column& c, size_t i) {
+  double v = 0.0;
+  BACKENDS_DISPATCH(c.type(), v = static_cast<double>(c.values<T>()[i]));
+  return v;
+}
+
+/// Expects a device column to hold exactly `want`'s values.
+void ExpectSameColumn(gpusim::Stream& stream, const storage::DeviceColumn& got,
+                      const Column& want) {
+  ASSERT_EQ(got.type(), want.type());
+  const Column host = got.ToHost(stream);
+  BACKENDS_DISPATCH(want.type(),
+                    EXPECT_EQ(host.values<T>(), want.values<T>()));
+}
+
+class EncodedDecodeTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  static void SetUpTestSuite() { core::RegisterBuiltinBackends(); }
+
+  static const DecodeCase& Case() { return DecodeCases()[GetParam()]; }
+
+  /// Runs `check(backend, encoded, host reference)` on every backend.
+  template <typename Check>
+  static void OnEveryBackend(Check check) {
+    const DecodeCase& c = Case();
+    const EncodedColumn encoded = EncodeColumn(c.column, c.choice);
+    ASSERT_EQ(encoded.encoding, c.choice.encoding);
+    const Column reference = DecodeColumnHost(encoded);
+    for (const char* name :
+         {backends::kThrust, backends::kBoostCompute, backends::kArrayFire,
+          backends::kHandwritten}) {
+      SCOPED_TRACE(name);
+      auto backend = core::BackendRegistry::Instance().Create(name);
+      const storage::EncodedDeviceColumn dev =
+          storage::UploadColumnEncoded(backend->stream(), encoded);
+      check(*backend, dev, reference);
+    }
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, EncodedDecodeTest,
+    ::testing::Range<size_t>(0, DecodeCases().size()),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return std::string(DecodeCases()[info.param].name);
+    });
+
+TEST_P(EncodedDecodeTest, DecodeColumnMatchesHostDecode) {
+  OnEveryBackend([](core::Backend& backend,
+                    const storage::EncodedDeviceColumn& dev,
+                    const Column& reference) {
+    ExpectSameColumn(backend.stream(), backend.DecodeColumn(dev), reference);
+  });
+}
+
+TEST_P(EncodedDecodeTest, GatherDecodeMatchesHostDecode) {
+  OnEveryBackend([](core::Backend& backend,
+                    const storage::EncodedDeviceColumn& dev,
+                    const Column& reference) {
+    // Unsorted row ids with repeats, first and last row included.
+    std::mt19937 rng(41);
+    std::vector<int32_t> rows(4500);
+    for (auto& r : rows) r = static_cast<int32_t>(rng() % reference.size());
+    rows.front() = 0;
+    rows.back() = static_cast<int32_t>(reference.size() - 1);
+    const storage::DeviceColumn ids = storage::UploadColumn(
+        backend.stream(), Column(std::vector<int32_t>(rows)));
+    Column want;
+    BACKENDS_DISPATCH(reference.type(), {
+      std::vector<T> v;
+      for (const int32_t r : rows) v.push_back(reference.values<T>()[r]);
+      want = Column(std::move(v));
+    });
+    ExpectSameColumn(backend.stream(), backend.GatherDecode(dev, ids), want);
+  });
+}
+
+TEST_P(EncodedDecodeTest, SelectCompareColumnsEncodedMatchesHost) {
+  OnEveryBackend([](core::Backend& backend,
+                    const storage::EncodedDeviceColumn& dev,
+                    const Column& reference) {
+    // The other side is the same values rotated by one row, raw: every
+    // comparison outcome occurs.
+    Column rotated = reference;
+    BACKENDS_DISPATCH(rotated.type(), {
+      auto& v = rotated.mutable_values<T>();
+      std::rotate(v.begin(), v.begin() + 1, v.end());
+    });
+    const storage::DeviceColumn other =
+        storage::UploadColumn(backend.stream(), rotated);
+    for (const CompareOp op : {CompareOp::kLt, CompareOp::kLe, CompareOp::kGt,
+                               CompareOp::kGe, CompareOp::kEq,
+                               CompareOp::kNe}) {
+      SCOPED_TRACE(core::CompareOpName(op));
+      const core::SelectionResult got = backend.SelectCompareColumnsEncoded(
+          core::ScanColumnRef::Encoded(dev), op,
+          core::ScanColumnRef::Raw(other));
+      std::vector<int32_t> want;
+      for (size_t i = 0; i < reference.size(); ++i) {
+        if (core::ApplyCompareOp(op, HostValue(reference, i),
+                                 HostValue(rotated, i))) {
+          want.push_back(static_cast<int32_t>(i));
+        }
+      }
+      ASSERT_EQ(got.count, want.size());
+      EXPECT_EQ(got.row_ids.ToHost(backend.stream()).values<int32_t>(), want);
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------

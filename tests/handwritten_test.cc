@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <random>
 #include <vector>
@@ -167,42 +168,45 @@ TEST_F(HandwrittenTest, HashGroupBySumMatchesReference) {
 
 TEST_F(HandwrittenTest, HashGroupBySumPlacesProbesThatLeaveTheirRegion) {
   // Keys whose probe runs past the end of their merge region are placed
-  // after every region is merged: here two keys share the last home slot of
-  // a region, at the table's end (16 slots, one region) and at the boundary
-  // of a two-region table (32768 slots), where the next region's first slot
-  // is also taken.
-  const auto keys_with_home = [](size_t mask, size_t home, int count) {
+  // after every region is merged: here the fold and merge launches run
+  // directly into a table of a chosen capacity, and two keys share the last
+  // home slot of a region, at the table's end (16 slots, one region) and at
+  // the boundary of a two-region table (32768 slots), where the next
+  // region's first slot is also taken.
+  using Partials = handwritten::detail::TilePartials<int32_t, double>;
+  const auto keys_with_home = [](size_t capacity, size_t home, int count) {
     std::vector<int32_t> out;
     for (int32_t k = 0; static_cast<int>(out.size()) < count; ++k) {
-      if ((handwritten::detail::MixHash(static_cast<uint64_t>(k)) & mask) ==
-          home) {
+      if (handwritten::detail::HomeSlot(handwritten::detail::GroupHash(k),
+                                        capacity) == home) {
         out.push_back(k);
       }
     }
     return out;
   };
   struct Case {
-    size_t expected_groups;
+    size_t capacity;
     std::vector<int32_t> distinct;
   };
   std::vector<Case> cases(2);
-  cases[0].expected_groups = 8;  // 16 slots
-  cases[0].distinct = keys_with_home(15, 15, 3);
-  for (const int32_t k : keys_with_home(15, 0, 2)) {
+  cases[0].capacity = 16;
+  cases[0].distinct = keys_with_home(16, 15, 3);
+  for (const int32_t k : keys_with_home(16, 0, 2)) {
     cases[0].distinct.push_back(k);
   }
-  cases[1].expected_groups = 16384;  // 32768 slots, two regions
-  cases[1].distinct = keys_with_home(32767, 16383, 2);
-  for (const int32_t k : keys_with_home(32767, 16384, 1)) {
+  cases[1].capacity = 32768;
+  ASSERT_EQ(handwritten::detail::NumMergeRegions(32768), 2u);
+  cases[1].distinct = keys_with_home(32768, 16383, 2);
+  for (const int32_t k : keys_with_home(32768, 16384, 1)) {
     cases[1].distinct.push_back(k);
   }
   for (const Case& c : cases) {
-    SCOPED_TRACE(testing::Message() << c.expected_groups << " expected");
+    SCOPED_TRACE(testing::Message() << c.capacity << " slots");
     std::vector<int32_t> keys;
     std::vector<double> vals;
     std::map<int32_t, double> ref_sum;
     std::map<int32_t, uint64_t> ref_count;
-    for (int rep = 0; rep < 3000; ++rep) {
+    for (int rep = 0; rep < 9000; ++rep) {
       const int32_t k = c.distinct[rep % c.distinct.size()];
       keys.push_back(k);
       vals.push_back(rep * 0.5);
@@ -211,21 +215,62 @@ TEST_F(HandwrittenTest, HashGroupBySumPlacesProbesThatLeaveTheirRegion) {
     }
     auto dk = gpusim::ToDevice(stream_, keys);
     auto dv = gpusim::ToDevice(stream_, vals);
-    auto grouped = handwritten::HashGroupBySum(stream_, dk.data(), dv.data(),
-                                               keys.size(), c.expected_groups);
-    ASSERT_EQ(grouped.num_groups, ref_sum.size());
-    auto gk = gpusim::ToHost(stream_, grouped.keys);
-    auto gs = gpusim::ToHost(stream_, grouped.sums);
-    auto gc = gpusim::ToHost(stream_, grouped.counts);
+    gpusim::DeviceArray<uint32_t> counter(1, stream_.device());
+    gpusim::MemsetDevice(stream_, counter.data(), 0, sizeof(uint32_t));
+    const Partials partials = handwritten::detail::FoldTiles(
+        stream_, gpusim::KernelStats(), dk.data(), dv.data(), keys.size(),
+        [](double a, double b) { return a + b; }, counter.data());
+    EXPECT_EQ(gpusim::ToHost(stream_, counter)[0],
+              partials.num_tiles * c.distinct.size());
+
+    std::vector<int32_t> table(c.capacity,
+                               std::numeric_limits<int32_t>::max());
+    std::vector<double> sums(c.capacity, 0.0);
+    std::vector<uint64_t> counts(c.capacity, 0);
+    handwritten::detail::MergeTiles(
+        stream_, gpusim::KernelStats(), partials, table.data(), c.capacity,
+        [&](size_t slot, const Partials::Entry& e) {
+          sums[slot] += e.value;
+          counts[slot] += e.count;
+        });
     std::map<int32_t, double> got_sum;
-    for (size_t i = 0; i < grouped.num_groups; ++i) {
-      ASSERT_TRUE(ref_sum.count(gk[i])) << gk[i];
-      EXPECT_FALSE(got_sum.count(gk[i])) << "key " << gk[i] << " twice";
-      got_sum[gk[i]] = gs[i];
-      EXPECT_EQ(gc[i], ref_count[gk[i]]);
+    for (size_t slot = 0; slot < c.capacity; ++slot) {
+      if (table[slot] == std::numeric_limits<int32_t>::max()) continue;
+      ASSERT_TRUE(ref_sum.count(table[slot])) << table[slot];
+      EXPECT_FALSE(got_sum.count(table[slot]))
+          << "key " << table[slot] << " twice";
+      got_sum[table[slot]] = sums[slot];
+      EXPECT_EQ(counts[slot], ref_count[table[slot]]);
     }
     EXPECT_EQ(got_sum, ref_sum);
   }
+}
+
+TEST_F(HandwrittenTest, HashGroupByReduceSizesItsTableFromTheGroups) {
+  // 4 groups over 300k rows: an input-sized table would have 1M slots, and
+  // filling its 4-byte keys alone writes 4 MiB. The table sized from the
+  // tile partials stays far below that, in bytes written and in peak
+  // device memory.
+  constexpr size_t kRows = 300'000;
+  constexpr uint64_t kInputSizedKeyBytes = (size_t{1} << 20) * sizeof(int32_t);
+  gpusim::Device device(gpusim::DeviceProperties(), 2);
+  gpusim::Stream stream(device, gpusim::ApiProfile::Cuda());
+  std::vector<int32_t> keys(kRows);
+  std::vector<double> vals(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    keys[i] = static_cast<int32_t>(i % 4);
+    vals[i] = static_cast<double>(i % 7);
+  }
+  auto dk = gpusim::ToDevice(stream, keys, device);
+  auto dv = gpusim::ToDevice(stream, vals, device);
+  const auto before = device.Snapshot();
+  auto grouped = handwritten::HashGroupByReduce(
+      stream, dk.data(), dv.data(), kRows, 0.0,
+      [](double a, double b) { return a + b; });
+  const auto after = device.Snapshot();
+  EXPECT_EQ(grouped.num_groups, 4u);
+  EXPECT_LT(after.Delta(before).bytes_written, kInputSizedKeyBytes);
+  EXPECT_LT(after.peak_bytes - before.peak_bytes, kInputSizedKeyBytes);
 }
 
 TEST_F(HandwrittenTest, HashGroupByReduceMinMax) {
