@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -132,12 +133,7 @@ struct HostTables {
 };
 
 /// The result of one query run, whatever its shape.
-struct RunOut {
-  std::vector<tpch::Q1Row> q1;
-  std::vector<tpch::Q3Row> q3;
-  std::vector<tpch::Q4Row> q4;
-  double scalar = 0;
-};
+using RunOut = plan::TpchQueryResult;
 
 /// Uploads what the query needs (raw or encoded) and runs it end to end on
 /// one fresh backend, measuring the whole region on the backend's stream.
@@ -165,25 +161,20 @@ RunOut RunOnce(const std::string& query, const std::string& backend_name,
   } else if (query == "q6") {
     const storage::DeviceTable lineitem = upload(host.lineitem);
     out.scalar = tpch::RunQ6(*backend, lineitem);
-  } else if (query == "q3") {
-    const storage::DeviceTable customer = upload(host.customer);
-    const storage::DeviceTable orders = upload(host.orders);
-    const storage::DeviceTable lineitem = upload(host.lineitem);
-    const plan::QueryPlanBundle bundle =
-        plan::BuildQ3Plan(customer, orders, lineitem);
-    out.q3 = plan::ExtractQ3(bundle, run_plan(bundle), tpch::Q3Params());
-  } else if (query == "q4") {
-    const storage::DeviceTable orders = upload(host.orders);
-    const storage::DeviceTable lineitem = upload(host.lineitem);
-    const plan::QueryPlanBundle bundle = plan::BuildQ4Plan(orders, lineitem);
-    out.q4 = plan::ExtractQ4(bundle, run_plan(bundle));
-  } else if (query == "q14") {
-    const storage::DeviceTable part = upload(host.part);
-    const storage::DeviceTable lineitem = upload(host.lineitem);
-    const plan::QueryPlanBundle bundle = plan::BuildQ14Plan(part, lineitem);
-    out.scalar = plan::ExtractQ14(bundle, run_plan(bundle));
   } else {
-    throw std::invalid_argument("unknown query: " + query);
+    // The join queries run as plans, over the tables their entry lists.
+    const plan::TpchQuery q = plan::ParseTpchQuery(query);
+    const plan::TpchHostTables host_tables{&host.lineitem, &host.orders,
+                                           &host.customer, &host.part};
+    std::map<plan::TpchTable, storage::DeviceTable> build;
+    plan::TpchDeviceTables tables;
+    for (const plan::TpchTable t : plan::QueryDef(q).build_tables) {
+      tables[t] = &(build[t] = upload(*host_tables[t]));
+    }
+    const storage::DeviceTable lineitem = upload(host.lineitem);
+    tables.lineitem = &lineitem;
+    const plan::QueryPlanBundle bundle = plan::BuildTpchPlan(q, tables);
+    out = plan::FinalizeRun(q, bundle, run_plan(bundle));
   }
   *m = sm.Stop();
   return out;

@@ -85,14 +85,8 @@ bool NearlyEqual(double a, double b) {
   return std::abs(a - b) <= std::abs(b) * 1e-9 + 1e-6;
 }
 
-/// Hand-coded answers for every query kind, so one struct can carry any of
-/// the five result shapes.
-struct Answer {
-  std::vector<tpch::Q1Row> q1;
-  double scalar = 0;  // q6 / q14
-  std::vector<tpch::Q3Row> q3;
-  std::vector<tpch::Q4Row> q4;
-};
+/// One struct carries any of the five result shapes.
+using Answer = plan::TpchQueryResult;
 
 bool AnswersMatch(const std::string& query, const Answer& a, const Answer& b) {
   if (query == "q1") {
@@ -190,29 +184,18 @@ int Run(const Options& opts) {
     }
     return a;
   };
-  const auto build_plan = [&](const std::string& q) -> plan::QueryPlanBundle {
-    if (q == "q1") return plan::BuildQ1Plan(lineitem);
-    if (q == "q6") return plan::BuildQ6Plan(lineitem);
-    if (q == "q3") return plan::BuildQ3Plan(customer, orders, lineitem);
-    if (q == "q4") return plan::BuildQ4Plan(orders, lineitem);
-    return plan::BuildQ14Plan(part, lineitem);
+  plan::TpchDeviceTables tables;
+  tables.lineitem = &lineitem;
+  tables.orders = &orders;
+  tables.customer = &customer;
+  tables.part = &part;
+  const auto build_plan = [&](const std::string& q) {
+    return plan::BuildTpchPlan(plan::ParseTpchQuery(q), tables);
   };
   const auto extract = [&](const std::string& q,
                            const plan::QueryPlanBundle& bundle,
-                           const plan::ExecutionResult& res) -> Answer {
-    Answer a;
-    if (q == "q1") {
-      a.q1 = plan::ExtractQ1(bundle, res);
-    } else if (q == "q6") {
-      a.scalar = plan::ExtractQ6(bundle, res);
-    } else if (q == "q3") {
-      a.q3 = plan::ExtractQ3(bundle, res, tpch::Q3Params());
-    } else if (q == "q4") {
-      a.q4 = plan::ExtractQ4(bundle, res);
-    } else {
-      a.scalar = plan::ExtractQ14(bundle, res);
-    }
-    return a;
+                           const plan::ExecutionResult& res) {
+    return plan::FinalizeRun(plan::ParseTpchQuery(q), bundle, res);
   };
 
   std::printf("bench_planner: sf=%g rows(lineitem)=%zu\n\n",

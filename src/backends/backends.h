@@ -21,17 +21,11 @@ std::unique_ptr<core::Backend> CreateArrayFireBackend();
 /// Handwritten binding: fused custom kernels, hash join, hash aggregation.
 std::unique_ptr<core::Backend> CreateHandwrittenBackend();
 
-/// Hybrid binding: cost-based per-operator dispatch across the four
-/// backends above (the planner's dispatch policy behind the plain Backend
-/// interface).
-std::unique_ptr<core::Backend> CreateHybridBackend();
-
 /// Canonical registry names.
 inline constexpr const char* kThrust = "Thrust";
 inline constexpr const char* kBoostCompute = "Boost.Compute";
 inline constexpr const char* kArrayFire = "ArrayFire";
 inline constexpr const char* kHandwritten = "Handwritten";
-inline constexpr const char* kHybrid = "Hybrid";
 
 }  // namespace backends
 

@@ -12,7 +12,6 @@ void RegisterBuiltinBackends() {
   registry.Register(backends::kArrayFire, backends::CreateArrayFireBackend);
   registry.Register(backends::kHandwritten,
                     backends::CreateHandwrittenBackend);
-  registry.Register(backends::kHybrid, backends::CreateHybridBackend);
 }
 
 }  // namespace core

@@ -1,5 +1,5 @@
-// Recovery policies shared by the scheduler, the Hybrid backend, and the
-// plan executor.
+// Recovery policies shared by the scheduler, the plan executor, and the
+// sharded runner.
 //
 // RetryPolicy      capped exponential backoff for transient faults, plus the
 //                  reclaim budget for OutOfDeviceMemory (TrimPool + retry).
@@ -9,10 +9,10 @@
 //                  probe is admitted, and its outcome closes or re-opens
 //                  the circuit.
 // ResilienceManager one breaker per (backend name, device ordinal) plus
-//                  process-wide ResilienceStats counters. The Hybrid
-//                  dispatcher and the plan optimizer consult it to route
-//                  cost dispatch around unhealthy backends; the scheduler
-//                  feeds it per-query outcomes. A process-wide instance
+//                  process-wide ResilienceStats counters. The plan
+//                  optimizer and executor consult it to route cost
+//                  dispatch around unhealthy backends; the scheduler feeds
+//                  it per-query outcomes. A process-wide instance
 //                  (Global()) is the default so breaker state opened by a
 //                  running query is visible to the next plan optimization.
 //                  Keying by device ordinal too means one device's sticky

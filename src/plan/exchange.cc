@@ -18,43 +18,21 @@
 namespace plan {
 namespace {
 
-/// Host bytes of one device's merged partials — the payload the gather
-/// exchange moves. Exact for the run that produced the partials, so the
-/// charged exchange traffic is deterministic for fixed inputs.
-uint64_t PartialBytes(TpchQuery q, const detail::Partials& p) {
-  switch (q) {
-    case TpchQuery::kQ1:
-      return p.q1.sum_qty.size() * (sizeof(int32_t) + 6 * sizeof(double));
-    case TpchQuery::kQ3:
-      return p.q3_groups.size() * sizeof(tpch::Q3Row);
-    case TpchQuery::kQ4:
-      return p.q4_counts.size() * (sizeof(int32_t) + sizeof(int64_t));
-    case TpchQuery::kQ6:
-      return sizeof(double);
-    case TpchQuery::kQ14:
-      return 2 * sizeof(double);
+/// Planning-time estimate of one device's partials (before anything runs):
+/// the bytes of a partial shaped like the plan's marked nodes, with the
+/// query entry's estimated rows in every fetched node.
+uint64_t EstimatePartialBytes(const QueryPlanBundle& bundle, size_t rows) {
+  Partials p;
+  for (const auto& [name, node] : bundle.marks) {
+    Partials::Mark& m = p.marks[name];
+    m.kind = bundle.plan.nodes[node].kind;
+    if (m.kind == NodeKind::kFetchPair) m.pairs.resize(rows);
+    if (m.kind != NodeKind::kFetchGroups) continue;
+    for (size_t key = 0; key < rows; ++key) {
+      m.groups[static_cast<int32_t>(key)] = 0.0;
+    }
   }
-  return 0;
-}
-
-/// Planning-time estimate of PartialBytes (before anything runs): group
-/// counts are bounded by the query shape — Q1 groups on two flag columns
-/// (a handful of combinations), Q4 on five priorities, Q3's join survivors
-/// are a small fraction of the shard.
-uint64_t EstimatePartialBytes(TpchQuery q, size_t shard_rows) {
-  switch (q) {
-    case TpchQuery::kQ1:
-      return 4 * (sizeof(int32_t) + 6 * sizeof(double));
-    case TpchQuery::kQ3:
-      return std::max<uint64_t>(shard_rows / 50, 1) * sizeof(tpch::Q3Row);
-    case TpchQuery::kQ4:
-      return 5 * (sizeof(int32_t) + sizeof(int64_t));
-    case TpchQuery::kQ6:
-      return sizeof(double);
-    case TpchQuery::kQ14:
-      return 2 * sizeof(double);
-  }
-  return 0;
+  return p.bytes();
 }
 
 /// Where a sharded run puts its slices: orderkey-snapped row ranges (one per
@@ -79,8 +57,8 @@ ShardLayout LayoutShards(TpchQuery q, const storage::Table& lineitem,
   const size_t shards =
       force_shards > 0 ? force_shards : static_cast<size_t>(group.size());
   ShardLayout layout;
-  layout.ranges =
-      detail::PartitionRanges(lineitem, shards, detail::NeedsOrders(q));
+  layout.ranges = detail::PartitionRanges(lineitem, shards,
+                                          QueryDef(q).align_orderkey);
   for (size_t s = 0; s < layout.ranges.size(); ++s) {
     layout.device.push_back(alive[s % alive.size()]);
   }
@@ -227,7 +205,7 @@ ShardedPlanSpec PlanShardedExecution(TpchQuery query,
                                      const TpchHostTables& tables,
                                      const gpusim::DeviceGroup& group,
                                      size_t force_shards) {
-  detail::RequireTables(query, tables);
+  RequireTables(query, tables);
   const ShardLayout layout =
       LayoutShards(query, *tables.lineitem, group, force_shards);
   ShardedPlanSpec spec;
@@ -260,7 +238,8 @@ ShardedPlanSpec PlanShardedExecution(TpchQuery query,
   // Devices that received at least one shard get the build-side broadcasts.
   std::vector<bool> used(static_cast<size_t>(group.size()), false);
   for (const int d : layout.device) used[static_cast<size_t>(d)] = true;
-  const auto broadcast = [&](const char* name, const storage::Table& t) {
+  for (const TpchTable table : QueryDef(query).build_tables) {
+    const storage::Table& t = *tables[table];
     for (int d = 0; d < group.size(); ++d) {
       if (!used[static_cast<size_t>(d)]) continue;
       ExchangeEdge e;
@@ -268,28 +247,31 @@ ShardedPlanSpec PlanShardedExecution(TpchQuery query,
       e.device = d;
       e.bytes = detail::HostTableBytes(t);
       e.rows = t.num_rows();
-      e.what = name;
+      e.what = TpchTableName(table);
       spec.edges.push_back(e);
-      spec.exchange_plan.ExchangeBroadcast(d, e.bytes, e.rows,
-                                           std::string(name) + "->dev" +
-                                               std::to_string(d));
+      spec.exchange_plan.ExchangeBroadcast(
+          d, e.bytes, e.rows, e.what + "->dev" + std::to_string(d));
     }
-  };
-  if (detail::NeedsOrders(query)) broadcast("orders", *tables.orders);
-  if (detail::NeedsCustomer(query)) broadcast("customer", *tables.customer);
-  if (detail::NeedsPart(query)) broadcast("part", *tables.part);
+  }
 
   // One gather edge per other device that ran shards, routed by the
   // topology into the coordinator.
   const size_t shard_rows =
       spec.shards > 0 ? (li_rows + spec.shards - 1) / spec.shards : li_rows;
+  const size_t partial_rows = QueryDef(query).partial_rows(shard_rows);
+  uint64_t gather_bytes = 0;
+  detail::WithMetaBundle(query, tables, shard_rows, /*use_encoding=*/false,
+                         [&](const QueryPlanBundle& bundle) {
+                           gather_bytes =
+                               EstimatePartialBytes(bundle, partial_rows);
+                         });
   for (int d = 0; d < group.size(); ++d) {
     if (d == spec.coordinator || !used[static_cast<size_t>(d)]) continue;
     const gpusim::LinkPath link = group.Link(d, spec.coordinator);
     ExchangeEdge e;
     e.kind = ExchangeEdge::Kind::kGather;
     e.device = d;
-    e.bytes = EstimatePartialBytes(query, shard_rows);
+    e.bytes = gather_bytes;
     e.rows = shard_rows;
     e.what = "partials";
     e.peer = link.peer;
@@ -341,7 +323,7 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
                            const std::string& backend_name,
                            const ShardedQueryOptions& options,
                            ShardedRunStats* stats) {
-  detail::RequireTables(query, tables);
+  RequireTables(query, tables);
   const int nd = group.size();
   if (nd <= 0) throw std::invalid_argument("empty device group");
 
@@ -352,9 +334,9 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
 
   if (nd > 1) {
     // Probe once: a backend routed through process-global library state
-    // (ArrayFire's implicit JIT stream, the adaptive hybrid) cannot run one
-    // instance per device-thread. A 1-device group runs one worker thread,
-    // so it takes any backend.
+    // (ArrayFire's implicit JIT stream) cannot run one instance per
+    // device-thread. A 1-device group runs one worker thread, so it takes
+    // any backend.
     gpusim::Device::DeviceGuard guard(group.device(0));
     const std::unique_ptr<core::Backend> probe =
         core::BackendRegistry::Instance().Create(backend_name);
@@ -475,8 +457,7 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
     if (ws.backend == nullptr) continue;  // no shards landed on this device
     if (d != coord && group.IsAlive(d)) {
       const uint64_t bytes = std::max<uint64_t>(
-          PartialBytes(query, detail::MergeSlices(query, ws.slices)),
-          sizeof(double));
+          detail::MergeSlices(ws.slices).bytes(), sizeof(double));
       // A transient TransferFault on the gather edge replays the exchange (a
       // fault fires before any pricing, so the successful attempt charges
       // exactly once). After the retry budget — or a DeviceLost on the edge
@@ -519,7 +500,7 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
     st.per_device.push_back(ds);
   }
   st.simulated_ns = makespan;
-  return detail::Finalize(query, detail::MergeSlices(query, slices));
+  return QueryDef(query).finalize(detail::MergeSlices(slices));
 }
 
 core::QueryFn MakeShardedQuery(TpchQuery query, TpchHostTables tables,

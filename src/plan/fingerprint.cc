@@ -1,7 +1,5 @@
 #include "plan/fingerprint.h"
 
-#include <cstring>
-
 #include "storage/encoded_column.h"
 
 namespace plan {
@@ -23,12 +21,6 @@ uint64_t FnvU64(uint64_t h, uint64_t v) { return FnvBytes(h, &v, sizeof(v)); }
 
 uint64_t FnvI64(uint64_t h, int64_t v) { return FnvBytes(h, &v, sizeof(v)); }
 
-uint64_t FnvF64(uint64_t h, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return FnvU64(h, bits);
-}
-
 uint64_t FnvStr(uint64_t h, const std::string& s) {
   h = FnvU64(h, s.size());
   return FnvBytes(h, s.data(), s.size());
@@ -40,31 +32,6 @@ uint64_t QueryShapeHash(const QueryShape& shape) {
   uint64_t h = kFnvOffset;
   h = FnvU64(h, static_cast<uint64_t>(shape.query));
   h = FnvU64(h, shape.use_encoding ? 1 : 0);
-  switch (shape.query) {
-    case TpchQuery::kQ1:
-      h = FnvI64(h, shape.q1.delta_days);
-      break;
-    case TpchQuery::kQ3:
-      h = FnvI64(h, shape.q3.segment);
-      h = FnvI64(h, shape.q3.date);
-      h = FnvU64(h, shape.q3.limit);
-      break;
-    case TpchQuery::kQ4:
-      h = FnvI64(h, shape.q4.date_lo);
-      h = FnvI64(h, shape.q4.date_hi);
-      break;
-    case TpchQuery::kQ6:
-      h = FnvI64(h, shape.q6.date_lo);
-      h = FnvI64(h, shape.q6.date_hi);
-      h = FnvF64(h, shape.q6.discount_lo);
-      h = FnvF64(h, shape.q6.discount_hi);
-      h = FnvF64(h, shape.q6.quantity_hi);
-      break;
-    case TpchQuery::kQ14:
-      h = FnvI64(h, shape.q14.date_lo);
-      h = FnvI64(h, shape.q14.date_hi);
-      break;
-  }
   return h;
 }
 

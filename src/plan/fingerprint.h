@@ -1,11 +1,11 @@
 // Plan-cache fingerprints.
 //
 // A cached physical plan is only reusable when everything the optimizer
-// looked at is unchanged: the query shape (which query, with which
-// parameters, over raw or encoded residency), the table statistics (row
-// counts, per-column types and encoding choices — cardinalities drive both
-// cost-based dispatch and the footprint estimate), the backend the plan was
-// pinned to, and the device count it was laid out for. These helpers reduce
+// looked at is unchanged: the query shape (which query, over raw or encoded
+// residency), the table statistics (row counts, per-column types and
+// encoding choices — cardinalities drive both cost-based dispatch and the
+// footprint estimate), the backend the plan was pinned to, and the device
+// count it was laid out for. These helpers reduce
 // each of those to a stable 64-bit fingerprint; serve/plan_cache.h composes
 // them into the cache key. Eiger (PAPERS.md) motivates the idea: repeated
 // query shapes should reuse optimization decisions instead of paying the
@@ -16,24 +16,17 @@
 #include <cstdint>
 #include <string>
 
-#include "plan/partition.h"
+#include "plan/tpch_plans.h"
 #include "storage/device_column.h"
 #include "storage/table.h"
-#include "tpch/queries.h"
 
 namespace plan {
 
-/// Everything that identifies "the same query" for plan reuse: the query,
-/// its parameters, and whether it runs against encoded residency (encoded
-/// tables take different operator paths). Only the parameter struct of
-/// `query` enters the hash.
+/// Everything that identifies "the same query" for plan reuse: the query
+/// (its table entry fixes the parameters) and whether it runs against
+/// encoded residency (encoded tables take different operator paths).
 struct QueryShape {
   TpchQuery query = TpchQuery::kQ1;
-  tpch::Q1Params q1;
-  tpch::Q3Params q3;
-  tpch::Q4Params q4;
-  tpch::Q6Params q6;
-  tpch::Q14Params q14;
   bool use_encoding = false;
 };
 

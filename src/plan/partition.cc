@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <unordered_set>
 #include <utility>
 
@@ -20,47 +19,6 @@
 #include "storage/encoding.h"
 
 namespace plan {
-namespace detail {
-
-bool NeedsOrders(TpchQuery q) {
-  return q == TpchQuery::kQ3 || q == TpchQuery::kQ4;
-}
-bool NeedsCustomer(TpchQuery q) { return q == TpchQuery::kQ3; }
-bool NeedsPart(TpchQuery q) { return q == TpchQuery::kQ14; }
-
-void RequireTables(TpchQuery q, const TpchHostTables& tables) {
-  auto require = [&](const storage::Table* t, const char* name) {
-    if (t == nullptr) {
-      throw std::invalid_argument(std::string(TpchQueryName(q)) +
-                                  " requires the " + name + " table");
-    }
-  };
-  require(tables.lineitem, "lineitem");
-  if (NeedsOrders(q)) require(tables.orders, "orders");
-  if (NeedsCustomer(q)) require(tables.customer, "customer");
-  if (NeedsPart(q)) require(tables.part, "part");
-}
-
-QueryPlanBundle BuildBundle(TpchQuery q, const storage::DeviceTable& lineitem,
-                            const storage::DeviceTable& orders,
-                            const storage::DeviceTable& customer,
-                            const storage::DeviceTable& part) {
-  switch (q) {
-    case TpchQuery::kQ1:
-      return BuildQ1Plan(lineitem);
-    case TpchQuery::kQ3:
-      return BuildQ3Plan(customer, orders, lineitem);
-    case TpchQuery::kQ4:
-      return BuildQ4Plan(orders, lineitem);
-    case TpchQuery::kQ6:
-      return BuildQ6Plan(lineitem);
-    case TpchQuery::kQ14:
-      return BuildQ14Plan(part, lineitem);
-  }
-  throw std::logic_error("unknown TpchQuery");
-}
-
-}  // namespace detail
 
 using namespace detail;  // the shared helpers read naturally unqualified
 
@@ -384,60 +342,6 @@ void Emit(const GovernedQueryOptions& options, gpusim::Stream& stream,
 namespace detail {
 namespace {
 
-/// One slice's partials, read off its executed plan.
-Partials ExtractPartials(TpchQuery q, const QueryPlanBundle& bundle,
-                         const ExecutionResult& res) {
-  Partials p;
-  switch (q) {
-    case TpchQuery::kQ1:
-      p.q1 = ExtractQ1Partials(bundle, res);
-      break;
-    case TpchQuery::kQ3:
-      p.q3_groups = ExtractQ3Groups(bundle, res);
-      break;
-    case TpchQuery::kQ4:
-      for (const tpch::Q4Row& row : ExtractQ4(bundle, res)) {
-        p.q4_counts[row.orderpriority] += row.order_count;
-      }
-      break;
-    case TpchQuery::kQ6:
-      p.q6_sum = ExtractQ6(bundle, res);
-      break;
-    case TpchQuery::kQ14: {
-      const NodeValue& total = res.values[bundle.marks.at("total")];
-      const NodeValue& promo = res.values[bundle.marks.at("promo")];
-      if (total.computed) p.q14_total = total.scalar;
-      if (promo.computed) p.q14_promo = promo.scalar;
-      break;
-    }
-  }
-  return p;
-}
-
-void MergePartials(TpchQuery q, Partials& acc, const Partials& other) {
-  switch (q) {
-    case TpchQuery::kQ1:
-      acc.q1.Merge(other.q1);
-      break;
-    case TpchQuery::kQ3:
-      acc.q3_groups.insert(acc.q3_groups.end(), other.q3_groups.begin(),
-                           other.q3_groups.end());
-      break;
-    case TpchQuery::kQ4:
-      for (const auto& [prio, count] : other.q4_counts) {
-        acc.q4_counts[prio] += count;
-      }
-      break;
-    case TpchQuery::kQ6:
-      acc.q6_sum += other.q6_sum;
-      break;
-    case TpchQuery::kQ14:
-      acc.q14_total += other.q14_total;
-      acc.q14_promo += other.q14_promo;
-      break;
-  }
-}
-
 /// Host bytes the marked fetch/reduce nodes downloaded from the device.
 uint64_t DownloadedBytes(const QueryPlanBundle& bundle,
                          const ExecutionResult& res) {
@@ -483,18 +387,11 @@ void RunSlices(TpchQuery q, const TpchHostTables& tables,
     }
   };
 
-  storage::DeviceTable orders, customer, part;
-  uint64_t bytes = 0;
-  if (NeedsOrders(q)) {
-    orders = upload(*tables.orders, bytes);
-    progress.broadcast_bytes += bytes;
-  }
-  if (NeedsCustomer(q)) {
-    customer = upload(*tables.customer, bytes);
-    progress.broadcast_bytes += bytes;
-  }
-  if (NeedsPart(q)) {
-    part = upload(*tables.part, bytes);
+  std::map<TpchTable, storage::DeviceTable> build;
+  TpchDeviceTables dev;
+  for (const TpchTable t : QueryDef(q).build_tables) {
+    uint64_t bytes = 0;
+    dev[t] = &(build[t] = upload(*tables[t], bytes));
     progress.broadcast_bytes += bytes;
   }
 
@@ -513,51 +410,41 @@ void RunSlices(TpchQuery q, const TpchHostTables& tables,
         lo == 0 && hi == host.num_rows()
             ? upload(host, s.upload_bytes)
             : upload(SliceTable(host, lo, hi), s.upload_bytes);
-    const QueryPlanBundle bundle =
-        BuildBundle(q, lineitem, orders, customer, part);
+    dev.lineitem = &lineitem;
+    const QueryPlanBundle bundle = BuildTpchPlan(q, dev);
     const PhysicalPlan phys = Optimize(bundle.plan, opt);
     const ExecutionResult res = RunPinned(phys, backend);
-    s.partials = ExtractPartials(q, bundle, res);
+    s.partials = ExtractPartials(bundle, res);
     s.download_bytes = DownloadedBytes(bundle, res);
     progress.done.push_back(std::move(s));
     if (on_slice) on_slice(progress.next, progress.done.back());
   }
 }
 
-Partials MergeSlices(TpchQuery q, std::vector<SliceResult>& slices) {
+Partials MergeSlices(std::vector<SliceResult>& slices) {
   std::sort(slices.begin(), slices.end(),
             [](const SliceResult& a, const SliceResult& b) {
               return a.rows < b.rows;
             });
   Partials acc;
-  for (const SliceResult& s : slices) MergePartials(q, acc, s.partials);
+  for (const SliceResult& s : slices) acc.Merge(s.partials);
   return acc;
 }
 
-TpchQueryResult Finalize(TpchQuery q, Partials acc) {
-  TpchQueryResult r;
-  switch (q) {
-    case TpchQuery::kQ1:
-      r.q1 = FinalizeQ1(acc.q1);
-      break;
-    case TpchQuery::kQ3:
-      r.q3 = FinalizeQ3(std::move(acc.q3_groups), tpch::Q3Params());
-      break;
-    case TpchQuery::kQ4:
-      for (const auto& [prio, count] : acc.q4_counts) {
-        r.q4.push_back(tpch::Q4Row{prio, count});
-      }
-      break;
-    case TpchQuery::kQ6:
-      r.scalar = acc.q6_sum;
-      break;
-    case TpchQuery::kQ14:
-      r.scalar = acc.q14_total == 0.0
-                     ? 0.0
-                     : 100.0 * acc.q14_promo / acc.q14_total;
-      break;
+void WithMetaBundle(TpchQuery q, const TpchHostTables& tables,
+                    size_t slice_rows, bool use_encoding,
+                    const std::function<void(const QueryPlanBundle&)>& use) {
+  const auto meta = [&](const storage::Table& t, size_t rows) {
+    return use_encoding ? MetaTableEncoded(t, rows) : MetaTable(t, rows);
+  };
+  const storage::DeviceTable lineitem = meta(*tables.lineitem, slice_rows);
+  std::map<TpchTable, storage::DeviceTable> build;
+  TpchDeviceTables dev;
+  dev.lineitem = &lineitem;
+  for (const TpchTable t : QueryDef(q).build_tables) {
+    dev[t] = &(build[t] = meta(*tables[t], tables[t]->num_rows()));
   }
-  return r;
+  use(BuildTpchPlan(q, dev));
 }
 
 uint64_t HostTableBytes(const storage::Table& t) {
@@ -569,27 +456,6 @@ uint64_t HostTableBytes(const storage::Table& t) {
 }
 
 }  // namespace detail
-
-const char* TpchQueryName(TpchQuery query) {
-  switch (query) {
-    case TpchQuery::kQ1: return "q1";
-    case TpchQuery::kQ3: return "q3";
-    case TpchQuery::kQ4: return "q4";
-    case TpchQuery::kQ6: return "q6";
-    case TpchQuery::kQ14: return "q14";
-  }
-  return "?";
-}
-
-TpchQuery ParseTpchQuery(const std::string& name) {
-  if (name == "q1") return TpchQuery::kQ1;
-  if (name == "q3") return TpchQuery::kQ3;
-  if (name == "q4") return TpchQuery::kQ4;
-  if (name == "q6") return TpchQuery::kQ6;
-  if (name == "q14") return TpchQuery::kQ14;
-  throw std::invalid_argument("unknown TPC-H query '" + name +
-                              "' (expected q1|q3|q4|q6|q14)");
-}
 
 const char* PressureEventKindName(PressureEvent::Kind kind) {
   switch (kind) {
@@ -606,27 +472,16 @@ uint64_t EstimateQueryFootprint(TpchQuery query, const TpchHostTables& tables,
                                 size_t partitions, bool use_encoding) {
   RequireTables(query, tables);
   if (partitions == 0) partitions = 1;
-  const auto meta = [&](const storage::Table& t, size_t rows) {
-    return use_encoding ? MetaTableEncoded(t, rows) : MetaTable(t, rows);
-  };
   const size_t li_rows = tables.lineitem->num_rows();
   const size_t slice_rows = (li_rows + partitions - 1) / partitions;
-  const storage::DeviceTable lineitem = meta(*tables.lineitem, slice_rows);
-  storage::DeviceTable orders, customer, part;
-  if (NeedsOrders(query)) {
-    orders = meta(*tables.orders, tables.orders->num_rows());
-  }
-  if (NeedsCustomer(query)) {
-    customer = meta(*tables.customer, tables.customer->num_rows());
-  }
-  if (NeedsPart(query)) {
-    part = meta(*tables.part, tables.part->num_rows());
-  }
-  const QueryPlanBundle bundle =
-      BuildBundle(query, lineitem, orders, customer, part);
-  OptimizerOptions opt;
-  opt.pin_backend = backend_name;
-  return FootprintOfPlan(Optimize(bundle.plan, opt));
+  uint64_t footprint = 0;
+  WithMetaBundle(query, tables, slice_rows, use_encoding,
+                 [&](const QueryPlanBundle& bundle) {
+                   OptimizerOptions opt;
+                   opt.pin_backend = backend_name;
+                   footprint = FootprintOfPlan(Optimize(bundle.plan, opt));
+                 });
+  return footprint;
 }
 
 TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
@@ -671,7 +526,7 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
   // from the grant instead of racing concurrent clients for capacity.
   gpusim::Device::ReservationScope scope(device, stream.id());
   const uint64_t sim_start = stream.now_ns();
-  const bool align = NeedsOrders(query);  // q3/q4 group or join on l_orderkey
+  const TpchQueryDef& def = QueryDef(query);
   for (;;) {
     if (k > 1) {
       Emit(options, stream, PressureEvent::Kind::kPartition,
@@ -684,7 +539,7 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
       st.spill_d2h_bytes = 0;
       SliceProgress run;
       RunSlices(query, tables, backend,
-                PartitionRanges(*tables.lineitem, k, align),
+                PartitionRanges(*tables.lineitem, k, def.align_orderkey),
                 options.use_encoding, run,
                 [&](size_t p, const SliceResult& s) {
                   if (k == 1) return;  // the whole table spills nothing
@@ -701,7 +556,7 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
                 });
       st.partitions = k;
       st.simulated_ns = stream.now_ns() - sim_start;
-      return Finalize(query, MergeSlices(query, run.done));
+      return def.finalize(MergeSlices(run.done));
     } catch (const gpusim::OutOfDeviceMemory&) {
       device.TrimPool();
       if (options.force_partitions > 0 || k >= kMaxPartitions) throw;

@@ -12,13 +12,16 @@
 // execution (plan/partition_detail.h); K == 1 is one slice covering the
 // whole table.
 //
-// Correctness: partials merge by addition (Q1/Q4/Q6/Q14 sums and counts) or
-// disjoint concatenation (Q3 per-orderkey groups; lineitem is generated
-// grouped by order with nondecreasing l_orderkey, and partition boundaries
-// snap to orderkey change points, so per-partition key sets are disjoint).
-// Each slice keeps its own partials and they fold in ascending row order, so
-// for a fixed K the float sums add up in one order only — the same order a
-// sharded run over the same slices uses, on any number of devices.
+// Correctness: each query's entry in the query table (plan/tpch_plans.h)
+// defines its plan, and partials merge by the kind of the plan's marked
+// nodes: fetched groups and reduced scalars add, fetched pairs concatenate.
+// Concatenation is exact because entries that group or semi-join on
+// l_orderkey snap partition boundaries to orderkey change points (lineitem
+// is generated grouped by order with nondecreasing l_orderkey), so
+// per-partition key sets are disjoint. Each slice keeps its own partials and
+// they fold in ascending row order, so for a fixed K the float sums add up
+// in one order only — the same order a sharded run over the same slices
+// uses, on any number of devices.
 // Simulated time stays deterministic: partition sizes and counts are pure
 // functions of the inputs, so a partitioned run's simulated-ns is as
 // replayable as an unpartitioned one.
@@ -32,34 +35,10 @@
 
 #include "core/backend.h"
 #include "core/scheduler.h"
+#include "plan/tpch_plans.h"
 #include "storage/table.h"
-#include "tpch/queries.h"
 
 namespace plan {
-
-/// The five TPC-H queries of the paper's query experiments.
-enum class TpchQuery { kQ1, kQ3, kQ4, kQ6, kQ14 };
-
-const char* TpchQueryName(TpchQuery query);
-
-/// Parses "q1"/"q3"/"q4"/"q6"/"q14" (throws std::invalid_argument).
-TpchQuery ParseTpchQuery(const std::string& name);
-
-/// Host-side inputs of a query; only the tables the query reads need be set.
-struct TpchHostTables {
-  const storage::Table* lineitem = nullptr;  ///< all queries
-  const storage::Table* orders = nullptr;    ///< q3, q4
-  const storage::Table* customer = nullptr;  ///< q3
-  const storage::Table* part = nullptr;      ///< q14
-};
-
-/// Result of any of the five queries (the member matching the query is set).
-struct TpchQueryResult {
-  std::vector<tpch::Q1Row> q1;
-  std::vector<tpch::Q3Row> q3;
-  std::vector<tpch::Q4Row> q4;
-  double scalar = 0.0;  ///< q6 revenue / q14 promo share
-};
 
 /// Estimated device footprint in bytes of running `query` split into
 /// `partitions` row ranges of lineitem: upload bytes of every scanned column

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -33,20 +32,6 @@ namespace detail {
 /// the sharded gather's exchange edges share this budget.
 constexpr int kTransferAttempts = 4;
 
-bool NeedsOrders(TpchQuery q);
-bool NeedsCustomer(TpchQuery q);
-bool NeedsPart(TpchQuery q);
-
-/// Throws std::invalid_argument naming the first missing required table.
-void RequireTables(TpchQuery q, const TpchHostTables& tables);
-
-/// Builds the query's plan over the given device-resident tables (only the
-/// tables the query reads are touched).
-QueryPlanBundle BuildBundle(TpchQuery q, const storage::DeviceTable& lineitem,
-                            const storage::DeviceTable& orders,
-                            const storage::DeviceTable& customer,
-                            const storage::DeviceTable& part);
-
 /// A lineitem row range [first, second).
 using RowRange = std::pair<size_t, size_t>;
 
@@ -56,17 +41,6 @@ using RowRange = std::pair<size_t, size_t>;
 /// Pure function of (rows, keys, k).
 std::vector<RowRange> PartitionRanges(const storage::Table& lineitem,
                                       size_t k, bool align_orderkey);
-
-/// Mergeable per-slice state across the five queries. Merging is addition
-/// (Q1/Q4/Q6/Q14) or disjoint concatenation (Q3).
-struct Partials {
-  Q1Partials q1;
-  std::vector<tpch::Q3Row> q3_groups;
-  std::map<int32_t, int64_t> q4_counts;
-  double q6_sum = 0;
-  double q14_total = 0;
-  double q14_promo = 0;
-};
 
 /// One finished slice: its partials and the link traffic it cost.
 struct SliceResult {
@@ -84,15 +58,16 @@ struct SliceProgress {
   std::vector<SliceResult> done;  ///< finished slices, in range order
 };
 
-/// The one slice loop. Resets `progress`, uploads the build-side tables `q`
-/// reads, then runs `ranges` in order on `backend`: upload the slice (the
-/// host table itself when the range covers all of it), BuildBundle ->
-/// Optimize -> RunPinned, and record the slice's partials in progress.done
-/// before the next slice starts. `on_slice`, if set, then sees the record
-/// and its index in `ranges`. Empty ranges are skipped. An upload that hits
-/// a transient TransferFault replays, up to kTransferAttempts attempts in
-/// all; the simulated time of failed attempts stays charged. Whatever
-/// escapes, `progress` still holds every slice that finished.
+/// The one slice loop. Resets `progress`, uploads the build-side tables `q`'s
+/// table entry lists, then runs `ranges` in order on `backend`: upload the
+/// slice (the host table itself when the range covers all of it),
+/// BuildTpchPlan -> Optimize -> RunPinned -> ExtractPartials, and record the
+/// slice's partials in progress.done before the next slice starts.
+/// `on_slice`, if set, then sees the record and its index in `ranges`. Empty
+/// ranges are skipped. An upload that hits a transient TransferFault
+/// replays, up to kTransferAttempts attempts in all; the simulated time of
+/// failed attempts stays charged. Whatever escapes, `progress` still holds
+/// every slice that finished.
 void RunSlices(
     TpchQuery q, const TpchHostTables& tables, core::Backend& backend,
     const std::vector<RowRange>& ranges, bool use_encoding,
@@ -101,10 +76,17 @@ void RunSlices(
 
 /// Sorts `slices` into ascending row order and merges their partials in
 /// that order.
-Partials MergeSlices(TpchQuery q, std::vector<SliceResult>& slices);
+Partials MergeSlices(std::vector<SliceResult>& slices);
 
-/// Converts merged partials into the query's final result.
-TpchQueryResult Finalize(TpchQuery q, Partials acc);
+/// Calls `use` with `q`'s plan over metadata-only device tables: every
+/// column carries its type and row count but no storage (lineitem at
+/// `slice_rows` rows, the build-side tables whole), so building, optimizing
+/// and pricing the plan moves no bytes. With `use_encoding` the columns are
+/// sized as UploadTableEncoded would upload them. The tables live only for
+/// the call.
+void WithMetaBundle(TpchQuery q, const TpchHostTables& tables,
+                    size_t slice_rows, bool use_encoding,
+                    const std::function<void(const QueryPlanBundle&)>& use);
 
 /// Worst-case device footprint of executing `phys` once: base-table upload
 /// bytes (skipped with include_scans == false — the tables are already

@@ -62,6 +62,15 @@ std::shared_ptr<const ResidentTpchTables> MakeResident(
   return out;
 }
 
+TpchDeviceTables ResidentTpchTables::view() const {
+  TpchDeviceTables t;
+  t.lineitem = &lineitem;
+  if (has_orders) t.orders = &orders;
+  if (has_customer) t.customer = &customer;
+  if (has_part) t.part = &part;
+  return t;
+}
+
 PreparedTpchQuery::PreparedTpchQuery(
     QueryShape shape, std::shared_ptr<const ResidentTpchTables> tables,
     QueryPlanBundle bundle, PhysicalPlan physical)
@@ -73,26 +82,7 @@ PreparedTpchQuery::PreparedTpchQuery(
           detail::FootprintOfPlan(physical_, /*include_scans=*/false)) {}
 
 TpchQueryResult PreparedTpchQuery::Run(core::Backend& backend) const {
-  const ExecutionResult res = RunPinned(physical_, backend);
-  TpchQueryResult r;
-  switch (shape_.query) {
-    case TpchQuery::kQ1:
-      r.q1 = ExtractQ1(bundle_, res);
-      break;
-    case TpchQuery::kQ3:
-      r.q3 = ExtractQ3(bundle_, res, shape_.q3);
-      break;
-    case TpchQuery::kQ4:
-      r.q4 = ExtractQ4(bundle_, res);
-      break;
-    case TpchQuery::kQ6:
-      r.scalar = ExtractQ6(bundle_, res);
-      break;
-    case TpchQuery::kQ14:
-      r.scalar = ExtractQ14(bundle_, res);
-      break;
-  }
-  return r;
+  return FinalizeRun(shape_.query, bundle_, RunPinned(physical_, backend));
 }
 
 std::shared_ptr<const PreparedTpchQuery> PrepareTpchQuery(
@@ -102,36 +92,7 @@ std::shared_ptr<const PreparedTpchQuery> PrepareTpchQuery(
   if (tables == nullptr) {
     throw std::invalid_argument("PrepareTpchQuery: null resident tables");
   }
-  const TpchQuery q = shape.query;
-  const auto require = [&](bool present, const char* name) {
-    if (!present) {
-      throw std::invalid_argument(std::string(TpchQueryName(q)) +
-                                  " requires resident table " + name);
-    }
-  };
-  if (detail::NeedsOrders(q)) require(tables->has_orders, "orders");
-  if (detail::NeedsCustomer(q)) require(tables->has_customer, "customer");
-  if (detail::NeedsPart(q)) require(tables->has_part, "part");
-
-  QueryPlanBundle bundle;
-  switch (q) {
-    case TpchQuery::kQ1:
-      bundle = BuildQ1Plan(tables->lineitem, shape.q1);
-      break;
-    case TpchQuery::kQ3:
-      bundle = BuildQ3Plan(tables->customer, tables->orders,
-                           tables->lineitem, shape.q3);
-      break;
-    case TpchQuery::kQ4:
-      bundle = BuildQ4Plan(tables->orders, tables->lineitem, shape.q4);
-      break;
-    case TpchQuery::kQ6:
-      bundle = BuildQ6Plan(tables->lineitem, shape.q6);
-      break;
-    case TpchQuery::kQ14:
-      bundle = BuildQ14Plan(tables->part, tables->lineitem, shape.q14);
-      break;
-  }
+  QueryPlanBundle bundle = BuildTpchPlan(shape.query, tables->view());
   OptimizerOptions opt;
   opt.pin_backend = backend_name;
   PhysicalPlan physical = Optimize(bundle.plan, opt);

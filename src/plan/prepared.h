@@ -49,6 +49,9 @@ struct ResidentTpchTables {
   /// Combined TableStatsFingerprint over the resident tables, folded in the
   /// fixed order lineitem, orders, customer, part.
   uint64_t stats_fingerprint = 0;
+
+  /// The resident tables as a plan builder reads them (absent ones null).
+  TpchDeviceTables view() const;
 };
 
 /// Uploads every non-null table of `host` on `stream` (encoded when
@@ -67,7 +70,8 @@ class PreparedTpchQuery {
                     QueryPlanBundle bundle, PhysicalPlan physical);
 
   /// Executes the cached physical plan on `backend` (no optimizer, no
-  /// upload) and extracts the query result.
+  /// upload) and finishes it as a one-slice run: extract the partials, merge
+  /// them into empty ones, finalize (plan/tpch_plans.h).
   TpchQueryResult Run(core::Backend& backend) const;
 
   const QueryShape& shape() const { return shape_; }
@@ -88,9 +92,9 @@ class PreparedTpchQuery {
 };
 
 /// The cache-miss path: builds the shape's logical plan over the resident
-/// tables (with the shape's parameters) and optimizes it pinned to
-/// `backend_name`. Throws std::invalid_argument when the shape's query needs
-/// a table the residency does not hold.
+/// tables and optimizes it pinned to `backend_name`. Throws
+/// std::invalid_argument when the shape's query needs a table the residency
+/// does not hold.
 std::shared_ptr<const PreparedTpchQuery> PrepareTpchQuery(
     const QueryShape& shape,
     std::shared_ptr<const ResidentTpchTables> tables,

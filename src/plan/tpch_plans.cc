@@ -1,6 +1,7 @@
 #include "plan/tpch_plans.h"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 namespace plan {
@@ -13,16 +14,12 @@ using core::Predicate;
 NodeInput V(int node) { return NodeInput{node, Part::kValue}; }
 NodeInput Rows(int node) { return NodeInput{node, Part::kRowIds}; }
 
-/// The executed FetchGroups result as key -> value (mirrors Q1's
-/// DownloadGroups).
-std::map<int32_t, double> GroupMap(const NodeValue& fetch) {
-  std::map<int32_t, double> out;
-  for (size_t i = 0; i < fetch.host_keys.size(); ++i) {
-    out[fetch.host_keys[i]] = fetch.host_vals_f.empty()
-                                  ? static_cast<double>(fetch.host_vals_i[i])
-                                  : fetch.host_vals_f[i];
-  }
-  return out;
+/// The merged entry of mark `name`; empty when no slice ran.
+const Partials::Mark& MarkOf(const Partials& partials,
+                             const std::string& name) {
+  static const Partials::Mark kEmpty;
+  const auto it = partials.marks.find(name);
+  return it == partials.marks.end() ? kEmpty : it->second;
 }
 
 /// Map lookup defaulting to 0 (a group missing from one partial sum).
@@ -31,10 +28,9 @@ double Lookup(const std::map<int32_t, double>& m, int32_t key) {
   return it == m.end() ? 0.0 : it->second;
 }
 
-}  // namespace
-
-QueryPlanBundle BuildQ1Plan(const storage::DeviceTable& lineitem,
-                            const tpch::Q1Params& params) {
+QueryPlanBundle BuildQ1(const TpchDeviceTables& tables) {
+  const storage::DeviceTable& lineitem = *tables.lineitem;
+  const tpch::Q1Params params;
   QueryPlanBundle b;
   Plan& p = b.plan;
   const int s_ship = p.Scan("lineitem", "l_shipdate", lineitem);
@@ -73,65 +69,38 @@ QueryPlanBundle BuildQ1Plan(const storage::DeviceTable& lineitem,
   return b;
 }
 
-void Q1Partials::Merge(const Q1Partials& other) {
-  auto add = [](std::map<int32_t, double>& into,
-                const std::map<int32_t, double>& from) {
-    for (const auto& [k, v] : from) into[k] += v;
+/// Averages from the per-group sums, rows sorted by (returnflag,
+/// linestatus).
+TpchQueryResult FinalizeQ1(const Partials& merged) {
+  const auto sum = [&](const char* mark, int32_t key) {
+    return Lookup(MarkOf(merged, mark).groups, key);
   };
-  add(sum_qty, other.sum_qty);
-  add(sum_base_price, other.sum_base_price);
-  add(sum_disc_price, other.sum_disc_price);
-  add(sum_charge, other.sum_charge);
-  add(sum_disc, other.sum_disc);
-  add(count_order, other.count_order);
-}
-
-Q1Partials ExtractQ1Partials(const QueryPlanBundle& bundle,
-                             const ExecutionResult& result) {
-  auto fetch = [&](const char* name) {
-    return GroupMap(result.values[bundle.marks.at(name)]);
-  };
-  Q1Partials p;
-  p.sum_qty = fetch("sum_qty");
-  p.sum_base_price = fetch("sum_base_price");
-  p.sum_disc_price = fetch("sum_disc_price");
-  p.sum_charge = fetch("sum_charge");
-  p.sum_disc = fetch("sum_disc");
-  p.count_order = fetch("count_order");
-  return p;
-}
-
-std::vector<tpch::Q1Row> FinalizeQ1(const Q1Partials& partials) {
-  std::vector<tpch::Q1Row> rows;
-  for (const auto& [k, count] : partials.count_order) {
+  TpchQueryResult r;
+  for (const auto& [k, count] : MarkOf(merged, "count_order").groups) {
     tpch::Q1Row row;
     row.returnflag = k / 2;
     row.linestatus = k % 2;
     row.count_order = static_cast<int64_t>(count);
-    row.sum_qty = Lookup(partials.sum_qty, k);
-    row.sum_base_price = Lookup(partials.sum_base_price, k);
-    row.sum_disc_price = Lookup(partials.sum_disc_price, k);
-    row.sum_charge = Lookup(partials.sum_charge, k);
+    row.sum_qty = sum("sum_qty", k);
+    row.sum_base_price = sum("sum_base_price", k);
+    row.sum_disc_price = sum("sum_disc_price", k);
+    row.sum_charge = sum("sum_charge", k);
     row.avg_qty = row.sum_qty / count;
     row.avg_price = row.sum_base_price / count;
-    row.avg_disc = Lookup(partials.sum_disc, k) / count;
-    rows.push_back(row);
+    row.avg_disc = sum("sum_disc", k) / count;
+    r.q1.push_back(row);
   }
-  std::sort(rows.begin(), rows.end(),
+  std::sort(r.q1.begin(), r.q1.end(),
             [](const tpch::Q1Row& a, const tpch::Q1Row& b) {
               return std::pair(a.returnflag, a.linestatus) <
                      std::pair(b.returnflag, b.linestatus);
             });
-  return rows;
+  return r;
 }
 
-std::vector<tpch::Q1Row> ExtractQ1(const QueryPlanBundle& bundle,
-                                   const ExecutionResult& result) {
-  return FinalizeQ1(ExtractQ1Partials(bundle, result));
-}
-
-QueryPlanBundle BuildQ6Plan(const storage::DeviceTable& lineitem,
-                            const tpch::Q6Params& params) {
+QueryPlanBundle BuildQ6(const TpchDeviceTables& tables) {
+  const storage::DeviceTable& lineitem = *tables.lineitem;
+  const tpch::Q6Params params;
   QueryPlanBundle b;
   Plan& p = b.plan;
   const int s_ship = p.Scan("lineitem", "l_shipdate", lineitem);
@@ -165,16 +134,17 @@ QueryPlanBundle BuildQ6Plan(const storage::DeviceTable& lineitem,
   return b;
 }
 
-double ExtractQ6(const QueryPlanBundle& bundle,
-                 const ExecutionResult& result) {
-  const NodeValue& v = result.values[bundle.marks.at("revenue")];
-  return v.computed ? v.scalar : 0.0;
+TpchQueryResult FinalizeQ6(const Partials& merged) {
+  TpchQueryResult r;
+  r.scalar = MarkOf(merged, "revenue").scalar;
+  return r;
 }
 
-QueryPlanBundle BuildQ3Plan(const storage::DeviceTable& customer,
-                            const storage::DeviceTable& orders,
-                            const storage::DeviceTable& lineitem,
-                            const tpch::Q3Params& params) {
+QueryPlanBundle BuildQ3(const TpchDeviceTables& tables) {
+  const storage::DeviceTable& customer = *tables.customer;
+  const storage::DeviceTable& orders = *tables.orders;
+  const storage::DeviceTable& lineitem = *tables.lineitem;
+  const tpch::Q3Params params;
   QueryPlanBundle b;
   Plan& p = b.plan;
   const int s_cseg = p.Scan("customer", "c_mktsegment", customer);
@@ -230,52 +200,27 @@ QueryPlanBundle BuildQ3Plan(const storage::DeviceTable& customer,
   return b;
 }
 
-std::vector<tpch::Q3Row> ExtractQ3(const QueryPlanBundle& bundle,
-                                   const ExecutionResult& result,
-                                   const tpch::Q3Params& params) {
-  const NodeValue& fetch = result.values[bundle.marks.at("fetch")];
-  std::vector<tpch::Q3Row> rows;
-  if (!fetch.computed) return rows;
-  const auto& rev = fetch.host_first;
-  const auto& key = fetch.host_second;
-  const size_t k = std::min(params.limit, rev.size());
-  for (size_t i = 0; i < k; ++i) {
-    const size_t j = rev.size() - 1 - i;
-    rows.push_back(tpch::Q3Row{key[j], rev[j]});
+/// Top-k of every slice's (revenue, orderkey) groups, in tpch::ReferenceQ3's
+/// order: revenue descending, equal revenues by ascending orderkey.
+TpchQueryResult FinalizeQ3(const Partials& merged) {
+  TpchQueryResult r;
+  for (const auto& [revenue, orderkey] : MarkOf(merged, "fetch").pairs) {
+    r.q3.push_back(tpch::Q3Row{orderkey, revenue});
   }
-  return rows;
+  const size_t k = std::min(tpch::Q3Params().limit, r.q3.size());
+  std::partial_sort(r.q3.begin(), r.q3.begin() + k, r.q3.end(),
+                    [](const tpch::Q3Row& a, const tpch::Q3Row& b) {
+                      if (a.revenue != b.revenue) return a.revenue > b.revenue;
+                      return a.orderkey < b.orderkey;
+                    });
+  r.q3.resize(k);
+  return r;
 }
 
-std::vector<tpch::Q3Row> ExtractQ3Groups(const QueryPlanBundle& bundle,
-                                         const ExecutionResult& result) {
-  const NodeValue& fetch = result.values[bundle.marks.at("fetch")];
-  std::vector<tpch::Q3Row> groups;
-  if (!fetch.computed) return groups;
-  groups.reserve(fetch.host_first.size());
-  for (size_t i = 0; i < fetch.host_first.size(); ++i) {
-    groups.push_back(tpch::Q3Row{fetch.host_second[i], fetch.host_first[i]});
-  }
-  return groups;
-}
-
-std::vector<tpch::Q3Row> FinalizeQ3(std::vector<tpch::Q3Row> groups,
-                                    const tpch::Q3Params& params) {
-  std::sort(groups.begin(), groups.end(),
-            [](const tpch::Q3Row& a, const tpch::Q3Row& b) {
-              return std::pair(a.revenue, a.orderkey) <
-                     std::pair(b.revenue, b.orderkey);
-            });
-  std::vector<tpch::Q3Row> rows;
-  const size_t k = std::min(params.limit, groups.size());
-  for (size_t i = 0; i < k; ++i) {
-    rows.push_back(groups[groups.size() - 1 - i]);
-  }
-  return rows;
-}
-
-QueryPlanBundle BuildQ4Plan(const storage::DeviceTable& orders,
-                            const storage::DeviceTable& lineitem,
-                            const tpch::Q4Params& params) {
+QueryPlanBundle BuildQ4(const TpchDeviceTables& tables) {
+  const storage::DeviceTable& orders = *tables.orders;
+  const storage::DeviceTable& lineitem = *tables.lineitem;
+  const tpch::Q4Params params;
   QueryPlanBundle b;
   Plan& p = b.plan;
   const int s_commit = p.Scan("lineitem", "l_commitdate", lineitem);
@@ -309,23 +254,19 @@ QueryPlanBundle BuildQ4Plan(const storage::DeviceTable& orders,
   return b;
 }
 
-std::vector<tpch::Q4Row> ExtractQ4(const QueryPlanBundle& bundle,
-                                   const ExecutionResult& result) {
-  const NodeValue& fetch = result.values[bundle.marks.at("fetch")];
-  std::vector<tpch::Q4Row> rows;
-  for (size_t i = 0; i < fetch.out_rows; ++i) {
-    rows.push_back(tpch::Q4Row{fetch.host_keys[i], fetch.host_vals_i[i]});
+/// One row per priority, in priority order.
+TpchQueryResult FinalizeQ4(const Partials& merged) {
+  TpchQueryResult r;
+  for (const auto& [priority, count] : MarkOf(merged, "fetch").groups) {
+    r.q4.push_back(tpch::Q4Row{priority, static_cast<int64_t>(count)});
   }
-  std::sort(rows.begin(), rows.end(),
-            [](const tpch::Q4Row& a, const tpch::Q4Row& b) {
-              return a.orderpriority < b.orderpriority;
-            });
-  return rows;
+  return r;
 }
 
-QueryPlanBundle BuildQ14Plan(const storage::DeviceTable& part,
-                             const storage::DeviceTable& lineitem,
-                             const tpch::Q14Params& params) {
+QueryPlanBundle BuildQ14(const TpchDeviceTables& tables) {
+  const storage::DeviceTable& part = *tables.part;
+  const storage::DeviceTable& lineitem = *tables.lineitem;
+  const tpch::Q14Params params;
   QueryPlanBundle b;
   Plan& p = b.plan;
   const int s_ship = p.Scan("lineitem", "l_shipdate", lineitem);
@@ -365,12 +306,158 @@ QueryPlanBundle BuildQ14Plan(const storage::DeviceTable& part,
   return b;
 }
 
-double ExtractQ14(const QueryPlanBundle& bundle,
-                  const ExecutionResult& result) {
-  const NodeValue& total = result.values[bundle.marks.at("total")];
-  const NodeValue& promo = result.values[bundle.marks.at("promo")];
-  if (!total.computed || total.scalar == 0.0 || !promo.computed) return 0.0;
-  return 100.0 * promo.scalar / total.scalar;
+TpchQueryResult FinalizeQ14(const Partials& merged) {
+  const double total = MarkOf(merged, "total").scalar;
+  TpchQueryResult r;
+  r.scalar =
+      total == 0.0 ? 0.0 : 100.0 * MarkOf(merged, "promo").scalar / total;
+  return r;
+}
+
+/// The query table.
+const std::vector<TpchQueryDef>& Table() {
+  static const std::vector<TpchQueryDef> table = {
+      {.query = TpchQuery::kQ1,
+       .name = "q1",
+       .build_tables = {},
+       .align_orderkey = false,
+       .build = BuildQ1,
+       .finalize = FinalizeQ1,
+       // Groups on two flag columns: four combinations.
+       .partial_rows = [](size_t) -> size_t { return 4; }},
+      {.query = TpchQuery::kQ3,
+       .name = "q3",
+       .build_tables = {TpchTable::kOrders, TpchTable::kCustomer},
+       .align_orderkey = true,
+       .build = BuildQ3,
+       .finalize = FinalizeQ3,
+       // One group per surviving order: a small fraction of the shard.
+       .partial_rows = [](size_t shard_rows) -> size_t {
+         return std::max<size_t>(shard_rows / 50, 1);
+       }},
+      {.query = TpchQuery::kQ4,
+       .name = "q4",
+       .build_tables = {TpchTable::kOrders},
+       .align_orderkey = true,
+       .build = BuildQ4,
+       .finalize = FinalizeQ4,
+       // One group per order priority.
+       .partial_rows = [](size_t) -> size_t { return 5; }},
+      {.query = TpchQuery::kQ6,
+       .name = "q6",
+       .build_tables = {},
+       .align_orderkey = false,
+       .build = BuildQ6,
+       .finalize = FinalizeQ6,
+       // A scalar: nothing is fetched by rows.
+       .partial_rows = [](size_t) -> size_t { return 0; }},
+      {.query = TpchQuery::kQ14,
+       .name = "q14",
+       .build_tables = {TpchTable::kPart},
+       .align_orderkey = false,
+       .build = BuildQ14,
+       .finalize = FinalizeQ14,
+       .partial_rows = [](size_t) -> size_t { return 0; }},
+  };
+  return table;
+}
+
+}  // namespace
+
+const TpchQueryDef& QueryDef(TpchQuery query) {
+  for (const TpchQueryDef& def : Table()) {
+    if (def.query == query) return def;
+  }
+  throw std::logic_error("TpchQuery missing from the query table");
+}
+
+const char* TpchQueryName(TpchQuery query) { return QueryDef(query).name; }
+
+TpchQuery ParseTpchQuery(const std::string& name) {
+  std::string expected;
+  for (const TpchQueryDef& def : Table()) {
+    if (name == def.name) return def.query;
+    if (!expected.empty()) expected += '|';
+    expected += def.name;
+  }
+  throw std::invalid_argument("unknown TPC-H query '" + name +
+                              "' (expected " + expected + ")");
+}
+
+const char* TpchTableName(TpchTable table) {
+  switch (table) {
+    case TpchTable::kOrders: return "orders";
+    case TpchTable::kCustomer: return "customer";
+    case TpchTable::kPart: return "part";
+  }
+  return "?";
+}
+
+void Partials::Merge(const Partials& other) {
+  for (const auto& [name, from] : other.marks) {
+    Mark& into = marks[name];
+    into.kind = from.kind;
+    for (const auto& [key, value] : from.groups) into.groups[key] += value;
+    into.pairs.insert(into.pairs.end(), from.pairs.begin(), from.pairs.end());
+    into.scalar += from.scalar;
+  }
+}
+
+uint64_t Partials::bytes() const {
+  std::set<int32_t> keys;
+  uint64_t bytes = 0;
+  for (const auto& [name, m] : marks) {
+    for (const auto& group : m.groups) keys.insert(group.first);
+    bytes += m.groups.size() * sizeof(double) +
+             m.pairs.size() * sizeof(std::pair<double, int32_t>);
+    if (m.kind == NodeKind::kReduce) bytes += sizeof(double);
+  }
+  return bytes + keys.size() * sizeof(int32_t);
+}
+
+Partials ExtractPartials(const QueryPlanBundle& bundle,
+                         const ExecutionResult& result) {
+  Partials p;
+  for (const auto& [name, node] : bundle.marks) {
+    const NodeValue& v = result.values[node];
+    Partials::Mark& m = p.marks[name];
+    m.kind = bundle.plan.nodes[node].kind;
+    if (!v.computed) continue;
+    switch (m.kind) {
+      case NodeKind::kFetchGroups:
+        for (size_t i = 0; i < v.host_keys.size(); ++i) {
+          m.groups[v.host_keys[i]] =
+              v.host_vals_f.empty() ? static_cast<double>(v.host_vals_i[i])
+                                    : v.host_vals_f[i];
+        }
+        break;
+      case NodeKind::kFetchPair:
+        for (size_t i = 0; i < v.host_first.size(); ++i) {
+          m.pairs.emplace_back(v.host_first[i], v.host_second[i]);
+        }
+        break;
+      case NodeKind::kReduce:
+        m.scalar = v.scalar;
+        break;
+      default:
+        throw std::logic_error("mark '" + name +
+                               "' is not a fetch or reduce node");
+    }
+  }
+  return p;
+}
+
+QueryPlanBundle BuildTpchPlan(TpchQuery query,
+                              const TpchDeviceTables& tables) {
+  RequireTables(query, tables);
+  return QueryDef(query).build(tables);
+}
+
+TpchQueryResult FinalizeRun(TpchQuery query, const QueryPlanBundle& bundle,
+                            const ExecutionResult& result) {
+  Partials merged;
+  merged.Merge(ExtractPartials(bundle, result));
+  return QueryDef(query).finalize(merged);
 }
 
 }  // namespace plan

@@ -567,11 +567,15 @@ TEST_P(EncodedQueryDifferentialTest, Q3EncodedMatchesRaw) {
         dc = upload(customer);
         dord = upload(orders);
         dli = upload(lineitem);
-        return plan::BuildQ3Plan(dc, dord, dli);
+        plan::TpchDeviceTables tables;
+        tables.lineitem = &dli;
+        tables.orders = &dord;
+        tables.customer = &dc;
+        return plan::BuildTpchPlan(plan::TpchQuery::kQ3, tables);
       },
       [](const plan::QueryPlanBundle& bundle,
          const plan::ExecutionResult& result) {
-        return plan::ExtractQ3(bundle, result, tpch::Q3Params());
+        return plan::FinalizeRun(plan::TpchQuery::kQ3, bundle, result).q3;
       });
   ASSERT_EQ(out[0].size(), out[1].size());
   for (size_t i = 0; i < out[0].size(); ++i) {
@@ -589,11 +593,14 @@ TEST_P(EncodedQueryDifferentialTest, Q4EncodedMatchesRaw) {
       [&](const auto& upload) {
         dord = upload(orders);
         dli = upload(lineitem);
-        return plan::BuildQ4Plan(dord, dli);
+        plan::TpchDeviceTables tables;
+        tables.lineitem = &dli;
+        tables.orders = &dord;
+        return plan::BuildTpchPlan(plan::TpchQuery::kQ4, tables);
       },
       [](const plan::QueryPlanBundle& bundle,
          const plan::ExecutionResult& result) {
-        return plan::ExtractQ4(bundle, result);
+        return plan::FinalizeRun(plan::TpchQuery::kQ4, bundle, result).q4;
       });
   ASSERT_EQ(out[0].size(), out[1].size());
   for (size_t i = 0; i < out[0].size(); ++i) {
@@ -611,11 +618,15 @@ TEST_P(EncodedQueryDifferentialTest, Q14EncodedMatchesRaw) {
       [&](const auto& upload) {
         dp = upload(part);
         dli = upload(lineitem);
-        return plan::BuildQ14Plan(dp, dli);
+        plan::TpchDeviceTables tables;
+        tables.lineitem = &dli;
+        tables.part = &dp;
+        return plan::BuildTpchPlan(plan::TpchQuery::kQ14, tables);
       },
       [](const plan::QueryPlanBundle& bundle,
          const plan::ExecutionResult& result) {
-        return plan::ExtractQ14(bundle, result);
+        return plan::FinalizeRun(plan::TpchQuery::kQ14, bundle, result)
+            .scalar;
       });
   EXPECT_TRUE(Near(out[1], out[0])) << out[0] << " vs " << out[1];
 }

@@ -21,6 +21,7 @@
 #include "backends/backends.h"
 #include "core/governor.h"
 #include "core/registry.h"
+#include "core/resilience.h"
 #include "gpusim/device.h"
 #include "gpusim/device_group.h"
 #include "gpusim/fault.h"
@@ -238,6 +239,11 @@ class MultiDeviceQueryTest : public ::testing::Test {
     lineitem_ = orders_ = customer_ = part_ = nullptr;
   }
 
+  // Device-loss cases open per-device breakers in the process-wide
+  // ResilienceManager; clear them so no case sees another's failures.
+  void SetUp() override { core::ResilienceManager::Global().Reset(); }
+  void TearDown() override { core::ResilienceManager::Global().Reset(); }
+
   plan::TpchHostTables Tables() const {
     plan::TpchHostTables t;
     t.lineitem = lineitem_;
@@ -328,6 +334,31 @@ TEST_F(MultiDeviceQueryTest, AllQueriesMatchReferenceAcrossDeviceCounts) {
                   stats.exchange_p2p_bytes + stats.exchange_via_host_bytes);
       }
     }
+  }
+}
+
+TEST_F(MultiDeviceQueryTest, GatherBytesArePinnedPerQuery) {
+  // Every device but the coordinator ships the merged partials of its
+  // slices: 4 B per distinct group key plus 8 B per group aggregate (Q1: one
+  // key column and six aggregates, 52 B per group; Q4: 12 B per group),
+  // 16 B per Q3 (revenue, orderkey) pair, and 8 B per scalar (Q6: 8 B, Q14:
+  // 16 B). With 8 slices on 4 devices, three devices send two slices each.
+  const std::map<TpchQuery, uint64_t> want = {
+      {TpchQuery::kQ1, 468},  // 9 groups
+      {TpchQuery::kQ3, 1440}, // 90 pairs
+      {TpchQuery::kQ4, 180},  // 3 devices x 5 priorities
+      {TpchQuery::kQ6, 24},
+      {TpchQuery::kQ14, 48},
+  };
+  for (const TpchQuery q : kAllQueries) {
+    SCOPED_TRACE(plan::TpchQueryName(q));
+    gpusim::DeviceGroup group(4);
+    plan::ShardedQueryOptions options;
+    options.force_shards = 8;
+    plan::ShardedRunStats stats;
+    plan::RunSharded(q, Tables(), group, backends::kHandwritten, options,
+                     &stats);
+    EXPECT_EQ(stats.exchange_bytes, want.at(q));
   }
 }
 

@@ -1,17 +1,20 @@
 // Plan IR, optimizer, and executor tests.
 //
 // Covers the optimizer's rewrite rules (filter-chain merging, fusion,
-// join-algorithm selection), deterministic cost-based dispatch, and the two
-// golden properties the subsystem promises: a plan pinned to one backend
-// reproduces the hand-coded query's answer AND charges a bit-identical
-// simulated timeline, and the hybrid plan is never slower than the best
-// single backend (strictly faster on a join query).
+// join-algorithm selection), deterministic cost-based dispatch, the query
+// table's partial merging and Q3 finalize, and the two golden properties the
+// subsystem promises: a plan pinned to one backend reproduces the hand-coded
+// query's answer AND charges a bit-identical simulated timeline, and the
+// hybrid plan is never slower than the best single backend (strictly faster
+// on a join query).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/registry.h"
@@ -56,6 +59,15 @@ class PlanTest : public ::testing::Test {
     setup_ = nullptr;
   }
 
+  static plan::QueryPlanBundle Build(plan::TpchQuery q) {
+    plan::TpchDeviceTables tables;
+    tables.lineitem = lineitem_;
+    tables.orders = orders_;
+    tables.customer = customer_;
+    tables.part = part_;
+    return plan::BuildTpchPlan(q, tables);
+  }
+
   static size_t LiveCount(const plan::Plan& p, plan::NodeKind kind) {
     size_t n = 0;
     for (const plan::PlanNode& node : p.nodes) {
@@ -92,7 +104,7 @@ storage::DeviceTable* PlanTest::part_ = nullptr;
 TEST_F(PlanTest, FilterChainMergesIntoOneConjunctiveNode) {
   // Q6's five single-predicate sigmas must fold into ONE conjunctive
   // selection with the predicates in chain order.
-  const plan::QueryPlanBundle bundle = plan::BuildQ6Plan(*lineitem_);
+  const plan::QueryPlanBundle bundle = Build(plan::TpchQuery::kQ6);
   plan::OptimizerOptions opts;
   opts.pin_backend = "Thrust";
   const plan::PhysicalPlan phys = plan::Optimize(bundle.plan, opts);
@@ -133,8 +145,7 @@ TEST_F(PlanTest, DisjunctiveChainIsNotMergedAndExecutorRefusesIt) {
 }
 
 TEST_F(PlanTest, JoinAlgoFollowsBackendCapability) {
-  const plan::QueryPlanBundle bundle =
-      plan::BuildQ14Plan(*part_, *lineitem_);
+  const plan::QueryPlanBundle bundle = Build(plan::TpchQuery::kQ14);
 
   plan::OptimizerOptions thrust_pin;
   thrust_pin.pin_backend = "Thrust";
@@ -164,7 +175,7 @@ TEST_F(PlanTest, JoinAlgoFollowsBackendCapability) {
 
 TEST_F(PlanTest, FusionOnlyInHybridPlans) {
   // Q6 hybrid collapses filter+gather+product+sum into one fused pass.
-  const plan::QueryPlanBundle q6 = plan::BuildQ6Plan(*lineitem_);
+  const plan::QueryPlanBundle q6 = Build(plan::TpchQuery::kQ6);
   const plan::PhysicalPlan q6_hybrid =
       plan::Optimize(q6.plan, plan::OptimizerOptions());
   EXPECT_EQ(LiveCount(q6_hybrid.plan, plan::NodeKind::kFusedFilterSum), 1u);
@@ -176,13 +187,13 @@ TEST_F(PlanTest, FusionOnlyInHybridPlans) {
   EXPECT_EQ(LiveCount(q6_pinned.plan, plan::NodeKind::kFusedMap), 0u);
 
   // Q1's disc_price and charge expressions each fuse into one kernel.
-  const plan::QueryPlanBundle q1 = plan::BuildQ1Plan(*lineitem_);
+  const plan::QueryPlanBundle q1 = Build(plan::TpchQuery::kQ1);
   const plan::PhysicalPlan q1_hybrid =
       plan::Optimize(q1.plan, plan::OptimizerOptions());
   EXPECT_EQ(LiveCount(q1_hybrid.plan, plan::NodeKind::kFusedMap), 2u);
 
   // Q4 has no fusible chain (no arithmetic feeding a reduction).
-  const plan::QueryPlanBundle q4 = plan::BuildQ4Plan(*orders_, *lineitem_);
+  const plan::QueryPlanBundle q4 = Build(plan::TpchQuery::kQ4);
   const plan::PhysicalPlan q4_hybrid =
       plan::Optimize(q4.plan, plan::OptimizerOptions());
   EXPECT_EQ(LiveCount(q4_hybrid.plan, plan::NodeKind::kFusedFilterSum), 0u);
@@ -190,8 +201,7 @@ TEST_F(PlanTest, FusionOnlyInHybridPlans) {
 }
 
 TEST_F(PlanTest, DispatchIsDeterministic) {
-  const plan::QueryPlanBundle bundle =
-      plan::BuildQ3Plan(*customer_, *orders_, *lineitem_);
+  const plan::QueryPlanBundle bundle = Build(plan::TpchQuery::kQ3);
   const plan::PhysicalPlan a =
       plan::Optimize(bundle.plan, plan::OptimizerOptions());
   const plan::PhysicalPlan b =
@@ -202,7 +212,7 @@ TEST_F(PlanTest, DispatchIsDeterministic) {
 }
 
 TEST_F(PlanTest, UnknownBackendNameThrows) {
-  const plan::QueryPlanBundle bundle = plan::BuildQ6Plan(*lineitem_);
+  const plan::QueryPlanBundle bundle = Build(plan::TpchQuery::kQ6);
   plan::OptimizerOptions opts;
   opts.pin_backend = "NoSuchBackend";
   EXPECT_THROW(plan::Optimize(bundle.plan, opts), std::invalid_argument);
@@ -279,41 +289,50 @@ TEST_P(PlanGoldenTest, PinnedPlanReproducesHandCodedResultsAndTimeline) {
     EXPECT_EQ(res.total_ns, hand_ns);
   };
 
-  check(plan::BuildQ1Plan(*lineitem_), "q1",
+  check(Build(plan::TpchQuery::kQ1), "q1",
         [&](core::Backend& b) { return tpch::RunQ1(b, *lineitem_); },
         [](const plan::QueryPlanBundle& bundle,
            const plan::ExecutionResult& res,
            const std::vector<tpch::Q1Row>& expected) {
-          ExpectQ1Equal(plan::ExtractQ1(bundle, res), expected);
+          ExpectQ1Equal(
+              plan::FinalizeRun(plan::TpchQuery::kQ1, bundle, res).q1,
+              expected);
         });
-  check(plan::BuildQ6Plan(*lineitem_), "q6",
+  check(Build(plan::TpchQuery::kQ6), "q6",
         [&](core::Backend& b) { return tpch::RunQ6(b, *lineitem_); },
         [](const plan::QueryPlanBundle& bundle,
            const plan::ExecutionResult& res, double expected) {
-          ExpectNear(plan::ExtractQ6(bundle, res), expected);
+          ExpectNear(
+              plan::FinalizeRun(plan::TpchQuery::kQ6, bundle, res).scalar,
+              expected);
         });
-  check(plan::BuildQ3Plan(*customer_, *orders_, *lineitem_), "q3",
+  check(Build(plan::TpchQuery::kQ3), "q3",
         [&](core::Backend& b) {
           return tpch::RunQ3(b, *customer_, *orders_, *lineitem_);
         },
         [](const plan::QueryPlanBundle& bundle,
            const plan::ExecutionResult& res,
            const std::vector<tpch::Q3Row>& expected) {
-          ExpectQ3Equal(plan::ExtractQ3(bundle, res, tpch::Q3Params()),
-                        expected);
+          ExpectQ3Equal(
+              plan::FinalizeRun(plan::TpchQuery::kQ3, bundle, res).q3,
+              expected);
         });
-  check(plan::BuildQ4Plan(*orders_, *lineitem_), "q4",
+  check(Build(plan::TpchQuery::kQ4), "q4",
         [&](core::Backend& b) { return tpch::RunQ4(b, *orders_, *lineitem_); },
         [](const plan::QueryPlanBundle& bundle,
            const plan::ExecutionResult& res,
            const std::vector<tpch::Q4Row>& expected) {
-          ExpectQ4Equal(plan::ExtractQ4(bundle, res), expected);
+          ExpectQ4Equal(
+              plan::FinalizeRun(plan::TpchQuery::kQ4, bundle, res).q4,
+              expected);
         });
-  check(plan::BuildQ14Plan(*part_, *lineitem_), "q14",
+  check(Build(plan::TpchQuery::kQ14), "q14",
         [&](core::Backend& b) { return tpch::RunQ14(b, *part_, *lineitem_); },
         [](const plan::QueryPlanBundle& bundle,
            const plan::ExecutionResult& res, double expected) {
-          ExpectNear(plan::ExtractQ14(bundle, res), expected);
+          ExpectNear(
+              plan::FinalizeRun(plan::TpchQuery::kQ14, bundle, res).scalar,
+              expected);
         });
 }
 
@@ -324,6 +343,72 @@ INSTANTIATE_TEST_SUITE_P(Backends, PlanGoldenTest,
                                       ? "Thrust"
                                       : "Handwritten";
                          });
+
+// ---------------------------------------------------------------------------
+// Query table: partials merge by marked-node kind; finalize
+// ---------------------------------------------------------------------------
+
+/// A partial holding one marked node of `kind` named `name`.
+plan::Partials OneMark(const std::string& name, plan::NodeKind kind) {
+  plan::Partials p;
+  p.marks[name].kind = kind;
+  return p;
+}
+
+TEST(QueryTableTest, PartialsMergeByMarkedNodeKind) {
+  plan::Partials a = OneMark("g", plan::NodeKind::kFetchGroups);
+  a.marks["g"].groups = {{1, 2.0}, {3, 4.0}};
+  a.marks["s"].scalar = 1.5;
+  a.marks["p"].kind = plan::NodeKind::kFetchPair;
+  a.marks["p"].pairs = {{9.0, 7}};
+  plan::Partials b = OneMark("g", plan::NodeKind::kFetchGroups);
+  b.marks["g"].groups = {{3, 10.0}, {5, 1.0}};
+  b.marks["s"].scalar = 2.5;
+  b.marks["p"].kind = plan::NodeKind::kFetchPair;
+  b.marks["p"].pairs = {{8.0, 2}};
+
+  plan::Partials merged;
+  merged.Merge(a);
+  merged.Merge(b);
+  // Groups add per key, scalars add, pairs concatenate in merge order.
+  EXPECT_EQ(merged.marks["g"].groups,
+            (std::map<int32_t, double>{{1, 2.0}, {3, 14.0}, {5, 1.0}}));
+  EXPECT_EQ(merged.marks["s"].scalar, 4.0);
+  EXPECT_EQ(merged.marks["p"].pairs,
+            (std::vector<std::pair<double, int32_t>>{{9.0, 7}, {8.0, 2}}));
+  // 3 keys x 4 B + 3 aggregates x 8 B + 2 pairs x 16 B + 1 scalar x 8 B.
+  EXPECT_EQ(merged.bytes(), 12u + 24u + 32u + 8u);
+}
+
+TEST_F(PlanTest, Q3FinalizeOrdersTiedRevenuesLikeTheReference) {
+  // Two slices' (revenue, orderkey) groups with revenue ties, one of them
+  // across the top-10 cut. tpch::ReferenceQ3 sorts revenue descending and
+  // equal revenues by ascending orderkey; the finalize must do the same.
+  const plan::QueryPlanBundle bundle = Build(plan::TpchQuery::kQ3);
+  ASSERT_EQ(bundle.marks.size(), 1u);
+  const std::string mark = bundle.marks.begin()->first;
+  const auto slice = [&](std::vector<std::pair<double, int32_t>> pairs) {
+    plan::Partials p = OneMark(mark, plan::NodeKind::kFetchPair);
+    p.marks[mark].pairs = std::move(pairs);
+    return p;
+  };
+  plan::Partials merged;
+  merged.Merge(slice({{100.0, 7}, {250.0, 9}, {100.0, 3}, {75.0, 11},
+                      {75.0, 2}, {10.0, 4}}));
+  merged.Merge(slice({{100.0, 5}, {75.0, 8}, {300.0, 12}, {10.0, 1},
+                      {10.0, 6}, {5.0, 10}}));
+
+  const std::vector<tpch::Q3Row> got =
+      plan::QueryDef(plan::TpchQuery::kQ3).finalize(merged).q3;
+  const std::vector<tpch::Q3Row> want = {
+      {12, 300.0}, {9, 250.0}, {3, 100.0}, {5, 100.0}, {7, 100.0},
+      {2, 75.0},   {8, 75.0},  {11, 75.0}, {1, 10.0},  {4, 10.0}};
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].orderkey, want[i].orderkey) << "row " << i;
+    EXPECT_EQ(got[i].revenue, want[i].revenue) << "row " << i;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Hybrid dispatch
@@ -339,11 +424,10 @@ TEST_F(PlanTest, HybridIsNeverSlowerThanBestSingleBackend) {
     bool join_query;
   };
   std::vector<QueryCase> cases;
-  cases.push_back({"q1", plan::BuildQ1Plan(*lineitem_), false});
-  cases.push_back({"q6", plan::BuildQ6Plan(*lineitem_), false});
-  cases.push_back({"q4", plan::BuildQ4Plan(*orders_, *lineitem_), true});
-  cases.push_back(
-      {"q14", plan::BuildQ14Plan(*part_, *lineitem_), true});
+  cases.push_back({"q1", Build(plan::TpchQuery::kQ1), false});
+  cases.push_back({"q6", Build(plan::TpchQuery::kQ6), false});
+  cases.push_back({"q4", Build(plan::TpchQuery::kQ4), true});
+  cases.push_back({"q14", Build(plan::TpchQuery::kQ14), true});
 
   bool join_strict_win = false;
   for (const QueryCase& c : cases) {
@@ -368,24 +452,24 @@ TEST_F(PlanTest, HybridIsNeverSlowerThanBestSingleBackend) {
 }
 
 TEST_F(PlanTest, HybridQ6MatchesReferenceAnswer) {
-  const plan::QueryPlanBundle bundle = plan::BuildQ6Plan(*lineitem_);
+  const plan::QueryPlanBundle bundle = Build(plan::TpchQuery::kQ6);
   const plan::PhysicalPlan phys =
       plan::Optimize(bundle.plan, plan::OptimizerOptions());
   EXPECT_TRUE(phys.hybrid);
   const plan::ExecutionResult res = plan::RunHybrid(phys);
 
   auto backend = core::BackendRegistry::Instance().Create("Handwritten");
-  ExpectNear(plan::ExtractQ6(bundle, res), tpch::RunQ6(*backend, *lineitem_));
+  ExpectNear(plan::FinalizeRun(plan::TpchQuery::kQ6, bundle, res).scalar,
+             tpch::RunQ6(*backend, *lineitem_));
 }
 
 TEST_F(PlanTest, HybridQ3MatchesReferenceAnswer) {
-  const plan::QueryPlanBundle bundle =
-      plan::BuildQ3Plan(*customer_, *orders_, *lineitem_);
+  const plan::QueryPlanBundle bundle = Build(plan::TpchQuery::kQ3);
   const plan::ExecutionResult res =
       plan::RunHybrid(plan::Optimize(bundle.plan, plan::OptimizerOptions()));
 
   auto backend = core::BackendRegistry::Instance().Create("Handwritten");
-  ExpectQ3Equal(plan::ExtractQ3(bundle, res, tpch::Q3Params()),
+  ExpectQ3Equal(plan::FinalizeRun(plan::TpchQuery::kQ3, bundle, res).q3,
                 tpch::RunQ3(*backend, *customer_, *orders_, *lineitem_));
 }
 
@@ -394,7 +478,7 @@ TEST_F(PlanTest, HybridQ3MatchesReferenceAnswer) {
 // ---------------------------------------------------------------------------
 
 TEST_F(PlanTest, PlanQueryRunsThroughScheduler) {
-  const plan::QueryPlanBundle bundle = plan::BuildQ6Plan(*lineitem_);
+  const plan::QueryPlanBundle bundle = Build(plan::TpchQuery::kQ6);
   plan::OptimizerOptions opts;
   opts.pin_backend = "Thrust";
   auto phys = std::make_shared<const plan::PhysicalPlan>(
@@ -439,7 +523,7 @@ class PlanResilienceTest : public PlanTest {
 };
 
 TEST_F(PlanResilienceTest, ExecutorFallsBackWhenABackendDiesMidPlan) {
-  const plan::QueryPlanBundle bundle = plan::BuildQ6Plan(*lineitem_);
+  const plan::QueryPlanBundle bundle = Build(plan::TpchQuery::kQ6);
   const plan::PhysicalPlan phys =
       plan::Optimize(bundle.plan, plan::OptimizerOptions());
   ASSERT_TRUE(phys.hybrid);
@@ -463,7 +547,8 @@ TEST_F(PlanResilienceTest, ExecutorFallsBackWhenABackendDiesMidPlan) {
   // Three runs: enough fatal failures to trip the default breaker.
   for (int round = 0; round < 3; ++round) {
     const plan::ExecutionResult res = plan::RunHybrid(phys);
-    ExpectNear(plan::ExtractQ6(bundle, res), expected);
+    ExpectNear(plan::FinalizeRun(plan::TpchQuery::kQ6, bundle, res).scalar,
+               expected);
   }
   gpusim::Device::Default().set_fault_injector(nullptr);
 
@@ -480,7 +565,10 @@ TEST_F(PlanResilienceTest, ExecutorFallsBackWhenABackendDiesMidPlan) {
   for (const std::string& b : rerouted.node_backend) {
     EXPECT_NE(b, "Handwritten");
   }
-  ExpectNear(plan::ExtractQ6(bundle, plan::RunHybrid(rerouted)), expected);
+  ExpectNear(plan::FinalizeRun(plan::TpchQuery::kQ6, bundle,
+                               plan::RunHybrid(rerouted))
+                 .scalar,
+             expected);
 
   // Opting out of breaker-aware dispatch restores the original assignment.
   plan::OptimizerOptions ignore;
@@ -490,7 +578,7 @@ TEST_F(PlanResilienceTest, ExecutorFallsBackWhenABackendDiesMidPlan) {
 }
 
 TEST_F(PlanResilienceTest, AdaptivePlanQueryReplansAroundOpenBreaker) {
-  const plan::QueryPlanBundle bundle = plan::BuildQ6Plan(*lineitem_);
+  const plan::QueryPlanBundle bundle = Build(plan::TpchQuery::kQ6);
   auto logical = std::make_shared<const plan::Plan>(bundle.plan);
 
   // Open the dominant backend's breaker by hand: the adaptive query must

@@ -4,7 +4,8 @@
 // host threads could reorder float additions, so each runs here on pools of
 // 1, 2, 3 and 8 host threads, at sizes that spread its grid over many tiles,
 // with few groups and with many. Then every TPC-H query runs on every
-// library, raw and encoded, on the same pools.
+// library, raw and encoded, on the same pools; the prepared (served) path
+// answers each of them too, and must match the one-shot run bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include "gpusim/stream.h"
 #include "handwritten/handwritten.h"
 #include "plan/partition.h"
+#include "plan/prepared.h"
 #include "storage/device_column.h"
 #include "storage/encoded_column.h"
 #include "storage/encoding.h"
@@ -274,7 +276,8 @@ TEST(PoolSizeInvarianceTest, DenseCodeAggregationRepeatsOnEveryPool) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole queries: 5 queries x {raw, encoded} on one library per test.
+// Whole queries: 5 queries x {raw, encoded} on one library per test, one-shot
+// on every pool and prepared on the first.
 
 const plan::TpchHostTables& Tables() {
   static const auto* tables = [] {
@@ -318,6 +321,16 @@ void ExpectQueriesRepeatOnEveryPool(const char* backend_name) {
         if (threads == kPoolSizes[0]) {
           want = got;
           want_ns = stats.simulated_ns;
+          // The prepared path runs the same plan as one slice over resident
+          // tables.
+          plan::QueryShape shape;
+          shape.query = q;
+          shape.use_encoding = encoded;
+          const auto prepared = plan::PrepareTpchQuery(
+              shape, plan::MakeResident(backend->stream(), Tables(), encoded),
+              backend_name);
+          SCOPED_TRACE("prepared");
+          tpch_testing::ExpectSameAnswer(q, want, prepared->Run(*backend));
           continue;
         }
         tpch_testing::ExpectSameAnswer(q, want, got);

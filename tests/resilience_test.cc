@@ -1,10 +1,9 @@
 // Resilience-layer tests: retry/backoff policy math, the circuit-breaker
 // state machine, fault-injector determinism, the error taxonomy, and the
 // scheduler's recovery behavior (transient retry, OOM reclaim, deadlines,
-// typed shutdown status) plus Hybrid's breaker-driven fallback. Built into
-// the concurrency_tests binary, which CI also runs under ThreadSanitizer —
-// the multi-client chaos sweep at the bottom is the data-race canary for
-// the whole fault path.
+// typed shutdown status). Built into the concurrency_tests binary, which CI
+// also runs under ThreadSanitizer — the multi-client chaos sweep at the
+// bottom is the data-race canary for the whole fault path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -541,44 +540,8 @@ TEST_F(SchedulerRecoveryTest, SubmitAfterShutdownReturnsTypedStatus) {
 }
 
 // ---------------------------------------------------------------------------
-// Hybrid fallback + chaos sweep
+// Injector timing + chaos sweep
 // ---------------------------------------------------------------------------
-
-TEST_F(SchedulerRecoveryTest, HybridRoutesAroundAStickyDeviceLoss) {
-  // Kill the backend that wins essentially every cost dispatch. Each use
-  // must fault exactly once per operation, reroute to the runner-up, and
-  // after failure_threshold losses the breaker opens and stops routing
-  // there at all.
-  FaultInjector inj(21);
-  FaultRule r;
-  r.site = FaultSite::kKernel;
-  r.kind = FaultKind::kDeviceLost;
-  r.stream_label = backends::kHandwritten;
-  r.at_call = 1;
-  inj.AddRule(r);
-  Device::Default().set_fault_injector(&inj);
-
-  auto hybrid = BackendRegistry::Instance().Create(backends::kHybrid);
-  for (int round = 0; round < 4; ++round) {
-    const double sum = hybrid->ReduceColumn(col_, AggOp::kSum);
-    EXPECT_EQ(sum, expected_sum_ - static_cast<double>(col_.size()))
-        << "round " << round;
-  }
-  Device::Default().set_fault_injector(nullptr);
-
-  ResilienceManager& rm = ResilienceManager::Global();
-  const ResilienceStats stats = rm.Snapshot();
-  EXPECT_GE(stats.fallback_reroutes, 3u);
-  EXPECT_GE(stats.faults_seen, 3u);
-  EXPECT_EQ(rm.StateOf(backends::kHandwritten), CircuitBreaker::State::kOpen);
-  EXPECT_GE(inj.stats().injected_device_lost +
-                inj.stats().sticky_replays, 3u);
-  // The breaker list in the snapshot names the open backend, keyed by
-  // (backend, device ordinal) — this all ran on the default device.
-  ASSERT_EQ(stats.open_backends.size(), 1u);
-  EXPECT_EQ(stats.open_backends[0],
-            std::string(backends::kHandwritten) + "@0");
-}
 
 TEST_F(SchedulerRecoveryTest, AttachedInjectorWithoutRulesIsTimingInvisible) {
   const auto measure = [&] {

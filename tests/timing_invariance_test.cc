@@ -138,7 +138,10 @@ TEST(TimingInvarianceTest, PinnedPlanReplaysHandCodedTimeline) {
     tpch::RunQ6(*hand_backend, lineitem);
     const uint64_t hand_ns = hand_backend->stream().now_ns() - t0;
 
-    const plan::QueryPlanBundle bundle = plan::BuildQ6Plan(lineitem);
+    plan::TpchDeviceTables tables;
+    tables.lineitem = &lineitem;
+    const plan::QueryPlanBundle bundle =
+        plan::BuildTpchPlan(plan::TpchQuery::kQ6, tables);
     plan::OptimizerOptions opts;
     opts.pin_backend = backend_name;
     const plan::PhysicalPlan phys = plan::Optimize(bundle.plan, opts);

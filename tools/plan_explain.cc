@@ -18,6 +18,8 @@
 // exchange operators. --shards overrides the one-shard-per-device default.
 #include <cstdlib>
 #include <iostream>
+#include <map>
+#include <stdexcept>
 #include <string>
 
 #include "core/registry.h"
@@ -31,6 +33,28 @@
 #include "storage/encoded_column.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
+
+namespace {
+
+bool IsQueryName(const std::string& name) {
+  try {
+    plan::ParseTpchQuery(name);
+    return true;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+}
+
+storage::Table Generate(plan::TpchTable table, const tpch::Config& config) {
+  switch (table) {
+    case plan::TpchTable::kOrders: return tpch::GenerateOrders(config);
+    case plan::TpchTable::kCustomer: return tpch::GenerateCustomer(config);
+    case plan::TpchTable::kPart: return tpch::GeneratePart(config);
+  }
+  throw std::logic_error("unknown TpchTable");
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   core::RegisterBuiltinBackends();
@@ -52,8 +76,7 @@ int main(int argc, char** argv) {
       devices = std::atoi(arg.c_str() + 10);
     } else if (arg.rfind("--shards=", 0) == 0) {
       shards = static_cast<size_t>(std::strtoul(arg.c_str() + 9, nullptr, 10));
-    } else if (arg == "q1" || arg == "q6" || arg == "q3" || arg == "q4" ||
-               arg == "q14") {
+    } else if (arg.rfind("--", 0) != 0 && IsQueryName(arg)) {
       query = arg;
     } else {
       std::cerr << "usage: plan_explain [q1|q6|q3|q4|q14] [--pin=<backend>] "
@@ -77,32 +100,22 @@ int main(int argc, char** argv) {
                    : storage::UploadTable(up, t);
   };
   // Host tables stay alive for the whole run: the sharded planner reads them
-  // and plan scans hold pointers into their device uploads.
+  // and plan scans hold pointers into their device uploads. Only the tables
+  // the query's entry lists are generated.
+  const plan::TpchQuery q = plan::ParseTpchQuery(query);
   const storage::Table host_lineitem = tpch::GenerateLineitem(config);
-  storage::Table host_customer, host_orders, host_part;
   const storage::DeviceTable lineitem = upload(host_lineitem);
-
-  storage::DeviceTable customer, orders, part;
-  plan::QueryPlanBundle bundle;
-  if (query == "q1") {
-    bundle = plan::BuildQ1Plan(lineitem);
-  } else if (query == "q6") {
-    bundle = plan::BuildQ6Plan(lineitem);
-  } else if (query == "q3") {
-    host_customer = tpch::GenerateCustomer(config);
-    host_orders = tpch::GenerateOrders(config);
-    customer = upload(host_customer);
-    orders = upload(host_orders);
-    bundle = plan::BuildQ3Plan(customer, orders, lineitem);
-  } else if (query == "q4") {
-    host_orders = tpch::GenerateOrders(config);
-    orders = upload(host_orders);
-    bundle = plan::BuildQ4Plan(orders, lineitem);
-  } else {  // q14
-    host_part = tpch::GeneratePart(config);
-    part = upload(host_part);
-    bundle = plan::BuildQ14Plan(part, lineitem);
+  std::map<plan::TpchTable, storage::Table> host_build;
+  std::map<plan::TpchTable, storage::DeviceTable> device_build;
+  plan::TpchHostTables tables;
+  plan::TpchDeviceTables device_tables;
+  tables.lineitem = &host_lineitem;
+  device_tables.lineitem = &lineitem;
+  for (const plan::TpchTable t : plan::QueryDef(q).build_tables) {
+    tables[t] = &(host_build[t] = Generate(t, config));
+    device_tables[t] = &(device_build[t] = upload(*tables[t]));
   }
+  const plan::QueryPlanBundle bundle = plan::BuildTpchPlan(q, device_tables);
 
   plan::OptimizerOptions options;
   options.pin_backend = pin;
@@ -129,14 +142,9 @@ int main(int argc, char** argv) {
   std::cout << plan::Explain(phys, result);
 
   if (devices > 1 || shards > 0) {
-    plan::TpchHostTables tables;
-    tables.lineitem = &host_lineitem;
-    tables.orders = host_orders.num_rows() > 0 ? &host_orders : nullptr;
-    tables.customer = host_customer.num_rows() > 0 ? &host_customer : nullptr;
-    tables.part = host_part.num_rows() > 0 ? &host_part : nullptr;
     gpusim::DeviceGroup group(devices);
-    const plan::ShardedPlanSpec spec = plan::PlanShardedExecution(
-        plan::ParseTpchQuery(query), tables, group, shards);
+    const plan::ShardedPlanSpec spec =
+        plan::PlanShardedExecution(q, tables, group, shards);
     const std::string explain_backend = pin.empty() ? "Handwritten" : pin;
     std::cout << "\n" << plan::ExplainSharded(spec, group, explain_backend);
   }

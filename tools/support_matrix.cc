@@ -13,7 +13,5 @@ int main() {
   std::cout << "\nWith the handwritten baseline included:\n\n";
   core::PrintSupportMatrix(
       std::cout, {"ArrayFire", "Boost.Compute", "Thrust", "Handwritten"});
-  std::cout << "\nHybrid dispatch (cost-chosen realization per operator):\n\n";
-  core::PrintSupportMatrix(std::cout, {"Hybrid"});
   return 0;
 }
