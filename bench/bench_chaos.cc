@@ -6,9 +6,17 @@
 // and budgeted below the scheduler's retry budget, so a correct resilience
 // layer must finish every query with the right answer — the harness exits
 // non-zero if any query fails permanently (exit 2), any answer drifts from
-// the host reference (exit 3), or a fault-free run after the chaos storm is
+// the host reference (exit 3), a fault-free run after the chaos storm is
 // not bit-identical in simulated time to the pre-storm golden run (exit 4:
-// fault handling leaked into the cost model).
+// fault handling leaked into the cost model), or the storm made more device
+// calls than one replay per fired fault allows (exit 5: a fault was
+// replayed by more than one recovery layer).
+//
+// Device calls are the injector's checks: every allocation, kernel launch
+// and transfer it inspects. The golden passes count them with a rule-less
+// injector attached, which changes no simulated time. The chaos pass may
+// make at most its fault-free calls plus one run of the costliest query
+// kind for each fired fault.
 //
 // Not a google-benchmark binary: the unit of work is a whole scheduler run
 // and the checks need cross-run state, so it drives itself and optionally
@@ -193,18 +201,29 @@ int Run(const Options& opts) {
   };
 
   // Runs every kind once on a single fault-free client and returns the
-  // per-kind simulated time.
+  // per-kind simulated time. A rule-less injector counts each kind's device
+  // calls into `calls`.
+  std::map<std::string, uint64_t> calls;
   const auto golden_pass = [&](const char* label,
                                std::vector<Answer>* answers) {
     answers->assign(kNumKinds, Answer());
+    gpusim::FaultInjector counter;
     core::SchedulerOptions sched_opts;
     sched_opts.backend_name = opts.backend;
     sched_opts.num_clients = 1;
     core::QueryScheduler scheduler(sched_opts);
+    device.set_fault_injector(&counter);
     for (size_t i = 0; i < kNumKinds; ++i) {
-      scheduler.Submit(kKinds[i], make_query(kKinds[i], &(*answers)[i]));
+      const std::string kind = kKinds[i];
+      scheduler.Submit(kind, [&, kind, fn = make_query(kind, &(*answers)[i])](
+                                 core::Backend& b) {
+        const uint64_t before = counter.stats().checks;
+        fn(b);
+        calls[kind] = counter.stats().checks - before;
+      });
     }
     scheduler.Drain();
+    device.set_fault_injector(nullptr);
     std::map<std::string, uint64_t> sim_ns;
     for (const core::QueryRecord& q : scheduler.Records()) {
       if (!q.ok) {
@@ -292,6 +311,21 @@ int Run(const Options& opts) {
   const gpusim::FaultInjectorStats fstats = injector.stats();
   const core::ResilienceStats& res = report.resilience;
 
+  // One replay per fired fault: a failed attempt stops at its fault, so it
+  // makes at most the calls of a whole run of its kind.
+  uint64_t golden_calls = 0;
+  uint64_t costliest = 0;
+  for (const auto& [kind, n] : calls) {
+    golden_calls += n;
+    costliest = std::max(costliest, n);
+  }
+  uint64_t call_bound = fstats.injected_total() * costliest;
+  for (const std::string& kind : kinds) call_bound += calls[kind];
+  const auto per_query = [](uint64_t n, size_t queries) {
+    return static_cast<double>(n) / static_cast<double>(queries);
+  };
+  const bool calls_ok = fstats.checks <= call_bound;
+
   size_t failed = 0;
   size_t retried_queries = 0;
   int max_attempts_seen = 1;
@@ -324,6 +358,10 @@ int Run(const Options& opts) {
               "max attempts %d, %zu permanent failures\n",
               report.completed - failed, retried_queries, max_attempts_seen,
               failed);
+  std::printf("device calls:     %.1f per query fault-free, %.1f under "
+              "chaos (bound %.1f)\n",
+              per_query(golden_calls, kNumKinds),
+              per_query(fstats.checks, total), per_query(call_bound, total));
   std::printf("device memory:    peak %.2f MiB (live+reserved), %llu bytes "
               "still reserved\n",
               static_cast<double>(report.device_peak_bytes) /
@@ -361,6 +399,8 @@ int Run(const Options& opts) {
               answers_ok ? "OK" : "MISMATCH");
   std::printf("fault-free golden timeline after chaos: %s\n",
               golden_ok ? "bit-identical" : "DRIFTED");
+  std::printf("device calls within one replay per fault: %s\n",
+              calls_ok ? "OK" : "EXCEEDED");
 
   if (!opts.json_path.empty()) {
     std::ofstream out(opts.json_path);
@@ -381,19 +421,25 @@ int Run(const Options& opts) {
         << ", \"deadline_misses\": " << res.deadline_misses
         << ", \"permanent_failures\": " << res.permanent_failures
         << ", \"breaker_opens\": " << res.breaker_opens << "},\n"
+        << "  \"device_calls_per_query\": {\"golden\": "
+        << per_query(golden_calls, kNumKinds)
+        << ", \"chaos\": " << per_query(fstats.checks, total)
+        << ", \"chaos_bound\": " << per_query(call_bound, total) << "},\n"
         << "  \"peak_bytes\": " << report.device_peak_bytes << ",\n"
         << "  \"reserved_bytes\": " << report.device_reserved_bytes << ",\n"
         << "  \"recovered_queries\": " << retried_queries << ",\n"
         << "  \"max_attempts\": " << max_attempts_seen << ",\n"
         << "  \"permanent_failures\": " << failed << ",\n"
         << "  \"answers_ok\": " << (answers_ok ? "true" : "false") << ",\n"
-        << "  \"golden_ok\": " << (golden_ok ? "true" : "false") << "\n}\n";
+        << "  \"golden_ok\": " << (golden_ok ? "true" : "false") << ",\n"
+        << "  \"calls_ok\": " << (calls_ok ? "true" : "false") << "\n}\n";
     std::printf("wrote %s\n", opts.json_path.c_str());
   }
 
   if (failed > 0) return 2;
   if (!answers_ok) return 3;
   if (!golden_ok) return 4;
+  if (!calls_ok) return 5;
   return 0;
 }
 

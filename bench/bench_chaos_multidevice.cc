@@ -7,9 +7,11 @@
 // carries a low-probability transient TransferFault rule. The run must
 // complete in degraded mode on the survivors, every answer must match the
 // host reference, and no run may fail permanently while at least one device
-// survives. A zero-fault gate then re-runs each query with armed but
-// rule-less injectors and demands a simulated timeline bit-identical to the
-// bare group — the fault plumbing must be timing-invisible when silent.
+// survives. Each run's device calls (the injectors' checks) are reported as
+// device_calls_per_query, without a bound. A zero-fault gate then re-runs
+// each query with armed but rule-less injectors and demands a simulated
+// timeline bit-identical to the bare group — the fault plumbing must be
+// timing-invisible when silent.
 //
 // Phase B — serving tier under attack: a QueryServer takes a connection
 // flood past its cap (typed kOverloaded with retry-after), a stream of
@@ -215,6 +217,7 @@ struct ChaosPoint {
   int recovery_rounds = 0;
   size_t replaced_shards = 0;
   uint64_t transfer_retries = 0;
+  uint64_t device_calls = 0;  ///< checks summed over the four injectors
   uint64_t sim_ns = 0;
   bool ok = true;
 };
@@ -277,6 +280,9 @@ int RunChaosSweep(const Options& opts, const plan::TpchHostTables& tables,
       p.replaced_shards = stats.replaced_shards;
       p.transfer_retries = stats.transfer_retries;
       p.sim_ns = stats.simulated_ns;
+      for (int d = 0; d < group.size(); ++d) {
+        p.device_calls += group.fault_injector(d)->stats().checks;
+      }
 
       std::string why;
       if (!Verify(q, result, ref, &why)) {
@@ -721,6 +727,13 @@ int Run(const Options& opts) {
   std::vector<ChaosPoint> points;
   int rc = RunChaosSweep(opts, tables, ref, &points);
   if (rc != 0) return rc;
+  uint64_t device_calls = 0;
+  for (const ChaosPoint& p : points) device_calls += p.device_calls;
+  const double device_calls_per_query =
+      points.empty() ? 0.0
+                     : static_cast<double>(device_calls) /
+                           static_cast<double>(points.size());
+  std::printf("  device calls per query: %.1f\n", device_calls_per_query);
 
   std::printf("\nphase A gate: zero-fault timeline\n");
   rc = RunZeroFaultGate(opts, tables);
@@ -753,6 +766,7 @@ int Run(const Options& opts) {
     out << "{\n  \"scale_factor\": " << opts.scale_factor << ",\n"
         << "  \"force_shards\": " << opts.force_shards << ",\n"
         << "  \"all_ok\": true,\n"
+        << "  \"device_calls_per_query\": " << device_calls_per_query << ",\n"
         << "  \"server\": {\"ran\": " << (opts.skip_server ? "false" : "true")
         << ", \"shed\": " << server_outcome.shed
         << ", \"malformed\": " << server_outcome.malformed
@@ -767,6 +781,7 @@ int Run(const Options& opts) {
           << ", \"recovery_rounds\": " << p.recovery_rounds
           << ", \"replaced_shards\": " << p.replaced_shards
           << ", \"transfer_retries\": " << p.transfer_retries
+          << ", \"device_calls\": " << p.device_calls
           << ", \"sim_ns\": " << p.sim_ns
           << ", \"ok\": " << (p.ok ? "true" : "false") << "}"
           << (i + 1 < points.size() ? "," : "") << "\n";

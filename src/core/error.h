@@ -1,18 +1,24 @@
 // Error taxonomy for the backend boundary.
 //
 // Every failure escaping a backend call is classified into one of three
-// classes that decide the recovery policy (DESIGN.md "Fault model &
-// resilience"):
+// classes. Each class, at each site, has exactly one retry owner (the table
+// in DESIGN.md §7, "Fault model & resilience"):
 //
 //   kTransient  the same call is expected to succeed if replayed
-//               (TransientKernelFault, TransferFault)        -> retry with
-//               capped exponential backoff
+//               (TransientKernelFault, TransferFault)   -> the slice runner
+//               inside a governed or sharded run, else the scheduler's
+//               whole-query retry with capped exponential backoff
 //   kResource   the device is out of memory but reclaim can help
-//               (OutOfDeviceMemory)                          -> TrimPool +
-//               single retry
+//               (OutOfDeviceMemory)                     -> RunGoverned's
+//               re-slicing ladder, else the scheduler's TrimPool + one re-run
 //   kFatal      replaying cannot help (DeviceLost, UnsupportedOperator,
-//               logic errors, anything unclassified)         -> fail fast,
-//               feed the backend's circuit breaker
+//               logic errors, anything unclassified)    -> fail fast, feed
+//               the backend's circuit breaker; a hybrid plan re-routes the
+//               node, a sharded run re-places the lost device's slices
+//
+// An owner that spends its budget rethrows the fault as BackendError of
+// class kFatal with the original message, so no outer layer replays it
+// again.
 //
 // Unknown exception types default to kFatal: retrying an error we do not
 // understand risks re-corrupting state, and it keeps pre-taxonomy behaviour

@@ -1,8 +1,9 @@
 // Recovery policies shared by the scheduler, the plan executor, and the
-// sharded runner.
+// slice and sharded runners. DESIGN.md §7 names the one owner of each fault
+// class; these are the budgets and counters the owners use.
 //
-// RetryPolicy      capped exponential backoff for transient faults, plus the
-//                  reclaim budget for OutOfDeviceMemory (TrimPool + retry).
+// RetryPolicy      the scheduler's whole-query retry budget and capped
+//                  exponential backoff for transient faults.
 // CircuitBreaker   per-backend health gate: N consecutive failures open the
 //                  circuit; after a cooldown counted in *denied calls* (not
 //                  wall time, so runs stay deterministic) one half-open
@@ -36,16 +37,13 @@
 
 namespace core {
 
-/// Retry budget + backoff curve for one query (or one operator).
+/// Retry budget + backoff curve for one scheduled query.
 struct RetryPolicy {
   /// Total attempts including the first; 1 disables retry.
   int max_attempts = 3;
   /// Backoff before retry k (1-based) is min(base << (k-1), cap).
   uint64_t backoff_base_ns = 1'000'000;  // 1 ms
   uint64_t backoff_cap_ns = 8'000'000;   // 8 ms
-  /// TrimPool-and-retry budget per query for OutOfDeviceMemory. These
-  /// retries are not counted against max_attempts.
-  int max_reclaims = 1;
 
   /// Backoff to sleep after the `failed_attempts`-th failed attempt.
   uint64_t BackoffNs(int failed_attempts) const {

@@ -9,6 +9,12 @@
 #include "core/registry.h"
 
 namespace core {
+namespace {
+
+/// TrimPool-and-re-run recoveries one query gets for OutOfDeviceMemory.
+constexpr int kOomReclaimsPerQuery = 1;
+
+}  // namespace
 
 QueryScheduler::QueryScheduler(SchedulerOptions options)
     : options_(std::move(options)) {
@@ -308,9 +314,11 @@ void QueryScheduler::ClientLoop(unsigned client_index) {
     }
 
     // Recovery loop: transient faults retry with capped exponential backoff,
-    // OutOfDeviceMemory gets TrimPool + retry (not charged against the
-    // attempt budget), fatal errors fail the query immediately. Queries are
-    // idempotent (QueryFn contract), so a replay recomputes from its inputs.
+    // OutOfDeviceMemory gets one TrimPool + re-run, fatal errors fail the
+    // query immediately. Queries are idempotent (QueryFn contract), so a
+    // replay recomputes from its inputs. Runners that own a fault class
+    // themselves (DESIGN.md §7) throw kFatal once their budget is spent, so
+    // nothing here replays their faults again.
     for (int attempt = 1; admitted; ++attempt) {
       record.attempts = attempt;
       try {
@@ -330,18 +338,14 @@ void QueryScheduler::ClientLoop(unsigned client_index) {
                                       .count();
         const bool within_deadline =
             deadline_ms == 0 || elapsed_ms < static_cast<double>(deadline_ms);
-        // A reclaim-then-retry only makes sense while reclaiming can change
-        // the memory state: the first OOM always gets one (the pool may
-        // hide exactly the bytes needed, and an injected one-shot OOM is
-        // indistinguishable from that), but repeats require a non-empty
-        // pool — under real, persistent pressure TrimPool frees nothing and
-        // the old unconditional retry was a livelock that burned the whole
-        // reclaim budget. Queries built for degradation absorb recurring
-        // OOM themselves by partitioning (plan/partition.h).
+        // The first OOM gets one reclaim: the pool may hide exactly the
+        // bytes needed, and an injected one-shot OOM is indistinguishable
+        // from that. A second OOM fails the query; under persistent
+        // pressure reclaiming again frees nothing. Queries built for
+        // degradation absorb recurring OOM themselves by partitioning
+        // (plan/partition.h).
         if (within_deadline && cls == ErrorClass::kResource &&
-            record.oom_reclaims < retry.max_reclaims &&
-            (record.oom_reclaims == 0 ||
-             backend->stream().device().bytes_pooled() > 0)) {
+            record.oom_reclaims < kOomReclaimsPerQuery) {
           backend->stream().device().TrimPool();
           ++record.oom_reclaims;
           resilience_->NoteOomReclaim();

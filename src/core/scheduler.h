@@ -52,7 +52,7 @@ struct SchedulerOptions {
   std::string backend_name;      ///< registry name (core/registry.h)
   unsigned num_clients = 1;      ///< concurrent clients, each with own stream
   size_t queue_capacity = 16;    ///< bound on queued (not yet running) queries
-  RetryPolicy retry;             ///< transient-retry / OOM-reclaim budget
+  RetryPolicy retry;             ///< transient-retry budget and backoff
   /// Wall-clock budget per query, 0 = none. A query past its deadline gets
   /// no further retry attempts and its record is flagged; a query that
   /// finishes late but ok keeps ok = true.

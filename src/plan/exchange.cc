@@ -462,7 +462,7 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
       // fault fires before any pricing, so the successful attempt charges
       // exactly once). After the retry budget — or a DeviceLost on the edge
       // — fall back to draining the host-resident partials uncharged.
-      for (int attempt = 1; attempt <= detail::kTransferAttempts; ++attempt) {
+      for (int attempt = 1; attempt <= detail::kTransientAttempts; ++attempt) {
         try {
           group.ChargeExchange(d, ws.backend->stream(), coord, dst, bytes);
           st.exchange_bytes += bytes;
@@ -501,26 +501,6 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
   }
   st.simulated_ns = makespan;
   return QueryDef(query).finalize(detail::MergeSlices(slices));
-}
-
-core::QueryFn MakeShardedQuery(TpchQuery query, TpchHostTables tables,
-                               gpusim::DeviceGroup& group,
-                               ShardedQueryOptions options,
-                               TpchQueryResult* out, ShardedRunStats* stats) {
-  // `group` is captured by reference: the caller keeps it (and the host
-  // tables) alive until the scheduler drains.
-  return [query, tables, &group, options = std::move(options), out,
-          stats](core::Backend& backend) {
-    ShardedRunStats local;
-    ShardedRunStats& st = stats != nullptr ? *stats : local;
-    TpchQueryResult result =
-        RunSharded(query, tables, group, backend.name(), options, &st);
-    // The sharded run happened on the group's own streams; advance the
-    // client's timeline by its makespan so scheduler latency percentiles
-    // price the query at its true simulated cost.
-    backend.stream().ChargeOverhead(st.simulated_ns);
-    if (out != nullptr) *out = std::move(result);
-  };
 }
 
 }  // namespace plan

@@ -37,8 +37,10 @@
 // gather re-routes around dead devices: a dead device's partials are drained
 // from host staging without a fabric charge, the coordinator moves to the
 // lowest surviving device, and transient TransferFaults on a gather edge
-// retry against the same budget as uploads before falling back to a
-// host-staged drain.
+// retry against the same budget a slice gets before falling back to a
+// host-staged drain. Inside a device's shard list the slice runner replays
+// a slice that hits a transient fault; RunSharded itself re-slices nothing,
+// so an OOM propagates to the caller.
 //
 // Finished slices are checkpoints: when a device dies only its *unfinished*
 // slices re-deal, and the finished ones merge into the final answer without
@@ -62,7 +64,6 @@
 #include <vector>
 
 #include "core/governor.h"
-#include "core/scheduler.h"
 #include "gpusim/device_group.h"
 #include "plan/ir.h"
 #include "plan/partition.h"
@@ -191,16 +192,6 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
                            const std::string& backend_name,
                            const ShardedQueryOptions& options = {},
                            ShardedRunStats* stats = nullptr);
-
-/// Adapts RunSharded for core::QueryScheduler submission: the sharded run
-/// executes on the client thread (spawning its own device threads) and the
-/// client's stream is advanced by the run's makespan, so scheduler latency
-/// percentiles see the multi-device query at its true simulated cost.
-core::QueryFn MakeShardedQuery(TpchQuery query, TpchHostTables tables,
-                               gpusim::DeviceGroup& group,
-                               ShardedQueryOptions options = {},
-                               TpchQueryResult* out = nullptr,
-                               ShardedRunStats* stats = nullptr);
 
 }  // namespace plan
 

@@ -158,7 +158,7 @@ class Executor {
     return stream.now_ns() - t0;
   }
 
-  // -- Resilient node execution ---------------------------------------------
+  // -- Node execution with hybrid fallback ---------------------------------
 
   /// A fallback candidate must actually be able to run the node: a join
   /// already resolved to the hash algorithm needs hash-join support (kAuto
@@ -172,64 +172,48 @@ class Executor {
     return true;
   }
 
-  /// Executes one node with recovery: transient faults replay the node on
-  /// the same backend (up to the retry budget), device OOM trims the pool
-  /// and retries once, and a fatal failure feeds the backend's circuit
-  /// breaker and — in hybrid mode — falls the node back to the next capable
-  /// dispatch candidate. Simulated time of failed attempts stays charged
-  /// (the device really spent it), accumulated into measured_ns.
+  /// Executes one node. In hybrid mode a fatal failure feeds the backend's
+  /// circuit breaker and falls the node back to the next capable dispatch
+  /// candidate. Every other failure, and any failure of a pinned run,
+  /// propagates to the owner of its fault class (DESIGN.md §7). Simulated
+  /// time of a failed attempt stays charged (the device really spent it),
+  /// accumulated into measured_ns.
   void RunNode(size_t i, const PlanNode& node, NodeValue& value) {
     core::ResilienceManager& rm = core::ResilienceManager::Global();
-    std::exception_ptr last_error;
     std::vector<std::string> fallbacks;
     size_t next_fallback = 0;
     bool enumerated = false;
     for (;;) {
       core::Backend& backend = BackendFor(i);
       gpusim::Stream& stream = backend.stream();
-      bool reclaimed = false;
-      bool fatal = false;
-      for (int attempt = 1; !fatal; ++attempt) {
-        const uint64_t t0 = stream.now_ns();
-        try {
-          value.boundary_ns += ChargeBoundaries(i, node, backend);
-          Execute(i, node, backend, value);
-          value.computed = true;
-          value.measured_ns += stream.now_ns() - t0;
-          if (pinned_ == nullptr) rm.RecordSuccess(assigned_[i]);
-          return;
-        } catch (...) {
-          value.measured_ns += stream.now_ns() - t0;
-          last_error = std::current_exception();
-          const core::ErrorClass cls = core::Classify(last_error);
-          rm.NoteFaultSeen();
-          if (cls == core::ErrorClass::kTransient &&
-              attempt < retry_.max_attempts) {
-            rm.NoteRetry(0);  // node replay; backoff is the scheduler's job
-            continue;
-          }
-          if (cls == core::ErrorClass::kResource && !reclaimed) {
-            reclaimed = true;
-            stream.device().TrimPool();
-            rm.NoteOomReclaim();
-            continue;
-          }
-          fatal = true;
+      const uint64_t t0 = stream.now_ns();
+      try {
+        value.boundary_ns += ChargeBoundaries(i, node, backend);
+        Execute(i, node, backend, value);
+        value.computed = true;
+        value.measured_ns += stream.now_ns() - t0;
+        if (pinned_ == nullptr) rm.RecordSuccess(assigned_[i]);
+        return;
+      } catch (...) {
+        value.measured_ns += stream.now_ns() - t0;
+        if (pinned_ != nullptr ||
+            core::Classify(std::current_exception()) !=
+                core::ErrorClass::kFatal) {
+          throw;
         }
-      }
-      if (pinned_ != nullptr) break;  // pinned runs never re-route
-      rm.RecordFailure(assigned_[i]);
-      if (!enumerated) {
-        enumerated = true;
-        for (const std::string& c : phys_.candidates) {
-          if (c != assigned_[i] && CanRun(c, node)) fallbacks.push_back(c);
+        rm.NoteFaultSeen();
+        rm.RecordFailure(assigned_[i]);
+        if (!enumerated) {
+          enumerated = true;
+          for (const std::string& c : phys_.candidates) {
+            if (c != assigned_[i] && CanRun(c, node)) fallbacks.push_back(c);
+          }
         }
+        if (next_fallback >= fallbacks.size()) throw;
+        assigned_[i] = fallbacks[next_fallback++];
+        rm.NoteReroute();
       }
-      if (next_fallback >= fallbacks.size()) break;
-      assigned_[i] = fallbacks[next_fallback++];
-      rm.NoteReroute();
     }
-    std::rethrow_exception(last_error);
   }
 
   // -- Node execution -------------------------------------------------------
@@ -500,7 +484,6 @@ class Executor {
   /// updated when a node falls back, so boundary pricing and downstream
   /// consumers see where values were actually materialized.
   std::vector<std::string> assigned_;
-  core::RetryPolicy retry_;
   std::map<std::string, std::unique_ptr<core::Backend>> backends_;
   ExecutionResult result_;
 };
@@ -518,18 +501,6 @@ ExecutionResult RunHybrid(const PhysicalPlan& plan) {
 core::QueryFn MakePlanQuery(std::shared_ptr<const PhysicalPlan> plan) {
   return [plan = std::move(plan)](core::Backend& backend) {
     RunPinned(*plan, backend);
-  };
-}
-
-core::QueryFn MakeAdaptivePlanQuery(std::shared_ptr<const Plan> logical,
-                                    OptimizerOptions options) {
-  return [logical = std::move(logical),
-          options = std::move(options)](core::Backend& backend) {
-    // Re-optimize per execution: with route_around_open_breakers set, a
-    // backend whose breaker opened after planning gets no nodes assigned.
-    PhysicalPlan phys = Optimize(*logical, options);
-    ExecutionResult r = RunHybrid(phys);
-    backend.stream().ChargeOverhead(r.total_ns);
   };
 }
 

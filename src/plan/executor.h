@@ -10,11 +10,12 @@
 // charges a device-to-device materialization transfer on the consumer's
 // stream whenever an input crosses a backend boundary.
 //
-// Execution is resilient (core/error.h taxonomy): transient faults replay
-// the node on the same backend, device OOM reclaims the pool and retries
-// once, and — in hybrid mode — a fatally-failing backend feeds its circuit
-// breaker and the node falls back to the next capable dispatch candidate,
-// so a dead sub-backend degrades the plan instead of failing the query.
+// The executor owns one fault class only (DESIGN.md §7): in hybrid mode a
+// fatally-failing backend feeds its circuit breaker and the node falls back
+// to the next capable dispatch candidate, so a dead sub-backend degrades the
+// plan instead of failing the query. Transient and out-of-memory faults
+// propagate to their owner: the slice runner inside governed and sharded
+// runs, the scheduler for everything else.
 #ifndef PLAN_EXECUTOR_H_
 #define PLAN_EXECUTOR_H_
 
@@ -73,14 +74,6 @@ ExecutionResult RunHybrid(const PhysicalPlan& plan);
 /// Adapts a plan for core::QueryScheduler submission: the returned functor
 /// executes the plan pinned to the scheduler client's backend.
 core::QueryFn MakePlanQuery(std::shared_ptr<const PhysicalPlan> plan);
-
-/// Adapts a *logical* plan for scheduler submission with adaptive dispatch:
-/// every execution re-optimizes against the current circuit-breaker state
-/// and runs hybrid, so queries route around backends that went unhealthy
-/// after planning. The client's stream is charged the plan's total
-/// simulated time, keeping QueryRecord::simulated_ns meaningful.
-core::QueryFn MakeAdaptivePlanQuery(std::shared_ptr<const Plan> logical,
-                                    OptimizerOptions options = {});
 
 }  // namespace plan
 

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "core/registry.h"
+#include "core/resilience.h"
 #include "storage/column.h"
 
 namespace plan {
@@ -451,23 +452,19 @@ class Dispatcher {
         // the handwritten streams are unhealthy.
         cands = fused ? std::vector<std::string>{"Handwritten"}
                       : opts_.candidates;
-        if (opts_.route_around_open_breakers) {
-          // Skip candidates whose circuit breaker denies traffic; with all
-          // breakers closed this is a no-op and dispatch is unchanged.
-          core::ResilienceManager& rm =
-              opts_.resilience != nullptr ? *opts_.resilience
-                                          : core::ResilienceManager::Global();
-          std::vector<std::string> healthy;
-          for (const std::string& c : cands) {
+        // Skip candidates whose circuit breaker denies traffic; with all
+        // breakers closed this is a no-op and dispatch is unchanged.
+        core::ResilienceManager& rm = core::ResilienceManager::Global();
+        std::vector<std::string> healthy;
+        for (const std::string& c : cands) {
+          if (rm.Allow(c)) healthy.push_back(c);
+        }
+        if (healthy.empty() && fused) {
+          for (const std::string& c : opts_.candidates) {
             if (rm.Allow(c)) healthy.push_back(c);
           }
-          if (healthy.empty() && fused) {
-            for (const std::string& c : opts_.candidates) {
-              if (rm.Allow(c)) healthy.push_back(c);
-            }
-          }
-          if (!healthy.empty()) cands = std::move(healthy);
         }
+        if (!healthy.empty()) cands = std::move(healthy);
       }
 
       std::string best;

@@ -18,7 +18,10 @@
 //     backend minimizing estimated operator cost plus boundary
 //     materialization cost (a priced device-to-device copy for every input
 //     produced by a differently-assigned backend). Ties go to the earlier
-//     candidate, making dispatch deterministic.
+//     candidate, making dispatch deterministic. Candidates whose circuit
+//     breaker (core::ResilienceManager::Global()) denies traffic are
+//     skipped unless every candidate is denied; with all breakers closed
+//     the assignment is the same as ignoring them.
 #ifndef PLAN_OPTIMIZER_H_
 #define PLAN_OPTIMIZER_H_
 
@@ -26,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "core/resilience.h"
 #include "plan/cost_estimator.h"
 #include "plan/ir.h"
 
@@ -45,14 +47,6 @@ struct OptimizerOptions {
   std::vector<std::string> candidates = {"Handwritten", "Thrust", "ArrayFire",
                                          "Boost.Compute"};
 
-  /// Hybrid dispatch skips candidates whose circuit breaker denies traffic
-  /// (unless every candidate is denied — then the full list is used). With
-  /// all breakers closed the assignment is identical to ignoring breakers,
-  /// so fault-free plans stay deterministic.
-  bool route_around_open_breakers = true;
-
-  /// Breaker source; nullptr = core::ResilienceManager::Global().
-  core::ResilienceManager* resilience = nullptr;
 };
 
 /// An optimized plan: the rewritten node list plus per-node backend

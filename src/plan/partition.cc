@@ -1,14 +1,15 @@
 #include "plan/partition.h"
 
 #include <algorithm>
+#include <exception>
 #include <map>
 #include <memory>
 #include <unordered_set>
 #include <utility>
 
+#include "core/error.h"
 #include "core/resilience.h"
 #include "gpusim/device.h"
-#include "gpusim/fault.h"
 #include "gpusim/trace.h"
 #include "plan/executor.h"
 #include "plan/optimizer.h"
@@ -313,7 +314,7 @@ uint64_t FootprintOfPlan(const PhysicalPlan& phys, bool include_scans) {
 
 namespace {
 
-/// Top of RunGoverned's repartitioning ladder; past it OOM propagates.
+/// Top of RunGoverned's repartitioning ladder; an OOM there is fatal.
 constexpr size_t kMaxPartitions = 256;
 
 void Emit(const GovernedQueryOptions& options, gpusim::Stream& stream,
@@ -369,29 +370,39 @@ void RunSlices(TpchQuery q, const TpchHostTables& tables,
                const std::function<void(size_t, const SliceResult&)>& on_slice) {
   progress = SliceProgress();
   gpusim::Stream& stream = backend.stream();
-  // Uploads `t` and sets `bytes` to what crossed the link. DeviceLost is
-  // sticky and propagates at once.
-  const auto upload = [&](const storage::Table& t, uint64_t& bytes) {
+  // Runs `step` again on a transient fault, up to kTransientAttempts
+  // attempts in all; a spent budget surfaces as fatal, so no outer layer
+  // replays it again. Every other fault (OOM, DeviceLost) propagates as is.
+  const auto replay = [](const auto& step) {
     core::ResilienceManager& rm = core::ResilienceManager::Global();
     for (int attempt = 1;; ++attempt) {
       try {
-        bytes = 0;
-        if (use_encoding) return storage::UploadTableEncoded(stream, t, &bytes);
-        bytes = HostTableBytes(t);
-        return storage::UploadTable(stream, t);
-      } catch (const gpusim::TransferFault&) {
+        return step();
+      } catch (...) {
+        const std::exception_ptr error = std::current_exception();
+        if (core::Classify(error) != core::ErrorClass::kTransient) throw;
         rm.NoteFaultSeen();
-        if (attempt >= kTransferAttempts) throw;
+        if (attempt >= kTransientAttempts) {
+          throw core::BackendError(core::ErrorClass::kFatal,
+                                   core::ErrorMessage(error));
+        }
         rm.NoteRetry(0);
       }
     }
+  };
+  // Uploads `t` and sets `bytes` to what crossed the link.
+  const auto upload = [&](const storage::Table& t, uint64_t& bytes) {
+    bytes = 0;
+    if (use_encoding) return storage::UploadTableEncoded(stream, t, &bytes);
+    bytes = HostTableBytes(t);
+    return storage::UploadTable(stream, t);
   };
 
   std::map<TpchTable, storage::DeviceTable> build;
   TpchDeviceTables dev;
   for (const TpchTable t : QueryDef(q).build_tables) {
     uint64_t bytes = 0;
-    dev[t] = &(build[t] = upload(*tables[t], bytes));
+    dev[t] = &(build[t] = replay([&] { return upload(*tables[t], bytes); }));
     progress.broadcast_bytes += bytes;
   }
 
@@ -401,21 +412,25 @@ void RunSlices(TpchQuery q, const TpchHostTables& tables,
   for (; progress.next < ranges.size(); ++progress.next) {
     const auto [lo, hi] = ranges[progress.next];
     if (lo >= hi) continue;  // orderkey alignment emptied this range
-    SliceResult s;
-    s.rows = {lo, hi};
-    // The slice's device memory is freed (credited back to the reservation)
-    // when this iteration ends, before the next slice uploads. With encoding
-    // on, the slice crosses the link at its encoded size.
-    const storage::DeviceTable lineitem =
-        lo == 0 && hi == host.num_rows()
-            ? upload(host, s.upload_bytes)
-            : upload(SliceTable(host, lo, hi), s.upload_bytes);
-    dev.lineitem = &lineitem;
-    const QueryPlanBundle bundle = BuildTpchPlan(q, dev);
-    const PhysicalPlan phys = Optimize(bundle.plan, opt);
-    const ExecutionResult res = RunPinned(phys, backend);
-    s.partials = ExtractPartials(bundle, res);
-    s.download_bytes = DownloadedBytes(bundle, res);
+    SliceResult s = replay([&] {
+      SliceResult r;
+      r.rows = {lo, hi};
+      // The slice's device memory is freed (credited back to the
+      // reservation) when the attempt ends, before the next attempt or
+      // slice uploads. With encoding on, the slice crosses the link at its
+      // encoded size.
+      const storage::DeviceTable lineitem =
+          lo == 0 && hi == host.num_rows()
+              ? upload(host, r.upload_bytes)
+              : upload(SliceTable(host, lo, hi), r.upload_bytes);
+      dev.lineitem = &lineitem;
+      const QueryPlanBundle bundle = BuildTpchPlan(q, dev);
+      const PhysicalPlan phys = Optimize(bundle.plan, opt);
+      const ExecutionResult res = RunPinned(phys, backend);
+      r.partials = ExtractPartials(bundle, res);
+      r.download_bytes = DownloadedBytes(bundle, res);
+      return r;
+    });
     progress.done.push_back(std::move(s));
     if (on_slice) on_slice(progress.next, progress.done.back());
   }
@@ -557,9 +572,13 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
       st.partitions = k;
       st.simulated_ns = stream.now_ns() - sim_start;
       return def.finalize(MergeSlices(run.done));
-    } catch (const gpusim::OutOfDeviceMemory&) {
+    } catch (const gpusim::OutOfDeviceMemory& e) {
       device.TrimPool();
-      if (options.force_partitions > 0 || k >= kMaxPartitions) throw;
+      if (options.force_partitions > 0) throw;
+      if (k >= kMaxPartitions) {
+        // The ladder is spent: no outer layer may replay the OOM again.
+        throw core::BackendError(core::ErrorClass::kFatal, e.what());
+      }
       k = std::min(kMaxPartitions, k * 2);
       ++st.oom_fallbacks;
       Emit(options, stream, PressureEvent::Kind::kFallback,

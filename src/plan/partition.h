@@ -104,10 +104,12 @@ struct GovernedRunStats {
 /// stream's admission grant (gpusim::Device::ReservationRemaining) — or, for
 /// ungoverned streams, the device capacity — is smaller than the estimated
 /// footprint. Recurring OutOfDeviceMemory doubles K and restarts (the
-/// partials accumulated so far are discarded; queries are idempotent) up to
-/// 256 partitions, then propagates. A transient TransferFault on an upload
-/// replays that upload. K == 1 charges exactly the ordinary unpartitioned
-/// plan execution.
+/// partials accumulated so far are discarded; queries are idempotent); an
+/// OOM at 256 partitions throws core::BackendError of class kFatal. With
+/// `force_partitions` set there is no ladder and an OOM propagates as is.
+/// A transient fault replays the slice it hit (partition_detail.h), and a
+/// spent replay budget is fatal too. K == 1 charges exactly the ordinary
+/// unpartitioned plan execution.
 TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
                             core::Backend& backend,
                             const GovernedQueryOptions& options = {},

@@ -27,10 +27,11 @@
 namespace plan {
 namespace detail {
 
-/// Attempts a host<->device move gets against transient
-/// gpusim::TransferFaults, the first one included: RunSlices' uploads and
-/// the sharded gather's exchange edges share this budget.
-constexpr int kTransferAttempts = 4;
+/// Attempts against transient faults, the first one included, that
+/// RunSlices gives one build-side upload or one whole slice, and that the
+/// sharded gather gives one exchange edge. These are the only replays of a
+/// transient fault inside a governed or sharded run (DESIGN.md §7).
+constexpr int kTransientAttempts = 4;
 
 /// A lineitem row range [first, second).
 using RowRange = std::pair<size_t, size_t>;
@@ -64,10 +65,13 @@ struct SliceProgress {
 /// BuildTpchPlan -> Optimize -> RunPinned -> ExtractPartials, and record the
 /// slice's partials in progress.done before the next slice starts.
 /// `on_slice`, if set, then sees the record and its index in `ranges`. Empty
-/// ranges are skipped. An upload that hits a transient TransferFault
-/// replays, up to kTransferAttempts attempts in all; the simulated time of
-/// failed attempts stays charged. Whatever escapes, `progress` still holds
-/// every slice that finished.
+/// ranges are skipped. A transient fault (TransientKernelFault,
+/// TransferFault) replays the failed build-side upload, or the whole slice
+/// from its upload through ExtractPartials, up to kTransientAttempts
+/// attempts in all; the simulated time of failed attempts stays charged.
+/// A spent budget throws core::BackendError of class kFatal with the fault's
+/// message, and every other fault propagates unchanged. Whatever escapes,
+/// `progress` still holds every slice that finished.
 void RunSlices(
     TpchQuery q, const TpchHostTables& tables, core::Backend& backend,
     const std::vector<RowRange>& ranges, bool use_encoding,

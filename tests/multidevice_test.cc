@@ -635,17 +635,26 @@ TEST(DeviceGroupFaultTest, ExchangeFaultFiresBeforeAnyPricing) {
 }
 
 TEST_F(MultiDeviceQueryTest, TransientTransferChaosStillAnswersCorrectly) {
-  // Seeded transient TransferFaults on every device, far below the retry
-  // budget: the run must recover every fault (executor retry for uploads,
-  // gather retry for exchanges) and the answer must stay exact.
+  // Seeded transient TransferFaults and kernel faults on every device, at
+  // most three per device, below the four attempts a slice or a gather edge
+  // gets: the run must recover every fault (slice replay for uploads,
+  // kernels and partial downloads, gather retry for exchanges) and the
+  // answer must stay exact.
   gpusim::DeviceGroup group(4);
   for (int d = 0; d < group.size(); ++d) {
-    gpusim::FaultRule rule;
-    rule.site = gpusim::FaultSite::kTransfer;
-    rule.kind = gpusim::FaultKind::kTransfer;
-    rule.probability = 0.05;
-    rule.max_fires = 2;
-    group.ArmFaultInjector(d, 1234).AddRule(rule);
+    gpusim::FaultInjector& injector = group.ArmFaultInjector(d, 1234);
+    gpusim::FaultRule transfer;
+    transfer.site = gpusim::FaultSite::kTransfer;
+    transfer.kind = gpusim::FaultKind::kTransfer;
+    transfer.probability = 0.05;
+    transfer.max_fires = 2;
+    injector.AddRule(transfer);
+    gpusim::FaultRule kernel;
+    kernel.site = gpusim::FaultSite::kKernel;
+    kernel.kind = gpusim::FaultKind::kTransientKernel;
+    kernel.probability = 0.05;
+    kernel.max_fires = 1;
+    injector.AddRule(kernel);
   }
   plan::ShardedQueryOptions options;
   options.force_shards = 8;
@@ -656,6 +665,11 @@ TEST_F(MultiDeviceQueryTest, TransientTransferChaosStillAnswersCorrectly) {
   VerifyAgainstReference(TpchQuery::kQ1, result);
   EXPECT_EQ(stats.devices_lost, 0);
   EXPECT_EQ(group.AliveCount(), 4);
+  uint64_t kernel_faults = 0;
+  for (int d = 0; d < group.size(); ++d) {
+    kernel_faults += group.fault_injector(d)->stats().injected_kernel;
+  }
+  EXPECT_GT(kernel_faults, 0u);
 }
 
 TEST_F(MultiDeviceQueryTest, ArmedRulelessInjectorsKeepTimelineBitIdentical) {

@@ -505,7 +505,7 @@ TEST_F(PlanTest, PlanQueryRunsThroughScheduler) {
 }
 
 // ---------------------------------------------------------------------------
-// Resilience: fallback execution and breaker-aware re-planning
+// Resilience: fallback execution and breaker-aware planning
 // ---------------------------------------------------------------------------
 
 /// Detaches the injector and clears global breaker state on every exit path
@@ -569,36 +569,6 @@ TEST_F(PlanResilienceTest, ExecutorFallsBackWhenABackendDiesMidPlan) {
                                plan::RunHybrid(rerouted))
                  .scalar,
              expected);
-
-  // Opting out of breaker-aware dispatch restores the original assignment.
-  plan::OptimizerOptions ignore;
-  ignore.route_around_open_breakers = false;
-  const plan::PhysicalPlan original = plan::Optimize(bundle.plan, ignore);
-  EXPECT_EQ(original.node_backend, phys.node_backend);
-}
-
-TEST_F(PlanResilienceTest, AdaptivePlanQueryReplansAroundOpenBreaker) {
-  const plan::QueryPlanBundle bundle = Build(plan::TpchQuery::kQ6);
-  auto logical = std::make_shared<const plan::Plan>(bundle.plan);
-
-  // Open the dominant backend's breaker by hand: the adaptive query must
-  // still succeed because each execution re-optimizes against breaker
-  // state instead of replaying the stale assignment.
-  core::ResilienceManager& rm = core::ResilienceManager::Global();
-  for (int i = 0; i < 3; ++i) rm.RecordFailure("Handwritten");
-  ASSERT_EQ(rm.StateOf("Handwritten"), core::CircuitBreaker::State::kOpen);
-
-  core::SchedulerOptions sched_opts;
-  sched_opts.backend_name = "Thrust";
-  sched_opts.num_clients = 1;
-  core::QueryScheduler scheduler(sched_opts);
-  scheduler.Submit("adaptive/q6", plan::MakeAdaptivePlanQuery(logical));
-  scheduler.Drain();
-
-  const auto records = scheduler.Records();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_TRUE(records[0].ok) << records[0].error;
-  EXPECT_GT(records[0].simulated_ns, 0u);
 }
 
 }  // namespace

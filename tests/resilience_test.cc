@@ -1,19 +1,22 @@
 // Resilience-layer tests: retry/backoff policy math, the circuit-breaker
-// state machine, fault-injector determinism, the error taxonomy, and the
+// state machine, fault-injector determinism, the error taxonomy, the
 // scheduler's recovery behavior (transient retry, OOM reclaim, deadlines,
-// typed shutdown status). Built into the concurrency_tests binary, which CI
-// also runs under ThreadSanitizer — the multi-client chaos sweep at the
-// bottom is the data-race canary for the whole fault path.
+// typed shutdown status), and how often one persistent fault fires under
+// the nested runners (one retry owner per fault class). Built into the
+// concurrency_tests binary, which CI also runs under ThreadSanitizer — the
+// multi-client chaos sweep is the data-race canary for the whole fault path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backends/backends.h"
@@ -25,7 +28,10 @@
 #include "gpusim/device_group.h"
 #include "gpusim/fault.h"
 #include "gpusim/stream.h"
+#include "plan/partition.h"
+#include "plan/prepared.h"
 #include "storage/device_column.h"
+#include "tpch/datagen.h"
 
 namespace core {
 namespace {
@@ -605,6 +611,100 @@ TEST_F(SchedulerRecoveryTest, EightClientChaosSweepRecoversEveryQuery) {
   }
   Device::Default().set_fault_injector(nullptr);
   EXPECT_EQ(wrong.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Retry amplification: one owner per fault class
+// ---------------------------------------------------------------------------
+
+/// Q6 at sf 0.002 on a one-client Handwritten scheduler under one persistent
+/// fault. Each case pins how often the fault fires before the query fails:
+/// a recovery layer nested inside another multiplies the count.
+class RetryAmplificationTest : public ResilienceTest {
+ protected:
+  void SetUp() override {
+    ResilienceTest::SetUp();
+    tpch::Config config;
+    config.scale_factor = 0.002;
+    lineitem_ = tpch::GenerateLineitem(config);
+    tables_.lineitem = &lineitem_;
+  }
+
+  /// Runs `query` once with every call at `site` failing with `kind`, and
+  /// returns its record.
+  QueryRecord RunUnder(FaultSite site, FaultKind kind, QueryFn query) {
+    FaultRule rule;
+    rule.site = site;
+    rule.kind = kind;
+    rule.probability = 1.0;
+    injector_.AddRule(rule);
+    SchedulerOptions opts;
+    opts.backend_name = backends::kHandwritten;
+    opts.num_clients = 1;
+    QueryScheduler scheduler(opts);
+    Device::Default().set_fault_injector(&injector_);
+    scheduler.Submit("q6", std::move(query));
+    scheduler.Drain();
+    Device::Default().set_fault_injector(nullptr);
+    const std::vector<QueryRecord> records = scheduler.Records();
+    EXPECT_EQ(records.size(), 1u);
+    return records.empty() ? QueryRecord() : records[0];
+  }
+
+  QueryFn Governed() {
+    return plan::MakeGovernedQuery(plan::TpchQuery::kQ6, tables_);
+  }
+
+  storage::Table lineitem_;
+  plan::TpchHostTables tables_;
+  FaultInjector injector_{7};
+};
+
+TEST_F(RetryAmplificationTest, ServedQueryKernelFaultIsReplayedByTheScheduler) {
+  auto backend = BackendRegistry::Instance().Create(backends::kHandwritten);
+  plan::QueryShape shape;
+  shape.query = plan::TpchQuery::kQ6;
+  const auto prepared = plan::PrepareTpchQuery(
+      shape, plan::MakeResident(backend->stream(), tables_, false),
+      backends::kHandwritten);
+  const QueryRecord r =
+      RunUnder(FaultSite::kKernel, FaultKind::kTransientKernel,
+               [prepared](Backend& b) { (void)prepared->Run(b); });
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.attempts, 3);
+  EXPECT_EQ(r.error_class, ErrorClass::kTransient);
+  EXPECT_EQ(injector_.stats().injected_total(), 3u);
+}
+
+TEST_F(RetryAmplificationTest, GovernedTransferFaultSpendsOneSliceBudget) {
+  const QueryRecord r =
+      RunUnder(FaultSite::kTransfer, FaultKind::kTransfer, Governed());
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.attempts, 1);
+  EXPECT_EQ(r.error_class, ErrorClass::kFatal);
+  EXPECT_NE(r.error.find("injected transfer fault"), std::string::npos)
+      << r.error;
+  EXPECT_EQ(injector_.stats().injected_total(), 4u);
+}
+
+TEST_F(RetryAmplificationTest, GovernedOomClimbsTheLadderOnce) {
+  const QueryRecord r =
+      RunUnder(FaultSite::kMalloc, FaultKind::kOutOfMemory, Governed());
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.oom_reclaims, 0);
+  EXPECT_EQ(r.attempts, 1);
+  EXPECT_EQ(r.error_class, ErrorClass::kFatal);
+  // One fault per rung: 1, 2, 4, ..., 256 partitions.
+  EXPECT_EQ(injector_.stats().injected_total(), 9u);
+}
+
+TEST_F(RetryAmplificationTest, GovernedKernelFaultSpendsOneSliceBudget) {
+  const QueryRecord r = RunUnder(FaultSite::kKernel,
+                                 FaultKind::kTransientKernel, Governed());
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.attempts, 1);
+  EXPECT_EQ(r.error_class, ErrorClass::kFatal);
+  EXPECT_EQ(injector_.stats().injected_total(), 4u);
 }
 
 }  // namespace

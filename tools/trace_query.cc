@@ -31,6 +31,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "core/error.h"
 #include "core/governor.h"
@@ -266,7 +267,7 @@ int main(int argc, char** argv) {
                 << " " << gpusim::LifecycleEventName(ev.kind) << "\n";
     }
     for (const gpusim::TraceEvent& ev : tracer.events()) {
-      if (ev.category != "fault") continue;
+      if (std::string_view(ev.category) != "fault") continue;
       std::cout << "  fault-event \"" << ev.name << "\" stream "
                 << ev.stream_id << " @ " << ev.start_ns << " ns ("
                 << ev.duration_ns << " ns)\n";
