@@ -26,12 +26,12 @@
 //   bench_chaos [--backend=Handwritten] [--clients=4] [--per-client=5]
 //               [--seed=42] [--sf=0.005] [--json=FILE]
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,9 +41,9 @@
 #include "core/scheduler.h"
 #include "gpusim/device.h"
 #include "gpusim/fault.h"
-#include "storage/device_column.h"
+#include "plan/prepared.h"
+#include "plan/tpch_plans.h"
 #include "tpch/datagen.h"
-#include "tpch/queries.h"
 
 namespace {
 
@@ -86,65 +86,18 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
 const char* const kKinds[] = {"q1", "q3", "q4", "q6", "q14"};
 constexpr size_t kNumKinds = 5;
 
-/// One query's captured answer (only the member matching the kind is set).
-struct Answer {
-  std::vector<tpch::Q1Row> q1;
-  std::vector<tpch::Q3Row> q3;
-  std::vector<tpch::Q4Row> q4;
-  double scalar = 0.0;  // q6 / q14
-};
+using Answer = plan::TpchQueryResult;
 
-bool Near(double a, double b) {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= 1e-6 * scale;
-}
-
-/// Compares a captured answer against the host reference; prints the first
-/// mismatch.
+/// Compares a captured answer against the host reference; prints the
+/// first mismatch.
 bool CheckAnswer(const std::string& kind, const Answer& got,
                  const Answer& ref) {
-  const auto fail = [&](const char* what) {
-    std::fprintf(stderr, "WRONG ANSWER: %s %s\n", kind.c_str(), what);
-    return false;
-  };
-  if (kind == "q1") {
-    if (got.q1.size() != ref.q1.size()) return fail("row count differs");
-    for (size_t i = 0; i < ref.q1.size(); ++i) {
-      const tpch::Q1Row& g = got.q1[i];
-      const tpch::Q1Row& r = ref.q1[i];
-      if (g.returnflag != r.returnflag || g.linestatus != r.linestatus ||
-          g.count_order != r.count_order || !Near(g.sum_qty, r.sum_qty) ||
-          !Near(g.sum_base_price, r.sum_base_price) ||
-          !Near(g.sum_disc_price, r.sum_disc_price) ||
-          !Near(g.sum_charge, r.sum_charge) || !Near(g.avg_qty, r.avg_qty) ||
-          !Near(g.avg_price, r.avg_price) || !Near(g.avg_disc, r.avg_disc)) {
-        return fail("row mismatch");
-      }
-    }
+  std::string why;
+  if (plan::SameAnswer(plan::ParseTpchQuery(kind), got, ref, &why)) {
     return true;
   }
-  if (kind == "q3") {
-    if (got.q3.size() != ref.q3.size()) return fail("row count differs");
-    for (size_t i = 0; i < ref.q3.size(); ++i) {
-      if (got.q3[i].orderkey != ref.q3[i].orderkey ||
-          !Near(got.q3[i].revenue, ref.q3[i].revenue)) {
-        return fail("row mismatch");
-      }
-    }
-    return true;
-  }
-  if (kind == "q4") {
-    if (got.q4.size() != ref.q4.size()) return fail("row count differs");
-    for (size_t i = 0; i < ref.q4.size(); ++i) {
-      if (got.q4[i].orderpriority != ref.q4[i].orderpriority ||
-          got.q4[i].order_count != ref.q4[i].order_count) {
-        return fail("row mismatch");
-      }
-    }
-    return true;
-  }
-  if (!Near(got.scalar, ref.scalar)) return fail("scalar differs");
-  return true;
+  std::fprintf(stderr, "WRONG ANSWER: %s\n", why.c_str());
+  return false;
 }
 
 int Run(const Options& opts) {
@@ -159,45 +112,25 @@ int Run(const Options& opts) {
 
   gpusim::Device& device = gpusim::Device::Default();
   gpusim::Stream setup(device, gpusim::ApiProfile::Cuda());
-  const storage::DeviceTable dev_lineitem =
-      storage::UploadTable(setup, lineitem);
-  const storage::DeviceTable dev_orders = storage::UploadTable(setup, orders);
-  const storage::DeviceTable dev_customer =
-      storage::UploadTable(setup, customer);
-  const storage::DeviceTable dev_part = storage::UploadTable(setup, part);
+  const plan::TpchHostTables host{&lineitem, &orders, &customer, &part};
+  const auto resident =
+      plan::MakeResident(setup, host, /*use_encoding=*/false);
 
-  // Host reference answers, computed once.
+  // Host reference answers and the plans, pinned to the scheduler's
+  // backend, built once per kind.
   std::map<std::string, Answer> reference;
-  reference["q1"].q1 = tpch::ReferenceQ1(lineitem);
-  reference["q3"].q3 = tpch::ReferenceQ3(customer, orders, lineitem);
-  reference["q4"].q4 = tpch::ReferenceQ4(orders, lineitem);
-  reference["q6"].scalar = tpch::ReferenceQ6(lineitem);
-  reference["q14"].scalar = tpch::ReferenceQ14(part, lineitem);
-
+  std::map<std::string, std::shared_ptr<const plan::PreparedTpchQuery>>
+      prepared;
+  for (const char* kind : kKinds) {
+    const plan::TpchQuery q = plan::ParseTpchQuery(kind);
+    reference[kind] = plan::ReferenceAnswer(q, host);
+    prepared[kind] = plan::PrepareTpchQuery({q}, resident, opts.backend);
+  }
   const auto make_query = [&](const std::string& kind,
                               Answer* slot) -> core::QueryFn {
-    if (kind == "q1") {
-      return [&, slot](core::Backend& b) { slot->q1 = tpch::RunQ1(b, dev_lineitem); };
-    }
-    if (kind == "q3") {
-      return [&, slot](core::Backend& b) {
-        slot->q3 = tpch::RunQ3(b, dev_customer, dev_orders, dev_lineitem);
-      };
-    }
-    if (kind == "q4") {
-      return [&, slot](core::Backend& b) {
-        slot->q4 = tpch::RunQ4(b, dev_orders, dev_lineitem);
-      };
-    }
-    if (kind == "q6") {
-      return [&, slot](core::Backend& b) { slot->scalar = tpch::RunQ6(b, dev_lineitem); };
-    }
-    if (kind == "q14") {
-      return [&, slot](core::Backend& b) {
-        slot->scalar = tpch::RunQ14(b, dev_part, dev_lineitem);
-      };
-    }
-    throw std::invalid_argument("unknown query kind: " + kind);
+    return [query = prepared.at(kind), slot](core::Backend& b) {
+      *slot = query->Run(b);
+    };
   };
 
   // Runs every kind once on a single fault-free client and returns the

@@ -46,11 +46,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -67,7 +67,6 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "tpch/datagen.h"
-#include "tpch/queries.h"
 
 namespace {
 
@@ -131,83 +130,8 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
   return !opts->seeds.empty() && !opts->queries.empty();
 }
 
-struct References {
-  std::vector<tpch::Q1Row> q1;
-  std::vector<tpch::Q3Row> q3;
-  std::vector<tpch::Q4Row> q4;
-  double q6 = 0;
-  double q14 = 0;
-};
-
-bool Near(double got, double want) {
-  return std::abs(got - want) <= std::abs(want) * 1e-9 + 1e-6;
-}
-
-bool Verify(plan::TpchQuery q, const plan::TpchQueryResult& got,
-            const References& ref, std::string* why) {
-  switch (q) {
-    case plan::TpchQuery::kQ1: {
-      if (got.q1.size() != ref.q1.size()) {
-        *why = "q1 row count mismatch";
-        return false;
-      }
-      for (size_t i = 0; i < ref.q1.size(); ++i) {
-        const tpch::Q1Row& g = got.q1[i];
-        const tpch::Q1Row& w = ref.q1[i];
-        if (g.returnflag != w.returnflag || g.linestatus != w.linestatus ||
-            g.count_order != w.count_order || !Near(g.sum_qty, w.sum_qty) ||
-            !Near(g.sum_charge, w.sum_charge) ||
-            !Near(g.avg_price, w.avg_price)) {
-          *why = "q1 row " + std::to_string(i) + " mismatch";
-          return false;
-        }
-      }
-      return true;
-    }
-    case plan::TpchQuery::kQ3: {
-      if (got.q3.size() != ref.q3.size()) {
-        *why = "q3 row count mismatch";
-        return false;
-      }
-      for (size_t i = 0; i < ref.q3.size(); ++i) {
-        if (got.q3[i].orderkey != ref.q3[i].orderkey ||
-            !Near(got.q3[i].revenue, ref.q3[i].revenue)) {
-          *why = "q3 row " + std::to_string(i) + " mismatch";
-          return false;
-        }
-      }
-      return true;
-    }
-    case plan::TpchQuery::kQ4: {
-      if (got.q4.size() != ref.q4.size()) {
-        *why = "q4 row count mismatch";
-        return false;
-      }
-      for (size_t i = 0; i < ref.q4.size(); ++i) {
-        if (got.q4[i].orderpriority != ref.q4[i].orderpriority ||
-            got.q4[i].order_count != ref.q4[i].order_count) {
-          *why = "q4 row " + std::to_string(i) + " mismatch";
-          return false;
-        }
-      }
-      return true;
-    }
-    case plan::TpchQuery::kQ6:
-      if (!Near(got.scalar, ref.q6)) {
-        *why = "q6 scalar mismatch";
-        return false;
-      }
-      return true;
-    case plan::TpchQuery::kQ14:
-      if (!Near(got.scalar, ref.q14)) {
-        *why = "q14 scalar mismatch";
-        return false;
-      }
-      return true;
-  }
-  *why = "unknown query";
-  return false;
-}
+/// Host-reference answers of every query, computed once.
+using References = std::map<plan::TpchQuery, plan::TpchQueryResult>;
 
 struct ChaosPoint {
   uint64_t seed = 0;
@@ -285,7 +209,7 @@ int RunChaosSweep(const Options& opts, const plan::TpchHostTables& tables,
       }
 
       std::string why;
-      if (!Verify(q, result, ref, &why)) {
+      if (!plan::SameAnswer(q, result, ref.at(q), &why)) {
         std::fprintf(stderr, "  WRONG seed=%llu %s: %s\n",
                      static_cast<unsigned long long>(seed), qname.c_str(),
                      why.c_str());
@@ -462,8 +386,9 @@ int RunReadmissionPhase(const Options& opts, const plan::TpchHostTables& tables,
                      static_cast<unsigned long long>(seed), qname.c_str());
         ok = false;
       }
-      if (ok && (!Verify(q, first.degraded_result, ref, &why) ||
-                 !Verify(q, first.recovered_result, ref, &why))) {
+      if (ok &&
+          (!plan::SameAnswer(q, first.degraded_result, ref.at(q), &why) ||
+           !plan::SameAnswer(q, first.recovered_result, ref.at(q), &why))) {
         std::fprintf(stderr, "  WRONG seed=%llu %s: %s\n",
                      static_cast<unsigned long long>(seed), qname.c_str(),
                      why.c_str());
@@ -572,10 +497,14 @@ int RunServerPhase(ServerOutcome* outcome) {
   options.max_connections = 4;
   serve::QueryServer server(options);
   server.Start();
-  const double ref_q6 = tpch::ReferenceQ6(server.catalog().lineitem());
+  const plan::TpchQueryResult ref_q6 = plan::ReferenceAnswer(
+      plan::TpchQuery::kQ6, {&server.catalog().lineitem()});
+  const auto q6_ok = [&](const serve::QueryReply& reply) {
+    return plan::SameAnswer(plan::TpchQuery::kQ6, reply.result, ref_q6);
+  };
 
   serve::Client client(options.socket_path, "chaos", serve::TenantClass::kInteractive);
-  if (!Near(client.Query("q6").result.scalar, ref_q6)) {
+  if (!q6_ok(client.Query("q6"))) {
     std::fprintf(stderr, "  server: wrong q6 before any chaos\n");
     return kExitServerFailure;
   }
@@ -657,7 +586,7 @@ int RunServerPhase(ServerOutcome* outcome) {
     const serve::QueryReply reply = client.Query("q6");
     if (!reply.overloaded) {
       outcome->healed = true;
-      if (!Near(reply.result.scalar, ref_q6)) {
+      if (!q6_ok(reply)) {
         std::fprintf(stderr, "  server: wrong q6 after breaker heal\n");
         return kExitServerFailure;
       }
@@ -710,12 +639,7 @@ int Run(const Options& opts) {
   tables.customer = &customer;
   tables.part = &part;
 
-  References ref;
-  ref.q1 = tpch::ReferenceQ1(lineitem);
-  ref.q3 = tpch::ReferenceQ3(customer, orders, lineitem);
-  ref.q4 = tpch::ReferenceQ4(orders, lineitem);
-  ref.q6 = tpch::ReferenceQ6(lineitem);
-  ref.q14 = tpch::ReferenceQ14(part, lineitem);
+  const References ref = plan::ReferenceAnswers(tables);
 
   std::printf("bench_chaos_multidevice: sf=%g rows(lineitem)=%zu seeds=%zu "
               "shards=%zu\n\n",

@@ -5,10 +5,10 @@
 // per-column encoding (storage::UploadTableEncoded) — on a fresh backend
 // instance each time, and reports per column the chosen encoding and
 // compression ratio, per query the transfer bytes saved and the end-to-end
-// simulated speedup, across a scale-factor sweep. Q1 and Q6 go through the
-// hand-coded operator chains (tpch/queries.h), whose hot paths evaluate
-// predicates in the encoded domain; Q3/Q4/Q14 go through the plan path
-// pinned to the same backend.
+// simulated speedup, across a scale-factor sweep. Every query runs its plan
+// from the query table (plan/tpch_plans.h) pinned to the backend; over
+// encoded uploads the plans evaluate predicates in the encoded domain,
+// decode survivors late and group Q1 by its packed key codes.
 //
 // Not a google-benchmark binary: like bench_pressure it doubles as the CI
 // acceptance gate for the storage/encoding layer. The process exits
@@ -19,28 +19,21 @@
 // Usage:
 //   bench_compression [--backend=Handwritten] [--queries=q1,q3,q4,q6,q14]
 //                     [--sf=0.01,0.02,0.04] [--json=FILE]
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "backends/backends.h"
 #include "core/metrics.h"
 #include "core/registry.h"
-#include "plan/executor.h"
-#include "plan/optimizer.h"
+#include "plan/prepared.h"
 #include "plan/tpch_plans.h"
-#include "storage/encoded_column.h"
 #include "storage/encoding.h"
 #include "tpch/datagen.h"
-#include "tpch/queries.h"
 
 namespace {
 
@@ -128,123 +121,29 @@ void ReportTable(const std::string& name, const storage::Table& table,
 // Raw vs encoded query runs
 // ---------------------------------------------------------------------------
 
-struct HostTables {
-  storage::Table lineitem, orders, customer, part;
-};
-
 /// The result of one query run, whatever its shape.
 using RunOut = plan::TpchQueryResult;
 
-/// Uploads what the query needs (raw or encoded) and runs it end to end on
-/// one fresh backend, measuring the whole region on the backend's stream.
+/// Uploads what the query reads (raw or encoded) and runs its plan end to
+/// end on one fresh backend, measuring the whole region on the backend's
+/// stream.
 RunOut RunOnce(const std::string& query, const std::string& backend_name,
-               const HostTables& host, bool encoded, core::Measurement* m) {
+               const plan::TpchHostTables& host, bool encoded,
+               core::Measurement* m) {
   std::unique_ptr<core::Backend> backend =
       core::BackendRegistry::Instance().Create(backend_name);
-  gpusim::Stream& stream = backend->stream();
-  const auto upload = [&](const storage::Table& t) {
-    return encoded ? storage::UploadTableEncoded(stream, t)
-                   : storage::UploadTable(stream, t);
-  };
-  const auto run_plan = [&](plan::QueryPlanBundle bundle) {
-    plan::OptimizerOptions options;
-    options.pin_backend = backend_name;
-    const plan::PhysicalPlan phys = plan::Optimize(bundle.plan, options);
-    return plan::RunPinned(phys, *backend);
-  };
-
-  core::ScopedMeasurement sm(stream, query + (encoded ? "/enc" : "/raw"));
-  RunOut out;
-  if (query == "q1") {
-    const storage::DeviceTable lineitem = upload(host.lineitem);
-    out.q1 = tpch::RunQ1(*backend, lineitem);
-  } else if (query == "q6") {
-    const storage::DeviceTable lineitem = upload(host.lineitem);
-    out.scalar = tpch::RunQ6(*backend, lineitem);
-  } else {
-    // The join queries run as plans, over the tables their entry lists.
-    const plan::TpchQuery q = plan::ParseTpchQuery(query);
-    const plan::TpchHostTables host_tables{&host.lineitem, &host.orders,
-                                           &host.customer, &host.part};
-    std::map<plan::TpchTable, storage::DeviceTable> build;
-    plan::TpchDeviceTables tables;
-    for (const plan::TpchTable t : plan::QueryDef(q).build_tables) {
-      tables[t] = &(build[t] = upload(*host_tables[t]));
-    }
-    const storage::DeviceTable lineitem = upload(host.lineitem);
-    tables.lineitem = &lineitem;
-    const plan::QueryPlanBundle bundle = plan::BuildTpchPlan(q, tables);
-    out = plan::FinalizeRun(q, bundle, run_plan(bundle));
-  }
+  const plan::TpchQuery q = plan::ParseTpchQuery(query);
+  core::ScopedMeasurement sm(backend->stream(),
+                             query + (encoded ? "/enc" : "/raw"));
+  const RunOut out =
+      plan::PrepareTpchQuery(
+          {q, encoded},
+          plan::MakeResident(backend->stream(), plan::QueryTables(q, host),
+                             encoded),
+          backend_name)
+          ->Run(*backend);
   *m = sm.Stop();
   return out;
-}
-
-bool Near(double got, double want) {
-  return std::abs(got - want) <= std::abs(want) * 1e-9 + 1e-6;
-}
-
-/// Encoded-path vs raw-path answers: integers and counts exact, float sums
-/// with 1e-9 relative tolerance (the two paths may associate a sum
-/// differently, e.g. the handwritten backend's dense-code vs hash-table
-/// aggregation).
-bool SameAnswer(const std::string& query, const RunOut& raw, const RunOut& enc,
-                std::string* why) {
-  if (query == "q1") {
-    if (raw.q1.size() != enc.q1.size()) {
-      *why = "row count";
-      return false;
-    }
-    for (size_t i = 0; i < raw.q1.size(); ++i) {
-      const tpch::Q1Row& a = raw.q1[i];
-      const tpch::Q1Row& b = enc.q1[i];
-      if (a.returnflag != b.returnflag || a.linestatus != b.linestatus ||
-          a.count_order != b.count_order || !Near(b.sum_qty, a.sum_qty) ||
-          !Near(b.sum_base_price, a.sum_base_price) ||
-          !Near(b.sum_disc_price, a.sum_disc_price) ||
-          !Near(b.sum_charge, a.sum_charge) || !Near(b.avg_qty, a.avg_qty) ||
-          !Near(b.avg_price, a.avg_price) || !Near(b.avg_disc, a.avg_disc)) {
-        *why = "row " + std::to_string(i);
-        return false;
-      }
-    }
-    return true;
-  }
-  if (query == "q3") {
-    if (raw.q3.size() != enc.q3.size()) {
-      *why = "row count";
-      return false;
-    }
-    for (size_t i = 0; i < raw.q3.size(); ++i) {
-      if (raw.q3[i].orderkey != enc.q3[i].orderkey ||
-          !Near(enc.q3[i].revenue, raw.q3[i].revenue)) {
-        *why = "row " + std::to_string(i);
-        return false;
-      }
-    }
-    return true;
-  }
-  if (query == "q4") {
-    if (raw.q4.size() != enc.q4.size()) {
-      *why = "row count";
-      return false;
-    }
-    for (size_t i = 0; i < raw.q4.size(); ++i) {
-      if (raw.q4[i].orderpriority != enc.q4[i].orderpriority ||
-          raw.q4[i].order_count != enc.q4[i].order_count) {
-        *why = "row " + std::to_string(i);
-        return false;
-      }
-    }
-    return true;
-  }
-  // q6 / q14: one scalar.
-  if (!Near(enc.scalar, raw.scalar)) {
-    *why = "scalar " + std::to_string(raw.scalar) + " vs " +
-           std::to_string(enc.scalar);
-    return false;
-  }
-  return true;
 }
 
 struct QueryPoint {
@@ -278,19 +177,19 @@ int Run(const Options& opts) {
     const double sf = opts.scale_factors[si];
     tpch::Config config;
     config.scale_factor = sf;
-    HostTables host;
-    host.lineitem = tpch::GenerateLineitem(config);
-    host.orders = tpch::GenerateOrders(config);
-    host.customer = tpch::GenerateCustomer(config);
-    host.part = tpch::GeneratePart(config);
+    const storage::Table lineitem = tpch::GenerateLineitem(config);
+    const storage::Table orders = tpch::GenerateOrders(config);
+    const storage::Table customer = tpch::GenerateCustomer(config);
+    const storage::Table part = tpch::GeneratePart(config);
+    const plan::TpchHostTables host{&lineitem, &orders, &customer, &part};
 
     // Per-column encoding selection (the dict/RLE >= 1.0x gate runs at every
     // scale factor; the printed/JSON column table is the largest one).
     std::vector<ColumnReport> cols;
-    ReportTable("lineitem", host.lineitem, &cols);
-    ReportTable("orders", host.orders, &cols);
-    ReportTable("customer", host.customer, &cols);
-    ReportTable("part", host.part, &cols);
+    ReportTable("lineitem", lineitem, &cols);
+    ReportTable("orders", orders, &cols);
+    ReportTable("customer", customer, &cols);
+    ReportTable("part", part, &cols);
     for (const ColumnReport& c : cols) {
       if ((c.encoding == storage::Encoding::kDictionary ||
            c.encoding == storage::Encoding::kRle) &&
@@ -304,7 +203,7 @@ int Run(const Options& opts) {
     }
     if (si + 1 == opts.scale_factors.size()) columns = cols;
 
-    std::printf("sf=%g rows(lineitem)=%zu\n", sf, host.lineitem.num_rows());
+    std::printf("sf=%g rows(lineitem)=%zu\n", sf, lineitem.num_rows());
     std::printf("%6s %12s %12s %9s %12s %12s %12s %7s\n", "query", "raw_ms",
                 "enc_ms", "speedup", "raw_h2d", "enc_h2d", "saved", "match");
 
@@ -313,7 +212,8 @@ int Run(const Options& opts) {
       const RunOut raw = RunOnce(query, opts.backend, host, false, &raw_m);
       const RunOut enc = RunOnce(query, opts.backend, host, true, &enc_m);
       std::string why;
-      const bool match = SameAnswer(query, raw, enc, &why);
+      const bool match =
+          plan::SameAnswer(plan::ParseTpchQuery(query), enc, raw, &why);
       if (!match) {
         all_match = false;
         std::fprintf(stderr, "  DIVERGED sf=%g %s: %s\n", sf, query.c_str(),

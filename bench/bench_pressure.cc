@@ -27,7 +27,6 @@
 // capacity fraction, encoding should show fewer partitions / higher
 // immediate-admission rates than off.
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -45,7 +44,6 @@
 #include "gpusim/device.h"
 #include "plan/partition.h"
 #include "tpch/datagen.h"
-#include "tpch/queries.h"
 
 namespace {
 
@@ -116,90 +114,8 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
          !opts->clients.empty() && opts->per_client > 0;
 }
 
-/// Host-reference answers, computed once and reused at every sweep point.
-struct References {
-  std::vector<tpch::Q1Row> q1;
-  std::vector<tpch::Q3Row> q3;
-  std::vector<tpch::Q4Row> q4;
-  double q6 = 0;
-  double q14 = 0;
-};
-
-bool Near(double got, double want) {
-  return std::abs(got - want) <= std::abs(want) * 1e-9 + 1e-6;
-}
-
-/// Verifies a governed result against the host reference. Float sums are
-/// re-associated by partition merging, so they compare with tolerance;
-/// integer keys and counts must match exactly.
-bool Verify(plan::TpchQuery q, const plan::TpchQueryResult& got,
-            const References& ref, std::string* why) {
-  switch (q) {
-    case plan::TpchQuery::kQ1: {
-      if (got.q1.size() != ref.q1.size()) {
-        *why = "q1 row count mismatch";
-        return false;
-      }
-      for (size_t i = 0; i < ref.q1.size(); ++i) {
-        const tpch::Q1Row& g = got.q1[i];
-        const tpch::Q1Row& w = ref.q1[i];
-        if (g.returnflag != w.returnflag || g.linestatus != w.linestatus ||
-            g.count_order != w.count_order || !Near(g.sum_qty, w.sum_qty) ||
-            !Near(g.sum_base_price, w.sum_base_price) ||
-            !Near(g.sum_disc_price, w.sum_disc_price) ||
-            !Near(g.sum_charge, w.sum_charge) ||
-            !Near(g.avg_qty, w.avg_qty) || !Near(g.avg_price, w.avg_price) ||
-            !Near(g.avg_disc, w.avg_disc)) {
-          *why = "q1 row " + std::to_string(i) + " mismatch";
-          return false;
-        }
-      }
-      return true;
-    }
-    case plan::TpchQuery::kQ3: {
-      if (got.q3.size() != ref.q3.size()) {
-        *why = "q3 row count mismatch";
-        return false;
-      }
-      for (size_t i = 0; i < ref.q3.size(); ++i) {
-        if (got.q3[i].orderkey != ref.q3[i].orderkey ||
-            !Near(got.q3[i].revenue, ref.q3[i].revenue)) {
-          *why = "q3 row " + std::to_string(i) + " mismatch";
-          return false;
-        }
-      }
-      return true;
-    }
-    case plan::TpchQuery::kQ4: {
-      if (got.q4.size() != ref.q4.size()) {
-        *why = "q4 row count mismatch";
-        return false;
-      }
-      for (size_t i = 0; i < ref.q4.size(); ++i) {
-        if (got.q4[i].orderpriority != ref.q4[i].orderpriority ||
-            got.q4[i].order_count != ref.q4[i].order_count) {
-          *why = "q4 row " + std::to_string(i) + " mismatch";
-          return false;
-        }
-      }
-      return true;
-    }
-    case plan::TpchQuery::kQ6:
-      if (!Near(got.scalar, ref.q6)) {
-        *why = "q6 scalar mismatch";
-        return false;
-      }
-      return true;
-    case plan::TpchQuery::kQ14:
-      if (!Near(got.scalar, ref.q14)) {
-        *why = "q14 scalar mismatch";
-        return false;
-      }
-      return true;
-  }
-  *why = "unknown query";
-  return false;
-}
+/// Host-reference answers of every query, computed once.
+using References = std::map<plan::TpchQuery, plan::TpchQueryResult>;
 
 /// Results of one (capacity, clients) scheduler run.
 struct SweepPoint {
@@ -244,12 +160,7 @@ int Run(const Options& opts) {
     queries.push_back(plan::ParseTpchQuery(name));
   }
 
-  References ref;
-  ref.q1 = tpch::ReferenceQ1(lineitem);
-  ref.q3 = tpch::ReferenceQ3(customer, orders, lineitem);
-  ref.q4 = tpch::ReferenceQ4(orders, lineitem);
-  ref.q6 = tpch::ReferenceQ6(lineitem);
-  ref.q14 = tpch::ReferenceQ14(part, lineitem);
+  const References ref = plan::ReferenceAnswers(tables);
 
   // The pressure baseline: the largest single-query footprint, always
   // RAW-sized — capacity fractions must mean the same bytes whether encoding
@@ -343,7 +254,8 @@ int Run(const Options& opts) {
             continue;
           }
           std::string why;
-          if (!Verify(submitted[r.id], results[r.id], ref, &why)) {
+          const plan::TpchQuery q = submitted[r.id];
+          if (!plan::SameAnswer(q, results[r.id], ref.at(q), &why)) {
             ++p.wrong;
             std::fprintf(stderr, "  WRONG cap=%.0f%% clients=%u %s: %s\n",
                          frac * 100, clients, r.label.c_str(), why.c_str());

@@ -46,11 +46,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -64,7 +64,6 @@
 #include "serve/server.h"
 #include "serve/tenant.h"
 #include "tpch/datagen.h"
-#include "tpch/queries.h"
 
 namespace {
 
@@ -145,14 +144,9 @@ bool ParseArgs(int argc, char** argv, Options* opts) {
          opts->per_session > 0 && opts->drivers > 0;
 }
 
-/// Host-reference answers at the served (scale factor, seed).
-struct References {
-  std::vector<tpch::Q1Row> q1;
-  std::vector<tpch::Q3Row> q3;
-  std::vector<tpch::Q4Row> q4;
-  double q6 = 0;
-  double q14 = 0;
-};
+/// Host-reference answers of every query at the served (scale factor,
+/// seed).
+using References = std::map<plan::TpchQuery, plan::TpchQueryResult>;
 
 References ComputeReferences(double scale_factor, uint64_t seed) {
   tpch::Config config;
@@ -162,88 +156,7 @@ References ComputeReferences(double scale_factor, uint64_t seed) {
   const storage::Table orders = tpch::GenerateOrders(config);
   const storage::Table customer = tpch::GenerateCustomer(config);
   const storage::Table part = tpch::GeneratePart(config);
-  References ref;
-  ref.q1 = tpch::ReferenceQ1(lineitem);
-  ref.q3 = tpch::ReferenceQ3(customer, orders, lineitem);
-  ref.q4 = tpch::ReferenceQ4(orders, lineitem);
-  ref.q6 = tpch::ReferenceQ6(lineitem);
-  ref.q14 = tpch::ReferenceQ14(part, lineitem);
-  return ref;
-}
-
-bool Near(double got, double want) {
-  return std::abs(got - want) <= std::abs(want) * 1e-9 + 1e-6;
-}
-
-/// Float sums may be re-associated by the device plan, so they compare with
-/// tolerance; keys and counts must match exactly.
-bool Verify(plan::TpchQuery q, const plan::TpchQueryResult& got,
-            const References& ref, std::string* why) {
-  switch (q) {
-    case plan::TpchQuery::kQ1: {
-      if (got.q1.size() != ref.q1.size()) {
-        *why = "q1 row count mismatch";
-        return false;
-      }
-      for (size_t i = 0; i < ref.q1.size(); ++i) {
-        const tpch::Q1Row& g = got.q1[i];
-        const tpch::Q1Row& w = ref.q1[i];
-        if (g.returnflag != w.returnflag || g.linestatus != w.linestatus ||
-            g.count_order != w.count_order || !Near(g.sum_qty, w.sum_qty) ||
-            !Near(g.sum_base_price, w.sum_base_price) ||
-            !Near(g.sum_disc_price, w.sum_disc_price) ||
-            !Near(g.sum_charge, w.sum_charge) ||
-            !Near(g.avg_qty, w.avg_qty) || !Near(g.avg_price, w.avg_price) ||
-            !Near(g.avg_disc, w.avg_disc)) {
-          *why = "q1 row " + std::to_string(i) + " mismatch";
-          return false;
-        }
-      }
-      return true;
-    }
-    case plan::TpchQuery::kQ3: {
-      if (got.q3.size() != ref.q3.size()) {
-        *why = "q3 row count mismatch";
-        return false;
-      }
-      for (size_t i = 0; i < ref.q3.size(); ++i) {
-        if (got.q3[i].orderkey != ref.q3[i].orderkey ||
-            !Near(got.q3[i].revenue, ref.q3[i].revenue)) {
-          *why = "q3 row " + std::to_string(i) + " mismatch";
-          return false;
-        }
-      }
-      return true;
-    }
-    case plan::TpchQuery::kQ4: {
-      if (got.q4.size() != ref.q4.size()) {
-        *why = "q4 row count mismatch";
-        return false;
-      }
-      for (size_t i = 0; i < ref.q4.size(); ++i) {
-        if (got.q4[i].orderpriority != ref.q4[i].orderpriority ||
-            got.q4[i].order_count != ref.q4[i].order_count) {
-          *why = "q4 row " + std::to_string(i) + " mismatch";
-          return false;
-        }
-      }
-      return true;
-    }
-    case plan::TpchQuery::kQ6:
-      if (!Near(got.scalar, ref.q6)) {
-        *why = "q6 scalar mismatch";
-        return false;
-      }
-      return true;
-    case plan::TpchQuery::kQ14:
-      if (!Near(got.scalar, ref.q14)) {
-        *why = "q14 scalar mismatch";
-        return false;
-      }
-      return true;
-  }
-  *why = "unknown query";
-  return false;
+  return plan::ReferenceAnswers({&lineitem, &orders, &customer, &part});
 }
 
 /// Latency/outcome samples one driver thread collected; merged at the end.
@@ -287,7 +200,8 @@ struct Samples {
     wait_ms.push_back(reply.queue_wait_ms);
     total_ms.push_back(reply.queue_wait_ms + reply.wall_ms);
     std::string why;
-    if (!Verify(reply.query, reply.result, ref, &why)) {
+    if (!plan::SameAnswer(reply.query, reply.result, ref.at(reply.query),
+                          &why)) {
       ++wrong;
       if (first_error.empty()) first_error = query_name + ": " + why;
     }

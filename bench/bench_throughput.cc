@@ -23,6 +23,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,9 +31,8 @@
 #include "core/registry.h"
 #include "core/scheduler.h"
 #include "gpusim/device.h"
-#include "storage/device_column.h"
+#include "plan/prepared.h"
 #include "tpch/datagen.h"
-#include "tpch/queries.h"
 
 namespace {
 
@@ -116,26 +116,24 @@ int Run(const Options& opts) {
   tpch::Config config;
   config.scale_factor = opts.scale_factor;
   const storage::Table lineitem = tpch::GenerateLineitem(config);
+  const storage::Table orders = tpch::GenerateOrders(config);
+  const storage::Table customer = tpch::GenerateCustomer(config);
   const storage::Table part = tpch::GeneratePart(config);
 
   // Upload once; device-resident tables are read-only and shared by every
-  // client stream.
+  // client stream, and so is each query's plan, pinned to the backend.
   gpusim::Device& device = gpusim::Device::Default();
   gpusim::Stream setup(device, gpusim::ApiProfile::Cuda());
-  const storage::DeviceTable dev_lineitem = storage::UploadTable(setup, lineitem);
-  const storage::DeviceTable dev_part = storage::UploadTable(setup, part);
-
+  const auto resident = plan::MakeResident(
+      setup, {&lineitem, &orders, &customer, &part}, /*use_encoding=*/false);
+  std::map<std::string, std::shared_ptr<const plan::PreparedTpchQuery>>
+      prepared;
+  for (const std::string& kind : opts.queries) {
+    prepared[kind] = plan::PrepareTpchQuery({plan::ParseTpchQuery(kind)},
+                                            resident, opts.backend);
+  }
   const auto make_query = [&](const std::string& kind) -> core::QueryFn {
-    if (kind == "q1") {
-      return [&](core::Backend& b) { tpch::RunQ1(b, dev_lineitem); };
-    }
-    if (kind == "q6") {
-      return [&](core::Backend& b) { tpch::RunQ6(b, dev_lineitem); };
-    }
-    if (kind == "q14") {
-      return [&](core::Backend& b) { tpch::RunQ14(b, dev_part, dev_lineitem); };
-    }
-    throw std::invalid_argument("unknown query kind: " + kind);
+    return [query = prepared.at(kind)](core::Backend& b) { query->Run(b); };
   };
 
   std::printf("bench_throughput: backend=%s sf=%g rows(lineitem)=%zu "

@@ -1,6 +1,7 @@
 // Runs TPC-H Q1 and Q6 through every registered library backend and prints
 // per-backend results and simulated device timings — the paper's query
-// experiment as a runnable demo.
+// experiment as a runnable demo. Each query is its plan from the query
+// table (plan/tpch_plans.h), pinned to the backend.
 //
 //   build/examples/tpch_queries [scale_factor]    (default 0.01)
 #include <iomanip>
@@ -8,6 +9,8 @@
 
 #include "core/metrics.h"
 #include "core/registry.h"
+#include "plan/prepared.h"
+#include "tpch/datagen.h"
 #include "tpch/queries.h"
 
 int main(int argc, char** argv) {
@@ -31,15 +34,18 @@ int main(int argc, char** argv) {
 
   for (const auto& name : core::BackendRegistry::Instance().Names()) {
     auto backend = core::BackendRegistry::Instance().Create(name);
-    const storage::DeviceTable dev =
-        storage::UploadTable(backend->stream(), lineitem);
+    const auto resident = plan::MakeResident(backend->stream(), {&lineitem},
+                                             /*use_encoding=*/false);
+    const auto run = [&](plan::TpchQuery q) {
+      return plan::PrepareTpchQuery({q}, resident, name)->Run(*backend);
+    };
 
     core::ScopedMeasurement q6_scope(backend->stream(), "q6");
-    const double revenue = tpch::RunQ6(*backend, dev);
+    const double revenue = run(plan::TpchQuery::kQ6).scalar;
     const auto q6 = q6_scope.Stop();
 
     core::ScopedMeasurement q1_scope(backend->stream(), "q1");
-    const auto q1_rows = tpch::RunQ1(*backend, dev);
+    const auto q1_rows = run(plan::TpchQuery::kQ1).q1;
     const auto q1 = q1_scope.Stop();
 
     const bool q6_ok = std::abs(revenue - q6_ref) < 1e-6 * std::abs(q6_ref);

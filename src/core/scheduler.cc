@@ -318,9 +318,11 @@ void QueryScheduler::ClientLoop(unsigned client_index) {
     // query immediately. Queries are idempotent (QueryFn contract), so a
     // replay recomputes from its inputs. Runners that own a fault class
     // themselves (DESIGN.md §7) throw kFatal once their budget is spent, so
-    // nothing here replays their faults again.
-    for (int attempt = 1; admitted; ++attempt) {
-      record.attempts = attempt;
+    // nothing here replays their faults again. `attempt` counts what the
+    // transient budget pays for; the reclaim's re-run is not one of them.
+    int executions = 0;
+    for (int attempt = 1; admitted;) {
+      record.attempts = ++executions;
       try {
         item.fn(*backend);
         record.ok = true;
@@ -359,6 +361,7 @@ void QueryScheduler::ClientLoop(unsigned client_index) {
           if (backoff > 0) {
             std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
           }
+          ++attempt;
           continue;
         }
         if (!within_deadline) {

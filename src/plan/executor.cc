@@ -328,9 +328,21 @@ class Executor {
         value.out_rows = value.column.size();
         break;
       case NodeKind::kGroupBy:
-        value.groups = backend.GroupByAggregate(
-            ColDecoded(node.group_keys, backend),
-            ColDecoded(node.group_values, backend), node.agg);
+        if (node.group_rows.node >= 0) {
+          const storage::EncodedDeviceColumn* keys = EncOf(node.group_keys);
+          if (keys == nullptr) {
+            throw std::logic_error("plan: group-by over a row selection at "
+                                   "node " + std::to_string(i) +
+                                   " needs encoded scan keys");
+          }
+          value.groups = backend.GroupByAggregateEncoded(
+              *keys, ValueOf(node.group_rows.node).sel,
+              ColDecoded(node.group_values, backend), node.agg);
+        } else {
+          value.groups = backend.GroupByAggregate(
+              ColDecoded(node.group_keys, backend),
+              ColDecoded(node.group_values, backend), node.agg);
+        }
         value.out_rows = value.groups.num_groups;
         break;
       case NodeKind::kReduce: {
@@ -353,7 +365,7 @@ class Executor {
         value.out_rows = value.pair.first.size();
         break;
       case NodeKind::kFetchGroups: {
-        // Same download order as the hand-coded queries: keys, then
+        // Same download order as a chain of library calls: keys, then
         // aggregate.
         const core::GroupByResult& g = ValueOf(node.fetch_from.node).groups;
         gpusim::Stream& stream = backend.stream();

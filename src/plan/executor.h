@@ -1,10 +1,10 @@
 // Physical-plan executor.
 //
-// Nodes run eagerly in insertion order; for a plan whose nodes mirror a
-// hand-coded query's backend-call order, a pinned run issues the *identical*
-// call sequence (including host downloads) and therefore charges a
-// bit-identical simulated timeline — the golden property
-// tests/timing_invariance_test.cc pins.
+// Nodes run eagerly in insertion order. The query table's plans insert
+// their nodes in the order a chain of library calls issues them, so a pinned
+// run is that chain: the same call sequence (including host downloads) and
+// therefore a bit-identical simulated timeline. PlanGoldenTest
+// (tests/plan_golden_test.cc) pins this against hand-coded chains.
 //
 // RunHybrid executes each node on its dispatched registry backend and
 // charges a device-to-device materialization transfer on the consumer's

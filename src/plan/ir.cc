@@ -26,6 +26,11 @@ const char* NodeKindName(NodeKind kind) {
   return "?";
 }
 
+NodeInput GroupedRows(const PlanNode& group_by) {
+  return group_by.group_rows.node >= 0 ? group_by.group_rows
+                                       : group_by.group_keys;
+}
+
 std::vector<NodeInput> NodeInputs(const PlanNode& node) {
   std::vector<NodeInput> in;
   switch (node.kind) {
@@ -60,6 +65,7 @@ std::vector<NodeInput> NodeInputs(const PlanNode& node) {
       break;
     case NodeKind::kGroupBy:
       in = {node.group_keys, node.group_values};
+      if (node.group_rows.node >= 0) in.push_back(node.group_rows);
       break;
     case NodeKind::kSortByKey:
       in = {node.sort_keys, node.sort_values};

@@ -2,9 +2,9 @@
 //
 // A Plan is a small operator DAG over device-resident table columns. Nodes
 // are stored in insertion order and the executor runs them strictly in that
-// order, so a plan whose nodes were inserted in the same order as a
-// hand-coded query's backend calls replays the *identical* call sequence —
-// the property the golden timing-equivalence tests pin (a plan pinned to one
+// order, so a plan whose nodes were inserted in the same order as a chain of
+// backend calls replays the *identical* call sequence — the property
+// PlanGoldenTest pins against hand-coded chains (a plan pinned to one
 // backend must charge a bit-identical simulated timeline).
 //
 // The optimizer (plan/optimizer.h) rewrites plans in place: merged or fused
@@ -61,8 +61,8 @@ enum class MapOp {
 };
 
 /// Join algorithm; kAuto is resolved by the optimizer per assigned backend
-/// (hash when Realization(kHashJoin) != kNone, else nested loops — the same
-/// rule the hand-coded queries apply).
+/// (hash when Realization(kHashJoin) != kNone, else nested loops).
+/// kNestedLoops forces the libraries' realization on any backend.
 enum class JoinAlgo { kAuto, kNestedLoops, kHash };
 
 /// Which output of a producer node an edge consumes.
@@ -127,6 +127,11 @@ struct PlanNode {
   // kUnique / kSort / kReduce / kGroupBy / kSortByKey
   NodeInput unary_in;            ///< unique/sort/reduce input column
   NodeInput group_keys, group_values;
+  /// kGroupBy over encoded keys: a selection's row ids (node -1 = none).
+  /// When set, group_keys is an encoded base-table scan, group_values holds
+  /// the selected rows, and the keys never decode: the executor calls
+  /// GroupByAggregateEncoded, which reads the packed codes of those rows.
+  NodeInput group_rows;
   core::AggOp agg = core::AggOp::kSum;
   NodeInput sort_keys, sort_values;
 
@@ -150,8 +155,8 @@ struct PlanNode {
 
   /// Guard: when set (>= 0), the node (and transitively its consumers) is
   /// skipped unless the guard node produced a non-zero result — a group-by
-  /// with > 0 groups or a reduction with a non-zero scalar. Mirrors the
-  /// hand-coded queries' host-side early exits (Q3, Q14).
+  /// with > 0 groups or a reduction with a non-zero scalar: a chain's
+  /// host-side early exits (Q3, Q14).
   int guard = -1;
 
   /// Set by optimizer rewrites when this node's work was absorbed by another
@@ -166,6 +171,13 @@ struct Plan {
   int Add(PlanNode node) {
     nodes.push_back(std::move(node));
     return static_cast<int>(nodes.size()) - 1;
+  }
+
+  /// Sets every join's algorithm to `algo`.
+  void SetJoinAlgo(JoinAlgo algo) {
+    for (PlanNode& n : nodes) {
+      if (n.kind == NodeKind::kJoin) n.join_algo = algo;
+    }
   }
 
   // -- Builder helpers (each returns the new node's id) ---------------------
@@ -265,11 +277,12 @@ struct Plan {
   }
 
   int GroupBy(NodeInput keys, NodeInput values, core::AggOp agg,
-              std::string label) {
+              std::string label, NodeInput rows = NodeInput{}) {
     PlanNode n;
     n.kind = NodeKind::kGroupBy;
     n.group_keys = keys;
     n.group_values = values;
+    n.group_rows = rows;
     n.agg = agg;
     n.label = std::move(label);
     return Add(std::move(n));
@@ -352,6 +365,10 @@ struct Plan {
 
 /// The device-work inputs of a node (excludes guards), in evaluation order.
 std::vector<NodeInput> NodeInputs(const PlanNode& node);
+
+/// The edge whose rows a group-by aggregates: its row selection when it has
+/// one (the keys are then a whole encoded column), its keys otherwise.
+NodeInput GroupedRows(const PlanNode& group_by);
 
 }  // namespace plan
 

@@ -32,6 +32,7 @@ void RemapNode(PlanNode& node, Fn fn, FnId fn_id) {
   fn(node.unary_in);
   fn(node.group_keys);
   fn(node.group_values);
+  fn(node.group_rows);
   fn(node.sort_keys);
   fn(node.sort_values);
   fn(node.fetch_from);
@@ -198,7 +199,7 @@ bool IsScanValue(const Plan& p, NodeInput in) {
 
 /// Reduce(sum, Product(Gather(scan, F), Gather(scan, F))) over a merged
 /// conjunctive filter on base-table columns -> one handwritten fused
-/// filter+multiply+sum pass (the RunQ6FusedHandwritten shape).
+/// filter+multiply+sum pass (Q6's whole body).
 bool TryFuseFilterProductSum(Plan& p, int i) {
   PlanNode& r = p.nodes[i];
   if (r.unary_in.part != Part::kValue || r.unary_in.node < 0) return false;
@@ -383,8 +384,8 @@ std::vector<size_t> EstimateRows(const Plan& p) {
         rows[i] = std::max<size_t>(1, in_rows(n.unary_in) / 2);
         break;
       case NodeKind::kGroupBy:
-        rows[i] = std::min<size_t>(std::max<size_t>(1, in_rows(n.group_keys)),
-                                   128);
+        rows[i] = std::min<size_t>(
+            std::max<size_t>(1, in_rows(GroupedRows(n))), 128);
         break;
       case NodeKind::kReduce:
       case NodeKind::kFusedFilterSum:
@@ -518,7 +519,8 @@ class Dispatcher {
   /// operator with no encoded-domain realization (the executor's ColDecoded
   /// path). Selection and gather stay in code space and are priced by their
   /// own encoded-aware estimates; group-by keys stay encoded only on the
-  /// handwritten backend (GroupByAggregateEncoded).
+  /// handwritten backend (GroupByAggregateEncoded): the library default
+  /// gather-decodes the selected keys on every call.
   uint64_t DecodeExtra(const PlanNode& n, const std::string& c) const {
     const Plan& p = phys_.plan;
     uint64_t extra = 0;
@@ -552,7 +554,13 @@ class Dispatcher {
         add(n.sort_values);
         break;
       case NodeKind::kGroupBy:
-        if (c != "Handwritten") add(n.group_keys);
+        if (n.group_rows.node < 0) {
+          add(n.group_keys);
+        } else if (c != "Handwritten") {
+          extra += est_.GatherDecode(c, Rows(n.group_rows.node),
+                                     ScanElemBytes(p, n.group_keys),
+                                     ElemBytes(p, n.group_keys));
+        }
         add(n.group_values);
         break;
       default:
@@ -591,7 +599,7 @@ class Dispatcher {
         return est_.Unique(c, Rows(n.unary_in.node), phys_.est_rows[i],
                            ElemBytes(p, n.unary_in));
       case NodeKind::kGroupBy:
-        return est_.GroupBy(c, Rows(n.group_keys.node), phys_.est_rows[i],
+        return est_.GroupBy(c, Rows(GroupedRows(n).node), phys_.est_rows[i],
                             ElemBytes(p, n.group_values));
       case NodeKind::kReduce:
         return est_.Reduce(c, Rows(n.unary_in.node), ElemBytes(p, n.unary_in));

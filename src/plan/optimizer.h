@@ -4,7 +4,7 @@
 //  1. Filter merging / predicate pushdown: adjacent conjunctive Filter nodes
 //     (chains built from single-predicate sigmas) fold into one
 //     multi-predicate node that executes as a single SelectConjunctive call —
-//     the canonical shape the hand-coded queries use, and a prerequisite for
+//     the library call a chain of operator calls makes, and a prerequisite for
 //     the golden timing-equivalence property of pinned plans.
 //  2. Fusion rewrites (hybrid plans only): eligible Filter->Gather->Map->
 //     Reduce chains become one handwritten fused filter+sum pass
@@ -13,7 +13,7 @@
 //     chained per-call library execution cannot.
 //  3. Join-algorithm selection: kAuto joins resolve to hash join when the
 //     assigned backend's Realization(kHashJoin) is not kNone, else nested
-//     loops — the same capability rule the hand-coded queries apply.
+//     loops. Joins a caller forced onto nested loops stay there.
 //  4. Cost-based backend dispatch: each node is assigned the candidate
 //     backend minimizing estimated operator cost plus boundary
 //     materialization cost (a priced device-to-device copy for every input
@@ -40,7 +40,7 @@ struct OptimizerOptions {
   std::string pin_backend;
 
   /// Fusion rewrites; only applied in hybrid mode (a pinned plan must replay
-  /// the hand-coded call sequence verbatim).
+  /// the chain of library calls verbatim).
   bool enable_fusion = true;
 
   /// Dispatch candidates in preference (tie-break) order.

@@ -246,7 +246,7 @@ uint64_t FootprintOfPlan(const PhysicalPlan& phys, bool include_scans) {
         intermediate_bytes += block(rows[i] * width[i]);
         break;
       case NodeKind::kGroupBy:
-        rows[i] = in_rows(n.group_keys);
+        rows[i] = in_rows(GroupedRows(n));
         width[i] = sizeof(double);  // consumers mostly read the aggregate
         intermediate_bytes += block(rows[i] * sizeof(int32_t)) +
                               block(rows[i] * sizeof(double));
@@ -301,6 +301,10 @@ uint64_t FootprintOfPlan(const PhysicalPlan& phys, bool include_scans) {
       if (encoded_aware) continue;
       if (n.kind == NodeKind::kGather && in.node == n.gather_src.node) {
         continue;  // GatherDecode materializes survivors only
+      }
+      if (n.kind == NodeKind::kGroupBy && n.group_rows.node >= 0 &&
+          in.node == n.group_keys.node) {
+        continue;  // keys read as codes, or gather-decoded for survivors
       }
       if (decoded.insert(src.scan_enc).second) {
         intermediate_bytes += block(src.scan_enc->raw_byte_size());

@@ -1,7 +1,9 @@
 #include "plan/tpch_plans.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <string>
 #include <utility>
 
 namespace plan {
@@ -43,7 +45,12 @@ QueryPlanBundle BuildQ1(const TpchDeviceTables& tables) {
   const int f = p.Filter(
       V(s_ship), Predicate::Make("l_shipdate", CompareOp::kLe,
                                  static_cast<double>(params.CutoffDays())));
-  const int g_key = p.Gather(V(s_rfls), Rows(f), "l_rfls[sel]");
+  // Group keys that went up dictionary- or bit-packed stay encoded: each
+  // GroupBy reads the packed codes of the selected rows, with no key gather
+  // and no decode. Raw keys materialize through an ordinary gather.
+  const bool encoded_keys = lineitem.HasEncoded("l_rfls");
+  const int g_key =
+      encoded_keys ? -1 : p.Gather(V(s_rfls), Rows(f), "l_rfls[sel]");
   const int g_qty = p.Gather(V(s_qty), Rows(f), "l_quantity[sel]");
   const int g_price = p.Gather(V(s_price), Rows(f), "l_extendedprice[sel]");
   const int g_disc = p.Gather(V(s_disc), Rows(f), "l_discount[sel]");
@@ -57,7 +64,9 @@ QueryPlanBundle BuildQ1(const TpchDeviceTables& tables) {
   const int m4 = p.Map(MapOp::kMul, V(m2), V(m3), 0.0, "charge");
 
   auto grouped = [&](NodeInput values, AggOp agg, const std::string& name) {
-    const int gb = p.GroupBy(V(g_key), values, agg, name);
+    const int gb = encoded_keys
+                       ? p.GroupBy(V(s_rfls), values, agg, name, Rows(f))
+                       : p.GroupBy(V(g_key), values, agg, name);
     b.marks[name] = p.FetchGroups(gb);
   };
   grouped(V(g_qty), AggOp::kSum, "sum_qty");
@@ -77,6 +86,9 @@ TpchQueryResult FinalizeQ1(const Partials& merged) {
   };
   TpchQueryResult r;
   for (const auto& [k, count] : MarkOf(merged, "count_order").groups) {
+    // Dense encoded-key realizations report every key code, including codes
+    // no selected row carries: an empty group is the same as an absent one.
+    if (count == 0) continue;
     tpch::Q1Row row;
     row.returnflag = k / 2;
     row.linestatus = k % 2;
@@ -109,7 +121,7 @@ QueryPlanBundle BuildQ6(const TpchDeviceTables& tables) {
   const int s_price = p.Scan("lineitem", "l_extendedprice", lineitem);
 
   // Five chained single-predicate sigmas; the optimizer folds them into one
-  // SelectConjunctive (same column/predicate order as the hand-coded query).
+  // SelectConjunctive, in the chain's column/predicate order.
   const int f1 = p.Filter(
       V(s_ship), Predicate::Make("l_shipdate", CompareOp::kGe,
                                  static_cast<double>(params.date_lo)));
@@ -299,7 +311,7 @@ QueryPlanBundle BuildQ14(const TpchDeviceTables& tables) {
 
   const int f_promo = p.Filter(
       V(g_promo), Predicate::Make("p_promo", CompareOp::kEq, 1.0));
-  p.nodes[f_promo].guard = r_total;  // hand-coded: if (total == 0) return 0
+  p.nodes[f_promo].guard = r_total;  // a chain's if (total == 0) return 0
   const int g_revp = p.Gather(V(g_revm), Rows(f_promo), "revenue[promo]");
   b.marks["total"] = r_total;
   b.marks["promo"] = p.Reduce(V(g_revp), AggOp::kSum, "promo revenue");
@@ -314,8 +326,9 @@ TpchQueryResult FinalizeQ14(const Partials& merged) {
   return r;
 }
 
-/// The query table.
-const std::vector<TpchQueryDef>& Table() {
+}  // namespace
+
+const std::vector<TpchQueryDef>& QueryTable() {
   static const std::vector<TpchQueryDef> table = {
       {.query = TpchQuery::kQ1,
        .name = "q1",
@@ -324,7 +337,12 @@ const std::vector<TpchQueryDef>& Table() {
        .build = BuildQ1,
        .finalize = FinalizeQ1,
        // Groups on two flag columns: four combinations.
-       .partial_rows = [](size_t) -> size_t { return 4; }},
+       .partial_rows = [](size_t) -> size_t { return 4; },
+       .reference = [](const TpchHostTables& t) {
+         TpchQueryResult r;
+         r.q1 = tpch::ReferenceQ1(*t.lineitem);
+         return r;
+       }},
       {.query = TpchQuery::kQ3,
        .name = "q3",
        .build_tables = {TpchTable::kOrders, TpchTable::kCustomer},
@@ -334,6 +352,11 @@ const std::vector<TpchQueryDef>& Table() {
        // One group per surviving order: a small fraction of the shard.
        .partial_rows = [](size_t shard_rows) -> size_t {
          return std::max<size_t>(shard_rows / 50, 1);
+       },
+       .reference = [](const TpchHostTables& t) {
+         TpchQueryResult r;
+         r.q3 = tpch::ReferenceQ3(*t.customer, *t.orders, *t.lineitem);
+         return r;
        }},
       {.query = TpchQuery::kQ4,
        .name = "q4",
@@ -342,7 +365,12 @@ const std::vector<TpchQueryDef>& Table() {
        .build = BuildQ4,
        .finalize = FinalizeQ4,
        // One group per order priority.
-       .partial_rows = [](size_t) -> size_t { return 5; }},
+       .partial_rows = [](size_t) -> size_t { return 5; },
+       .reference = [](const TpchHostTables& t) {
+         TpchQueryResult r;
+         r.q4 = tpch::ReferenceQ4(*t.orders, *t.lineitem);
+         return r;
+       }},
       {.query = TpchQuery::kQ6,
        .name = "q6",
        .build_tables = {},
@@ -350,22 +378,30 @@ const std::vector<TpchQueryDef>& Table() {
        .build = BuildQ6,
        .finalize = FinalizeQ6,
        // A scalar: nothing is fetched by rows.
-       .partial_rows = [](size_t) -> size_t { return 0; }},
+       .partial_rows = [](size_t) -> size_t { return 0; },
+       .reference = [](const TpchHostTables& t) {
+         TpchQueryResult r;
+         r.scalar = tpch::ReferenceQ6(*t.lineitem);
+         return r;
+       }},
       {.query = TpchQuery::kQ14,
        .name = "q14",
        .build_tables = {TpchTable::kPart},
        .align_orderkey = false,
        .build = BuildQ14,
        .finalize = FinalizeQ14,
-       .partial_rows = [](size_t) -> size_t { return 0; }},
+       .partial_rows = [](size_t) -> size_t { return 0; },
+       .reference = [](const TpchHostTables& t) {
+         TpchQueryResult r;
+         r.scalar = tpch::ReferenceQ14(*t.part, *t.lineitem);
+         return r;
+       }},
   };
   return table;
 }
 
-}  // namespace
-
 const TpchQueryDef& QueryDef(TpchQuery query) {
-  for (const TpchQueryDef& def : Table()) {
+  for (const TpchQueryDef& def : QueryTable()) {
     if (def.query == query) return def;
   }
   throw std::logic_error("TpchQuery missing from the query table");
@@ -375,7 +411,7 @@ const char* TpchQueryName(TpchQuery query) { return QueryDef(query).name; }
 
 TpchQuery ParseTpchQuery(const std::string& name) {
   std::string expected;
-  for (const TpchQueryDef& def : Table()) {
+  for (const TpchQueryDef& def : QueryTable()) {
     if (name == def.name) return def.query;
     if (!expected.empty()) expected += '|';
     expected += def.name;
@@ -458,6 +494,89 @@ TpchQueryResult FinalizeRun(TpchQuery query, const QueryPlanBundle& bundle,
   Partials merged;
   merged.Merge(ExtractPartials(bundle, result));
   return QueryDef(query).finalize(merged);
+}
+
+TpchQueryResult ReferenceAnswer(TpchQuery query,
+                                const TpchHostTables& tables) {
+  RequireTables(query, tables);
+  return QueryDef(query).reference(tables);
+}
+
+std::map<TpchQuery, TpchQueryResult> ReferenceAnswers(
+    const TpchHostTables& tables) {
+  std::map<TpchQuery, TpchQueryResult> answers;
+  for (const TpchQueryDef& def : QueryTable()) {
+    answers[def.query] = ReferenceAnswer(def.query, tables);
+  }
+  return answers;
+}
+
+bool SameAnswer(TpchQuery query, const TpchQueryResult& got,
+                const TpchQueryResult& want, std::string* why,
+                double abs_slack) {
+  const auto near = [abs_slack](double g, double w) {
+    return std::abs(g - w) <= std::abs(w) * 1e-9 + abs_slack;
+  };
+  const auto differ = [&](std::string what) {
+    if (why != nullptr) {
+      *why = std::string(TpchQueryName(query)) + " " + std::move(what);
+    }
+    return false;
+  };
+  const auto row_count = [&](size_t g, size_t w) {
+    return differ("has " + std::to_string(g) + " rows, expected " +
+                  std::to_string(w));
+  };
+  switch (query) {
+    case TpchQuery::kQ1:
+      if (got.q1.size() != want.q1.size()) {
+        return row_count(got.q1.size(), want.q1.size());
+      }
+      for (size_t i = 0; i < want.q1.size(); ++i) {
+        const tpch::Q1Row& g = got.q1[i];
+        const tpch::Q1Row& w = want.q1[i];
+        if (g.returnflag != w.returnflag || g.linestatus != w.linestatus ||
+            g.count_order != w.count_order || !near(g.sum_qty, w.sum_qty) ||
+            !near(g.sum_base_price, w.sum_base_price) ||
+            !near(g.sum_disc_price, w.sum_disc_price) ||
+            !near(g.sum_charge, w.sum_charge) ||
+            !near(g.avg_qty, w.avg_qty) || !near(g.avg_price, w.avg_price) ||
+            !near(g.avg_disc, w.avg_disc)) {
+          return differ("row " + std::to_string(i) + " differs");
+        }
+      }
+      return true;
+    case TpchQuery::kQ3:
+      if (got.q3.size() != want.q3.size()) {
+        return row_count(got.q3.size(), want.q3.size());
+      }
+      for (size_t i = 0; i < want.q3.size(); ++i) {
+        if (got.q3[i].orderkey != want.q3[i].orderkey ||
+            !near(got.q3[i].revenue, want.q3[i].revenue)) {
+          return differ("row " + std::to_string(i) + " differs");
+        }
+      }
+      return true;
+    case TpchQuery::kQ4:
+      if (got.q4.size() != want.q4.size()) {
+        return row_count(got.q4.size(), want.q4.size());
+      }
+      for (size_t i = 0; i < want.q4.size(); ++i) {
+        if (got.q4[i].orderpriority != want.q4[i].orderpriority ||
+            got.q4[i].order_count != want.q4[i].order_count) {
+          return differ("row " + std::to_string(i) + " differs");
+        }
+      }
+      return true;
+    case TpchQuery::kQ6:
+    case TpchQuery::kQ14:
+      if (!near(got.scalar, want.scalar)) {
+        return differ("scalar " + std::to_string(got.scalar) +
+                      ", expected " + std::to_string(want.scalar));
+      }
+      return true;
+  }
+  return differ("is not in the query table");
 }
 
 }  // namespace plan

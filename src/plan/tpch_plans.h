@@ -1,8 +1,10 @@
 // The TPC-H query table: one definition per query, as a logical plan.
 //
-// Each entry of the table names a query, lists the tables it reads besides
-// lineitem, says whether its slices snap to l_orderkey, and holds its plan
-// builder and its host finalize. Every execution path runs a query the same
+// The plan is the only definition of a query: every bench, tool and example
+// runs it. Each entry of the table names a query, lists the tables it reads
+// besides lineitem, says whether its slices snap to l_orderkey, and holds its
+// plan builder, its host finalize and its host reference answer. Every
+// execution path runs a query the same
 // way: build the plan over the slice's device tables, run it, extract one
 // Partials from the plan's marked terminal nodes, merge the slices' partials
 // in ascending row order, and finalize on the host. The one-shot paths
@@ -14,9 +16,10 @@
 // aggregates the plans fetch), reduced scalars add (a reduction that did not
 // run counts as 0), and fetched pairs concatenate.
 //
-// Each builder inserts nodes in the exact order the hand-coded query
-// (tpch/queries.h) issues backend calls, so a plan pinned to one backend
-// replays the identical call sequence — and charges a bit-identical
+// Each builder inserts nodes in the order a chain of library calls issues
+// them, so a plan pinned to one backend is the paper's per-library query:
+// PlanGoldenTest (tests/plan_golden_test.cc) checks that it replays a
+// hand-coded chain's call sequence, with the same answer and a bit-identical
 // simulated timeline.
 //
 // A new query needs a TpchQuery value, one table entry (tpch_plans.cc), a
@@ -136,10 +139,25 @@ struct TpchQueryDef {
   /// partials, given the lineitem rows of one shard (EXPLAIN's gather
   /// edges).
   size_t (*partial_rows)(size_t shard_rows);
+  /// The host reference answer (tpch/queries.h) over whole host tables.
+  TpchQueryResult (*reference)(const TpchHostTables& tables);
 };
+
+/// The query table: one entry per query, in TpchQuery order.
+const std::vector<TpchQueryDef>& QueryTable();
 
 /// The table entry of `query`.
 const TpchQueryDef& QueryDef(TpchQuery query);
+
+/// The tables `query` reads out of `tables`: lineitem and the ones its
+/// entry lists. The others are left null.
+template <typename T>
+TpchTableSet<T> QueryTables(TpchQuery query, const TpchTableSet<T>& tables) {
+  TpchTableSet<T> out;
+  out.lineitem = tables.lineitem;
+  for (const TpchTable t : QueryDef(query).build_tables) out[t] = tables[t];
+  return out;
+}
 
 /// Throws std::invalid_argument naming the first table `query` reads that
 /// `tables` does not set.
@@ -164,6 +182,21 @@ QueryPlanBundle BuildTpchPlan(TpchQuery query, const TpchDeviceTables& tables);
 /// a one-slice run folds them, then finalized.
 TpchQueryResult FinalizeRun(TpchQuery query, const QueryPlanBundle& bundle,
                             const ExecutionResult& result);
+
+/// Checks the tables, then computes the entry's host reference answer.
+TpchQueryResult ReferenceAnswer(TpchQuery query, const TpchHostTables& tables);
+
+/// The host reference answer of every query in the table.
+std::map<TpchQuery, TpchQueryResult> ReferenceAnswers(
+    const TpchHostTables& tables);
+
+/// True when `got` answers `query` as `want` does: the same rows in the same
+/// order, keys and counts equal, floats within a relative 1e-9 plus
+/// `abs_slack` (device sums associate differently from the host
+/// reference's). Otherwise `why`, when set, names the first difference.
+bool SameAnswer(TpchQuery query, const TpchQueryResult& got,
+                const TpchQueryResult& want, std::string* why = nullptr,
+                double abs_slack = 1e-6);
 
 }  // namespace plan
 

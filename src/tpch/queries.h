@@ -1,17 +1,19 @@
-// TPC-H queries executed through the framework's Backend interface.
+// TPC-H query parameters, result rows and host reference answers.
 //
-// Each query is a chain of framework operator calls — exactly the "chained
-// library calls with materialized intermediates" execution model the paper's
-// query experiments measure. Reference (host, scalar) implementations are
-// provided for correctness checks.
+// Each query is defined once, as a logical plan in the query table
+// (plan/tpch_plans.h); every bench, tool and example runs that plan. This
+// header holds what the plans and their checks share: the parameters the
+// plans bind (TPC-H defaults), the row types their answers come back in,
+// and host (scalar) reference implementations that answers are checked
+// against.
 #ifndef TPCH_QUERIES_H_
 #define TPCH_QUERIES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "core/backend.h"
-#include "storage/device_column.h"
+#include "storage/table.h"
 #include "tpch/datagen.h"
 
 namespace tpch {
@@ -42,18 +44,7 @@ struct Q1Params {
   }
 };
 
-/// Runs Q1 on a device-resident lineitem through the backend's operators:
-/// selection, gathers, projection arithmetic, 6x grouped aggregation.
-/// Rows are returned sorted by (returnflag, linestatus). When the table
-/// uploaded encoded (storage::UploadTableEncoded) the shipdate predicate
-/// folds into the encoded domain, survivors decode during the gathers, and
-/// the group keys never decode at all (GroupByAggregateEncoded reads packed
-/// key codes directly).
-std::vector<Q1Row> RunQ1(core::Backend& backend,
-                         const storage::DeviceTable& lineitem,
-                         const Q1Params& params = Q1Params());
-
-/// Host reference implementation for verification.
+/// Host reference implementation; rows sorted by (returnflag, linestatus).
 std::vector<Q1Row> ReferenceQ1(const storage::Table& lineitem,
                                const Q1Params& params = Q1Params());
 
@@ -70,35 +61,13 @@ struct Q6Params {
   double quantity_hi = 24.0;
 };
 
-/// Runs Q6 through the backend's operators: conjunctive selection (5
-/// predicates), 2x gather, product, reduction. Returns the revenue sum.
-/// When the table uploaded encoded, the selection compares bit-packed codes
-/// in place (no decode) and only the surviving price/discount rows
-/// materialize through GatherDecode.
-double RunQ6(core::Backend& backend, const storage::DeviceTable& lineitem,
-             const Q6Params& params = Q6Params());
-
-/// Host reference implementation for verification.
+/// Host reference implementation: the revenue sum.
 double ReferenceQ6(const storage::Table& lineitem,
                    const Q6Params& params = Q6Params());
-
-/// Fully fused handwritten Q6: selection, projection and aggregation in ONE
-/// device kernel — the "expert-written query" upper bound the libraries'
-/// chained-operator execution is compared against.
-double RunQ6FusedHandwritten(gpusim::Stream& stream,
-                             const storage::DeviceTable& lineitem,
-                             const Q6Params& params = Q6Params());
 
 // ---------------------------------------------------------------------------
 // Q3: shipping priority (join-heavy)
 // ---------------------------------------------------------------------------
-
-/// Which join realization a query should ask the backend for.
-enum class JoinStrategy {
-  kAuto,         ///< hash join if the backend supports it, else nested loops
-  kNestedLoops,  ///< force the library realization
-  kHash,         ///< force hash join (throws on library backends)
-};
 
 /// One result row of Q3 (simplified: grouped by l_orderkey only; o_orderdate
 /// and o_shippriority are functionally dependent on it and omitted).
@@ -114,17 +83,8 @@ struct Q3Params {
   size_t limit = 10;
 };
 
-/// Runs Q3 through the backend: two selections, a customer-orders join, an
-/// orders-lineitem join, projection arithmetic, grouped aggregation, and a
-/// sort for the top-k. The joins are where the library/handwritten gap bites.
-std::vector<Q3Row> RunQ3(core::Backend& backend,
-                         const storage::DeviceTable& customer,
-                         const storage::DeviceTable& orders,
-                         const storage::DeviceTable& lineitem,
-                         const Q3Params& params = Q3Params(),
-                         JoinStrategy strategy = JoinStrategy::kAuto);
-
-/// Host reference implementation for verification.
+/// Host reference implementation: the top `limit` orders by revenue
+/// descending, equal revenues by ascending orderkey.
 std::vector<Q3Row> ReferenceQ3(const storage::Table& customer,
                                const storage::Table& orders,
                                const storage::Table& lineitem,
@@ -146,16 +106,7 @@ struct Q4Params {
   int32_t date_hi = DaysFromDate(1993, 10, 1);
 };
 
-/// Runs Q4: column-column selection (l_commitdate < l_receiptdate), key
-/// deduplication (Unique — the semi-join), a join against the filtered
-/// orders, and a grouped count. Rows are sorted by priority.
-std::vector<Q4Row> RunQ4(core::Backend& backend,
-                         const storage::DeviceTable& orders,
-                         const storage::DeviceTable& lineitem,
-                         const Q4Params& params = Q4Params(),
-                         JoinStrategy strategy = JoinStrategy::kAuto);
-
-/// Host reference implementation for verification.
+/// Host reference implementation; rows sorted by priority.
 std::vector<Q4Row> ReferenceQ4(const storage::Table& orders,
                                const storage::Table& lineitem,
                                const Q4Params& params = Q4Params());
@@ -170,15 +121,7 @@ struct Q14Params {
   int32_t date_hi = DaysFromDate(1995, 10, 1);
 };
 
-/// Runs Q14: date selection, part-lineitem join, and the CASE-WHEN promo
-/// revenue share realized as a second selection over the joined rows.
-/// Returns promo_revenue in percent.
-double RunQ14(core::Backend& backend, const storage::DeviceTable& part,
-              const storage::DeviceTable& lineitem,
-              const Q14Params& params = Q14Params(),
-              JoinStrategy strategy = JoinStrategy::kAuto);
-
-/// Host reference implementation for verification.
+/// Host reference implementation: promo_revenue in percent.
 double ReferenceQ14(const storage::Table& part,
                     const storage::Table& lineitem,
                     const Q14Params& params = Q14Params());

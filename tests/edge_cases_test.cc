@@ -9,8 +9,10 @@
 #include "core/registry.h"
 #include "gpusim/algorithms.h"
 #include "handwritten/handwritten.h"
+#include "plan/tpch_plans.h"
 #include "storage/device_column.h"
 #include "tpch/queries.h"
+#include "tpch_answer_testing.h"
 
 namespace {
 
@@ -203,25 +205,43 @@ TEST_P(BackendEdgeTest, UniqueOfSingletonAndAllEqual) {
   EXPECT_EQ(uniq.ToHost(backend_->stream()).values<int32_t>()[0], 8);
 }
 
+/// A copy of `table` whose column `name` holds `value` on every row.
+template <typename T>
+storage::Table WithColumnSetTo(const storage::Table& table,
+                               const std::string& name, T value) {
+  storage::Table out(table.name());
+  for (const std::string& c : table.column_names()) {
+    out.AddColumn(c, c == name ? Column(std::vector<T>(table.num_rows(), value))
+                               : table.column(c));
+  }
+  return out;
+}
+
+// The plans run an empty selection through every operator after it.
+
 TEST_P(BackendEdgeTest, Q6WithZeroSelectivityReturnsZero) {
   tpch::Config config;
   config.scale_factor = 0.001;
-  const storage::Table lineitem = tpch::GenerateLineitem(config);
-  const auto dev = storage::UploadTable(backend_->stream(), lineitem);
-  tpch::Q6Params params;
-  params.quantity_hi = -1.0;  // nothing qualifies
-  EXPECT_DOUBLE_EQ(tpch::RunQ6(*backend_, dev, params), 0.0);
+  // No row has l_quantity below the bound.
+  const storage::Table lineitem =
+      WithColumnSetTo(tpch::GenerateLineitem(config), "l_quantity",
+                      tpch::Q6Params().quantity_hi);
+  EXPECT_DOUBLE_EQ(
+      tpch_testing::RunQuery(plan::TpchQuery::kQ6, *backend_, {&lineitem})
+          .scalar,
+      0.0);
 }
 
 TEST_P(BackendEdgeTest, Q1WithCutoffBeforeAllDatesIsEmpty) {
   tpch::Config config;
   config.scale_factor = 0.001;
-  const storage::Table lineitem = tpch::GenerateLineitem(config);
-  const auto dev = storage::UploadTable(backend_->stream(), lineitem);
-  tpch::Q1Params params;
-  params.delta_days = 10000;  // cutoff before any shipdate
-  const auto rows = tpch::RunQ1(*backend_, dev, params);
-  EXPECT_TRUE(rows.empty());
+  // Every row ships after the cutoff.
+  const storage::Table lineitem =
+      WithColumnSetTo(tpch::GenerateLineitem(config), "l_shipdate",
+                      tpch::Q1Params().CutoffDays() + 1);
+  EXPECT_TRUE(
+      tpch_testing::RunQuery(plan::TpchQuery::kQ1, *backend_, {&lineitem})
+          .q1.empty());
 }
 
 }  // namespace

@@ -7,9 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <cmath>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -18,13 +15,12 @@
 #include "backends/common.h"
 #include "core/backend.h"
 #include "core/registry.h"
-#include "plan/executor.h"
-#include "plan/optimizer.h"
 #include "plan/partition.h"
 #include "plan/tpch_plans.h"
 #include "storage/encoded_column.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
+#include "tpch_answer_testing.h"
 
 namespace {
 
@@ -461,50 +457,53 @@ TEST_P(EncodedDecodeTest, SelectCompareColumnsEncodedMatchesHost) {
 // Encoded-vs-raw differential over the TPC-H queries, every backend
 // ---------------------------------------------------------------------------
 
-bool Near(double got, double want) {
-  return std::abs(got - want) <= std::abs(want) * 1e-9 + 1e-6;
-}
-
 class EncodedQueryDifferentialTest
     : public ::testing::TestWithParam<const char*> {
  protected:
-  static void SetUpTestSuite() { core::RegisterBuiltinBackends(); }
-
-  static tpch::Config SmallConfig() {
+  static void SetUpTestSuite() {
+    core::RegisterBuiltinBackends();
     tpch::Config config;
     config.scale_factor = 0.002;
-    return config;
+    lineitem_ = new storage::Table(tpch::GenerateLineitem(config));
+    orders_ = new storage::Table(tpch::GenerateOrders(config));
+    customer_ = new storage::Table(tpch::GenerateCustomer(config));
+    part_ = new storage::Table(tpch::GeneratePart(config));
+  }
+  static void TearDownTestSuite() {
+    delete lineitem_;
+    delete orders_;
+    delete customer_;
+    delete part_;
+    lineitem_ = orders_ = customer_ = part_ = nullptr;
   }
 
-  static std::unique_ptr<core::Backend> MakeBackend() {
-    return core::BackendRegistry::Instance().Create(GetParam());
-  }
-
-  /// Runs a plan query twice on fresh backends — raw uploads vs encoded
-  /// uploads — and returns both execution results through `extract`.
-  template <typename Build, typename Extract>
-  static auto RunBoth(Build build, Extract extract) {
-    std::array<decltype(extract(std::declval<const plan::QueryPlanBundle&>(),
-                                std::declval<const plan::ExecutionResult&>())),
-               2>
-        out;
+  /// Runs `q`'s plan on fresh backends over raw and over encoded uploads,
+  /// and EXPECTs the same answer. Float sums may re-associate (the
+  /// handwritten backend aggregates encoded keys by dense code, raw keys by
+  /// hash table): tolerance, not bit equality.
+  static void ExpectEncodedMatchesRaw(plan::TpchQuery q) {
+    const plan::TpchHostTables host = {lineitem_, orders_, customer_, part_};
+    plan::TpchQueryResult out[2];
     for (const bool encoded : {false, true}) {
-      auto backend = MakeBackend();
-      gpusim::Stream& stream = backend->stream();
-      const auto upload = [&](const storage::Table& t) {
-        return encoded ? storage::UploadTableEncoded(stream, t)
-                       : storage::UploadTable(stream, t);
-      };
-      const plan::QueryPlanBundle bundle = build(upload);
-      plan::OptimizerOptions options;
-      options.pin_backend = GetParam();
-      const plan::PhysicalPlan phys = plan::Optimize(bundle.plan, options);
-      const plan::ExecutionResult result = plan::RunPinned(phys, *backend);
-      out[encoded ? 1 : 0] = extract(bundle, result);
+      auto backend = core::BackendRegistry::Instance().Create(GetParam());
+      out[encoded ? 1 : 0] =
+          tpch_testing::RunQuery(q, *backend, host, encoded);
     }
-    return out;
+    std::string why;
+    EXPECT_TRUE(plan::SameAnswer(q, out[1], out[0], &why)) << why;
+    tpch_testing::ExpectReferenceAnswer(q, out[0], host);
   }
+
+  static storage::Table* lineitem_;
+  static storage::Table* orders_;
+  static storage::Table* customer_;
+  static storage::Table* part_;
 };
+
+storage::Table* EncodedQueryDifferentialTest::lineitem_ = nullptr;
+storage::Table* EncodedQueryDifferentialTest::orders_ = nullptr;
+storage::Table* EncodedQueryDifferentialTest::customer_ = nullptr;
+storage::Table* EncodedQueryDifferentialTest::part_ = nullptr;
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, EncodedQueryDifferentialTest,
                          ::testing::Values(backends::kThrust,
@@ -513,122 +512,23 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, EncodedQueryDifferentialTest,
                                            backends::kHandwritten));
 
 TEST_P(EncodedQueryDifferentialTest, Q1EncodedMatchesRaw) {
-  const storage::Table host = tpch::GenerateLineitem(SmallConfig());
-  std::array<std::vector<tpch::Q1Row>, 2> out;
-  for (const bool encoded : {false, true}) {
-    auto backend = MakeBackend();
-    gpusim::Stream& stream = backend->stream();
-    const storage::DeviceTable lineitem =
-        encoded ? storage::UploadTableEncoded(stream, host)
-                : storage::UploadTable(stream, host);
-    out[encoded ? 1 : 0] = tpch::RunQ1(*backend, lineitem);
-  }
-  const auto& raw = out[0];
-  const auto& enc = out[1];
-  ASSERT_EQ(raw.size(), enc.size());
-  for (size_t i = 0; i < raw.size(); ++i) {
-    EXPECT_EQ(raw[i].returnflag, enc[i].returnflag);
-    EXPECT_EQ(raw[i].linestatus, enc[i].linestatus);
-    EXPECT_EQ(raw[i].count_order, enc[i].count_order);
-    // Float sums may re-associate (the handwritten backend aggregates
-    // encoded keys by dense code, raw keys by hash table): tolerance, not
-    // bit equality.
-    EXPECT_TRUE(Near(enc[i].sum_qty, raw[i].sum_qty));
-    EXPECT_TRUE(Near(enc[i].sum_base_price, raw[i].sum_base_price));
-    EXPECT_TRUE(Near(enc[i].sum_disc_price, raw[i].sum_disc_price));
-    EXPECT_TRUE(Near(enc[i].sum_charge, raw[i].sum_charge));
-  }
+  ExpectEncodedMatchesRaw(plan::TpchQuery::kQ1);
 }
 
 TEST_P(EncodedQueryDifferentialTest, Q6EncodedMatchesRaw) {
-  const storage::Table host = tpch::GenerateLineitem(SmallConfig());
-  double results[2];
-  for (const bool encoded : {false, true}) {
-    auto backend = MakeBackend();
-    gpusim::Stream& stream = backend->stream();
-    const storage::DeviceTable lineitem =
-        encoded ? storage::UploadTableEncoded(stream, host)
-                : storage::UploadTable(stream, host);
-    results[encoded ? 1 : 0] = tpch::RunQ6(*backend, lineitem);
-  }
-  EXPECT_TRUE(Near(results[1], results[0]))
-      << results[0] << " vs " << results[1];
-  EXPECT_TRUE(Near(results[0], tpch::ReferenceQ6(host)));
+  ExpectEncodedMatchesRaw(plan::TpchQuery::kQ6);
 }
 
 TEST_P(EncodedQueryDifferentialTest, Q3EncodedMatchesRaw) {
-  const tpch::Config config = SmallConfig();
-  const storage::Table customer = tpch::GenerateCustomer(config);
-  const storage::Table orders = tpch::GenerateOrders(config);
-  const storage::Table lineitem = tpch::GenerateLineitem(config);
-  storage::DeviceTable dc, dord, dli;
-  const auto out = RunBoth(
-      [&](const auto& upload) {
-        dc = upload(customer);
-        dord = upload(orders);
-        dli = upload(lineitem);
-        plan::TpchDeviceTables tables;
-        tables.lineitem = &dli;
-        tables.orders = &dord;
-        tables.customer = &dc;
-        return plan::BuildTpchPlan(plan::TpchQuery::kQ3, tables);
-      },
-      [](const plan::QueryPlanBundle& bundle,
-         const plan::ExecutionResult& result) {
-        return plan::FinalizeRun(plan::TpchQuery::kQ3, bundle, result).q3;
-      });
-  ASSERT_EQ(out[0].size(), out[1].size());
-  for (size_t i = 0; i < out[0].size(); ++i) {
-    EXPECT_EQ(out[0][i].orderkey, out[1][i].orderkey);
-    EXPECT_TRUE(Near(out[1][i].revenue, out[0][i].revenue));
-  }
+  ExpectEncodedMatchesRaw(plan::TpchQuery::kQ3);
 }
 
 TEST_P(EncodedQueryDifferentialTest, Q4EncodedMatchesRaw) {
-  const tpch::Config config = SmallConfig();
-  const storage::Table orders = tpch::GenerateOrders(config);
-  const storage::Table lineitem = tpch::GenerateLineitem(config);
-  storage::DeviceTable dord, dli;
-  const auto out = RunBoth(
-      [&](const auto& upload) {
-        dord = upload(orders);
-        dli = upload(lineitem);
-        plan::TpchDeviceTables tables;
-        tables.lineitem = &dli;
-        tables.orders = &dord;
-        return plan::BuildTpchPlan(plan::TpchQuery::kQ4, tables);
-      },
-      [](const plan::QueryPlanBundle& bundle,
-         const plan::ExecutionResult& result) {
-        return plan::FinalizeRun(plan::TpchQuery::kQ4, bundle, result).q4;
-      });
-  ASSERT_EQ(out[0].size(), out[1].size());
-  for (size_t i = 0; i < out[0].size(); ++i) {
-    EXPECT_EQ(out[0][i].orderpriority, out[1][i].orderpriority);
-    EXPECT_EQ(out[0][i].order_count, out[1][i].order_count);
-  }
+  ExpectEncodedMatchesRaw(plan::TpchQuery::kQ4);
 }
 
 TEST_P(EncodedQueryDifferentialTest, Q14EncodedMatchesRaw) {
-  const tpch::Config config = SmallConfig();
-  const storage::Table part = tpch::GeneratePart(config);
-  const storage::Table lineitem = tpch::GenerateLineitem(config);
-  storage::DeviceTable dp, dli;
-  const auto out = RunBoth(
-      [&](const auto& upload) {
-        dp = upload(part);
-        dli = upload(lineitem);
-        plan::TpchDeviceTables tables;
-        tables.lineitem = &dli;
-        tables.part = &dp;
-        return plan::BuildTpchPlan(plan::TpchQuery::kQ14, tables);
-      },
-      [](const plan::QueryPlanBundle& bundle,
-         const plan::ExecutionResult& result) {
-        return plan::FinalizeRun(plan::TpchQuery::kQ14, bundle, result)
-            .scalar;
-      });
-  EXPECT_TRUE(Near(out[1], out[0])) << out[0] << " vs " << out[1];
+  ExpectEncodedMatchesRaw(plan::TpchQuery::kQ14);
 }
 
 // ---------------------------------------------------------------------------

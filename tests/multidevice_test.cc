@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <string>
@@ -32,7 +31,6 @@
 #include "plan/optimizer.h"
 #include "plan/partition.h"
 #include "tpch/datagen.h"
-#include "tpch/queries.h"
 #include "tpch_answer_testing.h"
 
 namespace {
@@ -253,54 +251,6 @@ class MultiDeviceQueryTest : public ::testing::Test {
     return t;
   }
 
-  static void ExpectNear(double got, double want) {
-    EXPECT_NEAR(got, want, std::abs(want) * 1e-9 + 1e-6);
-  }
-
-  void VerifyAgainstReference(TpchQuery q,
-                              const plan::TpchQueryResult& got) const {
-    switch (q) {
-      case TpchQuery::kQ1: {
-        const std::vector<tpch::Q1Row> ref = tpch::ReferenceQ1(*lineitem_);
-        ASSERT_EQ(got.q1.size(), ref.size());
-        for (size_t i = 0; i < ref.size(); ++i) {
-          EXPECT_EQ(got.q1[i].returnflag, ref[i].returnflag);
-          EXPECT_EQ(got.q1[i].linestatus, ref[i].linestatus);
-          EXPECT_EQ(got.q1[i].count_order, ref[i].count_order);
-          ExpectNear(got.q1[i].sum_qty, ref[i].sum_qty);
-          ExpectNear(got.q1[i].sum_charge, ref[i].sum_charge);
-        }
-        break;
-      }
-      case TpchQuery::kQ3: {
-        const std::vector<tpch::Q3Row> ref =
-            tpch::ReferenceQ3(*customer_, *orders_, *lineitem_);
-        ASSERT_EQ(got.q3.size(), ref.size());
-        for (size_t i = 0; i < ref.size(); ++i) {
-          EXPECT_EQ(got.q3[i].orderkey, ref[i].orderkey);
-          ExpectNear(got.q3[i].revenue, ref[i].revenue);
-        }
-        break;
-      }
-      case TpchQuery::kQ4: {
-        const std::vector<tpch::Q4Row> ref =
-            tpch::ReferenceQ4(*orders_, *lineitem_);
-        ASSERT_EQ(got.q4.size(), ref.size());
-        for (size_t i = 0; i < ref.size(); ++i) {
-          EXPECT_EQ(got.q4[i].orderpriority, ref[i].orderpriority);
-          EXPECT_EQ(got.q4[i].order_count, ref[i].order_count);
-        }
-        break;
-      }
-      case TpchQuery::kQ6:
-        ExpectNear(got.scalar, tpch::ReferenceQ6(*lineitem_));
-        break;
-      case TpchQuery::kQ14:
-        ExpectNear(got.scalar, tpch::ReferenceQ14(*part_, *lineitem_));
-        break;
-    }
-  }
-
   static storage::Table* lineitem_;
   static storage::Table* orders_;
   static storage::Table* customer_;
@@ -325,7 +275,7 @@ TEST_F(MultiDeviceQueryTest, AllQueriesMatchReferenceAcrossDeviceCounts) {
       plan::ShardedRunStats stats;
       const plan::TpchQueryResult result = plan::RunSharded(
           q, Tables(), group, backends::kHandwritten, {}, &stats);
-      VerifyAgainstReference(q, result);
+      tpch_testing::ExpectReferenceAnswer(q, result, Tables());
       EXPECT_EQ(stats.devices, nd);
       EXPECT_GT(stats.simulated_ns, 0u);
       if (nd > 1) {
@@ -374,7 +324,7 @@ TEST_F(MultiDeviceQueryTest, ForcedShardCountsKeepAnswersCorrect) {
       plan::ShardedRunStats stats;
       const plan::TpchQueryResult result = plan::RunSharded(
           q, Tables(), group, backends::kHandwritten, options, &stats);
-      VerifyAgainstReference(q, result);
+      tpch_testing::ExpectReferenceAnswer(q, result, Tables());
       EXPECT_EQ(stats.shards, shards);
     }
   }
@@ -425,7 +375,7 @@ TEST_F(MultiDeviceQueryTest, GovernedShardsRunUnderPerDeviceGrants) {
   const plan::TpchQueryResult result = plan::RunSharded(
       TpchQuery::kQ6, Tables(), group, backends::kHandwritten, options,
       &stats);
-  VerifyAgainstReference(TpchQuery::kQ6, result);
+  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ6, result, Tables());
   const core::GovernorStats gs = governor.Stats();
   EXPECT_EQ(gs.granted + gs.queued, 2u);  // one admission per device
   EXPECT_EQ(gs.released, 2u);
@@ -444,7 +394,7 @@ TEST_F(MultiDeviceQueryTest, NonConcurrencySafeBackendIsRejected) {
   plan::ShardedRunStats stats;
   const plan::TpchQueryResult result = plan::RunSharded(
       TpchQuery::kQ6, Tables(), one, backends::kArrayFire, {}, &stats);
-  VerifyAgainstReference(TpchQuery::kQ6, result);
+  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ6, result, Tables());
 }
 
 TEST_F(MultiDeviceQueryTest, CrossIslandShardsRouteExchangesViaHost) {
@@ -532,7 +482,7 @@ TEST_F(MultiDeviceQueryTest, DeviceLostMidQueryRecoversOnSurvivors) {
     plan::ShardedRunStats stats;
     const plan::TpchQueryResult result = plan::RunSharded(
         q, Tables(), group, backends::kHandwritten, options, &stats);
-    VerifyAgainstReference(q, result);
+    tpch_testing::ExpectReferenceAnswer(q, result, Tables());
     EXPECT_FALSE(group.IsAlive(2));
     EXPECT_EQ(group.AliveCount(), 3);
     EXPECT_EQ(stats.devices_lost, 1);
@@ -557,7 +507,7 @@ TEST_F(MultiDeviceQueryTest, CoordinatorLossMovesGatherToLowestSurvivor) {
   const plan::TpchQueryResult result = plan::RunSharded(
       TpchQuery::kQ1, Tables(), group, backends::kHandwritten, options,
       &stats);
-  VerifyAgainstReference(TpchQuery::kQ1, result);
+  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ1, result, Tables());
   EXPECT_FALSE(group.IsAlive(0));
   EXPECT_EQ(stats.devices_lost, 1);
   EXPECT_GT(stats.exchange_bytes, 0u) << "survivors still gather partials";
@@ -574,7 +524,7 @@ TEST_F(MultiDeviceQueryTest, SuccessiveLossesDegradeToASingleDevice) {
   const plan::TpchQueryResult result = plan::RunSharded(
       TpchQuery::kQ6, Tables(), group, backends::kHandwritten, options,
       &stats);
-  VerifyAgainstReference(TpchQuery::kQ6, result);
+  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ6, result, Tables());
   EXPECT_EQ(stats.devices_lost, 2);
   EXPECT_EQ(group.AliveCount(), 1);
   EXPECT_TRUE(group.IsAlive(2));
@@ -598,7 +548,7 @@ TEST_F(MultiDeviceQueryTest, PreLostDevicesAreNeverPlacedOn) {
   plan::ShardedRunStats stats;
   const plan::TpchQueryResult result = plan::RunSharded(
       TpchQuery::kQ1, Tables(), group, backends::kHandwritten, {}, &stats);
-  VerifyAgainstReference(TpchQuery::kQ1, result);
+  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ1, result, Tables());
   EXPECT_EQ(stats.devices_lost, 0) << "nothing died during the run itself";
   for (const plan::DeviceShardStats& d : stats.per_device) {
     EXPECT_NE(d.device, 1) << "dead device must not appear in the run";
@@ -662,7 +612,7 @@ TEST_F(MultiDeviceQueryTest, TransientTransferChaosStillAnswersCorrectly) {
   const plan::TpchQueryResult result = plan::RunSharded(
       TpchQuery::kQ1, Tables(), group, backends::kHandwritten, options,
       &stats);
-  VerifyAgainstReference(TpchQuery::kQ1, result);
+  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ1, result, Tables());
   EXPECT_EQ(stats.devices_lost, 0);
   EXPECT_EQ(group.AliveCount(), 4);
   uint64_t kernel_faults = 0;
@@ -883,19 +833,21 @@ TEST_F(MultiDeviceQueryTest, ResetDeviceReadmitsOnNextRun) {
   options.force_shards = 8;
 
   plan::ShardedRunStats degraded;
-  VerifyAgainstReference(
-      TpchQuery::kQ6, plan::RunSharded(TpchQuery::kQ6, Tables(), group,
-                                       backends::kHandwritten, options,
-                                       &degraded));
+  tpch_testing::ExpectReferenceAnswer(
+      TpchQuery::kQ6,
+      plan::RunSharded(TpchQuery::kQ6, Tables(), group,
+                       backends::kHandwritten, options, &degraded),
+      Tables());
   ASSERT_FALSE(group.IsAlive(2));
   EXPECT_EQ(degraded.devices_readmitted, 0);
 
   ASSERT_TRUE(group.MarkReset(2));
   plan::ShardedRunStats recovered;
-  VerifyAgainstReference(
-      TpchQuery::kQ6, plan::RunSharded(TpchQuery::kQ6, Tables(), group,
-                                       backends::kHandwritten, options,
-                                       &recovered));
+  tpch_testing::ExpectReferenceAnswer(
+      TpchQuery::kQ6,
+      plan::RunSharded(TpchQuery::kQ6, Tables(), group,
+                       backends::kHandwritten, options, &recovered),
+      Tables());
   EXPECT_TRUE(group.IsAlive(2)) << "the run-start probe must readmit";
   EXPECT_EQ(recovered.devices_readmitted, 1);
   EXPECT_EQ(recovered.devices_lost, 0);
@@ -974,10 +926,11 @@ TEST_F(MultiDeviceQueryTest, CheckpointedSlicesAreReusedNotRecomputed) {
   plan::ShardedQueryOptions options;
   options.force_shards = 8;  // two slices per device
   plan::ShardedRunStats stats;
-  VerifyAgainstReference(
-      TpchQuery::kQ6, plan::RunSharded(TpchQuery::kQ6, Tables(), group,
-                                       backends::kHandwritten, options,
-                                       &stats));
+  tpch_testing::ExpectReferenceAnswer(
+      TpchQuery::kQ6,
+      plan::RunSharded(TpchQuery::kQ6, Tables(), group,
+                       backends::kHandwritten, options, &stats),
+      Tables());
   ASSERT_FALSE(group.IsAlive(1));
   EXPECT_GE(stats.checkpointed_slices_reused, 1u);
   // Checkpointed + re-dealt covers exactly the victim's two slices.
@@ -994,10 +947,11 @@ TEST_F(MultiDeviceQueryTest, AutoResetReadmitsTheVictimMidRun) {
   plan::ShardedQueryOptions options;
   options.force_shards = 8;
   plan::ShardedRunStats stats;
-  VerifyAgainstReference(
-      TpchQuery::kQ1, plan::RunSharded(TpchQuery::kQ1, Tables(), group,
-                                       backends::kHandwritten, options,
-                                       &stats));
+  tpch_testing::ExpectReferenceAnswer(
+      TpchQuery::kQ1,
+      plan::RunSharded(TpchQuery::kQ1, Tables(), group,
+                       backends::kHandwritten, options, &stats),
+      Tables());
   EXPECT_EQ(stats.devices_lost, 1);
   EXPECT_EQ(stats.devices_readmitted, 1);
   EXPECT_TRUE(group.IsAlive(2));

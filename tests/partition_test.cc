@@ -6,7 +6,6 @@
 // golden for a partitioned plan.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -17,14 +16,10 @@
 #include "gpusim/device.h"
 #include "plan/partition.h"
 #include "tpch/datagen.h"
-#include "tpch/queries.h"
+#include "tpch_answer_testing.h"
 
 namespace plan {
 namespace {
-
-bool Near(double got, double want) {
-  return std::abs(got - want) <= std::abs(want) * 1e-9 + 1e-6;
-}
 
 /// Restores the default device's capacity (and empties the pool) on exit, so
 /// a failing capacity test cannot poison later tests in the binary.
@@ -81,25 +76,6 @@ class PartitionTest : public ::testing::Test {
     return RunGoverned(query, Tables(), *backend, options, stats);
   }
 
-  static void ExpectQ1Match(const std::vector<tpch::Q1Row>& got,
-                            const std::vector<tpch::Q1Row>& want) {
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].returnflag, want[i].returnflag) << "row " << i;
-      EXPECT_EQ(got[i].linestatus, want[i].linestatus) << "row " << i;
-      EXPECT_EQ(got[i].count_order, want[i].count_order) << "row " << i;
-      EXPECT_TRUE(Near(got[i].sum_qty, want[i].sum_qty)) << "row " << i;
-      EXPECT_TRUE(Near(got[i].sum_base_price, want[i].sum_base_price))
-          << "row " << i;
-      EXPECT_TRUE(Near(got[i].sum_disc_price, want[i].sum_disc_price))
-          << "row " << i;
-      EXPECT_TRUE(Near(got[i].sum_charge, want[i].sum_charge)) << "row " << i;
-      EXPECT_TRUE(Near(got[i].avg_qty, want[i].avg_qty)) << "row " << i;
-      EXPECT_TRUE(Near(got[i].avg_price, want[i].avg_price)) << "row " << i;
-      EXPECT_TRUE(Near(got[i].avg_disc, want[i].avg_disc)) << "row " << i;
-    }
-  }
-
   static storage::Table* lineitem_;
   static storage::Table* orders_;
   static storage::Table* customer_;
@@ -116,52 +92,34 @@ TEST_F(PartitionTest, Q1PartitionedMatchesReference) {
   const TpchQueryResult result = RunForced(TpchQuery::kQ1, 4, &stats);
   EXPECT_EQ(stats.partitions, 4u);
   EXPECT_GT(stats.spill_h2d_bytes, 0u);
-  ExpectQ1Match(result.q1, tpch::ReferenceQ1(*lineitem_));
+  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ1, result, Tables());
 }
 
 TEST_F(PartitionTest, Q3PartitionedMatchesReference) {
   const TpchQueryResult result = RunForced(TpchQuery::kQ3, 4);
-  const std::vector<tpch::Q3Row> want =
-      tpch::ReferenceQ3(*customer_, *orders_, *lineitem_);
-  ASSERT_EQ(result.q3.size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(result.q3[i].orderkey, want[i].orderkey) << "row " << i;
-    EXPECT_TRUE(Near(result.q3[i].revenue, want[i].revenue)) << "row " << i;
-  }
+  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ3, result, Tables());
 }
 
 TEST_F(PartitionTest, Q4PartitionedMatchesReference) {
   const TpchQueryResult result = RunForced(TpchQuery::kQ4, 4);
-  const std::vector<tpch::Q4Row> want =
-      tpch::ReferenceQ4(*orders_, *lineitem_);
-  ASSERT_EQ(result.q4.size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(result.q4[i].orderpriority, want[i].orderpriority);
-    EXPECT_EQ(result.q4[i].order_count, want[i].order_count);
-  }
+  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ4, result, Tables());
 }
 
 TEST_F(PartitionTest, Q6PartitionedMatchesReference) {
   const TpchQueryResult result = RunForced(TpchQuery::kQ6, 4);
-  EXPECT_TRUE(Near(result.scalar, tpch::ReferenceQ6(*lineitem_)));
+  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ6, result, Tables());
 }
 
 TEST_F(PartitionTest, Q14PartitionedMatchesReference) {
   const TpchQueryResult result = RunForced(TpchQuery::kQ14, 4);
-  EXPECT_TRUE(Near(result.scalar, tpch::ReferenceQ14(*part_, *lineitem_)));
+  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ14, result, Tables());
 }
 
 TEST_F(PartitionTest, DeepPartitioningStaysCorrect) {
   // 16 slices of a 60K-row lineitem: boundary handling (orderkey-aligned
   // snapping for Q3, empty-range skipping) gets real exercise.
   const TpchQueryResult result = RunForced(TpchQuery::kQ3, 16);
-  const std::vector<tpch::Q3Row> want =
-      tpch::ReferenceQ3(*customer_, *orders_, *lineitem_);
-  ASSERT_EQ(result.q3.size(), want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(result.q3[i].orderkey, want[i].orderkey) << "row " << i;
-    EXPECT_TRUE(Near(result.q3[i].revenue, want[i].revenue)) << "row " << i;
-  }
+  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ3, result, Tables());
 }
 
 TEST_F(PartitionTest, UnconstrainedRunUsesOnePartition) {
@@ -172,7 +130,7 @@ TEST_F(PartitionTest, UnconstrainedRunUsesOnePartition) {
   // The unpartitioned path spills nothing: no extra transfers to account.
   EXPECT_EQ(stats.spill_h2d_bytes, 0u);
   EXPECT_EQ(stats.spill_d2h_bytes, 0u);
-  EXPECT_TRUE(Near(result.scalar, tpch::ReferenceQ6(*lineitem_)));
+  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ6, result, Tables());
 }
 
 TEST_F(PartitionTest, ConstrainedCapacityTriggersAutomaticPartitioning) {
@@ -191,7 +149,7 @@ TEST_F(PartitionTest, ConstrainedCapacityTriggersAutomaticPartitioning) {
       RunGoverned(TpchQuery::kQ6, Tables(), *backend, options, &stats);
   EXPECT_GT(stats.partitions, 1u);
   EXPECT_GT(stats.spill_h2d_bytes, 0u);
-  EXPECT_TRUE(Near(result.scalar, tpch::ReferenceQ6(*lineitem_)));
+  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ6, result, Tables());
   // The event stream narrates the degradation: an admission estimate, the
   // partition decision, one spill event per executed slice.
   ASSERT_GE(events.size(), 2u);

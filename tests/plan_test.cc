@@ -2,11 +2,10 @@
 //
 // Covers the optimizer's rewrite rules (filter-chain merging, fusion,
 // join-algorithm selection), deterministic cost-based dispatch, the query
-// table's partial merging and Q3 finalize, and the two golden properties the
-// subsystem promises: a plan pinned to one backend reproduces the hand-coded
-// query's answer AND charges a bit-identical simulated timeline, and the
-// hybrid plan is never slower than the best single backend (strictly faster
-// on a join query).
+// table's partial merging and Q3 finalize, and the hybrid plan's promises:
+// it answers like the host reference and is never slower than the best
+// single backend (strictly faster on a join query). That a pinned plan
+// replays the hand-coded chain is plan_golden_test.cc's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +27,7 @@
 #include "storage/device_column.h"
 #include "tpch/datagen.h"
 #include "tpch/queries.h"
+#include "tpch_answer_testing.h"
 
 namespace {
 
@@ -37,16 +37,20 @@ class PlanTest : public ::testing::Test {
     core::RegisterBuiltinBackends();
     tpch::Config config;
     config.scale_factor = 0.01;
+    host_lineitem_ = new storage::Table(tpch::GenerateLineitem(config));
+    host_orders_ = new storage::Table(tpch::GenerateOrders(config));
+    host_customer_ = new storage::Table(tpch::GenerateCustomer(config));
+    host_part_ = new storage::Table(tpch::GeneratePart(config));
     setup_ = new gpusim::Stream(gpusim::Device::Default(),
                                 gpusim::ApiProfile::Cuda());
     lineitem_ = new storage::DeviceTable(
-        storage::UploadTable(*setup_, tpch::GenerateLineitem(config)));
+        storage::UploadTable(*setup_, *host_lineitem_));
     orders_ = new storage::DeviceTable(
-        storage::UploadTable(*setup_, tpch::GenerateOrders(config)));
+        storage::UploadTable(*setup_, *host_orders_));
     customer_ = new storage::DeviceTable(
-        storage::UploadTable(*setup_, tpch::GenerateCustomer(config)));
+        storage::UploadTable(*setup_, *host_customer_));
     part_ = new storage::DeviceTable(
-        storage::UploadTable(*setup_, tpch::GeneratePart(config)));
+        storage::UploadTable(*setup_, *host_part_));
   }
 
   static void TearDownTestSuite() {
@@ -55,8 +59,17 @@ class PlanTest : public ::testing::Test {
     delete customer_;
     delete part_;
     delete setup_;
+    delete host_lineitem_;
+    delete host_orders_;
+    delete host_customer_;
+    delete host_part_;
     lineitem_ = orders_ = customer_ = part_ = nullptr;
+    host_lineitem_ = host_orders_ = host_customer_ = host_part_ = nullptr;
     setup_ = nullptr;
+  }
+
+  static plan::TpchHostTables Host() {
+    return {host_lineitem_, host_orders_, host_customer_, host_part_};
   }
 
   static plan::QueryPlanBundle Build(plan::TpchQuery q) {
@@ -85,6 +98,10 @@ class PlanTest : public ::testing::Test {
   }
 
   static gpusim::Stream* setup_;
+  static storage::Table* host_lineitem_;
+  static storage::Table* host_orders_;
+  static storage::Table* host_customer_;
+  static storage::Table* host_part_;
   static storage::DeviceTable* lineitem_;
   static storage::DeviceTable* orders_;
   static storage::DeviceTable* customer_;
@@ -92,6 +109,10 @@ class PlanTest : public ::testing::Test {
 };
 
 gpusim::Stream* PlanTest::setup_ = nullptr;
+storage::Table* PlanTest::host_lineitem_ = nullptr;
+storage::Table* PlanTest::host_orders_ = nullptr;
+storage::Table* PlanTest::host_customer_ = nullptr;
+storage::Table* PlanTest::host_part_ = nullptr;
 storage::DeviceTable* PlanTest::lineitem_ = nullptr;
 storage::DeviceTable* PlanTest::orders_ = nullptr;
 storage::DeviceTable* PlanTest::customer_ = nullptr;
@@ -219,132 +240,6 @@ TEST_F(PlanTest, UnknownBackendNameThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden equivalence: pinned plans replay the hand-coded queries
-// ---------------------------------------------------------------------------
-
-void ExpectNear(double actual, double expected) {
-  EXPECT_NEAR(actual, expected, std::abs(expected) * 1e-9 + 1e-6);
-}
-
-void ExpectQ1Equal(const std::vector<tpch::Q1Row>& actual,
-                   const std::vector<tpch::Q1Row>& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i].returnflag, expected[i].returnflag);
-    EXPECT_EQ(actual[i].linestatus, expected[i].linestatus);
-    EXPECT_EQ(actual[i].count_order, expected[i].count_order);
-    ExpectNear(actual[i].sum_qty, expected[i].sum_qty);
-    ExpectNear(actual[i].sum_base_price, expected[i].sum_base_price);
-    ExpectNear(actual[i].sum_disc_price, expected[i].sum_disc_price);
-    ExpectNear(actual[i].sum_charge, expected[i].sum_charge);
-    ExpectNear(actual[i].avg_qty, expected[i].avg_qty);
-    ExpectNear(actual[i].avg_price, expected[i].avg_price);
-    ExpectNear(actual[i].avg_disc, expected[i].avg_disc);
-  }
-}
-
-void ExpectQ3Equal(const std::vector<tpch::Q3Row>& actual,
-                   const std::vector<tpch::Q3Row>& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i].orderkey, expected[i].orderkey);
-    ExpectNear(actual[i].revenue, expected[i].revenue);
-  }
-}
-
-void ExpectQ4Equal(const std::vector<tpch::Q4Row>& actual,
-                   const std::vector<tpch::Q4Row>& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  for (size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i].orderpriority, expected[i].orderpriority);
-    EXPECT_EQ(actual[i].order_count, expected[i].order_count);
-  }
-}
-
-class PlanGoldenTest : public PlanTest,
-                       public ::testing::WithParamInterface<const char*> {};
-
-TEST_P(PlanGoldenTest, PinnedPlanReproducesHandCodedResultsAndTimeline) {
-  const std::string backend_name = GetParam();
-  auto& registry = core::BackendRegistry::Instance();
-
-  const auto check = [&](const plan::QueryPlanBundle& bundle,
-                         const char* query,
-                         const auto& run_hand, const auto& compare) {
-    SCOPED_TRACE(query);
-    auto hand_backend = registry.Create(backend_name);
-    const uint64_t t0 = hand_backend->stream().now_ns();
-    const auto expected = run_hand(*hand_backend);
-    const uint64_t hand_ns = hand_backend->stream().now_ns() - t0;
-
-    plan::OptimizerOptions opts;
-    opts.pin_backend = backend_name;
-    const plan::PhysicalPlan phys = plan::Optimize(bundle.plan, opts);
-    auto plan_backend = registry.Create(backend_name);
-    const plan::ExecutionResult res = plan::RunPinned(phys, *plan_backend);
-
-    compare(bundle, res, expected);
-    // The golden timing property: bit-identical simulated time, not just
-    // "close".
-    EXPECT_EQ(res.total_ns, hand_ns);
-  };
-
-  check(Build(plan::TpchQuery::kQ1), "q1",
-        [&](core::Backend& b) { return tpch::RunQ1(b, *lineitem_); },
-        [](const plan::QueryPlanBundle& bundle,
-           const plan::ExecutionResult& res,
-           const std::vector<tpch::Q1Row>& expected) {
-          ExpectQ1Equal(
-              plan::FinalizeRun(plan::TpchQuery::kQ1, bundle, res).q1,
-              expected);
-        });
-  check(Build(plan::TpchQuery::kQ6), "q6",
-        [&](core::Backend& b) { return tpch::RunQ6(b, *lineitem_); },
-        [](const plan::QueryPlanBundle& bundle,
-           const plan::ExecutionResult& res, double expected) {
-          ExpectNear(
-              plan::FinalizeRun(plan::TpchQuery::kQ6, bundle, res).scalar,
-              expected);
-        });
-  check(Build(plan::TpchQuery::kQ3), "q3",
-        [&](core::Backend& b) {
-          return tpch::RunQ3(b, *customer_, *orders_, *lineitem_);
-        },
-        [](const plan::QueryPlanBundle& bundle,
-           const plan::ExecutionResult& res,
-           const std::vector<tpch::Q3Row>& expected) {
-          ExpectQ3Equal(
-              plan::FinalizeRun(plan::TpchQuery::kQ3, bundle, res).q3,
-              expected);
-        });
-  check(Build(plan::TpchQuery::kQ4), "q4",
-        [&](core::Backend& b) { return tpch::RunQ4(b, *orders_, *lineitem_); },
-        [](const plan::QueryPlanBundle& bundle,
-           const plan::ExecutionResult& res,
-           const std::vector<tpch::Q4Row>& expected) {
-          ExpectQ4Equal(
-              plan::FinalizeRun(plan::TpchQuery::kQ4, bundle, res).q4,
-              expected);
-        });
-  check(Build(plan::TpchQuery::kQ14), "q14",
-        [&](core::Backend& b) { return tpch::RunQ14(b, *part_, *lineitem_); },
-        [](const plan::QueryPlanBundle& bundle,
-           const plan::ExecutionResult& res, double expected) {
-          ExpectNear(
-              plan::FinalizeRun(plan::TpchQuery::kQ14, bundle, res).scalar,
-              expected);
-        });
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, PlanGoldenTest,
-                         ::testing::Values("Thrust", "Handwritten"),
-                         [](const auto& info) {
-                           return std::string(info.param) == "Thrust"
-                                      ? "Thrust"
-                                      : "Handwritten";
-                         });
-
-// ---------------------------------------------------------------------------
 // Query table: partials merge by marked-node kind; finalize
 // ---------------------------------------------------------------------------
 
@@ -458,9 +353,9 @@ TEST_F(PlanTest, HybridQ6MatchesReferenceAnswer) {
   EXPECT_TRUE(phys.hybrid);
   const plan::ExecutionResult res = plan::RunHybrid(phys);
 
-  auto backend = core::BackendRegistry::Instance().Create("Handwritten");
-  ExpectNear(plan::FinalizeRun(plan::TpchQuery::kQ6, bundle, res).scalar,
-             tpch::RunQ6(*backend, *lineitem_));
+  tpch_testing::ExpectReferenceAnswer(
+      plan::TpchQuery::kQ6,
+      plan::FinalizeRun(plan::TpchQuery::kQ6, bundle, res), Host());
 }
 
 TEST_F(PlanTest, HybridQ3MatchesReferenceAnswer) {
@@ -468,9 +363,9 @@ TEST_F(PlanTest, HybridQ3MatchesReferenceAnswer) {
   const plan::ExecutionResult res =
       plan::RunHybrid(plan::Optimize(bundle.plan, plan::OptimizerOptions()));
 
-  auto backend = core::BackendRegistry::Instance().Create("Handwritten");
-  ExpectQ3Equal(plan::FinalizeRun(plan::TpchQuery::kQ3, bundle, res).q3,
-                tpch::RunQ3(*backend, *customer_, *orders_, *lineitem_));
+  tpch_testing::ExpectReferenceAnswer(
+      plan::TpchQuery::kQ3,
+      plan::FinalizeRun(plan::TpchQuery::kQ3, bundle, res), Host());
 }
 
 // ---------------------------------------------------------------------------
@@ -529,9 +424,6 @@ TEST_F(PlanResilienceTest, ExecutorFallsBackWhenABackendDiesMidPlan) {
   ASSERT_TRUE(phys.hybrid);
   ASSERT_FALSE(phys.candidates.empty());
 
-  // Expected answer, computed before any fault is armed.
-  auto reference = core::BackendRegistry::Instance().Create("Handwritten");
-  const double expected = tpch::RunQ6(*reference, *lineitem_);
 
   // Kill the dominant backend: every node dispatched there loses its device
   // on the first kernel and must fall back to the next candidate.
@@ -547,8 +439,9 @@ TEST_F(PlanResilienceTest, ExecutorFallsBackWhenABackendDiesMidPlan) {
   // Three runs: enough fatal failures to trip the default breaker.
   for (int round = 0; round < 3; ++round) {
     const plan::ExecutionResult res = plan::RunHybrid(phys);
-    ExpectNear(plan::FinalizeRun(plan::TpchQuery::kQ6, bundle, res).scalar,
-               expected);
+    tpch_testing::ExpectReferenceAnswer(
+        plan::TpchQuery::kQ6,
+        plan::FinalizeRun(plan::TpchQuery::kQ6, bundle, res), Host());
   }
   gpusim::Device::Default().set_fault_injector(nullptr);
 
@@ -565,10 +458,11 @@ TEST_F(PlanResilienceTest, ExecutorFallsBackWhenABackendDiesMidPlan) {
   for (const std::string& b : rerouted.node_backend) {
     EXPECT_NE(b, "Handwritten");
   }
-  ExpectNear(plan::FinalizeRun(plan::TpchQuery::kQ6, bundle,
-                               plan::RunHybrid(rerouted))
-                 .scalar,
-             expected);
+  tpch_testing::ExpectReferenceAnswer(
+      plan::TpchQuery::kQ6,
+      plan::FinalizeRun(plan::TpchQuery::kQ6, bundle,
+                        plan::RunHybrid(rerouted)),
+      Host());
 }
 
 }  // namespace

@@ -458,6 +458,30 @@ TEST_F(SchedulerRecoveryTest, InjectedOomIsAbsorbedByAPoolReclaim) {
   EXPECT_EQ(wrong.load(), 0);
 }
 
+TEST_F(SchedulerRecoveryTest, OomReclaimLeavesTheTransientBudgetWhole) {
+  // One OOM, then two transient faults, then success. The reclaim's re-run
+  // is not a transient attempt, so a budget of three attempts suffices.
+  SchedulerOptions opts;
+  opts.backend_name = backends::kHandwritten;
+  opts.num_clients = 1;
+  opts.retry.max_attempts = 3;
+  opts.retry.backoff_base_ns = 1000;  // keep the test fast
+  std::atomic<int> runs{0};
+  QueryScheduler scheduler(opts);
+  scheduler.Submit("oom-then-transient", [&runs](Backend&) {
+    const int run = runs.fetch_add(1);
+    if (run == 0) throw gpusim::OutOfDeviceMemory("injected oom");
+    if (run <= 2) throw gpusim::TransientKernelFault("injected transient");
+  });
+  scheduler.Drain();
+  const auto records = scheduler.Records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_TRUE(records[0].ok) << records[0].error;
+  EXPECT_EQ(records[0].oom_reclaims, 1);
+  EXPECT_EQ(records[0].attempts, 4);
+  EXPECT_EQ(runs.load(), 4);
+}
+
 TEST_F(SchedulerRecoveryTest, PermanentFailureAfterRetryBudgetExhausts) {
   SchedulerOptions opts;
   opts.backend_name = backends::kHandwritten;

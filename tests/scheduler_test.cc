@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -19,9 +20,8 @@
 #include "core/registry.h"
 #include "core/scheduler.h"
 #include "gpusim/device.h"
-#include "storage/device_column.h"
+#include "plan/prepared.h"
 #include "tpch/datagen.h"
-#include "tpch/queries.h"
 
 namespace core {
 namespace {
@@ -200,23 +200,25 @@ TEST_F(SchedulerTimingGoldenTest, SerialAndConcurrentSimulatedTimeIdentical) {
   const storage::Table lineitem = tpch::GenerateLineitem(config);
   const storage::Table part = tpch::GeneratePart(config);
   gpusim::Stream setup(gpusim::Device::Default(), gpusim::ApiProfile::Cuda());
-  const storage::DeviceTable dev_lineitem =
-      storage::UploadTable(setup, lineitem);
-  const storage::DeviceTable dev_part = storage::UploadTable(setup, part);
-
-  const auto submit_mix = [&](QueryScheduler& scheduler, int copies) {
-    for (int c = 0; c < copies; ++c) {
-      scheduler.Submit("q1", [&](Backend& b) { tpch::RunQ1(b, dev_lineitem); });
-      scheduler.Submit("q6", [&](Backend& b) { tpch::RunQ6(b, dev_lineitem); });
-      scheduler.Submit("q14", [&](Backend& b) {
-        tpch::RunQ14(b, dev_part, dev_lineitem);
-      });
-    }
-  };
+  const auto resident = plan::MakeResident(
+      setup, {&lineitem, nullptr, nullptr, &part}, /*use_encoding=*/false);
 
   // Thrust and Handwritten charge no per-instance JIT warmup, so every
   // instance of a query kind must cost identical simulated ns.
   for (const char* backend : {backends::kHandwritten, backends::kThrust}) {
+    std::vector<std::shared_ptr<const plan::PreparedTpchQuery>> mix;
+    for (const plan::TpchQuery q : {plan::TpchQuery::kQ1, plan::TpchQuery::kQ6,
+                                    plan::TpchQuery::kQ14}) {
+      mix.push_back(plan::PrepareTpchQuery({q}, resident, backend));
+    }
+    const auto submit_mix = [&](QueryScheduler& scheduler, int copies) {
+      for (int c = 0; c < copies; ++c) {
+        for (const auto& prepared : mix) {
+          scheduler.Submit(plan::TpchQueryName(prepared->shape().query),
+                           [prepared](Backend& b) { prepared->Run(b); });
+        }
+      }
+    };
     std::map<std::string, uint64_t> golden;
     {
       QueryScheduler serial(Opts(1, 16, backend));

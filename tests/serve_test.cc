@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <future>
@@ -33,21 +32,18 @@
 #include "gpusim/fault.h"
 #include "plan/fingerprint.h"
 #include "plan/prepared.h"
+#include "plan/tpch_plans.h"
 #include "serve/client.h"
 #include "serve/plan_cache.h"
 #include "serve/server.h"
 #include "serve/tenant.h"
 #include "tpch/datagen.h"
-#include "tpch/queries.h"
+#include "tpch_answer_testing.h"
 
 namespace serve {
 namespace {
 
 constexpr uint64_t kMiB = uint64_t{1} << 20;
-
-bool Near(double got, double want) {
-  return std::abs(got - want) <= std::abs(want) * 1e-9 + 1e-6;
-}
 
 class ServeTest : public ::testing::Test {
  protected:
@@ -219,8 +215,8 @@ TEST_F(ServeTest, ReloadInvalidatesPlanCacheAndServesNewData) {
   const QueryReply first = server.Execute(session, "q6");
   EXPECT_FALSE(first.cache_hit);
   EXPECT_FALSE(first.rejected);
-  const double ref_small = tpch::ReferenceQ6(server.catalog().lineitem());
-  EXPECT_TRUE(Near(first.result.scalar, ref_small));
+  tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6, first.result,
+                                      server.catalog().host());
 
   const QueryReply second = server.Execute(session, "q6");
   EXPECT_TRUE(second.cache_hit);
@@ -234,8 +230,8 @@ TEST_F(ServeTest, ReloadInvalidatesPlanCacheAndServesNewData) {
   server.ReloadCatalog(0.008);
   const QueryReply third = server.Execute(session, "q6");
   EXPECT_FALSE(third.cache_hit) << "changed table stats must miss";
-  const double ref_big = tpch::ReferenceQ6(server.catalog().lineitem());
-  EXPECT_TRUE(Near(third.result.scalar, ref_big));
+  tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6, third.result,
+                                      server.catalog().host());
   EXPECT_NE(third.result.scalar, first.result.scalar)
       << "reloaded catalog should produce a different answer";
 
@@ -260,16 +256,18 @@ TEST_F(ServeTest, StalePreparedPlanKeepsItsResidencySnapshotAlive) {
   shape.use_encoding = options.catalog.use_encoding;
   auto stale = plan::PrepareTpchQuery(shape, server.catalog().resident(),
                                       backends::kHandwritten);
-  const double old_ref = tpch::ReferenceQ6(server.catalog().lineitem());
+  const plan::TpchQueryResult old_ref =
+      plan::ReferenceAnswer(plan::TpchQuery::kQ6, server.catalog().host());
 
   server.ReloadCatalog(0.008);
-  const double new_ref = tpch::ReferenceQ6(server.catalog().lineitem());
-  ASSERT_FALSE(Near(old_ref, new_ref));
+  ASSERT_FALSE(plan::SameAnswer(
+      plan::TpchQuery::kQ6, old_ref,
+      plan::ReferenceAnswer(plan::TpchQuery::kQ6, server.catalog().host())));
 
   auto backend = core::BackendRegistry::Instance().Create(
       backends::kHandwritten);
   const plan::TpchQueryResult result = stale->Run(*backend);
-  EXPECT_TRUE(Near(result.scalar, old_ref));
+  tpch_testing::ExpectNearAnswer(plan::TpchQuery::kQ6, result, old_ref);
 }
 
 TEST_F(ServeTest, SocketServerEndToEnd) {
@@ -289,9 +287,8 @@ TEST_F(ServeTest, SocketServerEndToEnd) {
 
   const QueryReply first = client.Query("q6");
   EXPECT_FALSE(first.cache_hit);
-  EXPECT_TRUE(
-      Near(first.result.scalar,
-           tpch::ReferenceQ6(server.catalog().lineitem())));
+  tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6, first.result,
+                                      server.catalog().host());
   const QueryReply second = client.Query("q6");
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(second.result.scalar, first.result.scalar);
@@ -300,13 +297,8 @@ TEST_F(ServeTest, SocketServerEndToEnd) {
   // session) keep working afterwards.
   EXPECT_THROW(client.Query("q99"), std::runtime_error);
   const QueryReply q1 = client.Query("q1");
-  const std::vector<tpch::Q1Row> ref_q1 =
-      tpch::ReferenceQ1(server.catalog().lineitem());
-  ASSERT_EQ(q1.result.q1.size(), ref_q1.size());
-  for (size_t i = 0; i < ref_q1.size(); ++i) {
-    EXPECT_EQ(q1.result.q1[i].count_order, ref_q1[i].count_order);
-    EXPECT_TRUE(Near(q1.result.q1[i].sum_qty, ref_q1[i].sum_qty));
-  }
+  tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ1, q1.result,
+                                      server.catalog().host());
 
   const StatsReply stats = client.Stats();
   EXPECT_EQ(stats.queries, 3u);
@@ -696,8 +688,8 @@ TEST_F(ServeTest, MalformedFramesGetTypedErrorsAndNeverKillTheServer) {
   // The server survived all of it: a fresh session still gets answers.
   Client client(options.socket_path, "survivor", TenantClass::kInteractive);
   const QueryReply reply = client.Query("q6");
-  EXPECT_TRUE(Near(reply.result.scalar,
-                   tpch::ReferenceQ6(server.catalog().lineitem())));
+  tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6, reply.result,
+                                      server.catalog().host());
   const StatsReply stats = client.Stats();
   EXPECT_GE(stats.malformed, 4u);
 
@@ -744,8 +736,8 @@ TEST_F(ServeTest, ClientDisconnectMidQueryLeaksNothing) {
   {
     Client client(options.socket_path, "alive", TenantClass::kInteractive);
     const QueryReply reply = client.Query("q6");
-    EXPECT_TRUE(Near(reply.result.scalar,
-                     tpch::ReferenceQ6(server.catalog().lineitem())));
+    tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6, reply.result,
+                                        server.catalog().host());
     EXPECT_TRUE(WaitForActiveConnections(server, 1))
         << "ghost connections never drained; active="
         << server.ActiveConnections();
@@ -859,8 +851,9 @@ TEST_F(ServeTest, ReadmitDeviceRebalancesWithoutDrainAndHealsBreakers) {
   const QueryReply miss = server.Execute(session, "q6");
   const QueryReply hit = server.Execute(session, "q6");
   ASSERT_TRUE(hit.cache_hit);
-  const double ref = tpch::ReferenceQ6(server.catalog().lineitem());
-  ASSERT_TRUE(Near(hit.result.scalar, ref));
+  const plan::TpchQueryResult ref =
+      plan::ReferenceAnswer(plan::TpchQuery::kQ6, server.catalog().host());
+  tpch_testing::ExpectNearAnswer(plan::TpchQuery::kQ6, hit.result, ref);
 
   // The serving ordinal dies and its breaker opens.
   fleet.MarkLost(0);
@@ -885,7 +878,7 @@ TEST_F(ServeTest, ReadmitDeviceRebalancesWithoutDrainAndHealsBreakers) {
   // cache-hit simulated latency are unchanged: the host tables never moved.
   const QueryReply remiss = server.Execute(session, "q6");
   EXPECT_FALSE(remiss.cache_hit);
-  EXPECT_TRUE(Near(remiss.result.scalar, ref));
+  tpch_testing::ExpectNearAnswer(plan::TpchQuery::kQ6, remiss.result, ref);
   const QueryReply rehit = server.Execute(session, "q6");
   EXPECT_TRUE(rehit.cache_hit);
   EXPECT_EQ(rehit.simulated_ns, hit.simulated_ns)
@@ -993,8 +986,8 @@ TEST_F(ServeTest, TenantClassesShedInPriorityOrderWithScaledRetryAfter) {
   const QueryReply reply = server.Execute(inter, "q6");
   releaser.join();
   EXPECT_FALSE(reply.rejected);
-  EXPECT_TRUE(Near(reply.result.scalar,
-                   tpch::ReferenceQ6(server.catalog().lineitem())));
+  tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6, reply.result,
+                                      server.catalog().host());
   EXPECT_EQ(server.Stats().overloaded, 2u);
 }
 
@@ -1009,7 +1002,6 @@ TEST_F(ServeTest, QueryWithRetrySleepsThroughShedsUntilTheBreakerHeals) {
   server.Start();
 
   Client client(options.socket_path, "tenant", TenantClass::kInteractive);
-  const double ref = tpch::ReferenceQ6(server.catalog().lineitem());
 
   rm.RecordFailure(options.catalog.backend, 0);
   rm.RecordFailure(options.catalog.backend, 0);
@@ -1024,7 +1016,8 @@ TEST_F(ServeTest, QueryWithRetrySleepsThroughShedsUntilTheBreakerHeals) {
   retry.max_backoff_ms = 4;
   const QueryReply reply = client.QueryWithRetry("q6", retry);
   EXPECT_FALSE(reply.overloaded) << "the budget must outlast the cooldown";
-  EXPECT_TRUE(Near(reply.result.scalar, ref));
+  tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6, reply.result,
+                                      server.catalog().host());
   EXPECT_GT(client.retries(), 0u);
 
   client.Shutdown();

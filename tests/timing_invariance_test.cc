@@ -9,16 +9,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/registry.h"
 #include "gpusim/algorithms.h"
 #include "gpusim/device.h"
 #include "gpusim/memory.h"
-#include "plan/executor.h"
-#include "plan/optimizer.h"
-#include "plan/tpch_plans.h"
-#include "storage/device_column.h"
-#include "tpch/datagen.h"
-#include "tpch/queries.h"
 
 namespace gpusim {
 namespace {
@@ -114,46 +107,3 @@ TEST(TimingInvarianceTest, SimulatedTimeIdenticalSerialAndConcurrentStreams) {
 
 }  // namespace
 }  // namespace gpusim
-
-namespace {
-
-// The plan executor promises the same invariance one level up: a plan pinned
-// to a single backend issues the hand-coded query's exact call sequence, so
-// its simulated timeline must be bit-identical to the hand-coded run's — not
-// merely close.
-TEST(TimingInvarianceTest, PinnedPlanReplaysHandCodedTimeline) {
-  core::RegisterBuiltinBackends();
-  tpch::Config config;
-  config.scale_factor = 0.01;
-  gpusim::Stream setup(gpusim::Device::Default(), gpusim::ApiProfile::Cuda());
-  const storage::DeviceTable lineitem =
-      storage::UploadTable(setup, tpch::GenerateLineitem(config));
-
-  for (const char* backend_name : {"Thrust", "Handwritten"}) {
-    SCOPED_TRACE(backend_name);
-    auto& registry = core::BackendRegistry::Instance();
-
-    auto hand_backend = registry.Create(backend_name);
-    const uint64_t t0 = hand_backend->stream().now_ns();
-    tpch::RunQ6(*hand_backend, lineitem);
-    const uint64_t hand_ns = hand_backend->stream().now_ns() - t0;
-
-    plan::TpchDeviceTables tables;
-    tables.lineitem = &lineitem;
-    const plan::QueryPlanBundle bundle =
-        plan::BuildTpchPlan(plan::TpchQuery::kQ6, tables);
-    plan::OptimizerOptions opts;
-    opts.pin_backend = backend_name;
-    const plan::PhysicalPlan phys = plan::Optimize(bundle.plan, opts);
-    auto plan_backend = registry.Create(backend_name);
-    const uint64_t s0 = plan_backend->stream().now_ns();
-    const plan::ExecutionResult res = plan::RunPinned(phys, *plan_backend);
-    const uint64_t stream_ns = plan_backend->stream().now_ns() - s0;
-
-    EXPECT_EQ(res.total_ns, hand_ns);
-    // The per-node accounting must also agree with the stream's own clock.
-    EXPECT_EQ(stream_ns, hand_ns);
-  }
-}
-
-}  // namespace

@@ -1,16 +1,54 @@
-// Field-by-field equality of two answers to one TPC-H query, for the tests
-// that assert an answer does not depend on where or how the query ran
-// (device count, slice placement, recovery path, host pool size).
+// Answer checks for the TPC-H query tests: field-by-field equality of two
+// answers to one query, for the tests that assert an answer does not depend
+// on where or how the query ran (device count, slice placement, recovery
+// path, host pool size); the one check against the host reference; and the
+// one call the query tests run a query's plan with.
 #ifndef TESTS_TPCH_ANSWER_TESTING_H_
 #define TESTS_TPCH_ANSWER_TESTING_H_
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 
+#include "core/backend.h"
 #include "plan/partition.h"
+#include "plan/prepared.h"
+#include "plan/tpch_plans.h"
 
 namespace tpch_testing {
+
+/// Uploads the tables `q` reads out of `host` on the backend's stream
+/// (encoded when `encoded`) and runs `q`'s plan from the query table pinned
+/// to the backend.
+inline plan::TpchQueryResult RunQuery(plan::TpchQuery q,
+                                      core::Backend& backend,
+                                      const plan::TpchHostTables& host,
+                                      bool encoded = false) {
+  return plan::PrepareTpchQuery({q, encoded},
+                                plan::MakeResident(backend.stream(),
+                                                   plan::QueryTables(q, host),
+                                                   encoded),
+                                backend.name())
+      ->Run(backend);
+}
+
+/// EXPECTs that `got` answers `q` as `want` does: rows, keys and counts
+/// equal, every float within a relative 1e-9 and no absolute slack.
+inline void ExpectNearAnswer(plan::TpchQuery q,
+                             const plan::TpchQueryResult& got,
+                             const plan::TpchQueryResult& want) {
+  std::string why;
+  EXPECT_TRUE(plan::SameAnswer(q, got, want, &why, /*abs_slack=*/0.0))
+      << why;
+}
+
+/// ExpectNearAnswer against the host reference answer of `q` over `host`.
+inline void ExpectReferenceAnswer(plan::TpchQuery q,
+                                  const plan::TpchQueryResult& got,
+                                  const plan::TpchHostTables& host) {
+  ExpectNearAnswer(q, got, plan::ReferenceAnswer(q, host));
+}
 
 /// EXPECT_EQ on every row and field of the answer to `q`, floats included.
 inline void ExpectSameAnswer(plan::TpchQuery q,

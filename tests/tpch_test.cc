@@ -1,17 +1,48 @@
 // TPC-H generator and query tests: schema shapes, value domains, and
-// backend-vs-reference equality for Q1 and Q6 across all four backends.
+// plan-vs-reference equality for the five queries across all four backends.
 #include "tpch/queries.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "backends/backends.h"
 #include "core/registry.h"
+#include "plan/executor.h"
+#include "plan/optimizer.h"
+#include "plan/tpch_plans.h"
+#include "tpch_answer_testing.h"
 
 namespace {
 
 using tpch::Config;
+
+/// Optimizes `bundle` pinned to `backend`, runs it there and finalizes it.
+plan::TpchQueryResult RunPinnedBundle(plan::TpchQuery q,
+                                      const plan::QueryPlanBundle& bundle,
+                                      core::Backend& backend) {
+  plan::OptimizerOptions opts;
+  opts.pin_backend = backend.name();
+  return plan::FinalizeRun(
+      q, bundle,
+      plan::RunPinned(plan::Optimize(bundle.plan, opts), backend));
+}
+
+/// The Q6 plan over `lineitem`.
+plan::QueryPlanBundle Q6Plan(const storage::DeviceTable& lineitem) {
+  plan::TpchDeviceTables tables;
+  tables.lineitem = &lineitem;
+  return plan::BuildTpchPlan(plan::TpchQuery::kQ6, tables);
+}
+
+/// `bundle` optimized hybrid over the handwritten backend alone: Q6's whole
+/// body collapses into one fused filter+multiply+sum kernel.
+plan::PhysicalPlan FuseOnHandwritten(const plan::QueryPlanBundle& bundle) {
+  plan::OptimizerOptions opts;
+  opts.candidates = {backends::kHandwritten};
+  return plan::Optimize(bundle.plan, opts);
+}
 
 TEST(TpchDateTest, DaysFromDateAnchorsAndArithmetic) {
   EXPECT_EQ(tpch::DaysFromDate(1992, 1, 1), 0);
@@ -97,12 +128,23 @@ TEST(TpchQ6FusedTest, FusedHandwrittenMatchesReference) {
   Config config;
   config.scale_factor = 0.002;
   const storage::Table lineitem = tpch::GenerateLineitem(config);
-  gpusim::Stream stream(gpusim::Device::Default(),
-                        gpusim::ApiProfile::Cuda());
-  const auto dev = storage::UploadTable(stream, lineitem);
-  const double got = tpch::RunQ6FusedHandwritten(stream, dev);
-  const double expected = tpch::ReferenceQ6(lineitem);
-  EXPECT_NEAR(got, expected, std::abs(expected) * 1e-9 + 1e-6);
+  core::RegisterBuiltinBackends();
+  auto backend = core::BackendRegistry::Instance().Create("Handwritten");
+  const auto dev = storage::UploadTable(backend->stream(), lineitem);
+  const plan::QueryPlanBundle bundle = Q6Plan(dev);
+  const plan::PhysicalPlan fused = FuseOnHandwritten(bundle);
+  size_t live = 0;
+  for (const plan::PlanNode& node : fused.plan.nodes) {
+    if (node.dead || node.kind == plan::NodeKind::kScan) continue;
+    ++live;
+    EXPECT_EQ(node.kind, plan::NodeKind::kFusedFilterSum);
+  }
+  EXPECT_EQ(live, 1u);
+  tpch_testing::ExpectReferenceAnswer(
+      plan::TpchQuery::kQ6,
+      plan::FinalizeRun(plan::TpchQuery::kQ6, bundle,
+                        plan::RunPinned(fused, *backend)),
+      {&lineitem});
 }
 
 TEST(TpchQ6FusedTest, FusedVariantUsesFarFewerKernels) {
@@ -113,14 +155,13 @@ TEST(TpchQ6FusedTest, FusedVariantUsesFarFewerKernels) {
   auto backend = core::BackendRegistry::Instance().Create("Handwritten");
   const auto dev = storage::UploadTable(backend->stream(), lineitem);
 
+  const plan::QueryPlanBundle bundle = Q6Plan(dev);
   auto before = gpusim::Device::Default().Snapshot();
-  tpch::RunQ6(*backend, dev);
+  RunPinnedBundle(plan::TpchQuery::kQ6, bundle, *backend);
   const auto op_chain = gpusim::Device::Default().Snapshot().Delta(before);
 
-  gpusim::Stream stream(gpusim::Device::Default(),
-                        gpusim::ApiProfile::Cuda());
   before = gpusim::Device::Default().Snapshot();
-  tpch::RunQ6FusedHandwritten(stream, dev);
+  plan::RunPinned(FuseOnHandwritten(bundle), *backend);
   const auto fused = gpusim::Device::Default().Snapshot().Delta(before);
 
   EXPECT_LT(fused.kernels_launched, op_chain.kernels_launched);
@@ -175,30 +216,45 @@ class TpchQueryTest : public ::testing::TestWithParam<std::string> {
  protected:
   static void SetUpTestSuite() {
     core::RegisterBuiltinBackends();
-    config_.scale_factor = 0.002;
-    lineitem_ = new storage::Table(tpch::GenerateLineitem(config_));
-    orders_ = new storage::Table(tpch::GenerateOrders(config_));
-    customer_ = new storage::Table(tpch::GenerateCustomer(config_));
+    Config config;
+    config.scale_factor = 0.002;
+    lineitem_ = new storage::Table(tpch::GenerateLineitem(config));
+    orders_ = new storage::Table(tpch::GenerateOrders(config));
+    customer_ = new storage::Table(tpch::GenerateCustomer(config));
+    part_ = new storage::Table(tpch::GeneratePart(config));
   }
   static void TearDownTestSuite() {
     delete lineitem_;
     delete orders_;
     delete customer_;
-    lineitem_ = nullptr;
-    orders_ = nullptr;
-    customer_ = nullptr;
+    delete part_;
+    lineitem_ = orders_ = customer_ = part_ = nullptr;
   }
 
-  static Config config_;
+  static plan::TpchHostTables Tables() {
+    return {lineitem_, orders_, customer_, part_};
+  }
+
+  /// Runs `q`'s plan on a fresh backend and EXPECTs the host reference's
+  /// answer; returns the plan's answer.
+  static plan::TpchQueryResult ExpectMatchesReference(plan::TpchQuery q) {
+    auto backend = core::BackendRegistry::Instance().Create(GetParam());
+    const plan::TpchQueryResult got =
+        tpch_testing::RunQuery(q, *backend, Tables());
+    tpch_testing::ExpectReferenceAnswer(q, got, Tables());
+    return got;
+  }
+
   static storage::Table* lineitem_;
   static storage::Table* orders_;
   static storage::Table* customer_;
+  static storage::Table* part_;
 };
 
-Config TpchQueryTest::config_;
 storage::Table* TpchQueryTest::lineitem_ = nullptr;
 storage::Table* TpchQueryTest::orders_ = nullptr;
 storage::Table* TpchQueryTest::customer_ = nullptr;
+storage::Table* TpchQueryTest::part_ = nullptr;
 
 INSTANTIATE_TEST_SUITE_P(
     AllBackends, TpchQueryTest,
@@ -213,60 +269,27 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(TpchQueryTest, Q6MatchesReference) {
-  auto backend = core::BackendRegistry::Instance().Create(GetParam());
-  const storage::DeviceTable dev =
-      storage::UploadTable(backend->stream(), *lineitem_);
-  const double got = tpch::RunQ6(*backend, dev);
-  const double expected = tpch::ReferenceQ6(*lineitem_);
-  EXPECT_NEAR(got, expected, std::abs(expected) * 1e-9 + 1e-6);
+  ExpectMatchesReference(plan::TpchQuery::kQ6);
 }
 
 TEST_P(TpchQueryTest, Q1MatchesReference) {
-  auto backend = core::BackendRegistry::Instance().Create(GetParam());
-  const storage::DeviceTable dev =
-      storage::UploadTable(backend->stream(), *lineitem_);
-  const auto got = tpch::RunQ1(*backend, dev);
-  const auto expected = tpch::ReferenceQ1(*lineitem_);
-  ASSERT_EQ(got.size(), expected.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].returnflag, expected[i].returnflag);
-    EXPECT_EQ(got[i].linestatus, expected[i].linestatus);
-    EXPECT_EQ(got[i].count_order, expected[i].count_order);
-    const double tol = 1e-6 * std::abs(expected[i].sum_charge) + 1e-6;
-    EXPECT_NEAR(got[i].sum_qty, expected[i].sum_qty, tol);
-    EXPECT_NEAR(got[i].sum_base_price, expected[i].sum_base_price, tol);
-    EXPECT_NEAR(got[i].sum_disc_price, expected[i].sum_disc_price, tol);
-    EXPECT_NEAR(got[i].sum_charge, expected[i].sum_charge, tol);
-    EXPECT_NEAR(got[i].avg_qty, expected[i].avg_qty, 1e-6);
-    EXPECT_NEAR(got[i].avg_price, expected[i].avg_price, 1e-3);
-    EXPECT_NEAR(got[i].avg_disc, expected[i].avg_disc, 1e-9);
-  }
+  ExpectMatchesReference(plan::TpchQuery::kQ1);
 }
 
 TEST_P(TpchQueryTest, Q3MatchesReference) {
-  auto backend = core::BackendRegistry::Instance().Create(GetParam());
-  const auto dev_li = storage::UploadTable(backend->stream(), *lineitem_);
-  const auto dev_ord = storage::UploadTable(backend->stream(), *orders_);
-  const auto dev_cust = storage::UploadTable(backend->stream(), *customer_);
-  const auto got = tpch::RunQ3(*backend, dev_cust, dev_ord, dev_li);
-  const auto expected = tpch::ReferenceQ3(*customer_, *orders_, *lineitem_);
-  ASSERT_EQ(got.size(), expected.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].orderkey, expected[i].orderkey) << "rank " << i;
-    EXPECT_NEAR(got[i].revenue, expected[i].revenue,
-                1e-9 * std::abs(expected[i].revenue) + 1e-6);
-  }
+  ExpectMatchesReference(plan::TpchQuery::kQ3);
 }
 
 TEST_P(TpchQueryTest, Q3ForcedNestedLoopsAgreesWithAuto) {
   auto backend = core::BackendRegistry::Instance().Create(GetParam());
-  const auto dev_li = storage::UploadTable(backend->stream(), *lineitem_);
-  const auto dev_ord = storage::UploadTable(backend->stream(), *orders_);
-  const auto dev_cust = storage::UploadTable(backend->stream(), *customer_);
-  const auto nlj = tpch::RunQ3(*backend, dev_cust, dev_ord, dev_li,
-                               tpch::Q3Params(), tpch::JoinStrategy::kNestedLoops);
-  const auto auto_join = tpch::RunQ3(*backend, dev_cust, dev_ord, dev_li,
-                                     tpch::Q3Params(), tpch::JoinStrategy::kAuto);
+  const auto resident =
+      plan::MakeResident(backend->stream(), Tables(), /*use_encoding=*/false);
+  plan::QueryPlanBundle bundle =
+      plan::BuildTpchPlan(plan::TpchQuery::kQ3, resident->view());
+  const auto auto_join =
+      RunPinnedBundle(plan::TpchQuery::kQ3, bundle, *backend).q3;
+  bundle.plan.SetJoinAlgo(plan::JoinAlgo::kNestedLoops);
+  const auto nlj = RunPinnedBundle(plan::TpchQuery::kQ3, bundle, *backend).q3;
   ASSERT_EQ(nlj.size(), auto_join.size());
   for (size_t i = 0; i < nlj.size(); ++i) {
     EXPECT_EQ(nlj[i].orderkey, auto_join[i].orderkey);
@@ -274,44 +297,48 @@ TEST_P(TpchQueryTest, Q3ForcedNestedLoopsAgreesWithAuto) {
 }
 
 TEST_P(TpchQueryTest, Q4MatchesReference) {
-  auto backend = core::BackendRegistry::Instance().Create(GetParam());
-  const auto dev_li = storage::UploadTable(backend->stream(), *lineitem_);
-  const auto dev_ord = storage::UploadTable(backend->stream(), *orders_);
-  const auto got = tpch::RunQ4(*backend, dev_ord, dev_li);
-  const auto expected = tpch::ReferenceQ4(*orders_, *lineitem_);
-  ASSERT_EQ(got.size(), expected.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].orderpriority, expected[i].orderpriority);
-    EXPECT_EQ(got[i].order_count, expected[i].order_count);
-  }
+  ExpectMatchesReference(plan::TpchQuery::kQ4);
 }
 
 TEST_P(TpchQueryTest, Q14MatchesReference) {
-  auto backend = core::BackendRegistry::Instance().Create(GetParam());
-  // Library NLJ over the full part table is O(|part| * |lineitem'|); keep
-  // the ArrayFire per-row where() variant affordable by joining at this SF.
-  const auto dev_li = storage::UploadTable(backend->stream(), *lineitem_);
-  const storage::Table part = tpch::GeneratePart(config_);
-  const auto dev_part = storage::UploadTable(backend->stream(), part);
-  const double got = tpch::RunQ14(*backend, dev_part, dev_li);
-  const double expected = tpch::ReferenceQ14(part, *lineitem_);
-  EXPECT_NEAR(got, expected, 1e-9 * std::abs(expected) + 1e-9);
+  // Library NLJ over the full part table is O(|part| * |lineitem'|); the
+  // small scale factor keeps the ArrayFire per-row where() variant
+  // affordable.
+  const double got = ExpectMatchesReference(plan::TpchQuery::kQ14).scalar;
   EXPECT_GT(got, 0.0);
   EXPECT_LT(got, 100.0);
 }
 
 TEST_P(TpchQueryTest, Q6SelectivityParametersMatter) {
-  auto backend = core::BackendRegistry::Instance().Create(GetParam());
-  const storage::DeviceTable dev =
-      storage::UploadTable(backend->stream(), *lineitem_);
+  // The plan's predicate constants decide the answer: widening every Q6
+  // predicate to admit all rows raises the revenue to the wide reference.
   tpch::Q6Params wide;
   wide.date_lo = tpch::DaysFromDate(1992, 1, 1);
   wide.date_hi = tpch::DaysFromDate(1999, 12, 31);
   wide.discount_lo = 0.0;
   wide.discount_hi = 1.0;
   wide.quantity_hi = 100.0;
-  const double everything = tpch::RunQ6(*backend, dev, wide);
-  const double narrow = tpch::RunQ6(*backend, dev);
+  auto backend = core::BackendRegistry::Instance().Create(GetParam());
+  const auto resident =
+      plan::MakeResident(backend->stream(), Tables(), /*use_encoding=*/false);
+  plan::QueryPlanBundle bundle =
+      plan::BuildTpchPlan(plan::TpchQuery::kQ6, resident->view());
+  const double narrow =
+      RunPinnedBundle(plan::TpchQuery::kQ6, bundle, *backend).scalar;
+  for (plan::PlanNode& node : bundle.plan.nodes) {
+    for (core::Predicate& p : node.preds) {
+      const bool lower = p.op == core::CompareOp::kGe;
+      const double value =
+          p.column == "l_shipdate"
+              ? (lower ? wide.date_lo : wide.date_hi)
+              : p.column == "l_discount"
+                    ? (lower ? wide.discount_lo : wide.discount_hi)
+                    : wide.quantity_hi;
+      p = core::Predicate::Make(p.column, p.op, value);
+    }
+  }
+  const double everything =
+      RunPinnedBundle(plan::TpchQuery::kQ6, bundle, *backend).scalar;
   EXPECT_GT(everything, narrow);
   EXPECT_NEAR(everything, tpch::ReferenceQ6(*lineitem_, wide),
               std::abs(everything) * 1e-9 + 1e-6);

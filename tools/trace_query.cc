@@ -1,12 +1,15 @@
 // Captures a kernel-level trace of a TPC-H query on a chosen backend and
 // writes it as Chrome trace-event JSON (open in chrome://tracing or
-// ui.perfetto.dev) — the simulated equivalent of an nvprof capture.
+// ui.perfetto.dev) — the simulated equivalent of an nvprof capture. The
+// query runs its plan from the query table (plan/tpch_plans.h) pinned to the
+// backend, over the tables its entry reads.
 //
-// With --chaos-seed=N a seeded gpusim::FaultInjector is attached for the
-// query: transient kernel and transfer faults fire probabilistically, the
-// query is retried like the scheduler would, and the injected-fault /
-// retry event stream is printed inline (fault events also appear in the
-// exported trace under the "fault" category).
+// With --chaos-seed=N a seeded gpusim::FaultInjector is attached and the
+// query goes to a one-client core::QueryScheduler, the owner of transient
+// faults outside governed runs (DESIGN.md §7): kernel and transfer faults
+// fire probabilistically, the scheduler replays the query under its retry
+// policy, and every fired fault prints after the run (fault events also
+// appear in the exported trace under the "fault" category).
 //
 // With --capacity-bytes=N the simulated device capacity shrinks to N and
 // the query runs through memory admission (core::MemoryGovernor) and the
@@ -28,21 +31,35 @@
 //   build/tools/trace_query [backend] [q1|q6|q3|q4|q14] [out.json]
 //                           [--chaos-seed=N] [--capacity-bytes=N] [--encoded]
 //                           [--fleet-readmit=N]
+//   build/tools/trace_query --help
 #include <fstream>
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/error.h"
 #include "core/governor.h"
 #include "core/registry.h"
-#include "core/resilience.h"
+#include "core/scheduler.h"
 #include "gpusim/device_group.h"
 #include "gpusim/fault.h"
 #include "gpusim/trace.h"
 #include "plan/partition.h"
-#include "storage/encoded_column.h"
-#include "tpch/queries.h"
+#include "plan/prepared.h"
+#include "tpch/datagen.h"
+
+namespace {
+
+void PrintUsage(std::ostream& out) {
+  out << "usage: trace_query [backend] [q1|q6|q3|q4|q14] [out.json] "
+         "[--chaos-seed=N] [--capacity-bytes=N] [--encoded] "
+         "[--fleet-readmit=N]\n";
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   core::RegisterBuiltinBackends();
@@ -58,6 +75,10 @@ int main(int argc, char** argv) {
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      PrintUsage(std::cout);
+      return 0;
+    }
     if (arg.rfind("--chaos-seed=", 0) == 0) {
       chaos = true;
       chaos_seed = std::stoull(arg.substr(13));
@@ -82,114 +103,93 @@ int main(int argc, char** argv) {
       case 2: out_path = arg; break;
       default:
         std::cerr << "unexpected argument: " << arg << "\n";
+        PrintUsage(std::cerr);
         return 2;
     }
   }
-  if ((query != "q1" && query != "q6" && query != "q3" && query != "q4" &&
-       query != "q14") ||
-      fleet_readmit < 0) {
-    std::cerr << "usage: trace_query [backend] [q1|q6|q3|q4|q14] [out.json] "
-                 "[--chaos-seed=N] [--capacity-bytes=N] [--encoded] "
-                 "[--fleet-readmit=N]\n";
+  plan::TpchQuery q;
+  try {
+    q = plan::ParseTpchQuery(query);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    PrintUsage(std::cerr);
+    return 2;
+  }
+  if (!core::BackendRegistry::Instance().Contains(backend_name)) {
+    std::cerr << "unknown backend '" << backend_name << "'\n";
+    PrintUsage(std::cerr);
+    return 2;
+  }
+  if (fleet_readmit < 0) {
+    PrintUsage(std::cerr);
     return 2;
   }
 
   tpch::Config config;
   config.scale_factor = 0.01;
   const storage::Table lineitem = tpch::GenerateLineitem(config);
-  storage::Table customer, orders, part;
-  if (query == "q3") {
-    customer = tpch::GenerateCustomer(config);
-    orders = tpch::GenerateOrders(config);
-  } else if (query == "q4") {
-    orders = tpch::GenerateOrders(config);
-  } else if (query == "q14") {
-    part = tpch::GeneratePart(config);
-  }
+  const storage::Table orders = tpch::GenerateOrders(config);
+  const storage::Table customer = tpch::GenerateCustomer(config);
+  const storage::Table part = tpch::GeneratePart(config);
+  const plan::TpchHostTables tables = plan::QueryTables(
+      q, plan::TpchHostTables{&lineitem, &orders, &customer, &part});
 
   auto backend = core::BackendRegistry::Instance().Create(backend_name);
   gpusim::Stream& stream = backend->stream();
   gpusim::Device& device = gpusim::Device::Default();
 
   // Governed mode uploads inside the governed run (slices and all), so the
-  // fixture tables stay host-side; ungoverned mode pre-uploads as before.
-  storage::DeviceTable dev_lineitem, dev_customer, dev_orders, dev_part;
+  // tables stay host-side; ungoverned mode uploads them up front and
+  // prepares the plan over them.
+  std::shared_ptr<const plan::PreparedTpchQuery> prepared;
   if (governed) {
     device.set_memory_capacity(capacity_bytes);
     std::cout << "memory: capacity constrained to " << capacity_bytes
               << " bytes\n";
   } else {
-    const auto upload = [&](const storage::Table& t) {
-      return encoded ? storage::UploadTableEncoded(stream, t)
-                     : storage::UploadTable(stream, t);
-    };
-    dev_lineitem = upload(lineitem);
-    if (query == "q3") {
-      dev_customer = upload(customer);
-      dev_orders = upload(orders);
-    } else if (query == "q4") {
-      dev_orders = upload(orders);
-    } else if (query == "q14") {
-      dev_part = upload(part);
-    }
+    prepared = plan::PrepareTpchQuery(
+        {q, encoded}, plan::MakeResident(stream, tables, encoded),
+        backend_name);
   }
 
-  plan::TpchHostTables tables;
-  tables.lineitem = &lineitem;
-  tables.orders = &orders;
-  tables.customer = &customer;
-  tables.part = &part;
   core::GovernorOptions governor_opts;
   governor_opts.device = &device;
   core::MemoryGovernor governor(governor_opts);
 
-  const auto run = [&] {
-    if (governed) {
-      const plan::TpchQuery q = plan::ParseTpchQuery(query);
-      const uint64_t footprint =
-          plan::EstimateQueryFootprint(q, tables, backend->name(),
-                                       /*partitions=*/1, encoded);
-      const core::AdmissionTicket ticket =
-          governor.Admit(stream.id(), footprint);
-      std::cout << "  admission: requested " << ticket.requested_bytes
-                << " B, granted " << ticket.granted_bytes << " B"
-                << (ticket.partial() ? " (partial — must partition)" : "")
-                << "\n";
-      if (!ticket.admitted()) {
-        throw std::runtime_error("memory admission rejected");
-      }
-      plan::GovernedQueryOptions gq;
-      gq.use_encoding = encoded;
-      gq.on_event = [](const plan::PressureEvent& e) {
-        std::cout << "  [" << plan::PressureEventKindName(e.kind) << "] "
-                  << e.detail << "\n";
-      };
-      plan::GovernedRunStats stats;
-      try {
-        plan::RunGoverned(q, tables, *backend, gq, &stats);
-      } catch (...) {
-        governor.Release(stream.id());
-        throw;
-      }
-      governor.Release(stream.id());
-      std::cout << "  governed run: " << stats.partitions
-                << " partition(s), " << stats.oom_fallbacks
-                << " OOM fallback(s), spill " << stats.spill_h2d_bytes
-                << " B h2d / " << stats.spill_d2h_bytes << " B d2h, "
-                << stats.simulated_ns << " simulated ns\n";
+  const core::QueryFn run = [&](core::Backend& b) {
+    if (!governed) {
+      prepared->Run(b);
       return;
     }
-    if (query == "q1") {
-      tpch::RunQ1(*backend, dev_lineitem);
-    } else if (query == "q6") {
-      tpch::RunQ6(*backend, dev_lineitem);
-    } else if (query == "q3") {
-      tpch::RunQ3(*backend, dev_customer, dev_orders, dev_lineitem);
-    } else if (query == "q4") {
-      tpch::RunQ4(*backend, dev_orders, dev_lineitem);
-    } else {
-      tpch::RunQ14(*backend, dev_part, dev_lineitem);
+    const uint64_t footprint = plan::EstimateQueryFootprint(
+        q, tables, backend_name, /*partitions=*/1, encoded);
+    const core::AdmissionTicket ticket =
+        governor.Admit(b.stream().id(), footprint);
+    std::cout << "  admission: requested " << ticket.requested_bytes
+              << " B, granted " << ticket.granted_bytes << " B"
+              << (ticket.partial() ? " (partial — must partition)" : "")
+              << "\n";
+    if (!ticket.admitted()) {
+      throw std::runtime_error("memory admission rejected");
     }
+    plan::GovernedQueryOptions gq;
+    gq.use_encoding = encoded;
+    gq.on_event = [](const plan::PressureEvent& e) {
+      std::cout << "  [" << plan::PressureEventKindName(e.kind) << "] "
+                << e.detail << "\n";
+    };
+    plan::GovernedRunStats stats;
+    try {
+      plan::RunGoverned(q, tables, b, gq, &stats);
+    } catch (...) {
+      governor.Release(b.stream().id());
+      throw;
+    }
+    governor.Release(b.stream().id());
+    std::cout << "  governed run: " << stats.partitions << " partition(s), "
+              << stats.oom_fallbacks << " OOM fallback(s), spill "
+              << stats.spill_h2d_bytes << " B h2d / " << stats.spill_d2h_bytes
+              << " B d2h, " << stats.simulated_ns << " simulated ns\n";
   };
 
   // Faults are armed after the uploads: the chaos run perturbs the query,
@@ -206,46 +206,46 @@ int main(int argc, char** argv) {
     transfer_rule.kind = gpusim::FaultKind::kTransfer;
     transfer_rule.probability = 0.02;
     injector.AddRule(transfer_rule);
-    gpusim::Device::Default().set_fault_injector(&injector);
+    device.set_fault_injector(&injector);
     std::cout << "chaos: seed=" << chaos_seed
               << " kernel/transfer fault probability 0.02\n";
   }
 
   gpusim::Tracer tracer;
-  gpusim::Device::Default().set_tracer(&tracer);
-  const core::RetryPolicy retry{.max_attempts = 64};
-  int attempts = 0;
-  for (int attempt = 1;; ++attempt) {
-    attempts = attempt;
-    size_t faults_before = injector.log().size();
+  device.set_tracer(&tracer);
+  core::QueryRecord record;
+  if (chaos) {
+    core::SchedulerOptions sched_opts;
+    sched_opts.backend_name = backend_name;
+    core::QueryScheduler scheduler(sched_opts);
+    scheduler.Submit(query, run);
+    scheduler.Drain();
+    record = scheduler.Records().front();
+    const std::vector<gpusim::InjectedFault> log = injector.log();
+    for (size_t k = 0; k < log.size(); ++k) {
+      const gpusim::InjectedFault& f = log[k];
+      std::cout << "  fault[" << k << "] " << gpusim::FaultKindName(f.kind)
+                << " at " << gpusim::FaultSiteName(f.site) << " (stream "
+                << f.stream_id << ", call " << f.call_index << ", rule "
+                << f.rule << ")\n";
+    }
+    std::cout << "  scheduler: " << record.attempts << " attempt(s), "
+              << record.oom_reclaims << " pool reclaim(s)\n";
+  } else {
     try {
-      run();
-      break;
+      run(*backend);
+      record.ok = true;
     } catch (...) {
-      const std::exception_ptr err = std::current_exception();
-      const auto& log = injector.log();
-      for (size_t k = faults_before; k < log.size(); ++k) {
-        const gpusim::InjectedFault& f = log[k];
-        std::cout << "  fault[" << k << "] " << gpusim::FaultKindName(f.kind)
-                  << " at " << gpusim::FaultSiteName(f.site) << " (stream "
-                  << f.stream_id << ", call " << f.call_index << ", rule "
-                  << f.rule << ") -> " << core::ErrorMessage(err) << "\n";
-      }
-      if (core::Classify(err) == core::ErrorClass::kTransient &&
-          attempt < retry.max_attempts) {
-        std::cout << "  retry " << attempt << ": replaying " << query
-                  << " after transient fault\n";
-        continue;
-      }
-      gpusim::Device::Default().set_tracer(nullptr);
-      gpusim::Device::Default().set_fault_injector(nullptr);
-      std::cerr << "permanent failure after " << attempt
-                << " attempts: " << core::ErrorMessage(err) << "\n";
-      return 3;
+      record.error = core::ErrorMessage(std::current_exception());
     }
   }
-  gpusim::Device::Default().set_tracer(nullptr);
-  gpusim::Device::Default().set_fault_injector(nullptr);
+  device.set_tracer(nullptr);
+  device.set_fault_injector(nullptr);
+  if (!record.ok) {
+    std::cerr << "permanent failure after " << record.attempts
+              << " attempt(s): " << record.error << "\n";
+    return 3;
+  }
 
   if (fleet_readmit > 0) {
     // Device-lifecycle demo: lose device 0, reset it, run the half-open
@@ -290,7 +290,7 @@ int main(int argc, char** argv) {
     const gpusim::FaultInjectorStats fs = injector.stats();
     std::cout << "chaos: " << fs.injected_total() << " faults injected over "
               << fs.checks << " checks, query succeeded on attempt "
-              << attempts << "\n";
+              << record.attempts << "\n";
   }
   return 0;
 }
