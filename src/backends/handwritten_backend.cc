@@ -589,7 +589,10 @@ class HandwrittenBackend : public core::Backend {
 
   /// ONE fused selection kernel (ordered atomic-ticket compaction) over `n`
   /// rows that keeps a row when all (`conjunctive`) or any of the
-  /// `num_preds` matchers hold, then one 4-byte count readback.
+  /// `num_preds` matchers hold, then one 4-byte count readback. The host
+  /// evaluates the matchers a tile at a time (core::MatchTile) and compacts
+  /// each tile in row order; the kernel is still priced per row and
+  /// predicate.
   SelectionResult SelectMatching(const char* name,
                                  const core::ScanMatcher* matchers,
                                  size_t num_preds, size_t n,
@@ -604,18 +607,22 @@ class HandwrittenBackend : public core::Backend {
     stats.bytes_written = n * sizeof(uint32_t);
     stats.ops = n * num_preds;
     uint32_t* rows = reinterpret_cast<uint32_t*>(out.row_ids.data<int32_t>());
-    gpusim::OrderedAppend(
+    gpusim::OrderedAppendRange(
         stream_, n, stats, counter.data(),
-        [=](size_t i, size_t slot) {
-          bool keep = conjunctive;
-          for (size_t p = 0; p < num_preds; ++p) {
-            if (matchers[p](i) != conjunctive) {
-              keep = !conjunctive;
-              break;
+        [=](size_t begin, size_t end, size_t slot) {
+          uint8_t keep[core::kScanTileRows];
+          size_t w = slot;
+          for (size_t t = begin; t < end; t += core::kScanTileRows) {
+            const size_t te = std::min(end, t + core::kScanTileRows);
+            core::MatchTile(matchers, num_preds, conjunctive, t, te, keep);
+            // Branch-free compaction: every row is written at the next free
+            // slot, and only the kept ones advance it.
+            for (size_t i = t; i < te; ++i) {
+              rows[w] = static_cast<uint32_t>(i);
+              w += keep[i - t];
             }
           }
-          if (keep) rows[slot] = static_cast<uint32_t>(i);
-          return keep;
+          return w - slot;
         },
         MoveRowId{rows});
     uint32_t count = 0;

@@ -1,6 +1,7 @@
 #include "core/backend.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 
@@ -238,6 +239,213 @@ ScanMatcher MakeScanMatcher(const ScanColumnRef& ref, const Predicate& pred) {
 
 namespace {
 
+/// Calls f(p) with `values` as a typed pointer of `type`.
+template <typename F>
+void VisitValues(DataType type, const void* values, F&& f) {
+  switch (type) {
+    case DataType::kInt32: f(static_cast<const int32_t*>(values)); return;
+    case DataType::kInt64: f(static_cast<const int64_t*>(values)); return;
+    case DataType::kFloat32: f(static_cast<const float*>(values)); return;
+    case DataType::kFloat64: f(static_cast<const double*>(values)); return;
+  }
+}
+
+/// Whether `a` and `b` read the same column payload.
+bool SameSource(const ColumnReader& a, const ColumnReader& b) {
+  return a.layout == b.layout && a.values == b.values && a.words == b.words &&
+         a.ends == b.ends;
+}
+
+/// out[k] = a(k) <op> b(k) for k in [0, m), with the operator switch taken
+/// once instead of per row.
+template <typename A, typename B>
+void CompareTile(CompareOp op, size_t m, A a, B b, uint8_t* out) {
+  const auto loop = [&](auto cmp) {
+    for (size_t k = 0; k < m; ++k) out[k] = cmp(a(k), b(k));
+  };
+  switch (op) {
+    case CompareOp::kLt: return loop(std::less<>());
+    case CompareOp::kLe: return loop(std::less_equal<>());
+    case CompareOp::kGt: return loop(std::greater<>());
+    case CompareOp::kGe: return loop(std::greater_equal<>());
+    case CompareOp::kEq: return loop(std::equal_to<>());
+    case CompareOp::kNe: return loop(std::not_equal_to<>());
+  }
+}
+
+}  // namespace
+
+template <typename T>
+void ColumnReader::Decode(size_t begin, size_t end, T* out) const {
+  switch (layout) {
+    case Layout::kRaw:
+      VisitValues(type, values, [&](const auto* v) {
+        for (size_t i = begin; i < end; ++i) {
+          out[i - begin] = static_cast<T>(v[i]);
+        }
+      });
+      return;
+    case Layout::kRle: {
+      // One search for the first row, then whole runs at a time.
+      const int32_t* v = static_cast<const int32_t*>(values);
+      size_t r = static_cast<size_t>(
+          std::upper_bound(ends, ends + runs, static_cast<uint32_t>(begin)) -
+          ends);
+      for (size_t i = begin; i < end; ++r) {
+        const size_t stop = std::min<size_t>(end, ends[r]);
+        std::fill(out + (i - begin), out + (stop - begin),
+                  static_cast<T>(v[r]));
+        i = stop;
+      }
+      return;
+    }
+    case Layout::kFor:
+    case Layout::kDictionary: {
+      uint64_t codes[kScanTileRows];
+      for (size_t t = begin; t < end; t += kScanTileRows) {
+        const size_t m = std::min(end - t, kScanTileRows);
+        storage::UnpackBits(words, bits, t, t + m, codes);
+        T* o = out + (t - begin);
+        if (layout == Layout::kFor) {
+          for (size_t k = 0; k < m; ++k) {
+            o[k] = static_cast<T>(reference + static_cast<int64_t>(codes[k]));
+          }
+        } else {
+          VisitValues(type, values, [&](const auto* dict) {
+            for (size_t k = 0; k < m; ++k) {
+              o[k] = static_cast<T>(dict[codes[k]]);
+            }
+          });
+        }
+      }
+      return;
+    }
+  }
+}
+
+template <typename T>
+void ColumnReader::Gather(const int32_t* rows, size_t m, T* out) const {
+  if (layout == Layout::kRle) {
+    const int32_t* v = static_cast<const int32_t*>(values);
+    size_t r = 0;
+    uint32_t start = UINT32_MAX;  // first row of run r; none located yet
+    for (size_t k = 0; k < m; ++k) {
+      const uint32_t row = static_cast<uint32_t>(rows[k]);
+      if (row < start) {
+        r = static_cast<size_t>(
+            std::upper_bound(ends, ends + runs, row) - ends);
+      } else {
+        while (r + 1 < runs && ends[r] <= row) ++r;
+      }
+      start = r == 0 ? 0 : ends[r - 1];
+      out[k] = static_cast<T>(v[r]);
+    }
+    return;
+  }
+  // Packed layouts: random rows unpack their codes one at a time.
+  const auto code = [&](size_t k) {
+    return storage::UnpackBit(words, bits, static_cast<size_t>(rows[k]));
+  };
+  if (layout == Layout::kFor) {
+    for (size_t k = 0; k < m; ++k) {
+      out[k] = static_cast<T>(reference + static_cast<int64_t>(code(k)));
+    }
+    return;
+  }
+  VisitValues(type, values, [&](const auto* dict) {
+    for (size_t k = 0; k < m; ++k) out[k] = static_cast<T>(dict[code(k)]);
+  });
+}
+
+template void ColumnReader::Decode(size_t, size_t, int32_t*) const;
+template void ColumnReader::Decode(size_t, size_t, int64_t*) const;
+template void ColumnReader::Decode(size_t, size_t, float*) const;
+template void ColumnReader::Decode(size_t, size_t, double*) const;
+template void ColumnReader::Gather(const int32_t*, size_t, int32_t*) const;
+template void ColumnReader::Gather(const int32_t*, size_t, int64_t*) const;
+template void ColumnReader::Gather(const int32_t*, size_t, float*) const;
+template void ColumnReader::Gather(const int32_t*, size_t, double*) const;
+
+void MatchTile(const ScanMatcher* matchers, size_t num, bool conjunctive,
+               size_t begin, size_t end, uint8_t* keep) {
+  const size_t m = end - begin;
+  std::fill(keep, keep + m, conjunctive ? 1 : 0);
+  uint64_t codes[kScanTileRows];  // kCode operands
+  int64_t ints[kScanTileRows];    // kInt operands of an RLE column
+  uint8_t hit[kScanTileRows];
+  for (size_t p = 0; p < num; ++p) {
+    const ColumnReader& col = matchers[p].column;
+    bool seen = false;  // an earlier matcher's pass covered this column
+    for (size_t q = 0; q < p && !seen; ++q) {
+      seen = SameSource(matchers[q].column, col);
+    }
+    if (seen) continue;
+    // One pass per column: decode its tile at most once, then evaluate every
+    // matcher that reads it.
+    bool loaded = false;
+    for (size_t q = p; q < num; ++q) {
+      const ScanMatcher& mq = matchers[q];
+      if (q != p && !SameSource(mq.column, col)) continue;
+      if (mq.domain == ScanMatcher::Domain::kCode &&
+          mq.folded.kind != EncodedPredicate::Kind::kCodeCompare) {
+        // AND with true and OR with false change nothing; the other two
+        // settle the whole tile.
+        const bool value =
+            mq.folded.kind == EncodedPredicate::Kind::kAlwaysTrue;
+        if (value != conjunctive) std::fill(keep, keep + m, value ? 1 : 0);
+        continue;
+      }
+      switch (mq.domain) {
+        case ScanMatcher::Domain::kCode: {
+          if (!loaded) {
+            storage::UnpackBits(col.words, col.bits, begin, end, codes);
+          }
+          const uint64_t lit = mq.folded.code;
+          CompareTile(mq.folded.op, m, [&](size_t k) { return codes[k]; },
+                      [lit](size_t) { return lit; }, hit);
+          break;
+        }
+        case ScanMatcher::Domain::kInt: {
+          const int64_t lit = mq.lit_i;
+          if (col.layout != ColumnReader::Layout::kRaw) {
+            if (!loaded) col.Decode(begin, end, ints);
+            CompareTile(mq.op, m, [&](size_t k) { return ints[k]; },
+                        [lit](size_t) { return lit; }, hit);
+            break;
+          }
+          VisitValues(col.type, col.values, [&](const auto* v) {
+            CompareTile(mq.op, m,
+                        [v = v + begin](size_t k) {
+                          return static_cast<int64_t>(v[k]);
+                        },
+                        [lit](size_t) { return lit; }, hit);
+          });
+          break;
+        }
+        case ScanMatcher::Domain::kFloat: {
+          const double lit = mq.lit_f;
+          VisitValues(col.type, col.values, [&](const auto* v) {
+            CompareTile(mq.op, m,
+                        [v = v + begin](size_t k) {
+                          return static_cast<double>(v[k]);
+                        },
+                        [lit](size_t) { return lit; }, hit);
+          });
+          break;
+        }
+      }
+      loaded = true;
+      if (conjunctive) {
+        for (size_t k = 0; k < m; ++k) keep[k] &= hit[k];
+      } else {
+        for (size_t k = 0; k < m; ++k) keep[k] |= hit[k];
+      }
+    }
+  }
+}
+
+namespace {
+
 /// Library-shaped tail of a selection over per-row flags: exclusive scan,
 /// count readback over the link, scatter of matching row ids.
 SelectionResult FinishFlagSelection(gpusim::Stream& stream,
@@ -270,40 +478,35 @@ SelectionResult FinishFlagSelection(gpusim::Stream& stream,
   return out;
 }
 
-/// One decode kernel: out[i] = src decoded at row row_of(i), i in [0, m).
-template <typename RowOf>
+/// One decode kernel over `m` output rows: out[i] = src decoded at row
+/// rows[i], or at row i when `rows` is null.
 DeviceColumn DecodeRows(gpusim::Stream& s, const gpusim::KernelStats& stats,
                         const EncodedDeviceColumn& src, size_t m,
-                        RowOf row_of) {
+                        const int32_t* rows) {
   DeviceColumn out(src.type, m, s.device());
   const ColumnReader rd = MakeColumnReader(ScanColumnRef::Encoded(src));
+  const auto launch = [&](auto* po) {
+    gpusim::ParallelForRange(s, m, stats, [=](size_t begin, size_t end) {
+      if (rows != nullptr) {
+        rd.Gather(rows + begin, end - begin, po + begin);
+      } else {
+        rd.Decode(begin, end, po + begin);
+      }
+    });
+  };
   switch (src.type) {
-    case DataType::kInt32: {
-      int32_t* po = m > 0 ? out.data<int32_t>() : nullptr;
-      gpusim::ParallelFor(s, m, stats, [=](size_t i) {
-        po[i] = static_cast<int32_t>(rd.Int(row_of(i)));
-      });
+    case DataType::kInt32:
+      launch(m > 0 ? out.data<int32_t>() : nullptr);
       break;
-    }
-    case DataType::kInt64: {
-      int64_t* po = m > 0 ? out.data<int64_t>() : nullptr;
-      gpusim::ParallelFor(s, m, stats,
-                          [=](size_t i) { po[i] = rd.Int(row_of(i)); });
+    case DataType::kInt64:
+      launch(m > 0 ? out.data<int64_t>() : nullptr);
       break;
-    }
-    case DataType::kFloat64: {
-      double* po = m > 0 ? out.data<double>() : nullptr;
-      gpusim::ParallelFor(s, m, stats,
-                          [=](size_t i) { po[i] = rd.Float(row_of(i)); });
+    case DataType::kFloat64:
+      launch(m > 0 ? out.data<double>() : nullptr);
       break;
-    }
-    case DataType::kFloat32: {
-      float* po = m > 0 ? out.data<float>() : nullptr;
-      gpusim::ParallelFor(s, m, stats, [=](size_t i) {
-        po[i] = static_cast<float>(rd.Float(row_of(i)));
-      });
+    case DataType::kFloat32:
+      launch(m > 0 ? out.data<float>() : nullptr);
       break;
-    }
   }
   return out;
 }
@@ -383,10 +586,13 @@ SelectionResult Backend::SelectConjunctiveEncoded(
   stats.bytes_read = bytes_per_scan;
   stats.bytes_written = n * sizeof(uint32_t);
   stats.ops = n * num_preds;
-  gpusim::ParallelFor(s, n, stats, [=](size_t i) {
-    bool keep = true;
-    for (size_t p = 0; p < num_preds && keep; ++p) keep = ms[p](i);
-    f[i] = keep ? 1u : 0u;
+  gpusim::ParallelForRange(s, n, stats, [=](size_t begin, size_t end) {
+    uint8_t keep[kScanTileRows];
+    for (size_t t = begin; t < end; t += kScanTileRows) {
+      const size_t te = std::min(end, t + kScanTileRows);
+      MatchTile(ms, num_preds, /*conjunctive=*/true, t, te, keep);
+      for (size_t i = t; i < te; ++i) f[i] = keep[i - t];
+    }
   });
   return FinishFlagSelection(s, f, n);
 }
@@ -414,11 +620,26 @@ SelectionResult Backend::SelectCompareColumnsEncoded(const ScanColumnRef& a,
   stats.name = "enc::cmp_cols_flags";
   stats.bytes_read = ScanColumnSeqBytes(a) + ScanColumnSeqBytes(b);
   stats.bytes_written = n * sizeof(uint32_t);
-  gpusim::ParallelFor(s, n, stats, [=](size_t i) {
-    const bool hit = floats ? ApplyCompareOp(op, ra.Float(i), rb.Float(i))
-                            : ApplyCompareOp(op, ra.Int(i), rb.Int(i));
-    f[i] = hit ? 1u : 0u;
-  });
+  const auto compare = [&](auto zero) {
+    using V = decltype(zero);
+    gpusim::ParallelForRange(s, n, stats, [=](size_t begin, size_t end) {
+      V va[kScanTileRows], vb[kScanTileRows];
+      uint8_t hit[kScanTileRows];
+      for (size_t t = begin; t < end; t += kScanTileRows) {
+        const size_t te = std::min(end, t + kScanTileRows);
+        ra.Decode(t, te, va);
+        rb.Decode(t, te, vb);
+        CompareTile(op, te - t, [&](size_t k) { return va[k]; },
+                    [&](size_t k) { return vb[k]; }, hit);
+        for (size_t i = t; i < te; ++i) f[i] = hit[i - t];
+      }
+    });
+  };
+  if (floats) {
+    compare(0.0);
+  } else {
+    compare(int64_t{0});
+  }
   return FinishFlagSelection(s, f, n);
 }
 
@@ -432,8 +653,7 @@ storage::DeviceColumn Backend::GatherDecode(
   stats.name = "enc::gather_decode";
   stats.bytes_read = m * (sizeof(int32_t) + RandAccessBytes(src));
   stats.bytes_written = m * storage::DataTypeSize(src.type);
-  return DecodeRows(stream(), stats, src, m,
-                    [=](size_t i) { return static_cast<size_t>(map[i]); });
+  return DecodeRows(stream(), stats, src, m, map);
 }
 
 storage::DeviceColumn Backend::DecodeColumn(
@@ -443,8 +663,7 @@ storage::DeviceColumn Backend::DecodeColumn(
   stats.name = "enc::decode_column";
   stats.bytes_read = src.encoded_byte_size();
   stats.bytes_written = src.size * storage::DataTypeSize(src.type);
-  return DecodeRows(stream(), stats, src, src.size,
-                    [](size_t i) { return i; });
+  return DecodeRows(stream(), stats, src, src.size, nullptr);
 }
 
 double Backend::ReduceEncoded(const storage::EncodedDeviceColumn& values,
@@ -524,16 +743,17 @@ double Backend::ReduceEncoded(const storage::EncodedDeviceColumn& values,
       if (n == 0) return 0.0;
       const uint64_t* words = values.words_data();
       const unsigned bits = values.bit_width;
+      gpusim::DeviceArray<int64_t> codes(n, s.device());
+      int64_t* c = codes.data();
+      gpusim::KernelStats stats;
+      stats.name = "enc::unpack_codes";
+      stats.bytes_read = values.encoded_byte_size();
+      stats.bytes_written = n * sizeof(int64_t);
+      gpusim::ParallelForRange(s, n, stats, [=](size_t begin, size_t end) {
+        storage::UnpackBits(words, bits, begin, end,
+                            reinterpret_cast<uint64_t*>(c + begin));
+      });
       if (op == AggOp::kSum) {
-        gpusim::DeviceArray<int64_t> codes(n, s.device());
-        int64_t* c = codes.data();
-        gpusim::KernelStats stats;
-        stats.name = "enc::unpack_codes";
-        stats.bytes_read = values.encoded_byte_size();
-        stats.bytes_written = n * sizeof(int64_t);
-        gpusim::ParallelFor(s, n, stats, [=](size_t i) {
-          c[i] = static_cast<int64_t>(storage::UnpackBit(words, bits, i));
-        });
         const int64_t code_sum = gpusim::Reduce(
             s, c, n, int64_t{0},
             [](int64_t a, int64_t b) { return a + b; }, "enc::code_sum");
@@ -541,15 +761,6 @@ double Backend::ReduceEncoded(const storage::EncodedDeviceColumn& values,
                static_cast<double>(n) * static_cast<double>(values.reference);
       }
       // min/max: codes are order-isomorphic to values.
-      gpusim::DeviceArray<int64_t> codes(n, s.device());
-      int64_t* c = codes.data();
-      gpusim::KernelStats stats;
-      stats.name = "enc::unpack_codes";
-      stats.bytes_read = values.encoded_byte_size();
-      stats.bytes_written = n * sizeof(int64_t);
-      gpusim::ParallelFor(s, n, stats, [=](size_t i) {
-        c[i] = static_cast<int64_t>(storage::UnpackBit(words, bits, i));
-      });
       const AggOp aop = op;
       const int64_t code = gpusim::Reduce(
           s, c, n,

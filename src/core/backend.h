@@ -162,10 +162,16 @@ struct EncodedPredicate {
 EncodedPredicate RewritePredicate(const storage::EncodedDeviceColumn& column,
                                   const Predicate& pred);
 
-/// Plain-data reader of a raw or encoded scan column: row i decoded, as
-/// int64 (integer columns) or as double (float columns). Kernels capture it
-/// by value, so its reads inline into them; the layout switch takes the
-/// same branch for every row of a launch.
+/// Rows per tile of the range evaluators: ColumnReader::Decode and
+/// MatchTile work on at most this many rows at a time, into buffers on the
+/// host stack.
+inline constexpr size_t kScanTileRows = 512;
+
+/// Plain-data reader of a raw or encoded scan column. Kernels capture it by
+/// value. The range reads (Decode, Gather) take the layout switch once per
+/// call and decode many rows: packed codes unpack 64 at a time, and RLE
+/// reads walk the runs forward. The per-row reads (Int, Float) are the
+/// reference the range reads are tested against.
 struct ColumnReader {
   enum class Layout : uint8_t {
     kRaw,         ///< values[i]
@@ -201,6 +207,19 @@ struct ColumnReader {
                : static_cast<double>(static_cast<const float*>(values)[k]);
   }
 
+  /// Rows [begin, end) decoded into out[0, end - begin): integer columns as
+  /// static_cast<T>(Int(i)), float columns as static_cast<T>(Float(i)).
+  /// Defined for T in {int32_t, int64_t, float, double}.
+  template <typename T>
+  void Decode(size_t begin, size_t end, T* out) const;
+
+  /// Rows rows[0, m) of an encoded layout (kFor, kDictionary, kRle)
+  /// decoded into out[0, m), as Decode does. An RLE read searches the runs
+  /// for the first row, then walks forward while the rows ascend and
+  /// searches again when one goes backwards.
+  template <typename T>
+  void Gather(const int32_t* rows, size_t m, T* out) const;
+
  private:
   /// Index into `values` that row i reads.
   size_t Element(size_t i) const {
@@ -219,7 +238,8 @@ struct ColumnReader {
 /// by backends that fuse their own selection kernels. Packed encodings
 /// (bit-pack, FOR, dictionary) compare codes against the predicate folded
 /// by RewritePredicate; raw and RLE columns compare decoded values,
-/// integers in int64 and floats in double.
+/// integers in int64 and floats in double. Kernels evaluate matchers a tile
+/// at a time through MatchTile; operator() is the per-row reference.
 struct ScanMatcher {
   enum class Domain : uint8_t { kCode, kInt, kFloat };
   ColumnReader column;
@@ -238,6 +258,14 @@ struct ScanMatcher {
     return false;
   }
 };
+
+/// keep[k] = whether row begin + k satisfies all (`conjunctive`) or any of
+/// the `num` matchers, for rows [begin, end), at most kScanTileRows of them.
+/// The matchers evaluate one at a time over the whole tile; a column that
+/// several of them read decodes once, and a predicate folded to a constant
+/// costs at most one fill.
+void MatchTile(const ScanMatcher* matchers, size_t num, bool conjunctive,
+               size_t begin, size_t end, uint8_t* keep);
 
 /// Evaluators of `ref`. Both throw std::invalid_argument for an encoded
 /// float column that is not dictionary-encoded.

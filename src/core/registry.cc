@@ -37,4 +37,19 @@ std::vector<std::string> BackendRegistry::Names() const {
   return out;
 }
 
+OperatorRealization BackendRegistry::Realization(const std::string& name,
+                                                 DbOperator op) const {
+  std::lock_guard<std::mutex> lock(realizations_mu_);
+  auto it = realizations_.find(name);
+  if (it == realizations_.end()) {
+    const std::unique_ptr<Backend> backend = Create(name);
+    std::map<DbOperator, OperatorRealization> table;
+    for (const DbOperator o : AllDbOperators()) {
+      table[o] = backend->Realization(o);
+    }
+    it = realizations_.emplace(name, std::move(table)).first;
+  }
+  return it->second.at(op);
+}
+
 }  // namespace core

@@ -7,7 +7,9 @@
 #define CORE_REGISTRY_H_
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -35,8 +37,20 @@ class BackendRegistry {
   /// Registered names in registration order.
   std::vector<std::string> Names() const;
 
+  /// Table II entry for `op` of the backend registered as `name`. The
+  /// first call for a name reads every entry from one instance and keeps
+  /// them for the life of the process, so a caller that only asks what a
+  /// backend supports (the optimizer) creates no backend, and so no stream,
+  /// per call. Throws std::out_of_range for unknown names. Safe to call
+  /// concurrently.
+  OperatorRealization Realization(const std::string& name,
+                                  DbOperator op) const;
+
  private:
   std::vector<std::pair<std::string, BackendFactory>> factories_;
+  mutable std::mutex realizations_mu_;
+  mutable std::map<std::string, std::map<DbOperator, OperatorRealization>>
+      realizations_;
 };
 
 /// Registers the four built-in backends (Thrust, Boost.Compute, ArrayFire,

@@ -1,7 +1,6 @@
 #include "plan/optimizer.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -495,19 +494,14 @@ class Dispatcher {
  private:
   size_t Rows(int id) const { return id >= 0 ? phys_.est_rows[id] : 0; }
 
-  bool HashCapable(const std::string& name) {
-    auto it = hash_capable_.find(name);
-    if (it != hash_capable_.end()) return it->second;
-    auto& reg = core::BackendRegistry::Instance();
+  static bool HashCapable(const std::string& name) {
+    const auto& reg = core::BackendRegistry::Instance();
     if (!reg.Contains(name)) {
       throw std::invalid_argument("plan::Optimize: unknown backend '" + name +
                                   "'");
     }
-    const bool cap =
-        reg.Create(name)->Realization(core::DbOperator::kHashJoin).level !=
-        core::SupportLevel::kNone;
-    hash_capable_[name] = cap;
-    return cap;
+    return reg.Realization(name, core::DbOperator::kHashJoin).level !=
+           core::SupportLevel::kNone;
   }
 
   uint64_t OpEstimate(size_t i, const PlanNode& n, const std::string& c,
@@ -644,7 +638,6 @@ class Dispatcher {
   PhysicalPlan& phys_;
   const CostEstimator& est_;
   const OptimizerOptions& opts_;
-  std::map<std::string, bool> hash_capable_;
 };
 
 }  // namespace

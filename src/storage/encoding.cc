@@ -1,10 +1,12 @@
 #include "storage/encoding.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
+#include <utility>
 
 namespace storage {
 namespace {
@@ -110,9 +112,59 @@ void PackBits(const uint64_t* codes, size_t n, unsigned bits, uint64_t* out) {
   }
 }
 
-void UnpackBits(const uint64_t* words, size_t n, unsigned bits,
-                uint64_t* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = UnpackBit(words, bits, i);
+namespace {
+
+/// Unpacks one group of 64 B-bit codes, which fills words w[0, B): every
+/// word index, shift and straddle is a compile-time constant.
+template <unsigned B, size_t... K>
+void UnpackGroup(const uint64_t* w, uint64_t* out,
+                 std::index_sequence<K...>) {
+  constexpr uint64_t kMask = (uint64_t{1} << B) - 1;
+  const auto code = [w](auto k) {
+    constexpr size_t kBit = decltype(k)::value * B;
+    constexpr unsigned kOff = kBit % 64;
+    uint64_t v = w[kBit / 64] >> kOff;
+    if constexpr (kOff + B > 64) v |= w[kBit / 64 + 1] << (64 - kOff);
+    return v & kMask;
+  };
+  ((out[K] = code(std::integral_constant<size_t, K>{})), ...);
+}
+
+/// Unpacks groups [first, first + groups) of 64 B-bit codes.
+template <unsigned B>
+void UnpackGroups(const uint64_t* words, size_t first, size_t groups,
+                  uint64_t* out) {
+  for (size_t g = 0; g < groups; ++g) {
+    UnpackGroup<B>(words + (first + g) * B, out + g * 64,
+                   std::make_index_sequence<64>{});
+  }
+}
+
+using GroupUnpacker = void (*)(const uint64_t*, size_t, size_t, uint64_t*);
+
+template <size_t... I>
+constexpr std::array<GroupUnpacker, sizeof...(I)> GroupUnpackers(
+    std::index_sequence<I...>) {
+  return {&UnpackGroups<static_cast<unsigned>(I + 1)>...};
+}
+
+/// kGroupUnpackers[b - 1] unpacks b-bit groups, b in [1, 32].
+constexpr auto kGroupUnpackers =
+    GroupUnpackers(std::make_index_sequence<32>{});
+
+}  // namespace
+
+void UnpackBits(const uint64_t* words, unsigned bits, size_t begin,
+                size_t end, uint64_t* out) {
+  size_t i = begin;
+  const size_t first = (begin + 63) / 64;  // first whole group
+  const size_t last = end / 64;            // one past the last whole group
+  if (bits >= 1 && bits <= kGroupUnpackers.size() && first < last) {
+    for (; i < first * 64; ++i) out[i - begin] = UnpackBit(words, bits, i);
+    kGroupUnpackers[bits - 1](words, first, last - first, out + (i - begin));
+    i = last * 64;
+  }
+  for (; i < end; ++i) out[i - begin] = UnpackBit(words, bits, i);
 }
 
 ColumnStats AnalyzeColumn(const Column& column) {
@@ -290,7 +342,7 @@ Column DecodeColumnHost(const EncodedColumn& encoded) {
     case Encoding::kBitPack:
     case Encoding::kFor: {
       std::vector<uint64_t> codes(n);
-      UnpackBits(encoded.words.data(), n, encoded.bit_width, codes.data());
+      UnpackBits(encoded.words.data(), encoded.bit_width, 0, n, codes.data());
       if (encoded.type == DataType::kInt64) {
         std::vector<int64_t> v(n);
         for (size_t i = 0; i < n; ++i) {
@@ -308,7 +360,7 @@ Column DecodeColumnHost(const EncodedColumn& encoded) {
 
     case Encoding::kDictionary: {
       std::vector<uint64_t> codes(n);
-      UnpackBits(encoded.words.data(), n, encoded.bit_width, codes.data());
+      UnpackBits(encoded.words.data(), encoded.bit_width, 0, n, codes.data());
       switch (encoded.type) {
         case DataType::kInt32: {
           std::vector<int32_t> v(n);

@@ -61,8 +61,12 @@ inline uint64_t UnpackBit(const uint64_t* words, unsigned bits, size_t i) {
   return v & mask;
 }
 
-/// Unpacks all n codes into `out`.
-void UnpackBits(const uint64_t* words, size_t n, unsigned bits, uint64_t* out);
+/// Unpacks codes [begin, end) into out[0, end - begin). Whole groups of 64
+/// codes, which start on a word boundary, unpack with the width fixed at
+/// compile time (widths up to 32); codes off a 64-code boundary and wider
+/// codes go through UnpackBit.
+void UnpackBits(const uint64_t* words, unsigned bits, size_t begin,
+                size_t end, uint64_t* out);
 
 // ---------------------------------------------------------------------------
 // Column statistics and encoding selection

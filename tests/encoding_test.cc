@@ -1,12 +1,14 @@
 // Tests of the lightweight column encodings (storage/encoding.h): randomized
 // round-trip properties per scheme, encoded-domain predicate rewriting, the
-// encoded-vs-raw differential over the TPC-H queries on every backend, and
-// the footprint regression pinning encoded base-table sizing.
+// tile-at-a-time evaluators against their per-row reference on every pool
+// size, the encoded-vs-raw differential over the TPC-H queries on every
+// backend, and the footprint regression pinning encoded base-table sizing.
 #include "storage/encoding.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <random>
 #include <string>
 #include <vector>
@@ -449,6 +451,279 @@ TEST_P(EncodedDecodeTest, SelectCompareColumnsEncodedMatchesHost) {
       }
       ASSERT_EQ(got.count, want.size());
       EXPECT_EQ(got.row_ids.ToHost(backend.stream()).values<int32_t>(), want);
+    }
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Range evaluators against the per-row reference, on every pool size
+// ---------------------------------------------------------------------------
+
+/// Rows of the range-evaluator columns: on each pool size the host chunks
+/// (33,334 / 17,647 / 12,000 / 4,615 rows) start off a 64-row boundary.
+constexpr size_t kRangeRows = 300'007;
+constexpr unsigned kRangePools[] = {1, 2, 3, 8};
+
+/// Runs `check(backend, stream)` with each registry backend in `names` on a
+/// fresh device per pool size of kRangePools.
+template <typename Check>
+void OnEveryPool(std::initializer_list<const char*> names, Check check) {
+  core::RegisterBuiltinBackends();
+  for (const unsigned threads : kRangePools) {
+    SCOPED_TRACE(testing::Message() << threads << " host thread(s)");
+    gpusim::Device device(gpusim::DeviceProperties(), threads);
+    gpusim::Device::DeviceGuard guard(device);
+    for (const char* name : names) {
+      SCOPED_TRACE(name);
+      auto backend = core::BackendRegistry::Instance().Create(name);
+      check(*backend, backend->stream());
+    }
+  }
+}
+
+/// Row i of every `rows` decoded by the per-row reader, as int64.
+std::vector<int64_t> PerRowInts(const storage::EncodedDeviceColumn& dev,
+                                const std::vector<int32_t>& rows) {
+  const core::ColumnReader rd =
+      core::MakeColumnReader(core::ScanColumnRef::Encoded(dev));
+  std::vector<int64_t> out;
+  out.reserve(rows.size());
+  for (const int32_t r : rows) out.push_back(rd.Int(static_cast<size_t>(r)));
+  return out;
+}
+
+/// A device column's integer values, widened to int64.
+std::vector<int64_t> HostInts(gpusim::Stream& stream,
+                              const storage::DeviceColumn& c) {
+  const Column host = c.ToHost(stream);
+  std::vector<int64_t> out;
+  BACKENDS_DISPATCH(host.type(), {
+    for (const T v : host.values<T>()) out.push_back(static_cast<int64_t>(v));
+  });
+  return out;
+}
+
+std::vector<int32_t> AllRows(size_t n) {
+  std::vector<int32_t> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = static_cast<int32_t>(i);
+  return rows;
+}
+
+TEST(RangeEvaluatorTest, PackedWidthsDecodeLikePerRow) {
+  // Widths 1-31 bit-pack int32 values, 32 and 40 frame int64 values: the
+  // compile-time group unpack covers 1-32, and 40 takes the per-code path.
+  std::vector<std::pair<Column, EncodingChoice>> columns;
+  std::mt19937_64 rng(43);
+  for (unsigned bits = 1; bits <= 40; ++bits) {
+    if (bits > 32 && bits != 40) continue;
+    const uint64_t mask = (uint64_t{1} << bits) - 1;
+    if (bits < 32) {
+      std::vector<int32_t> v(kRangeRows);
+      for (auto& x : v) x = static_cast<int32_t>(rng() & mask);
+      columns.emplace_back(Column(std::move(v)),
+                           Force(Encoding::kBitPack, bits));
+    } else {
+      const int64_t reference = -3'000'000'000;
+      std::vector<int64_t> v(kRangeRows);
+      for (auto& x : v) x = reference + static_cast<int64_t>(rng() & mask);
+      columns.emplace_back(Column(std::move(v)),
+                           Force(Encoding::kFor, bits, reference));
+    }
+  }
+  const std::vector<int32_t> all = AllRows(kRangeRows);
+  std::vector<int32_t> sample;  // ascending, off every boundary
+  for (size_t i = 5; i < kRangeRows; i += 3) {
+    sample.push_back(static_cast<int32_t>(i));
+  }
+  OnEveryPool({backends::kHandwritten},
+              [&](core::Backend& backend, gpusim::Stream& stream) {
+    for (const auto& [column, choice] : columns) {
+      SCOPED_TRACE(testing::Message() << choice.bit_width << " bits");
+      const storage::EncodedDeviceColumn dev =
+          storage::UploadColumnEncoded(stream, EncodeColumn(column, choice));
+      ASSERT_EQ(dev.bit_width, choice.bit_width);
+      EXPECT_EQ(HostInts(stream, backend.DecodeColumn(dev)),
+                PerRowInts(dev, all));
+      const storage::DeviceColumn ids =
+          storage::UploadColumn(stream, Column(std::vector<int32_t>(sample)));
+      EXPECT_EQ(HostInts(stream, backend.GatherDecode(dev, ids)),
+                PerRowInts(dev, sample));
+    }
+  });
+}
+
+TEST(RangeEvaluatorTest, RleGatherAscendingBackwardsAndRepeatedIds) {
+  std::mt19937 rng(47);
+  std::vector<int32_t> values;
+  int32_t value = -100;
+  while (values.size() < kRangeRows) {
+    const size_t run = 1 + rng() % 9;
+    for (size_t k = 0; k < run && values.size() < kRangeRows; ++k) {
+      values.push_back(value);
+    }
+    value += 1 + static_cast<int32_t>(rng() % 5);
+  }
+  std::vector<int32_t> ascending;
+  for (size_t i = 0; i < kRangeRows; ++i) {
+    if (rng() % 2 == 0) ascending.push_back(static_cast<int32_t>(i));
+  }
+  // Every 97th id jumps back a few hundred rows, inside chunks and at their
+  // boundaries alike.
+  std::vector<int32_t> backwards = ascending;
+  for (size_t k = 96; k < backwards.size(); k += 97) {
+    backwards[k] -= std::min(backwards[k], static_cast<int32_t>(rng() % 700));
+  }
+  // Descending ids: every chunk starts below where the previous one ended.
+  const std::vector<int32_t> descending(ascending.rbegin(), ascending.rend());
+  std::vector<int32_t> repeated;
+  for (size_t k = 0; k < ascending.size(); k += 2) {
+    for (int r = 0; r < 3; ++r) repeated.push_back(ascending[k]);
+  }
+  const std::pair<const char*, const std::vector<int32_t>*> gathers[] = {
+      {"ascending", &ascending},
+      {"backwards", &backwards},
+      {"descending", &descending},
+      {"repeated", &repeated},
+  };
+  const EncodedColumn encoded =
+      EncodeColumn(Column(std::move(values)), Force(Encoding::kRle));
+  OnEveryPool({backends::kHandwritten, backends::kThrust},
+              [&](core::Backend& backend, gpusim::Stream& stream) {
+    const storage::EncodedDeviceColumn dev =
+        storage::UploadColumnEncoded(stream, encoded);
+    for (const auto& [name, rows] : gathers) {
+      SCOPED_TRACE(name);
+      const storage::DeviceColumn ids =
+          storage::UploadColumn(stream, Column(std::vector<int32_t>(*rows)));
+      EXPECT_EQ(HostInts(stream, backend.GatherDecode(dev, ids)),
+                PerRowInts(dev, *rows));
+    }
+    EXPECT_EQ(HostInts(stream, backend.DecodeColumn(dev)),
+              PerRowInts(dev, AllRows(kRangeRows)));
+  });
+}
+
+/// Rows where all (`conjunctive`) or any of `matchers` hold, row by row.
+std::vector<int32_t> PerRowSelection(
+    const std::vector<core::ScanMatcher>& matchers, size_t n,
+    bool conjunctive) {
+  std::vector<int32_t> rows;
+  for (size_t i = 0; i < n; ++i) {
+    bool keep = conjunctive;
+    for (const core::ScanMatcher& m : matchers) {
+      if (m(i) != conjunctive) keep = !conjunctive;
+    }
+    if (keep) rows.push_back(static_cast<int32_t>(i));
+  }
+  return rows;
+}
+
+TEST(RangeEvaluatorTest, SelectionsMatchPerRowInRowOrder) {
+  std::mt19937 rng(53);
+  std::vector<int64_t> dates(kRangeRows);
+  std::vector<double> discounts(kRangeRows);
+  std::vector<int32_t> keys(kRangeRows), quantities(kRangeRows);
+  int32_t key = 0;
+  for (size_t i = 0; i < kRangeRows; ++i) {
+    dates[i] = 8000 + static_cast<int64_t>(rng() % 2500);
+    discounts[i] = static_cast<double>(rng() % 11) / 100.0;
+    if (rng() % 4 == 0) ++key;
+    keys[i] = key;
+    quantities[i] = 1 + static_cast<int32_t>(rng() % 50);
+  }
+  const Column date_col(std::move(dates)), discount_col(std::move(discounts));
+  const Column key_col(std::move(keys)), quantity_col(std::move(quantities));
+  // Two predicates on each packed column and a run-length column compared
+  // by value, then with predicates folded to kAlwaysTrue, kAlwaysFalse or
+  // both.
+  const std::vector<Predicate> base = {
+      Predicate::Make("date", CompareOp::kGe, 8500.0),
+      Predicate::Make("discount", CompareOp::kGe, 0.05),
+      Predicate::Make("date", CompareOp::kLt, 9800.0),
+      Predicate::Make("discount", CompareOp::kLe, 0.07),
+      Predicate::Make("key", CompareOp::kNe, 100.0),
+  };
+  const Predicate always_true = Predicate::Make("date", CompareOp::kLt, 1e9);
+  const Predicate always_false =
+      Predicate::Make("discount", CompareOp::kGt, 0.5);
+  std::vector<std::vector<Predicate>> lists(3, base);
+  lists[0].insert(lists[0].begin() + 2, always_true);
+  lists[1].push_back(always_false);
+  lists[2].push_back(always_true);
+  lists[2].insert(lists[2].begin(), always_false);
+
+  OnEveryPool({backends::kHandwritten, backends::kThrust},
+              [&](core::Backend& backend, gpusim::Stream& stream) {
+    const storage::EncodedDeviceColumn date = storage::UploadColumnEncoded(
+        stream, EncodeColumn(date_col, Force(Encoding::kFor, 12, 8000)));
+    const storage::EncodedDeviceColumn discount = storage::UploadColumnEncoded(
+        stream, EncodeColumn(discount_col, Force(Encoding::kDictionary)));
+    const storage::EncodedDeviceColumn keys_rle = storage::UploadColumnEncoded(
+        stream, EncodeColumn(key_col, Force(Encoding::kRle)));
+    const auto ref_of = [&](const Predicate& p) {
+      if (p.column == "date") return core::ScanColumnRef::Encoded(date);
+      if (p.column == "discount") return core::ScanColumnRef::Encoded(discount);
+      return core::ScanColumnRef::Encoded(keys_rle);
+    };
+    for (const std::vector<Predicate>& list : lists) {
+      std::vector<core::ScanColumnRef> cols;
+      std::vector<core::ScanMatcher> matchers;
+      for (const Predicate& p : list) {
+        cols.push_back(ref_of(p));
+        matchers.push_back(core::MakeScanMatcher(cols.back(), p));
+      }
+      const std::vector<int32_t> want =
+          PerRowSelection(matchers, kRangeRows, /*conjunctive=*/true);
+      EXPECT_EQ(want.empty(), &list != &lists[0]);  // only kAlwaysFalse empties
+      const core::SelectionResult got =
+          backend.SelectConjunctiveEncoded(cols, list);
+      ASSERT_EQ(got.count, want.size());
+      EXPECT_EQ(got.row_ids.ToHost(stream).values<int32_t>(), want);
+
+      // The same matchers, disjunctive, tile by tile from an offset off
+      // every 64-row boundary.
+      const std::vector<int32_t> any =
+          PerRowSelection(matchers, kRangeRows, /*conjunctive=*/false);
+      std::vector<int32_t> tiled;
+      uint8_t keep[core::kScanTileRows];
+      for (size_t t = 0; t < kRangeRows;) {
+        const size_t te = std::min(kRangeRows, t + (t == 0 ? 37 : 509));
+        core::MatchTile(matchers.data(), matchers.size(),
+                        /*conjunctive=*/false, t, te, keep);
+        for (size_t i = t; i < te; ++i) {
+          if (keep[i - t]) tiled.push_back(static_cast<int32_t>(i));
+        }
+        t = te;
+      }
+      EXPECT_EQ(tiled, any);
+    }
+
+    // Raw columns through the fused kernel: two predicates on one column,
+    // disjunctive and conjunctive.
+    const storage::DeviceColumn quantity =
+        storage::UploadColumn(stream, quantity_col);
+    const storage::DeviceColumn discount_raw =
+        storage::UploadColumn(stream, discount_col);
+    const std::vector<const storage::DeviceColumn*> raw_cols = {
+        &quantity, &quantity, &discount_raw};
+    const std::vector<Predicate> raw_preds = {
+        Predicate::Make("q", CompareOp::kLt, 5.0),
+        Predicate::Make("q", CompareOp::kGt, 45.0),
+        Predicate::Make("d", CompareOp::kEq, 0.03),
+    };
+    std::vector<core::ScanMatcher> raw_matchers;
+    for (size_t p = 0; p < raw_preds.size(); ++p) {
+      raw_matchers.push_back(core::MakeScanMatcher(
+          core::ScanColumnRef::Raw(*raw_cols[p]), raw_preds[p]));
+    }
+    for (const bool conjunctive : {false, true}) {
+      const core::SelectionResult got =
+          conjunctive ? backend.SelectConjunctive(raw_cols, raw_preds)
+                      : backend.SelectDisjunctive(raw_cols, raw_preds);
+      const std::vector<int32_t> want =
+          PerRowSelection(raw_matchers, kRangeRows, conjunctive);
+      ASSERT_EQ(got.count, want.size());
+      EXPECT_EQ(got.row_ids.ToHost(stream).values<int32_t>(), want);
     }
   });
 }

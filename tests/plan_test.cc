@@ -232,6 +232,28 @@ TEST_F(PlanTest, DispatchIsDeterministic) {
   EXPECT_EQ(a.est_rows, b.est_rows);
 }
 
+TEST_F(PlanTest, OptimizeCreatesNoStream) {
+  // Whether a backend can hash-join is read from one instance per registry
+  // name, kept for the process: the first lookup may create it, later
+  // Optimize calls create no backend and so no stream.
+  const plan::QueryPlanBundle bundle = Build(plan::TpchQuery::kQ3);
+  plan::OptimizerOptions pinned;
+  pinned.pin_backend = "Handwritten";
+  for (const plan::OptimizerOptions& opts :
+       {pinned, plan::OptimizerOptions()}) {
+    SCOPED_TRACE(opts.pin_backend.empty() ? "hybrid" : opts.pin_backend);
+    plan::Optimize(bundle.plan, opts);
+    gpusim::Device& device = gpusim::Device::Current();
+    const uint64_t before =
+        gpusim::Stream(device, gpusim::ApiProfile::Cuda()).id();
+    plan::Optimize(bundle.plan, opts);
+    plan::Optimize(bundle.plan, opts);
+    const uint64_t after =
+        gpusim::Stream(device, gpusim::ApiProfile::Cuda()).id();
+    EXPECT_EQ(after - before, 1u);
+  }
+}
+
 TEST_F(PlanTest, UnknownBackendNameThrows) {
   const plan::QueryPlanBundle bundle = Build(plan::TpchQuery::kQ6);
   plan::OptimizerOptions opts;
