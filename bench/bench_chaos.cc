@@ -219,7 +219,6 @@ int Run(const Options& opts) {
     injector.AddRule(oom_rule);
   }
 
-  core::ResilienceManager::Global().Reset();
   device.set_fault_injector(&injector);
 
   core::SchedulerOptions chaos_opts;
@@ -281,12 +280,11 @@ int Run(const Options& opts) {
               static_cast<unsigned long long>(fstats.injected_oom),
               static_cast<unsigned long long>(fstats.checks));
   std::printf("recovery:         %llu faults seen, %llu retries "
-              "(%.3f ms backoff), %llu pool reclaims, %llu reroutes\n",
+              "(%.3f ms backoff), %llu pool reclaims\n",
               static_cast<unsigned long long>(res.faults_seen),
               static_cast<unsigned long long>(res.retries),
               res.backoff_ns / 1e6,
-              static_cast<unsigned long long>(res.oom_reclaims),
-              static_cast<unsigned long long>(res.fallback_reroutes));
+              static_cast<unsigned long long>(res.oom_reclaims));
   std::printf("queries:          %zu completed, %zu recovered after faults, "
               "max attempts %d, %zu permanent failures\n",
               report.completed - failed, retried_queries, max_attempts_seen,
@@ -350,7 +348,6 @@ int Run(const Options& opts) {
         << ", \"retries\": " << res.retries
         << ", \"backoff_ns\": " << res.backoff_ns
         << ", \"oom_reclaims\": " << res.oom_reclaims
-        << ", \"reroutes\": " << res.fallback_reroutes
         << ", \"deadline_misses\": " << res.deadline_misses
         << ", \"permanent_failures\": " << res.permanent_failures
         << ", \"breaker_opens\": " << res.breaker_opens << "},\n"

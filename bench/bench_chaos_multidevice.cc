@@ -303,7 +303,6 @@ SequenceOutcome RunKillResetSequence(plan::TpchQuery q,
                                      const plan::TpchHostTables& tables,
                                      const Options& opts, uint64_t seed,
                                      int victim) {
-  core::ResilienceManager::Global().Reset();
   gpusim::DeviceGroup group(4);
   gpusim::FaultInjector& inj = group.ArmFaultInjector(victim, seed);
   // Later than phase A's kill so the victim finishes at least one slice
@@ -332,7 +331,6 @@ SequenceOutcome RunKillResetSequence(plan::TpchQuery q,
   for (const plan::DeviceShardStats& ds : out.recovered.per_device) {
     out.placement.push_back(ds.shards);
   }
-  core::ResilienceManager::Global().Reset();
   return out;
 }
 
@@ -487,9 +485,6 @@ struct ServerOutcome {
 };
 
 int RunServerPhase(ServerOutcome* outcome) {
-  core::ResilienceManager& rm = core::ResilienceManager::Global();
-  rm.Reset();
-
   serve::ServerOptions options;
   options.socket_path =
       "/tmp/bench_chaos_srv_" + std::to_string(::getpid()) + ".sock";
@@ -497,6 +492,7 @@ int RunServerPhase(ServerOutcome* outcome) {
   options.max_connections = 4;
   serve::QueryServer server(options);
   server.Start();
+  core::ResilienceManager& rm = server.scheduler().resilience();
   const plan::TpchQueryResult ref_q6 = plan::ReferenceAnswer(
       plan::TpchQuery::kQ6, {&server.catalog().lineitem()});
   const auto q6_ok = [&](const serve::QueryReply& reply) {
@@ -615,7 +611,6 @@ int RunServerPhase(ServerOutcome* outcome) {
   client.Shutdown();
   server.WaitForShutdown();
   server.Stop();
-  rm.Reset();
   outcome->ok = true;
   std::printf("  server: shed=%llu malformed=%llu healed=yes\n",
               static_cast<unsigned long long>(outcome->shed),

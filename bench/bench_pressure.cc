@@ -39,7 +39,6 @@
 #include "backends/backends.h"
 #include "core/governor.h"
 #include "core/registry.h"
-#include "core/resilience.h"
 #include "core/scheduler.h"
 #include "gpusim/device.h"
 #include "plan/partition.h"
@@ -198,13 +197,11 @@ int Run(const Options& opts) {
       gov_opts.device = &device;
       core::MemoryGovernor governor(gov_opts);
 
-      core::ResilienceManager resilience;  // breaker state per sweep point
       core::SchedulerOptions sched_opts;
       sched_opts.backend_name = opts.backend;
       sched_opts.num_clients = clients;
       sched_opts.queue_capacity = 2 * static_cast<size_t>(clients);
       sched_opts.governor = &governor;
-      sched_opts.resilience = &resilience;
 
       const size_t total = static_cast<size_t>(clients) * opts.per_client *
                            queries.size();

@@ -1,7 +1,5 @@
 #include "core/resilience.h"
 
-#include "gpusim/device.h"
-
 namespace core {
 
 const char* CircuitStateName(CircuitBreaker::State state) {
@@ -103,17 +101,8 @@ uint64_t CircuitBreaker::closes() const {
   return closes_;
 }
 
-ResilienceManager& ResilienceManager::Global() {
-  static ResilienceManager* manager = new ResilienceManager();
-  return *manager;
-}
-
 std::string ResilienceManager::Key(const std::string& backend, int device) {
   return backend + "@" + std::to_string(device);
-}
-
-int ResilienceManager::CurrentDevice() {
-  return gpusim::Device::Current().ordinal();
 }
 
 CircuitBreaker& ResilienceManager::BreakerFor(const std::string& backend,
@@ -122,22 +111,6 @@ CircuitBreaker& ResilienceManager::BreakerFor(const std::string& backend,
   auto& slot = breakers_[Key(backend, device)];
   if (!slot) slot = std::make_unique<CircuitBreaker>(breaker_options_);
   return *slot;
-}
-
-bool ResilienceManager::Allow(const std::string& backend) {
-  return Allow(backend, CurrentDevice());
-}
-
-void ResilienceManager::RecordSuccess(const std::string& backend) {
-  RecordSuccess(backend, CurrentDevice());
-}
-
-void ResilienceManager::RecordFailure(const std::string& backend) {
-  RecordFailure(backend, CurrentDevice());
-}
-
-CircuitBreaker::State ResilienceManager::StateOf(const std::string& backend) {
-  return StateOf(backend, CurrentDevice());
 }
 
 bool ResilienceManager::Allow(const std::string& backend, int device) {
@@ -182,7 +155,6 @@ ResilienceStats ResilienceManager::Snapshot() const {
   stats.backoff_ns = backoff_ns_.load(relaxed);
   stats.oom_reclaims = oom_reclaims_.load(relaxed);
   stats.deadline_misses = deadline_misses_.load(relaxed);
-  stats.fallback_reroutes = reroutes_.load(relaxed);
   stats.permanent_failures = permanent_failures_.load(relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, breaker] : breakers_) {
@@ -194,18 +166,6 @@ ResilienceStats ResilienceManager::Snapshot() const {
     }
   }
   return stats;
-}
-
-void ResilienceManager::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  breakers_.clear();
-  faults_seen_.store(0, relaxed);
-  retries_.store(0, relaxed);
-  backoff_ns_.store(0, relaxed);
-  oom_reclaims_.store(0, relaxed);
-  deadline_misses_.store(0, relaxed);
-  reroutes_.store(0, relaxed);
-  permanent_failures_.store(0, relaxed);
 }
 
 }  // namespace core

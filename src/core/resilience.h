@@ -1,29 +1,20 @@
-// Recovery policies shared by the scheduler, the plan executor, and the
-// slice and sharded runners. DESIGN.md §7 names the one owner of each fault
-// class; these are the budgets and counters the owners use.
+// Recovery policies of the scheduler and the serving tier. DESIGN.md §7
+// names the one owner of each fault class; these are the budgets, breakers
+// and counters the scheduler owns.
 //
 // RetryPolicy      the scheduler's whole-query retry budget and capped
 //                  exponential backoff for transient faults.
 // CircuitBreaker   per-backend health gate: N consecutive failures open the
 //                  circuit; after a cooldown counted in *denied calls* (not
-//                  wall time, so runs stay deterministic) one half-open
-//                  probe is admitted, and its outcome closes or re-opens
-//                  the circuit.
+//                  wall time, so runs stay deterministic) the circuit turns
+//                  half-open and admits every call until the first recorded
+//                  result closes or re-opens it.
 // ResilienceManager one breaker per (backend name, device ordinal) plus
-//                  process-wide ResilienceStats counters. The plan
-//                  optimizer and executor consult it to route cost
-//                  dispatch around unhealthy backends; the scheduler feeds
-//                  it per-query outcomes. A process-wide instance
-//                  (Global()) is the default so breaker state opened by a
-//                  running query is visible to the next plan optimization.
-//                  Keying by device ordinal too means one device's sticky
-//                  DeviceLost opens only that device's breaker — the same
-//                  backend on healthy siblings of a DeviceGroup keeps
-//                  serving. The single-string overloads resolve the ordinal
-//                  from the calling thread's gpusim::Device::Current(), so
-//                  sharded workers (which run under a DeviceGuard) are
-//                  scoped automatically and single-device callers keep the
-//                  exact behaviour they had (everything lands on ordinal 0).
+//                  ResilienceStats counters. Each core::QueryScheduler owns
+//                  one and reports it in its SchedulerReport; a
+//                  serve::QueryServer gates admission through its
+//                  scheduler's. Keying by device ordinal means one device's
+//                  sticky DeviceLost opens only that device's breaker.
 #ifndef CORE_RESILIENCE_H_
 #define CORE_RESILIENCE_H_
 
@@ -59,8 +50,8 @@ struct RetryPolicy {
 struct CircuitBreakerOptions {
   /// Consecutive failures that open the circuit.
   int failure_threshold = 3;
-  /// Denied Allow() calls before one half-open probe is admitted. Counted
-  /// in calls rather than wall time so chaos runs are deterministic.
+  /// Denied Allow() calls before the circuit turns half-open. Counted in
+  /// calls rather than wall time so chaos runs are deterministic.
   int open_cooldown_checks = 16;
 };
 
@@ -73,8 +64,9 @@ class CircuitBreaker {
       : options_(options) {}
 
   /// True if a call may be routed to this backend right now. While open,
-  /// each denial counts toward the cooldown; the call that exhausts it is
-  /// admitted as the half-open probe.
+  /// each denial counts toward the cooldown; the call that exhausts it turns
+  /// the circuit half-open and is admitted. While half-open every call is
+  /// admitted until RecordSuccess or RecordFailure settles the circuit.
   bool Allow();
 
   void RecordSuccess();
@@ -113,7 +105,6 @@ struct ResilienceStats {
   uint64_t backoff_ns = 0;       ///< total backoff slept before retries
   uint64_t oom_reclaims = 0;     ///< TrimPool-then-retry recoveries
   uint64_t deadline_misses = 0;  ///< queries past their deadline
-  uint64_t fallback_reroutes = 0;  ///< ops re-routed to another backend
   uint64_t permanent_failures = 0;  ///< queries failed after all recovery
   uint64_t breaker_opens = 0;
   uint64_t breaker_half_opens = 0;
@@ -122,27 +113,14 @@ struct ResilienceStats {
   std::vector<std::string> open_backends;
 };
 
-/// One CircuitBreaker per (backend name, device ordinal) + shared
-/// ResilienceStats counters. Thread-safe; breakers are created on first
-/// touch.
+/// One CircuitBreaker per (backend name, device ordinal) + ResilienceStats
+/// counters. Thread-safe; breakers are created on first touch.
 class ResilienceManager {
  public:
   explicit ResilienceManager(CircuitBreakerOptions breaker_options = {})
       : breaker_options_(breaker_options) {}
 
-  /// Process-wide instance used by default everywhere.
-  static ResilienceManager& Global();
-
-  /// Single-string overloads resolve the device ordinal from the calling
-  /// thread's current gpusim device (0 outside any DeviceGuard).
-  bool Allow(const std::string& backend);
-  void RecordSuccess(const std::string& backend);
-  void RecordFailure(const std::string& backend);
-  CircuitBreaker::State StateOf(const std::string& backend);
-
-  /// Explicit-ordinal overloads for callers that track fleet health for a
-  /// device other than the thread's current one (the serving tier's
-  /// admission gate, tests).
+  /// The breaker of `backend` on device ordinal `device`.
   bool Allow(const std::string& backend, int device);
   void RecordSuccess(const std::string& backend, int device);
   void RecordFailure(const std::string& backend, int device);
@@ -162,22 +140,15 @@ class ResilienceManager {
   }
   void NoteOomReclaim() { oom_reclaims_.fetch_add(1, relaxed); }
   void NoteDeadlineMiss() { deadline_misses_.fetch_add(1, relaxed); }
-  void NoteReroute() { reroutes_.fetch_add(1, relaxed); }
   void NotePermanentFailure() { permanent_failures_.fetch_add(1, relaxed); }
 
   ResilienceStats Snapshot() const;
-
-  /// Drops all breakers and zeroes the counters (tests and benches; the
-  /// process-wide instance is shared state).
-  void Reset();
 
  private:
   static constexpr std::memory_order relaxed = std::memory_order_relaxed;
 
   /// Composes the breaker key "backend@ordinal".
   static std::string Key(const std::string& backend, int device);
-  /// The calling thread's device ordinal (Current device, 0 by default).
-  static int CurrentDevice();
 
   CircuitBreaker& BreakerFor(const std::string& backend, int device);
 
@@ -189,7 +160,6 @@ class ResilienceManager {
   std::atomic<uint64_t> backoff_ns_{0};
   std::atomic<uint64_t> oom_reclaims_{0};
   std::atomic<uint64_t> deadline_misses_{0};
-  std::atomic<uint64_t> reroutes_{0};
   std::atomic<uint64_t> permanent_failures_{0};
 };
 

@@ -20,8 +20,6 @@ QueryScheduler::QueryScheduler(SchedulerOptions options)
     : options_(std::move(options)) {
   if (options_.num_clients == 0) options_.num_clients = 1;
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
-  resilience_ = options_.resilience != nullptr ? options_.resilience
-                                               : &ResilienceManager::Global();
 
   // Probe the backend on the construction thread: surfaces unknown-name
   // errors eagerly and lets us refuse multi-client use of backends that
@@ -224,7 +222,7 @@ SchedulerReport QueryScheduler::Report() const {
   for (const auto& c : client_sim_ns_) {
     r.client_simulated_ns.push_back(c->load());
   }
-  r.resilience = resilience_->Snapshot();
+  r.resilience = resilience_.Snapshot();
   if (device_ != nullptr) {
     r.device_peak_bytes = device_->peak_bytes();
     r.device_reserved_bytes = device_->reserved_bytes();
@@ -309,7 +307,7 @@ void QueryScheduler::ClientLoop(unsigned client_index) {
         record.admission_rejected = true;
         record.error = "memory admission rejected (queue timeout)";
         record.error_class = ErrorClass::kResource;
-        resilience_->NotePermanentFailure();
+        resilience_.NotePermanentFailure();
       }
     }
 
@@ -331,7 +329,7 @@ void QueryScheduler::ClientLoop(unsigned client_index) {
       } catch (...) {
         const std::exception_ptr error = std::current_exception();
         const ErrorClass cls = Classify(error);
-        resilience_->NoteFaultSeen();
+        resilience_.NoteFaultSeen();
         record.error = ErrorMessage(error);
         record.error_class = cls;
         const double elapsed_ms = std::chrono::duration<double, std::milli>(
@@ -350,14 +348,14 @@ void QueryScheduler::ClientLoop(unsigned client_index) {
             record.oom_reclaims < kOomReclaimsPerQuery) {
           backend->stream().device().TrimPool();
           ++record.oom_reclaims;
-          resilience_->NoteOomReclaim();
+          resilience_.NoteOomReclaim();
           continue;
         }
         if (within_deadline && cls == ErrorClass::kTransient &&
             attempt < retry.max_attempts) {
           const uint64_t backoff = retry.BackoffNs(attempt);
           record.backoff_ns += backoff;
-          resilience_->NoteRetry(backoff);
+          resilience_.NoteRetry(backoff);
           if (backoff > 0) {
             std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
           }
@@ -366,9 +364,9 @@ void QueryScheduler::ClientLoop(unsigned client_index) {
         }
         if (!within_deadline) {
           record.deadline_exceeded = true;
-          resilience_->NoteDeadlineMiss();
+          resilience_.NoteDeadlineMiss();
         }
-        resilience_->NotePermanentFailure();
+        resilience_.NotePermanentFailure();
         break;
       }
     }
@@ -383,7 +381,7 @@ void QueryScheduler::ClientLoop(unsigned client_index) {
     if (record.ok && deadline_ms != 0 &&
         record.wall_ms > static_cast<double>(deadline_ms)) {
       record.deadline_exceeded = true;
-      resilience_->NoteDeadlineMiss();
+      resilience_.NoteDeadlineMiss();
     }
     client_sim_ns_[client_index]->fetch_add(record.simulated_ns);
 

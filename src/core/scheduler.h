@@ -10,6 +10,11 @@
 // latency. Report() aggregates throughput (queries/sec) and latency
 // percentiles.
 //
+// Each scheduler owns its ResilienceManager: the retry, reclaim and deadline
+// counters of the queries it ran, and the breakers of whoever serves through
+// it (serve::QueryServer). Two schedulers in one process share no breaker
+// state.
+//
 // Invariants:
 //  * Error isolation: an exception thrown by one query marks only that
 //    query's record as failed; the client thread keeps serving.
@@ -57,8 +62,6 @@ struct SchedulerOptions {
   /// no further retry attempts and its record is flagged; a query that
   /// finishes late but ok keeps ok = true.
   uint64_t deadline_ms = 0;
-  /// Breakers + counters to report into; nullptr = ResilienceManager::Global().
-  ResilienceManager* resilience = nullptr;
   /// Memory admission control; nullptr = none (queries run unconditionally).
   /// Queries submitted with a footprint pass through MemoryGovernor::Admit
   /// on their client thread before executing, and the grant is released when
@@ -203,6 +206,10 @@ class QueryScheduler {
   unsigned num_clients() const { return options_.num_clients; }
   const SchedulerOptions& options() const { return options_; }
 
+  /// The breakers and counters this scheduler owns; Report() snapshots
+  /// them. A serve::QueryServer gates admission through these breakers.
+  ResilienceManager& resilience() { return resilience_; }
+
  private:
   struct Item {
     uint64_t id = 0;
@@ -223,7 +230,7 @@ class QueryScheduler {
   void ClientLoop(unsigned client_index);
 
   SchedulerOptions options_;
-  ResilienceManager* resilience_ = nullptr;  ///< never null after ctor
+  ResilienceManager resilience_;  ///< this scheduler's breakers + counters
   gpusim::Device* device_ = nullptr;  ///< the clients' device (for report)
 
   mutable std::mutex mu_;  ///< guards queue_, in_flight_, stop_, timestamps

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/registry.h"
-#include "core/resilience.h"
 #include "gpusim/fault.h"
 #include "plan/explain.h"
 #include "plan/optimizer.h"
@@ -89,14 +88,15 @@ struct WorkerState {
   /// ShardedRunStats::checkpointed_slices_reused, so a device that dies,
   /// readmits, and dies again never double-counts.
   size_t slices_credited = 0;
+  size_t slice_replays = 0;  ///< the slice runner's replays, every round
 };
 
 /// Runs one device's shard list: bind the device, build a private backend
 /// (or reuse the round-1 backend on a recovery round), admit against the
 /// device's governor, and hand the ranges to the slice runner. A sticky
-/// DeviceLost is caught here: the device is marked dead in the group, its
-/// per-device breaker records the failure, the governor grant is returned,
-/// and the slices that did not finish are reported for re-placement.
+/// DeviceLost is caught here: the device is marked dead in the group, the
+/// governor grant is returned, and the slices that did not finish are
+/// reported for re-placement.
 void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
                      gpusim::DeviceGroup& group, int d,
                      const std::string& backend_name,
@@ -138,7 +138,6 @@ void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
   } catch (const gpusim::DeviceLost&) {
     if (admitted) options.governor->Release(d, stream_id);
     group.MarkLost(d);
-    core::ResilienceManager::Global().RecordFailure(backend_name, d);
     ws.device_lost = true;
     ws.stats.lost = true;
     // The slice in flight and everything after it still need a home.
@@ -152,6 +151,7 @@ void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
     ws.error = std::current_exception();
   }
   // Finished slices are in host memory whatever became of the device.
+  ws.slice_replays += run.replays;
   ws.broadcast_bytes += run.broadcast_bytes;
   ws.stats.upload_bytes += run.broadcast_bytes;
   for (detail::SliceResult& s : run.done) {
@@ -166,21 +166,18 @@ void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
 /// Drives the group's lifecycle machine at a round boundary. When `tick` is
 /// set the armed auto-reset policy advances first (Lost devices that have
 /// waited their drawn number of rounds move to Probing); then every Probing
-/// device gets its half-open probe, and the outcome is mirrored into every
-/// backend@ordinal breaker at that ordinal (SyncDeviceProbe). A device that
-/// passes is readmitted on the spot: its worker keeps its backend (the
-/// stream is just a timeline; nothing device-resident survives a round) and
-/// its checkpointed host partials, and the next round's broadcast upload
-/// restores build-side state before any slice runs on it. On a healthy run
-/// no device is ever Probing, so nothing here executes or charges.
+/// device gets its half-open probe. A device that passes is readmitted on
+/// the spot: its worker keeps its backend (the stream is just a timeline;
+/// nothing device-resident survives a round) and its checkpointed host
+/// partials, and the next round's broadcast upload restores build-side
+/// state before any slice runs on it. On a healthy run no device is ever
+/// Probing, so nothing here executes or charges.
 void ProbeAndReadmit(gpusim::DeviceGroup& group,
                      std::vector<WorkerState>& workers, bool tick,
                      ShardedRunStats& st) {
   if (tick) group.TickLostDevices();
   for (int d : group.ProbingDevices()) {
-    const bool ok = group.Probe(d);
-    core::ResilienceManager::Global().SyncDeviceProbe(d, ok);
-    if (!ok) {
+    if (!group.Probe(d)) {
       ++st.probe_failures;
       continue;
     }
@@ -474,10 +471,8 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
           break;
         } catch (const gpusim::TransferFault&) {
           ++st.transfer_retries;
-          core::ResilienceManager::Global().NoteFaultSeen();
         } catch (const gpusim::DeviceLost&) {
           group.MarkLost(d);
-          core::ResilienceManager::Global().RecordFailure(backend_name, d);
           ws.stats.lost = true;
           ++st.devices_lost;
           break;
@@ -496,6 +491,7 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
     ds.device = d;
     ds.peak_bytes = peaks[static_cast<size_t>(d)];
     st.broadcast_bytes += ws.broadcast_bytes;
+    st.slice_replays += ws.slice_replays;
     makespan = std::max(makespan, ws.backend->stream().now_ns() - ws.start_ns);
     st.per_device.push_back(ds);
   }

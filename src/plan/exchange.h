@@ -48,14 +48,15 @@
 // come back: between recovery rounds RunSharded drives the group's lifecycle
 // machine. An armed auto-reset policy ticks Lost devices back to Probing
 // (DeviceGroup::ArmAutoReset), every Probing device gets a half-open probe
-// kernel, and a device that passes is readmitted — its breakers healed via
-// ResilienceManager::SyncDeviceProbe, its worker (and the slices it finished
-// before dying) retained, broadcast tables re-uploaded when the next round
-// hands it slices. Probing also runs once before initial placement, so a
-// group whose operator called MarkReset between queries re-admits on the
-// next run. When no fault fires, none of this machinery charges anything, so
-// the healthy-path simulated timeline is bit-identical to the fault-free
-// build.
+// kernel, and a device that passes is readmitted — its worker (and the
+// slices it finished before dying) retained, broadcast tables re-uploaded
+// when the next round hands it slices. The group's lifecycle is the run's
+// only health record: RunSharded keeps no circuit breakers. Probing also
+// runs once before initial placement, so a group whose operator called
+// MarkReset between queries re-admits on the next run. When no fault fires,
+// none of this machinery charges anything, so the healthy-path simulated
+// timeline is bit-identical to the fault-free build. The slice runner's
+// replays are counted in ShardedRunStats::slice_replays.
 #ifndef PLAN_EXCHANGE_H_
 #define PLAN_EXCHANGE_H_
 
@@ -175,6 +176,9 @@ struct ShardedRunStats {
   /// partials merged into the answer without recompute.
   size_t checkpointed_slices_reused = 0;
   uint64_t probe_failures = 0;   ///< readmission probes that faulted
+  /// Uploads and slices the slice runner re-ran after a transient fault,
+  /// summed over devices and rounds.
+  size_t slice_replays = 0;
   std::vector<DeviceShardStats> per_device;
 };
 

@@ -8,7 +8,6 @@
 
 #include "core/error.h"
 #include "core/registry.h"
-#include "core/resilience.h"
 #include "gpusim/algorithms.h"
 #include "gpusim/kernel.h"
 #include "handwritten/handwritten.h"
@@ -172,14 +171,13 @@ class Executor {
     return true;
   }
 
-  /// Executes one node. In hybrid mode a fatal failure feeds the backend's
-  /// circuit breaker and falls the node back to the next capable dispatch
-  /// candidate. Every other failure, and any failure of a pinned run,
+  /// Executes one node. In hybrid mode a fatal failure falls the node back
+  /// to the next capable dispatch candidate of this run, counted in
+  /// value.reroutes. Every other failure, and any failure of a pinned run,
   /// propagates to the owner of its fault class (DESIGN.md §7). Simulated
   /// time of a failed attempt stays charged (the device really spent it),
   /// accumulated into measured_ns.
   void RunNode(size_t i, const PlanNode& node, NodeValue& value) {
-    core::ResilienceManager& rm = core::ResilienceManager::Global();
     std::vector<std::string> fallbacks;
     size_t next_fallback = 0;
     bool enumerated = false;
@@ -192,7 +190,6 @@ class Executor {
         Execute(i, node, backend, value);
         value.computed = true;
         value.measured_ns += stream.now_ns() - t0;
-        if (pinned_ == nullptr) rm.RecordSuccess(assigned_[i]);
         return;
       } catch (...) {
         value.measured_ns += stream.now_ns() - t0;
@@ -201,8 +198,6 @@ class Executor {
                 core::ErrorClass::kFatal) {
           throw;
         }
-        rm.NoteFaultSeen();
-        rm.RecordFailure(assigned_[i]);
         if (!enumerated) {
           enumerated = true;
           for (const std::string& c : phys_.candidates) {
@@ -211,7 +206,7 @@ class Executor {
         }
         if (next_fallback >= fallbacks.size()) throw;
         assigned_[i] = fallbacks[next_fallback++];
-        rm.NoteReroute();
+        ++value.reroutes;
       }
     }
   }

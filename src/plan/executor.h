@@ -11,11 +11,13 @@
 // stream whenever an input crosses a backend boundary.
 //
 // The executor owns one fault class only (DESIGN.md §7): in hybrid mode a
-// fatally-failing backend feeds its circuit breaker and the node falls back
-// to the next capable dispatch candidate, so a dead sub-backend degrades the
-// plan instead of failing the query. Transient and out-of-memory faults
-// propagate to their owner: the slice runner inside governed and sharded
-// runs, the scheduler for everything else.
+// node whose backend fails fatally falls back to the next capable dispatch
+// candidate, so a dead sub-backend degrades the plan instead of failing the
+// query. The fallback list lives for one run and the node counts its
+// re-routes in NodeValue::reroutes; no health state outlives the run.
+// Transient and out-of-memory faults propagate to their owner: the slice
+// runner inside governed and sharded runs, the scheduler for everything
+// else.
 #ifndef PLAN_EXECUTOR_H_
 #define PLAN_EXECUTOR_H_
 
@@ -53,6 +55,7 @@ struct NodeValue {
   std::vector<int32_t> host_second;  ///< FetchPair reordered values
 
   uint64_t measured_ns = 0;  ///< simulated time this node charged
+  uint32_t reroutes = 0;     ///< hybrid fallbacks after a fatal failure
   uint64_t boundary_ns = 0;  ///< share spent on cross-backend transfers
   size_t out_rows = 0;
 };

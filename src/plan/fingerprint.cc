@@ -67,6 +67,7 @@ size_t PlanCacheKeyHash::operator()(const PlanCacheKey& k) const {
   h = FnvU64(h, k.stats_fingerprint);
   h = FnvStr(h, k.backend);
   h = FnvI64(h, k.device_count);
+  h = FnvU64(h, k.generation);
   return static_cast<size_t>(h);
 }
 

@@ -45,17 +45,21 @@ uint64_t TableStatsFingerprint(const storage::Table& host,
 /// per-table values in a fixed table order).
 uint64_t CombineFingerprint(uint64_t seed, uint64_t value);
 
-/// Full plan-cache key: shape x stats x backend x device layout.
+/// Full plan-cache key: shape x stats x backend x device layout x the
+/// catalog generation the plan was prepared against. A readmission
+/// re-uploads the same tables, so only the generation tells its residency
+/// from the one it replaced.
 struct PlanCacheKey {
   uint64_t shape_hash = 0;
   uint64_t stats_fingerprint = 0;
   std::string backend;
   int device_count = 1;
+  uint64_t generation = 0;
 
   bool operator==(const PlanCacheKey& o) const {
     return shape_hash == o.shape_hash &&
            stats_fingerprint == o.stats_fingerprint && backend == o.backend &&
-           device_count == o.device_count;
+           device_count == o.device_count && generation == o.generation;
   }
 };
 

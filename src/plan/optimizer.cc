@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "core/registry.h"
-#include "core/resilience.h"
 #include "storage/column.h"
 
 namespace plan {
@@ -447,24 +446,11 @@ class Dispatcher {
       if (!opts_.pin_backend.empty()) {
         cands = {opts_.pin_backend};
       } else {
-        // Fused nodes carry the handwritten kernels but execute raw on the
-        // assigned backend's stream, so any candidate can host them when
-        // the handwritten streams are unhealthy.
+        // Fused nodes carry the handwritten kernels. They execute raw on
+        // the assigned backend's stream, so the executor's re-route can
+        // still move them to any candidate.
         cands = fused ? std::vector<std::string>{"Handwritten"}
                       : opts_.candidates;
-        // Skip candidates whose circuit breaker denies traffic; with all
-        // breakers closed this is a no-op and dispatch is unchanged.
-        core::ResilienceManager& rm = core::ResilienceManager::Global();
-        std::vector<std::string> healthy;
-        for (const std::string& c : cands) {
-          if (rm.Allow(c)) healthy.push_back(c);
-        }
-        if (healthy.empty() && fused) {
-          for (const std::string& c : opts_.candidates) {
-            if (rm.Allow(c)) healthy.push_back(c);
-          }
-        }
-        if (!healthy.empty()) cands = std::move(healthy);
       }
 
       std::string best;

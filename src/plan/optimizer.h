@@ -18,10 +18,9 @@
 //     backend minimizing estimated operator cost plus boundary
 //     materialization cost (a priced device-to-device copy for every input
 //     produced by a differently-assigned backend). Ties go to the earlier
-//     candidate, making dispatch deterministic. Candidates whose circuit
-//     breaker (core::ResilienceManager::Global()) denies traffic are
-//     skipped unless every candidate is denied; with all breakers closed
-//     the assignment is the same as ignoring them.
+//     candidate, making dispatch deterministic. Optimizing reads no health
+//     state and changes none: a backend that fails at run time is routed
+//     around by the executor (plan/executor.h), not by a later Optimize.
 #ifndef PLAN_OPTIMIZER_H_
 #define PLAN_OPTIMIZER_H_
 

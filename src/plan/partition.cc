@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/error.h"
-#include "core/resilience.h"
 #include "gpusim/device.h"
 #include "gpusim/trace.h"
 #include "plan/executor.h"
@@ -377,20 +376,18 @@ void RunSlices(TpchQuery q, const TpchHostTables& tables,
   // Runs `step` again on a transient fault, up to kTransientAttempts
   // attempts in all; a spent budget surfaces as fatal, so no outer layer
   // replays it again. Every other fault (OOM, DeviceLost) propagates as is.
-  const auto replay = [](const auto& step) {
-    core::ResilienceManager& rm = core::ResilienceManager::Global();
+  const auto replay = [&progress](const auto& step) {
     for (int attempt = 1;; ++attempt) {
       try {
         return step();
       } catch (...) {
         const std::exception_ptr error = std::current_exception();
         if (core::Classify(error) != core::ErrorClass::kTransient) throw;
-        rm.NoteFaultSeen();
         if (attempt >= kTransientAttempts) {
           throw core::BackendError(core::ErrorClass::kFatal,
                                    core::ErrorMessage(error));
         }
-        rm.NoteRetry(0);
+        ++progress.replays;
       }
     }
   };
@@ -553,10 +550,10 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
                std::to_string(k) + " row-range partitions",
            0, k);
     }
+    st.spill_h2d_bytes = 0;  // an abandoned attempt's traffic is not spill
+    st.spill_d2h_bytes = 0;
+    SliceProgress run;
     try {
-      st.spill_h2d_bytes = 0;  // an abandoned attempt's traffic is not spill
-      st.spill_d2h_bytes = 0;
-      SliceProgress run;
       RunSlices(query, tables, backend,
                 PartitionRanges(*tables.lineitem, k, def.align_orderkey),
                 options.use_encoding, run,
@@ -573,10 +570,12 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
                            std::to_string(s.download_bytes) + " B",
                        s.upload_bytes + s.download_bytes, k);
                 });
+      st.slice_replays += run.replays;
       st.partitions = k;
       st.simulated_ns = stream.now_ns() - sim_start;
       return def.finalize(MergeSlices(run.done));
     } catch (const gpusim::OutOfDeviceMemory& e) {
+      st.slice_replays += run.replays;
       device.TrimPool();
       if (options.force_partitions > 0) throw;
       if (k >= kMaxPartitions) {
@@ -589,6 +588,9 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
            std::string(TpchQueryName(query)) +
                " hit device OOM; repartitioning to " + std::to_string(k),
            0, k);
+    } catch (...) {
+      st.slice_replays += run.replays;
+      throw;
     }
   }
 }

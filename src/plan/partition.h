@@ -98,6 +98,9 @@ struct GovernedRunStats {
   uint64_t spill_h2d_bytes = 0;  ///< partition-slice upload traffic (K > 1)
   uint64_t spill_d2h_bytes = 0;  ///< partial-result download traffic (K > 1)
   uint64_t simulated_ns = 0;     ///< stream-timeline delta of the whole run
+  /// Uploads and slices the slice runner re-ran after a transient fault,
+  /// over every attempt of the ladder.
+  size_t slice_replays = 0;
 };
 
 /// Runs `query` on `backend`, degrading to partitioned execution when the

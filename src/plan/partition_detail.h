@@ -57,6 +57,7 @@ struct SliceProgress {
   uint64_t broadcast_bytes = 0;   ///< build-side tables uploaded
   size_t next = 0;                ///< ranges[next..] have not finished
   std::vector<SliceResult> done;  ///< finished slices, in range order
+  size_t replays = 0;  ///< uploads and slices re-run after a transient fault
 };
 
 /// The one slice loop. Resets `progress`, uploads the build-side tables `q`'s
@@ -68,7 +69,8 @@ struct SliceProgress {
 /// ranges are skipped. A transient fault (TransientKernelFault,
 /// TransferFault) replays the failed build-side upload, or the whole slice
 /// from its upload through ExtractPartials, up to kTransientAttempts
-/// attempts in all; the simulated time of failed attempts stays charged.
+/// attempts in all, and counts each re-run in progress.replays; the
+/// simulated time of failed attempts stays charged.
 /// A spent budget throws core::BackendError of class kFatal with the fault's
 /// message, and every other fault propagates unchanged. Whatever escapes,
 /// `progress` still holds every slice that finished.

@@ -23,6 +23,18 @@ std::shared_ptr<const plan::PreparedTpchQuery> PlanCache::Lookup(
 void PlanCache::Insert(const plan::PlanCacheKey& key,
                        std::shared_ptr<const plan::PreparedTpchQuery> plan) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (key.generation < newest_generation_) return;  // a retired residency
+  if (key.generation > newest_generation_) {
+    newest_generation_ = key.generation;
+    for (auto e = lru_.begin(); e != lru_.end();) {
+      if (e->key.generation < newest_generation_) {
+        index_.erase(e->key);
+        e = lru_.erase(e);
+      } else {
+        ++e;
+      }
+    }
+  }
   const auto it = index_.find(key);
   if (it != index_.end()) {
     it->second->plan = std::move(plan);

@@ -1,4 +1,5 @@
-// Plan cache: optimized physical plans keyed by shape x stats x layout.
+// Plan cache: optimized physical plans keyed by shape x stats x layout x
+// catalog generation.
 //
 // Modeled on gpusim's OpenCL-style program cache (bcsim caches compiled
 // kernels per source hash): the expensive artifact — here an optimized
@@ -7,11 +8,13 @@
 // (plan::PlanCacheKey) covers everything the optimizer consumed: query shape
 // hash (query + parameters + encoding mode), table-stats fingerprint, pinned
 // backend, and device count, so any change that could invalidate the plan
-// changes the key and misses. On top of that, Clear() drops every entry when
-// the catalog's residency is replaced (reload/regeneration) — cached plans
-// point into the old residency, which stays alive (and correct) for
-// in-flight runs via the PreparedTpchQuery's shared_ptr, but must not be
-// served to new requests.
+// changes the key and misses. It also carries the catalog generation the
+// plan was prepared against: a plan points into its residency snapshot,
+// which stays alive (and correct) for in-flight runs via the
+// PreparedTpchQuery's shared_ptr, but must not be served once the catalog
+// has moved on. The cache keeps one generation: inserting a newer one drops
+// every older entry, and an insert older than the newest it has seen (a
+// request that read the catalog just before a swap) is dropped.
 #ifndef SERVE_PLAN_CACHE_H_
 #define SERVE_PLAN_CACHE_H_
 
@@ -36,12 +39,14 @@ class PlanCache {
       const plan::PlanCacheKey& key);
 
   /// Inserts (or replaces) the entry for `key`, evicting the LRU entry when
-  /// over capacity.
+  /// over capacity. A key of a newer catalog generation than any seen so
+  /// far first drops every older entry; a key of an older generation is not
+  /// inserted. In-flight executions of dropped plans finish safely — they
+  /// co-own their tables.
   void Insert(const plan::PlanCacheKey& key,
               std::shared_ptr<const plan::PreparedTpchQuery> plan);
 
-  /// Drops every entry (catalog residency replaced). In-flight executions of
-  /// dropped plans finish safely — they co-own their tables.
+  /// Drops every entry.
   void Clear();
 
   struct Stats {
@@ -61,6 +66,7 @@ class PlanCache {
 
   mutable std::mutex mu_;
   size_t capacity_;
+  uint64_t newest_generation_ = 0;  ///< highest key generation inserted
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<plan::PlanCacheKey, std::list<Entry>::iterator,
                      plan::PlanCacheKeyHash>

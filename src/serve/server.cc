@@ -126,10 +126,10 @@ void QueryServer::CheckAdmission(TenantClass cls) {
   const uint64_t retry_after =
       options_.retry_after_ms * policy.retry_after_multiplier;
   // Per-device backend health first: a sticky DeviceLost on the serving
-  // device opens its breaker after failure_threshold query failures, and
-  // Allow() both gates admission and advances the open-state cooldown so a
-  // half-open probe eventually tests recovery.
-  if (!core::ResilienceManager::Global().Allow(options_.catalog.backend, 0)) {
+  // device opens its breaker (the scheduler's) after failure_threshold
+  // query failures, and Allow() both gates admission and advances the
+  // open-state cooldown so a half-open probe eventually tests recovery.
+  if (!scheduler_->resilience().Allow(options_.catalog.backend, 0)) {
     overloaded_.fetch_add(1);
     throw Overloaded("backend '" + options_.catalog.backend +
                          "' breaker open on device 0",
@@ -171,21 +171,22 @@ QueryReply QueryServer::Execute(const Session& session,
   shape.use_encoding = options_.catalog.use_encoding;
 
   // Plan-cache lookup under the current residency snapshot. The key carries
-  // the snapshot's stats fingerprint, so a reloaded catalog (new row counts
-  // or encodings) can never serve a plan prepared against the old one.
-  const std::shared_ptr<const plan::ResidentTpchTables> resident =
-      catalog_->resident();
+  // the snapshot's stats fingerprint and generation, so neither a reloaded
+  // catalog nor a readmission's re-upload of the same tables can serve a
+  // plan prepared against the residency it replaced.
+  const CatalogSnapshot catalog = catalog_->snapshot();
   plan::PlanCacheKey key;
   key.shape_hash = plan::QueryShapeHash(shape);
-  key.stats_fingerprint = resident->stats_fingerprint;
+  key.stats_fingerprint = catalog.resident->stats_fingerprint;
   key.backend = options_.catalog.backend;
   key.device_count = options_.device_count;
+  key.generation = catalog.generation;
 
   std::shared_ptr<const plan::PreparedTpchQuery> prepared =
       plan_cache_.Lookup(key);
   const bool cache_hit = prepared != nullptr;
   if (!cache_hit) {
-    prepared = plan::PrepareTpchQuery(shape, resident,
+    prepared = plan::PrepareTpchQuery(shape, catalog.resident,
                                       options_.catalog.backend);
     plan_cache_.Insert(key, prepared);
   }
@@ -229,11 +230,10 @@ QueryReply QueryServer::Execute(const Session& session,
     failed_.fetch_add(1);
     // Feed the serving device's breaker so repeated failures (a sticky
     // DeviceLost) trip it and CheckAdmission starts shedding.
-    core::ResilienceManager::Global().RecordFailure(options_.catalog.backend,
-                                                    0);
+    scheduler_->resilience().RecordFailure(options_.catalog.backend, 0);
     throw std::runtime_error("serve: query failed: " + record.error);
   }
-  core::ResilienceManager::Global().RecordSuccess(options_.catalog.backend, 0);
+  scheduler_->resilience().RecordSuccess(options_.catalog.backend, 0);
   reply.result = std::move(*result);
   ok_queries_.fetch_add(1);
   return reply;
@@ -251,10 +251,10 @@ size_t QueryServer::ActiveConnections() const {
 void QueryServer::ReloadCatalog(double scale_factor) {
   std::lock_guard<std::mutex> lock(reload_mu_);
   // Drain first so no in-flight query straddles the swap, then replace the
-  // residency and drop every cached plan — they point into the old snapshot.
+  // residency. The generation bump retires every cached plan: they point
+  // into the old snapshot.
   scheduler_->Drain();
   catalog_->Reload(scale_factor);
-  plan_cache_.Clear();
 }
 
 bool QueryServer::ReadmitDevice(int ordinal) {
@@ -269,20 +269,20 @@ bool QueryServer::ReadmitDevice(int ordinal) {
     return fleet->IsAlive(ordinal);  // already healthy (or mid-readmission)
   }
   const bool ok = fleet->Probe(ordinal);
-  core::ResilienceManager::Global().SyncDeviceProbe(ordinal, ok);
+  scheduler_->resilience().SyncDeviceProbe(ordinal, ok);
   if (!ok) return false;
   // Drain-aware rebalance: unlike ReloadCatalog nothing here drains the
   // scheduler — the host tables are untouched and the residency snapshot is
   // refcounted, so queries keep running on the survivors while the new
   // snapshot uploads to the readmitted ordinal in the background. The
-  // generation bump redirects new prepares; in-flight prepared plans keep
-  // their old snapshot alive. Only then does the ordinal complete
-  // readmission, so it is never considered alive before its state is back.
+  // generation bump redirects new prepares and retires every cached plan;
+  // in-flight prepared plans keep their old snapshot alive. Only then does
+  // the ordinal complete readmission, so it is never considered alive
+  // before its state is back.
   std::lock_guard<std::mutex> lock(rebalance_mu_);
   if (rebalance_thread_.joinable()) rebalance_thread_.join();
   rebalance_thread_ = std::thread([this, fleet, ordinal] {
     catalog_->Rebalance(&fleet->device(ordinal));
-    plan_cache_.Clear();
     fleet->CompleteReadmission(ordinal);
     catalog_rebalances_.fetch_add(1);
     devices_readmitted_.fetch_add(1);
@@ -305,11 +305,10 @@ StatsReply QueryServer::Stats() const {
   s.cache_misses = cache.misses;
   s.cache_size = cache.size;
   s.cache_evictions = cache.evictions;
-  const std::shared_ptr<const plan::ResidentTpchTables> resident =
-      catalog_->resident();
-  s.resident_bytes = resident->resident_bytes;
-  s.uploaded_bytes = resident->uploaded_bytes;
-  s.catalog_generation = catalog_->generation();
+  const CatalogSnapshot catalog = catalog_->snapshot();
+  s.resident_bytes = catalog.resident->resident_bytes;
+  s.uploaded_bytes = catalog.resident->uploaded_bytes;
+  s.catalog_generation = catalog.generation;
   s.overloaded = overloaded_.load();
   s.malformed = malformed_.load();
   s.devices_readmitted = devices_readmitted_.load();

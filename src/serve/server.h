@@ -2,13 +2,14 @@
 //
 // QueryServer ties the serving tier together: a ResidentCatalog (tables
 // uploaded once, device-resident across requests), a PlanCache (optimized
-// physical plans reused across same-shape requests), a TenantRegistry
-// (QoS-class -> fair-share weights and deadline classes), and a
-// core::QueryScheduler + core::MemoryGovernor (tenant-weighted dequeue with
-// aging; memory admission for the per-run intermediates). Requests arrive
-// over the length-prefixed protocol (serve/protocol.h) on a UNIX domain
-// socket; each connection is one session served by its own thread, and
-// concurrency across sessions comes from the scheduler's client pool.
+// physical plans reused across same-shape requests of one catalog
+// generation), a TenantRegistry (QoS-class -> fair-share weights and
+// deadline classes), and a core::QueryScheduler + core::MemoryGovernor
+// (tenant-weighted dequeue with aging; memory admission for the per-run
+// intermediates). Requests arrive over the length-prefixed protocol
+// (serve/protocol.h) on a UNIX domain socket; each connection is one
+// session served by its own thread, and concurrency across sessions comes
+// from the scheduler's client pool.
 //
 // Execute() is also callable in-process (no socket), which is how the tests
 // and the local mode of bench_serving drive the server.
@@ -16,8 +17,11 @@
 // The server protects itself instead of trusting its clients. Admission
 // consults the per-device circuit breaker for the serving backend and sheds
 // with a typed kOverloaded reply (carrying a retry-after hint) when the
-// scheduler queue or the governor queue crosses its bound — rather than
-// stacking unbounded work behind a sick device. The accept loop caps live
+// breaker is open or the scheduler queue or the governor queue crosses its
+// bound — rather than stacking unbounded work behind a sick device. The
+// breakers belong to the server's scheduler (core::QueryScheduler::
+// resilience()), so two servers in one process share no health state, and
+// the scheduler's report counts them. The accept loop caps live
 // connections (excess connects get kOverloaded and a clean close) and reaps
 // finished connection threads as it goes, so a client that connects and
 // dies mid-query leaks neither a thread nor an fd. Malformed frames —
@@ -123,18 +127,19 @@ class QueryServer {
   size_t ActiveConnections() const;
 
   /// Replaces the catalog residency (regenerate at `scale_factor` +
-  /// re-upload) and clears the plan cache. Serialized internally.
+  /// re-upload); the generation bump retires every cached plan. Serialized
+  /// internally.
   void ReloadCatalog(double scale_factor);
 
   /// Drain-aware re-admission of a reset fleet device: resets it if still
   /// Lost, runs the half-open probe, and mirrors the outcome into every
-  /// backend@ordinal breaker. On a passing probe the catalog residency is
-  /// re-uploaded to the ordinal on a background thread while queries keep
-  /// running (no Drain — only the refcounted residency snapshot changes),
-  /// the generation bumps, the plan cache clears, and the device completes
-  /// readmission. Returns true when the probe passed and the rebalance was
-  /// started (or the device was already alive); false on probe failure or
-  /// when no fleet is attached.
+  /// backend@ordinal breaker of the server's scheduler. On a passing probe
+  /// the catalog residency is re-uploaded to the ordinal on a background
+  /// thread while queries keep running (no Drain — only the refcounted
+  /// residency snapshot changes), the generation bumps (retiring every
+  /// cached plan), and the device completes readmission. Returns true when
+  /// the probe passed and the rebalance was started (or the device was
+  /// already alive); false on probe failure or when no fleet is attached.
   bool ReadmitDevice(int ordinal);
 
   /// Joins an in-flight background rebalance (tests/benches; Stop() also

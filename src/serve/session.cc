@@ -10,7 +10,8 @@ ResidentCatalog::ResidentCatalog(CatalogOptions options)
     : options_(std::move(options)),
       backend_(core::BackendRegistry::Instance().Create(options_.backend)) {
   Generate();
-  Upload();
+  resident_ =
+      plan::MakeResident(backend_->stream(), host(), options_.use_encoding);
 }
 
 plan::TpchHostTables ResidentCatalog::host() const {
@@ -22,22 +23,25 @@ plan::TpchHostTables ResidentCatalog::host() const {
   return t;
 }
 
-std::shared_ptr<const plan::ResidentTpchTables> ResidentCatalog::resident()
-    const {
+CatalogSnapshot ResidentCatalog::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return resident_;
+  return {resident_, generation_};
 }
 
-uint64_t ResidentCatalog::generation() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return generation_;
+std::shared_ptr<const plan::ResidentTpchTables> ResidentCatalog::resident()
+    const {
+  return snapshot().resident;
 }
+
+uint64_t ResidentCatalog::generation() const { return snapshot().generation; }
 
 void ResidentCatalog::Reload(double scale_factor) {
   options_.scale_factor = scale_factor;
   Generate();
-  Upload();
+  std::shared_ptr<const plan::ResidentTpchTables> fresh =
+      plan::MakeResident(backend_->stream(), host(), options_.use_encoding);
   std::lock_guard<std::mutex> lock(mu_);
+  resident_ = std::move(fresh);
   ++generation_;
 }
 
@@ -51,14 +55,14 @@ void ResidentCatalog::Rebalance(gpusim::Device* device) {
   } else {
     fresh = core::BackendRegistry::Instance().Create(options_.backend);
   }
-  // Upload outside the lock: queries read resident() throughout, and the
+  // Upload outside the lock: queries read snapshot() throughout, and the
   // host tables are untouched, so nothing here needs the server to drain.
-  std::shared_ptr<const plan::ResidentTpchTables> snapshot =
+  std::shared_ptr<const plan::ResidentTpchTables> uploaded =
       plan::MakeResident(fresh->stream(), host(), options_.use_encoding);
   std::lock_guard<std::mutex> lock(mu_);
   retired_backends_.push_back(std::move(backend_));
   backend_ = std::move(fresh);
-  resident_ = std::move(snapshot);
+  resident_ = std::move(uploaded);
   ++generation_;
 }
 
@@ -70,13 +74,6 @@ void ResidentCatalog::Generate() {
   orders_ = tpch::GenerateOrders(config);
   customer_ = tpch::GenerateCustomer(config);
   part_ = tpch::GeneratePart(config);
-}
-
-void ResidentCatalog::Upload() {
-  std::shared_ptr<const plan::ResidentTpchTables> fresh =
-      plan::MakeResident(backend_->stream(), host(), options_.use_encoding);
-  std::lock_guard<std::mutex> lock(mu_);
-  resident_ = std::move(fresh);
 }
 
 }  // namespace serve

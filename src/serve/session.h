@@ -4,11 +4,12 @@
 // and keeps them device-resident across every request — the coordinator/
 // long-lived-GPU-worker shape of "Accelerating Presto with GPUs" (PAPERS.md).
 // The catalog owns the host source of truth, the resident upload
-// (plan::ResidentTpchTables), and a generation counter: Reload() replaces
-// both and bumps the generation, which is the server's signal to clear the
-// plan cache. Residency snapshots are handed out as shared_ptr<const>, so
-// queries prepared against an old generation keep computing against their
-// own (consistent) snapshot while new requests see the new one.
+// (plan::ResidentTpchTables), and a generation counter: Reload() and
+// Rebalance() swap in a new residency and bump the generation in one step,
+// and the server keys its plan cache by that generation. Residency
+// snapshots are handed out as shared_ptr<const>, so queries prepared
+// against an old generation keep computing against their own (consistent)
+// snapshot while new requests see the new one.
 #ifndef SERVE_SESSION_H_
 #define SERVE_SESSION_H_
 
@@ -27,6 +28,12 @@
 
 namespace serve {
 
+/// A residency snapshot and the generation it belongs to, read together.
+struct CatalogSnapshot {
+  std::shared_ptr<const plan::ResidentTpchTables> resident;  ///< never null
+  uint64_t generation = 0;
+};
+
 struct CatalogOptions {
   double scale_factor = 0.01;
   uint64_t seed = 42;
@@ -38,7 +45,7 @@ struct CatalogOptions {
 };
 
 /// Owns the TPC-H tables — host and device-resident — the server queries.
-/// Thread-safe for resident()/generation() against a concurrent Reload();
+/// Thread-safe for snapshot() against a concurrent Reload() or Rebalance();
 /// the host-table accessors are only safe while no Reload is in flight (the
 /// server serializes reloads behind its own lock).
 class ResidentCatalog {
@@ -53,15 +60,17 @@ class ResidentCatalog {
   const storage::Table& part() const { return part_; }
   plan::TpchHostTables host() const;
 
+  /// Current residency snapshot and its generation, under one lock.
+  CatalogSnapshot snapshot() const;
   /// Current residency snapshot (never null).
   std::shared_ptr<const plan::ResidentTpchTables> resident() const;
-
-  /// Bumps on every Reload; generation 0 is the construction upload.
+  /// Bumps on every Reload and Rebalance; generation 0 is the construction
+  /// upload.
   uint64_t generation() const;
 
   /// Regenerates the tables at `scale_factor` (same seed) and replaces the
   /// residency. Old snapshots stay alive as long as prepared plans hold
-  /// them. The caller must clear any plan cache keyed on the old stats.
+  /// them.
   void Reload(double scale_factor);
 
   /// Re-uploads the *same* host tables as a fresh residency snapshot,
@@ -70,8 +79,9 @@ class ResidentCatalog {
   /// never changes, so queries keep running throughout: in-flight prepared
   /// plans hold the old snapshot by shared_ptr (its upload stream is
   /// retired, not destroyed), new prepares see the new one, and the bumped
-  /// generation tells the server to clear its plan cache. Safe to call from
-  /// a background thread concurrently with resident()/generation().
+  /// generation keeps the server's plan cache from serving plans bound to
+  /// the old one. Safe to call from a background thread concurrently with
+  /// snapshot().
   void Rebalance(gpusim::Device* device = nullptr);
 
   /// The stream the residency lives on (uploads are charged here).
@@ -79,7 +89,6 @@ class ResidentCatalog {
 
  private:
   void Generate();  ///< fills host tables from options_.scale_factor
-  void Upload();    ///< replaces resident_ from the host tables
 
   CatalogOptions options_;
   std::unique_ptr<core::Backend> backend_;  ///< owns the upload stream

@@ -14,7 +14,6 @@
 #include "backends/backends.h"
 #include "core/governor.h"
 #include "core/registry.h"
-#include "core/resilience.h"
 #include "core/scheduler.h"
 #include "gpusim/device.h"
 #include "gpusim/fault.h"
@@ -202,12 +201,10 @@ class GovernedSchedulerTest : public ::testing::Test {
 TEST_F(GovernedSchedulerTest, GovernedSubmitRecordsAdmissionAndReleases) {
   GovernorOptions gopts;
   MemoryGovernor governor(gopts);  // Device::Default()
-  ResilienceManager resilience;
   SchedulerOptions opts;
   opts.backend_name = backends::kHandwritten;
   opts.num_clients = 2;
   opts.governor = &governor;
-  opts.resilience = &resilience;
   QueryScheduler scheduler(opts);
   for (int i = 0; i < 4; ++i) {
     uint64_t id = 0;
@@ -244,12 +241,10 @@ TEST_F(GovernedSchedulerTest, AdmissionRejectionFailsQueryWithoutRunningIt) {
   GovernorOptions gopts;
   gopts.queue_timeout_ms = 50;
   MemoryGovernor governor(gopts);
-  ResilienceManager resilience;
   SchedulerOptions opts;
   opts.backend_name = backends::kHandwritten;
   opts.num_clients = 2;
   opts.governor = &governor;
-  opts.resilience = &resilience;
   QueryScheduler scheduler(opts);
 
   std::atomic<bool> hog_running{false};
@@ -294,11 +289,9 @@ TEST_F(GovernedSchedulerTest, PersistentOomStopsAfterOneReclaimNotLivelock) {
   injector.AddRule(rule);
   gpusim::Device::Default().set_fault_injector(&injector);
 
-  ResilienceManager resilience;
   SchedulerOptions opts;
   opts.backend_name = backends::kHandwritten;
   opts.num_clients = 1;
-  opts.resilience = &resilience;
   QueryScheduler scheduler(opts);
   std::atomic<int> executions{0};
   scheduler.Submit("oom", [&](Backend& b) {

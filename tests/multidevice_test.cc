@@ -20,7 +20,6 @@
 #include "backends/backends.h"
 #include "core/governor.h"
 #include "core/registry.h"
-#include "core/resilience.h"
 #include "gpusim/device.h"
 #include "gpusim/device_group.h"
 #include "gpusim/fault.h"
@@ -236,11 +235,6 @@ class MultiDeviceQueryTest : public ::testing::Test {
     delete part_;
     lineitem_ = orders_ = customer_ = part_ = nullptr;
   }
-
-  // Device-loss cases open per-device breakers in the process-wide
-  // ResilienceManager; clear them so no case sees another's failures.
-  void SetUp() override { core::ResilienceManager::Global().Reset(); }
-  void TearDown() override { core::ResilienceManager::Global().Reset(); }
 
   plan::TpchHostTables Tables() const {
     plan::TpchHostTables t;
@@ -622,6 +616,28 @@ TEST_F(MultiDeviceQueryTest, TransientTransferChaosStillAnswersCorrectly) {
   EXPECT_GT(kernel_faults, 0u);
 }
 
+TEST_F(MultiDeviceQueryTest, OneShotKernelFaultIsOneSliceReplay) {
+  // One transient kernel fault on one device of four: the slice runner
+  // replays the slice it hit once, and the run's stats count that replay.
+  gpusim::DeviceGroup group(4);
+  gpusim::FaultRule kernel;
+  kernel.site = gpusim::FaultSite::kKernel;
+  kernel.kind = gpusim::FaultKind::kTransientKernel;
+  kernel.at_call = 2;
+  kernel.max_fires = 1;
+  group.ArmFaultInjector(2, 5).AddRule(kernel);
+  plan::ShardedQueryOptions options;
+  options.force_shards = 8;
+  plan::ShardedRunStats stats;
+  const plan::TpchQueryResult result = plan::RunSharded(
+      TpchQuery::kQ6, Tables(), group, backends::kHandwritten, options,
+      &stats);
+  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ6, result, Tables());
+  EXPECT_EQ(group.fault_injector(2)->stats().injected_kernel, 1u);
+  EXPECT_EQ(stats.slice_replays, 1u);
+  EXPECT_EQ(stats.devices_lost, 0);
+}
+
 TEST_F(MultiDeviceQueryTest, ArmedRulelessInjectorsKeepTimelineBitIdentical) {
   // The zero-fault gate: attaching per-device injectors with no rules must
   // not move the simulated timeline by a single nanosecond.
@@ -641,6 +657,7 @@ TEST_F(MultiDeviceQueryTest, ArmedRulelessInjectorsKeepTimelineBitIdentical) {
     EXPECT_EQ(armed_stats.simulated_ns, bare_stats.simulated_ns);
     EXPECT_EQ(armed_stats.devices_lost, 0);
     EXPECT_EQ(armed_stats.recovery_rounds, 0);
+    EXPECT_EQ(armed_stats.slice_replays, 0u);
     EXPECT_GT(armed.fault_injector(0)->stats().checks, 0u);
   }
 }

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/registry.h"
-#include "core/resilience.h"
 #include "core/scheduler.h"
 #include "gpusim/device.h"
 #include "gpusim/fault.h"
@@ -422,20 +421,18 @@ TEST_F(PlanTest, PlanQueryRunsThroughScheduler) {
 }
 
 // ---------------------------------------------------------------------------
-// Resilience: fallback execution and breaker-aware planning
+// Resilience: fallback execution
 // ---------------------------------------------------------------------------
 
-/// Detaches the injector and clears global breaker state on every exit path
-/// so a failing assertion cannot poison the other plan tests.
+/// Detaches the injector on every exit path so a failing assertion cannot
+/// poison the other plan tests.
 class PlanResilienceTest : public PlanTest {
  protected:
   void SetUp() override {
     gpusim::Device::Default().set_fault_injector(nullptr);
-    core::ResilienceManager::Global().Reset();
   }
   void TearDown() override {
     gpusim::Device::Default().set_fault_injector(nullptr);
-    core::ResilienceManager::Global().Reset();
   }
 };
 
@@ -458,33 +455,19 @@ TEST_F(PlanResilienceTest, ExecutorFallsBackWhenABackendDiesMidPlan) {
   injector.AddRule(rule);
   gpusim::Device::Default().set_fault_injector(&injector);
 
-  // Three runs: enough fatal failures to trip the default breaker.
+  // Every run re-routes on its own: no run remembers an earlier one's
+  // failures, so each pays at least one fallback.
   for (int round = 0; round < 3; ++round) {
     const plan::ExecutionResult res = plan::RunHybrid(phys);
     tpch_testing::ExpectReferenceAnswer(
         plan::TpchQuery::kQ6,
         plan::FinalizeRun(plan::TpchQuery::kQ6, bundle, res), Host());
+    uint32_t reroutes = 0;
+    for (const plan::NodeValue& v : res.values) reroutes += v.reroutes;
+    EXPECT_GE(reroutes, 1u) << "round " << round;
   }
   gpusim::Device::Default().set_fault_injector(nullptr);
-
-  core::ResilienceManager& rm = core::ResilienceManager::Global();
-  const core::ResilienceStats stats = rm.Snapshot();
   EXPECT_GT(injector.stats().injected_device_lost, 0u);
-  EXPECT_GE(stats.fallback_reroutes, 3u);
-  EXPECT_EQ(rm.StateOf("Handwritten"), core::CircuitBreaker::State::kOpen);
-
-  // Re-optimizing now routes around the open breaker: no node is assigned
-  // to the dead backend, and the plan still answers correctly.
-  const plan::PhysicalPlan rerouted =
-      plan::Optimize(bundle.plan, plan::OptimizerOptions());
-  for (const std::string& b : rerouted.node_backend) {
-    EXPECT_NE(b, "Handwritten");
-  }
-  tpch_testing::ExpectReferenceAnswer(
-      plan::TpchQuery::kQ6,
-      plan::FinalizeRun(plan::TpchQuery::kQ6, bundle,
-                        plan::RunHybrid(rerouted)),
-      Host());
 }
 
 }  // namespace

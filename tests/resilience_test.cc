@@ -42,20 +42,16 @@ using gpusim::FaultKind;
 using gpusim::FaultRule;
 using gpusim::FaultSite;
 
-/// Detaches the injector and resets the global resilience manager on every
-/// exit path, so a failing assertion cannot poison later tests.
+/// Detaches the injector on every exit path, so a failing assertion cannot
+/// poison later tests.
 class ResilienceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     RegisterBuiltinBackends();
     Device::Default().set_fault_injector(nullptr);
-    ResilienceManager::Global().Reset();
   }
 
-  void TearDown() override {
-    Device::Default().set_fault_injector(nullptr);
-    ResilienceManager::Global().Reset();
-  }
+  void TearDown() override { Device::Default().set_fault_injector(nullptr); }
 };
 
 // ---------------------------------------------------------------------------
@@ -99,10 +95,13 @@ TEST_F(ResilienceTest, CircuitBreakerOpensProbesAndRecovers) {
   EXPECT_EQ(b.state(), CircuitBreaker::State::kOpen);
   EXPECT_EQ(b.opens(), 2u);
 
-  // A succeeding probe closes.
+  // Half-open admits every call until a result is recorded, not just the
+  // first; a succeeding probe closes.
   EXPECT_FALSE(b.Allow());
   EXPECT_FALSE(b.Allow());
   EXPECT_TRUE(b.Allow());
+  EXPECT_TRUE(b.Allow());
+  EXPECT_EQ(b.state(), CircuitBreaker::State::kHalfOpen);
   b.RecordSuccess();
   EXPECT_EQ(b.state(), CircuitBreaker::State::kClosed);
   EXPECT_EQ(b.closes(), 1u);
@@ -125,28 +124,15 @@ TEST_F(ResilienceTest, SuccessResetsConsecutiveFailureCount) {
 
 TEST_F(ResilienceTest, BreakersAreScopedPerBackendAndDevice) {
   // Tripping the breaker for (Handwritten, device 1) must not gate the same
-  // backend on device 0: a sharded run that loses one device keeps routing
-  // work to the survivors.
-  gpusim::DeviceGroup group(2);
-  ResilienceManager& rm = ResilienceManager::Global();
-
-  {
-    gpusim::Device::DeviceGuard on1(group.device(1));
-    rm.RecordFailure("Handwritten");
-    rm.RecordFailure("Handwritten");
-    rm.RecordFailure("Handwritten");
-    EXPECT_EQ(rm.StateOf("Handwritten"), CircuitBreaker::State::kOpen);
-    EXPECT_FALSE(rm.Allow("Handwritten"));
-  }
-  {
-    gpusim::Device::DeviceGuard on0(group.device(0));
-    EXPECT_EQ(rm.StateOf("Handwritten"), CircuitBreaker::State::kClosed);
-    EXPECT_TRUE(rm.Allow("Handwritten"));
-  }
-  // The explicit-ordinal overloads address the same breakers without a
-  // DeviceGuard — what the serving tier uses at admission.
+  // backend on device 0: one device's loss leaves its siblings serving.
+  ResilienceManager rm;
+  rm.RecordFailure("Handwritten", 1);
+  rm.RecordFailure("Handwritten", 1);
+  rm.RecordFailure("Handwritten", 1);
   EXPECT_EQ(rm.StateOf("Handwritten", 1), CircuitBreaker::State::kOpen);
+  EXPECT_FALSE(rm.Allow("Handwritten", 1));
   EXPECT_EQ(rm.StateOf("Handwritten", 0), CircuitBreaker::State::kClosed);
+  EXPECT_TRUE(rm.Allow("Handwritten", 0));
 
   const ResilienceStats stats = rm.Snapshot();
   ASSERT_EQ(stats.open_backends.size(), 1u);
@@ -186,7 +172,7 @@ TEST_F(ResilienceTest, SyncDeviceProbeHealsEveryBreakerAtTheOrdinal) {
   // Two backends tripped on device 1, one tripped on device 0: a passing
   // probe of device 1 heals both of device 1's breakers and leaves device
   // 0's open — the probe outcome is per-ordinal, not per-backend.
-  ResilienceManager& rm = ResilienceManager::Global();
+  ResilienceManager rm;
   for (int i = 0; i < 3; ++i) {
     rm.RecordFailure("Handwritten", 1);
     rm.RecordFailure("Thrust", 1);
@@ -209,9 +195,9 @@ TEST_F(ResilienceTest, SyncDeviceProbeHealsEveryBreakerAtTheOrdinal) {
 
 TEST_F(ResilienceTest, GroupProbeOutcomeDrivesTheBreakers) {
   // End to end: a lost device whose breaker opened heals through the
-  // lifecycle probe, exactly as RunSharded's readmission path wires it.
+  // lifecycle probe, exactly as QueryServer::ReadmitDevice wires it.
   gpusim::DeviceGroup group(2);
-  ResilienceManager& rm = ResilienceManager::Global();
+  ResilienceManager rm;
   group.MarkLost(1);
   for (int i = 0; i < 3; ++i) rm.RecordFailure("Handwritten", 1);
   ASSERT_EQ(rm.StateOf("Handwritten", 1), CircuitBreaker::State::kOpen);
@@ -643,7 +629,9 @@ TEST_F(SchedulerRecoveryTest, EightClientChaosSweepRecoversEveryQuery) {
 
 /// Q6 at sf 0.002 on a one-client Handwritten scheduler under one persistent
 /// fault. Each case pins how often the fault fires before the query fails:
-/// a recovery layer nested inside another multiplies the count.
+/// a recovery layer nested inside another multiplies the count. The last
+/// case pins the other end: one one-shot fault is one replay, counted by
+/// the runner that replays it.
 class RetryAmplificationTest : public ResilienceTest {
  protected:
   void SetUp() override {
@@ -729,6 +717,27 @@ TEST_F(RetryAmplificationTest, GovernedKernelFaultSpendsOneSliceBudget) {
   EXPECT_EQ(r.attempts, 1);
   EXPECT_EQ(r.error_class, ErrorClass::kFatal);
   EXPECT_EQ(injector_.stats().injected_total(), 4u);
+}
+
+TEST_F(RetryAmplificationTest, GovernedOneShotKernelFaultIsOneSliceReplay) {
+  FaultRule rule;
+  rule.site = FaultSite::kKernel;
+  rule.kind = FaultKind::kTransientKernel;
+  rule.at_call = 1;
+  rule.max_fires = 1;
+  injector_.AddRule(rule);
+  const auto backend =
+      BackendRegistry::Instance().Create(backends::kHandwritten);
+  Device::Default().set_fault_injector(&injector_);
+  plan::GovernedRunStats stats;
+  const plan::TpchQueryResult result = plan::RunGoverned(
+      plan::TpchQuery::kQ6, tables_, *backend, {}, &stats);
+  Device::Default().set_fault_injector(nullptr);
+  EXPECT_EQ(injector_.stats().injected_total(), 1u);
+  EXPECT_EQ(stats.slice_replays, 1u);
+  EXPECT_TRUE(plan::SameAnswer(plan::TpchQuery::kQ6, result,
+                               plan::ReferenceAnswer(plan::TpchQuery::kQ6,
+                                                     tables_)));
 }
 
 }  // namespace

@@ -189,14 +189,44 @@ TEST_F(ServeTest, AnyKeyComponentChangeMissesTheCache) {
   other_backend.backend = "Thrust";
   plan::PlanCacheKey shape = key;
   shape.shape_hash += 1;
+  plan::PlanCacheKey generation = key;
+  generation.generation += 1;  // e.g. a readmission re-uploaded the tables
 
   EXPECT_FALSE(key == stats);
   EXPECT_FALSE(key == devices);
+  EXPECT_FALSE(key == generation);
   EXPECT_EQ(cache.Lookup(stats), nullptr);
   EXPECT_EQ(cache.Lookup(devices), nullptr);
   EXPECT_EQ(cache.Lookup(other_backend), nullptr);
   EXPECT_EQ(cache.Lookup(shape), nullptr);
+  EXPECT_EQ(cache.Lookup(generation), nullptr);
   EXPECT_NE(cache.Lookup(key), nullptr);
+}
+
+TEST_F(ServeTest, PlanCacheKeepsOnlyTheNewestGeneration) {
+  auto backend = core::BackendRegistry::Instance().Create(
+      backends::kHandwritten);
+  tpch::Config config;
+  config.scale_factor = 0.002;
+  const storage::Table lineitem = tpch::GenerateLineitem(config);
+  const auto plan = MakeAnyPlan(*backend, lineitem);
+
+  PlanCache cache(4);
+  const plan::PlanCacheKey gen1{1, 10, "Handwritten", 1, 1};
+  plan::PlanCacheKey gen0 = gen1;
+  gen0.generation = 0;
+  plan::PlanCacheKey gen2 = gen1;
+  gen2.generation = 2;
+
+  cache.Insert(gen1, plan);
+  cache.Insert(gen0, plan);  // older than the newest seen: not inserted
+  EXPECT_EQ(cache.Lookup(gen0), nullptr);
+  EXPECT_NE(cache.Lookup(gen1), nullptr);
+  cache.Insert(gen2, plan);  // newer: drops every older entry
+  EXPECT_EQ(cache.Lookup(gen1), nullptr);
+  EXPECT_NE(cache.Lookup(gen2), nullptr);
+  EXPECT_EQ(cache.stats().size, 1u);
+  EXPECT_EQ(cache.stats().insertions, 2u);
 }
 
 // --------------------------------------------------------------------------
@@ -240,6 +270,79 @@ TEST_F(ServeTest, ReloadInvalidatesPlanCacheAndServesNewData) {
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(stats.cache_misses, 2u);
   EXPECT_EQ(stats.catalog_generation, 1u);
+}
+
+TEST_F(ServeTest, TwoServersInOneProcessShareNoBreakers) {
+  // Each server gates admission through its own scheduler's breakers:
+  // tripping A's serving breaker sheds A's next query and leaves B serving.
+  ServerOptions options;  // in-process only
+  options.catalog.scale_factor = 0.002;
+  QueryServer a(options);
+  QueryServer b(options);
+  a.Start();
+  b.Start();
+  const Session on_a = a.OpenSession("tenant", TenantClass::kInteractive);
+  const Session on_b = b.OpenSession("tenant", TenantClass::kInteractive);
+
+  core::ResilienceManager& rm = a.scheduler().resilience();
+  for (int i = 0; i < 3; ++i) rm.RecordFailure(options.catalog.backend, 0);
+  EXPECT_THROW(a.Execute(on_a, "q6"), Overloaded);
+  const QueryReply reply = b.Execute(on_b, "q6");
+  tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6, reply.result,
+                                      b.catalog().host());
+
+  EXPECT_EQ(a.Stats().overloaded, 1u);
+  EXPECT_EQ(b.Stats().overloaded, 0u);
+  EXPECT_EQ(a.scheduler().Report().resilience.open_backends.size(), 1u);
+  EXPECT_TRUE(b.scheduler().Report().resilience.open_backends.empty());
+}
+
+TEST_F(ServeTest, LateInsertAgainstARetiredResidencyIsNeverServed) {
+  // A request that read the catalog just before a readmission's swap can
+  // insert its plan just after it. The readmission re-uploads the same
+  // tables, so the stats fingerprint is unchanged and only the generation
+  // in the key keeps that plan from being served.
+  gpusim::DeviceGroup fleet(2);
+  ServerOptions options;  // in-process only
+  options.catalog.scale_factor = 0.004;
+  options.fleet = &fleet;
+  QueryServer server(options);
+  server.Start();
+  const Session session =
+      server.OpenSession("tenant-a", TenantClass::kInteractive);
+  ASSERT_FALSE(server.Execute(session, "q6").cache_hit);
+
+  // The late request's view: the generation-0 snapshot and its key.
+  const CatalogSnapshot old = server.catalog().snapshot();
+  plan::QueryShape shape;
+  shape.query = plan::TpchQuery::kQ6;
+  shape.use_encoding = options.catalog.use_encoding;
+  plan::PlanCacheKey key;
+  key.shape_hash = plan::QueryShapeHash(shape);
+  key.stats_fingerprint = old.resident->stats_fingerprint;
+  key.backend = options.catalog.backend;
+  key.device_count = options.device_count;
+  key.generation = old.generation;
+
+  fleet.MarkLost(0);
+  ASSERT_TRUE(server.ReadmitDevice(0));
+  server.WaitForRebalance();
+  const CatalogSnapshot fresh = server.catalog().snapshot();
+  ASSERT_EQ(fresh.generation, old.generation + 1);
+  ASSERT_EQ(fresh.resident->stats_fingerprint,
+            old.resident->stats_fingerprint);
+
+  server.plan_cache().Insert(
+      key, plan::PrepareTpchQuery(shape, old.resident,
+                                  options.catalog.backend));
+  const QueryReply reply = server.Execute(session, "q6");
+  EXPECT_FALSE(reply.cache_hit)
+      << "a plan bound to the retired residency must not be served";
+  tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6, reply.result,
+                                      server.catalog().host());
+  EXPECT_EQ(server.plan_cache().Lookup(key), nullptr)
+      << "no generation-0 entry may remain";
+  EXPECT_EQ(server.plan_cache().stats().size, 1u);
 }
 
 TEST_F(ServeTest, StalePreparedPlanKeepsItsResidencySnapshotAlive) {
@@ -793,13 +896,12 @@ TEST_F(ServeTest, ConnectionCapShedsWithTypedOverloadReply) {
 }
 
 TEST_F(ServeTest, OpenBreakerShedsQueriesUntilTheProbeHeals) {
-  core::ResilienceManager& rm = core::ResilienceManager::Global();
-  rm.Reset();
   ServerOptions options;
   options.socket_path = TestSocketPath("breaker");
   options.catalog.scale_factor = 0.002;
   QueryServer server(options);
   server.Start();
+  core::ResilienceManager& rm = server.scheduler().resilience();
 
   Client client(options.socket_path, "tenant", TenantClass::kInteractive);
   EXPECT_FALSE(client.Query("q6").overloaded);
@@ -828,7 +930,6 @@ TEST_F(ServeTest, OpenBreakerShedsQueriesUntilTheProbeHeals) {
   client.Shutdown();
   server.WaitForShutdown();
   server.Stop();
-  rm.Reset();
 }
 
 // --------------------------------------------------------------------------
@@ -837,14 +938,13 @@ TEST_F(ServeTest, OpenBreakerShedsQueriesUntilTheProbeHeals) {
 // --------------------------------------------------------------------------
 
 TEST_F(ServeTest, ReadmitDeviceRebalancesWithoutDrainAndHealsBreakers) {
-  core::ResilienceManager& rm = core::ResilienceManager::Global();
-  rm.Reset();
   gpusim::DeviceGroup fleet(2);
   ServerOptions options;  // in-process only
   options.catalog.scale_factor = 0.004;
   options.fleet = &fleet;
   QueryServer server(options);
   server.Start();
+  core::ResilienceManager& rm = server.scheduler().resilience();
   const Session session =
       server.OpenSession("tenant-a", TenantClass::kInteractive);
 
@@ -874,8 +974,9 @@ TEST_F(ServeTest, ReadmitDeviceRebalancesWithoutDrainAndHealsBreakers) {
   EXPECT_EQ(server.catalog().generation(), 1u)
       << "the rebalance bumps the residency generation";
 
-  // The plan cache was cleared (new residency), but the answer and the
-  // cache-hit simulated latency are unchanged: the host tables never moved.
+  // The cached plan belongs to the old generation (new residency), but the
+  // answer and the cache-hit simulated latency are unchanged: the host
+  // tables never moved.
   const QueryReply remiss = server.Execute(session, "q6");
   EXPECT_FALSE(remiss.cache_hit);
   tpch_testing::ExpectNearAnswer(plan::TpchQuery::kQ6, remiss.result, ref);
@@ -889,12 +990,9 @@ TEST_F(ServeTest, ReadmitDeviceRebalancesWithoutDrainAndHealsBreakers) {
   EXPECT_EQ(stats.devices_readmitted, 1u);
   EXPECT_EQ(stats.catalog_rebalances, 1u);
   (void)miss;
-  rm.Reset();
 }
 
 TEST_F(ServeTest, ReadmitDeviceRejectsBadOrdinalsAndFailedProbes) {
-  core::ResilienceManager& rm = core::ResilienceManager::Global();
-  rm.Reset();
   {
     ServerOptions options;  // no fleet attached
     options.catalog.scale_factor = 0.002;
@@ -931,11 +1029,9 @@ TEST_F(ServeTest, ReadmitDeviceRejectsBadOrdinalsAndFailedProbes) {
   server.WaitForRebalance();
   EXPECT_TRUE(fleet.IsAlive(1));
   EXPECT_EQ(server.Stats().devices_readmitted, 1u);
-  rm.Reset();
 }
 
 TEST_F(ServeTest, TenantClassesShedInPriorityOrderWithScaledRetryAfter) {
-  core::ResilienceManager::Global().Reset();
   ServerOptions options;  // in-process only
   options.catalog.scale_factor = 0.002;
   options.num_clients = 1;
@@ -992,14 +1088,13 @@ TEST_F(ServeTest, TenantClassesShedInPriorityOrderWithScaledRetryAfter) {
 }
 
 TEST_F(ServeTest, QueryWithRetrySleepsThroughShedsUntilTheBreakerHeals) {
-  core::ResilienceManager& rm = core::ResilienceManager::Global();
-  rm.Reset();
   ServerOptions options;
   options.socket_path = TestSocketPath("retry");
   options.catalog.scale_factor = 0.002;
   options.retry_after_ms = 1;  // keep the test's real sleeps tiny
   QueryServer server(options);
   server.Start();
+  core::ResilienceManager& rm = server.scheduler().resilience();
 
   Client client(options.socket_path, "tenant", TenantClass::kInteractive);
 
@@ -1023,7 +1118,6 @@ TEST_F(ServeTest, QueryWithRetrySleepsThroughShedsUntilTheBreakerHeals) {
   client.Shutdown();
   server.WaitForShutdown();
   server.Stop();
-  rm.Reset();
 }
 
 }  // namespace
