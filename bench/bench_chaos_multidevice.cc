@@ -477,6 +477,31 @@ void SendRaw(int fd, const std::vector<uint8_t>& bytes) {
   }
 }
 
+// Reads one reply frame from `fd` and closes it. True when the reply is of
+// type `want`.
+bool RepliesWith(int fd, serve::MsgType want) {
+  serve::MsgType type{};
+  std::vector<uint8_t> payload;
+  bool got = false;
+  try {
+    got = serve::ReadFrame(fd, &type, &payload);
+  } catch (const std::exception&) {
+  }
+  ::close(fd);
+  return got && type == want;
+}
+
+// Sends `blob` on a fresh connection and half-closes the write side, so the
+// server's frame parser meets EOF right after it. True when the server
+// answered with the typed kError of a malformed frame.
+bool SendMalformed(const std::string& path, const std::vector<uint8_t>& blob) {
+  const int fd = RawConnect(path);
+  if (fd < 0) return false;
+  SendRaw(fd, blob);
+  ::shutdown(fd, SHUT_WR);
+  return RepliesWith(fd, serve::MsgType::kError);
+}
+
 struct ServerOutcome {
   uint64_t shed = 0;
   uint64_t malformed = 0;
@@ -493,8 +518,8 @@ int RunServerPhase(ServerOutcome* outcome) {
   serve::QueryServer server(options);
   server.Start();
   core::ResilienceManager& rm = server.scheduler().resilience();
-  const plan::TpchQueryResult ref_q6 = plan::ReferenceAnswer(
-      plan::TpchQuery::kQ6, {&server.catalog().lineitem()});
+  const plan::TpchQueryResult ref_q6 =
+      plan::ReferenceAnswer(plan::TpchQuery::kQ6, server.catalog().host());
   const auto q6_ok = [&](const serve::QueryReply& reply) {
     return plan::SameAnswer(plan::TpchQuery::kQ6, reply.result, ref_q6);
   };
@@ -517,55 +542,47 @@ int RunServerPhase(ServerOutcome* outcome) {
       std::fprintf(stderr, "  server: flood connect failed\n");
       return kExitServerFailure;
     }
-    serve::MsgType type;
-    std::vector<uint8_t> payload;
-    bool got = false;
-    try {
-      got = serve::ReadFrame(fd, &type, &payload);
-    } catch (const std::exception&) {
-    }
-    ::close(fd);
-    if (!got || type != serve::MsgType::kOverloaded) {
+    if (!RepliesWith(fd, serve::MsgType::kOverloaded)) {
       std::fprintf(stderr,
                    "  server: flood got no typed kOverloaded reply\n");
       return kExitServerFailure;
     }
   }
 
-  // The holders hung up, but their sessions finish asynchronously and are
-  // reaped at the next accept; wait for the slots to actually free so the
-  // garbage connections below are read, not shed at the connection cap.
-  while (server.ActiveConnections() > 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
   // Malformed-frame storm: oversized length prefix, truncated header, and
-  // seeded random blobs. None may kill the server.
+  // seeded random blobs, none of which may kill the server. Each goes on its
+  // own connection and is answered before the next one connects, so every
+  // blob reaches the frame parser. The holders above hung up, but their
+  // sessions finish asynchronously and are reaped at the next accept, so
+  // each connect first waits until only the client's session is live: no
+  // storm connection is shed at the connection cap.
+  std::vector<std::vector<uint8_t>> storm;
   {
-    const int fd = RawConnect(options.socket_path);
     serve::Writer w;
     w.U32(serve::kMaxFrameBytes + 1);
     w.U8(static_cast<uint8_t>(serve::MsgType::kQuery));
-    SendRaw(fd, w.bytes());
-    ::close(fd);
+    storm.push_back(w.bytes());
   }
-  {
-    const int fd = RawConnect(options.socket_path);
-    SendRaw(fd, {0xba, 0xad});
-    ::close(fd);
-  }
+  storm.push_back({0xba, 0xad});
   std::mt19937_64 rng(4242);
   for (int i = 0; i < 16; ++i) {
-    const int fd = RawConnect(options.socket_path);
-    if (fd < 0) continue;
     std::vector<uint8_t> blob(1 + rng() % 48);
     for (uint8_t& b : blob) b = static_cast<uint8_t>(rng());
     if (blob.size() >= 5 &&
         blob[4] == static_cast<uint8_t>(serve::MsgType::kShutdown)) {
       blob[4] = 0x7f;
     }
-    SendRaw(fd, blob);
-    ::close(fd);
+    storm.push_back(std::move(blob));
+  }
+  for (const std::vector<uint8_t>& blob : storm) {
+    while (server.ActiveConnections() > 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (!SendMalformed(options.socket_path, blob)) {
+      std::fprintf(stderr,
+                   "  server: a malformed frame got no typed kError reply\n");
+      return kExitServerFailure;
+    }
   }
 
   // Sticky device loss behind the serving backend: the per-device breaker
@@ -593,18 +610,15 @@ int RunServerPhase(ServerOutcome* outcome) {
     return kExitServerFailure;
   }
 
-  // The garbage senders hung up without reading replies, so their
-  // connection threads may still be draining; poll until the counters
-  // catch up.
-  serve::StatsReply stats = client.Stats();
-  for (int i = 0; i < 500 && stats.malformed < 2; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    stats = client.Stats();
-  }
+  // Every storm connection read its reply, so each malformed frame is
+  // already counted: one per connection, no more, no fewer.
+  const serve::StatsReply stats = client.Stats();
   outcome->shed = stats.overloaded;
   outcome->malformed = stats.malformed;
-  if (stats.malformed < 2) {
-    std::fprintf(stderr, "  server: malformed frames not counted\n");
+  if (stats.malformed != storm.size()) {
+    std::fprintf(stderr, "  server: %llu malformed frames counted, %zu sent\n",
+                 static_cast<unsigned long long>(stats.malformed),
+                 storm.size());
     return kExitServerFailure;
   }
 

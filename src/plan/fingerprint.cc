@@ -19,8 +19,6 @@ uint64_t FnvBytes(uint64_t h, const void* data, size_t n) {
 
 uint64_t FnvU64(uint64_t h, uint64_t v) { return FnvBytes(h, &v, sizeof(v)); }
 
-uint64_t FnvI64(uint64_t h, int64_t v) { return FnvBytes(h, &v, sizeof(v)); }
-
 uint64_t FnvStr(uint64_t h, const std::string& s) {
   h = FnvU64(h, s.size());
   return FnvBytes(h, s.data(), s.size());
@@ -66,7 +64,6 @@ size_t PlanCacheKeyHash::operator()(const PlanCacheKey& k) const {
   h = FnvU64(h, k.shape_hash);
   h = FnvU64(h, k.stats_fingerprint);
   h = FnvStr(h, k.backend);
-  h = FnvI64(h, k.device_count);
   h = FnvU64(h, k.generation);
   return static_cast<size_t>(h);
 }

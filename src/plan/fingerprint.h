@@ -4,12 +4,11 @@
 // looked at is unchanged: the query shape (which query, over raw or encoded
 // residency), the table statistics (row counts, per-column types and
 // encoding choices — cardinalities drive both cost-based dispatch and the
-// footprint estimate), the backend the plan was pinned to, and the device
-// count it was laid out for. These helpers reduce
-// each of those to a stable 64-bit fingerprint; serve/plan_cache.h composes
-// them into the cache key. Eiger (PAPERS.md) motivates the idea: repeated
-// query shapes should reuse optimization decisions instead of paying the
-// optimizer per request.
+// footprint estimate), and the backend the plan was pinned to. These
+// helpers reduce each of those to a stable 64-bit fingerprint;
+// serve/plan_cache.h composes them into the cache key. Eiger (PAPERS.md)
+// motivates the idea: repeated query shapes should reuse optimization
+// decisions instead of paying the optimizer per request.
 #ifndef PLAN_FINGERPRINT_H_
 #define PLAN_FINGERPRINT_H_
 
@@ -45,21 +44,19 @@ uint64_t TableStatsFingerprint(const storage::Table& host,
 /// per-table values in a fixed table order).
 uint64_t CombineFingerprint(uint64_t seed, uint64_t value);
 
-/// Full plan-cache key: shape x stats x backend x device layout x the
-/// catalog generation the plan was prepared against. A readmission
-/// re-uploads the same tables, so only the generation tells its residency
-/// from the one it replaced.
+/// Full plan-cache key: shape x stats x backend x the catalog generation
+/// the plan was prepared against. A readmission re-uploads the same tables,
+/// so only the generation tells its residency from the one it replaced.
 struct PlanCacheKey {
   uint64_t shape_hash = 0;
   uint64_t stats_fingerprint = 0;
   std::string backend;
-  int device_count = 1;
   uint64_t generation = 0;
 
   bool operator==(const PlanCacheKey& o) const {
     return shape_hash == o.shape_hash &&
            stats_fingerprint == o.stats_fingerprint && backend == o.backend &&
-           device_count == o.device_count && generation == o.generation;
+           generation == o.generation;
   }
 };
 

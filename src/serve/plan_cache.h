@@ -1,4 +1,4 @@
-// Plan cache: optimized physical plans keyed by shape x stats x layout x
+// Plan cache: optimized physical plans keyed by shape x stats x backend x
 // catalog generation.
 //
 // Modeled on gpusim's OpenCL-style program cache (bcsim caches compiled
@@ -6,11 +6,11 @@
 // physical plan bound to resident tables — is produced once per key and
 // reused for every later request with the same key. The key
 // (plan::PlanCacheKey) covers everything the optimizer consumed: query shape
-// hash (query + parameters + encoding mode), table-stats fingerprint, pinned
-// backend, and device count, so any change that could invalidate the plan
-// changes the key and misses. It also carries the catalog generation the
-// plan was prepared against: a plan points into its residency snapshot,
-// which stays alive (and correct) for in-flight runs via the
+// hash (query + parameters + encoding mode), table-stats fingerprint, and
+// pinned backend, so any change that could invalidate the plan changes the
+// key and misses. It also carries the catalog generation the plan was
+// prepared against: a plan points into its residency snapshot, which
+// stays alive (and correct) for in-flight runs via the
 // PreparedTpchQuery's shared_ptr, but must not be served once the catalog
 // has moved on. The cache keeps one generation: inserting a newer one drops
 // every older entry, and an insert older than the newest it has seen (a

@@ -98,7 +98,7 @@ struct StatsReply {
   uint64_t cache_evictions = 0;
   uint64_t resident_bytes = 0;   ///< device bytes of the resident tables
   uint64_t uploaded_bytes = 0;   ///< link bytes spent making them resident
-  uint64_t catalog_generation = 0;  ///< bumps on every Reload/Rebalance
+  uint64_t catalog_generation = 0;  ///< bumps on every catalog refresh
   uint64_t overloaded = 0;       ///< requests shed with kOverloaded
   uint64_t malformed = 0;        ///< garbage frames answered with kError
   // Fleet lifecycle (appended fields; decoders tolerate their absence so an

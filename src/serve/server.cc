@@ -179,7 +179,6 @@ QueryReply QueryServer::Execute(const Session& session,
   key.shape_hash = plan::QueryShapeHash(shape);
   key.stats_fingerprint = catalog.resident->stats_fingerprint;
   key.backend = options_.catalog.backend;
-  key.device_count = options_.device_count;
   key.generation = catalog.generation;
 
   std::shared_ptr<const plan::PreparedTpchQuery> prepared =
@@ -249,12 +248,10 @@ size_t QueryServer::ActiveConnections() const {
 }
 
 void QueryServer::ReloadCatalog(double scale_factor) {
-  std::lock_guard<std::mutex> lock(reload_mu_);
-  // Drain first so no in-flight query straddles the swap, then replace the
-  // residency. The generation bump retires every cached plan: they point
-  // into the old snapshot.
-  scheduler_->Drain();
-  catalog_->Reload(scale_factor);
+  // Generate before the refresh so a concurrent readmission's refresh never
+  // waits for it.
+  catalog_->Refresh(GenerateHostTables(scale_factor, options_.catalog.seed),
+                    nullptr);
 }
 
 bool QueryServer::ReadmitDevice(int ordinal) {
@@ -271,18 +268,16 @@ bool QueryServer::ReadmitDevice(int ordinal) {
   const bool ok = fleet->Probe(ordinal);
   scheduler_->resilience().SyncDeviceProbe(ordinal, ok);
   if (!ok) return false;
-  // Drain-aware rebalance: unlike ReloadCatalog nothing here drains the
-  // scheduler — the host tables are untouched and the residency snapshot is
-  // refcounted, so queries keep running on the survivors while the new
-  // snapshot uploads to the readmitted ordinal in the background. The
-  // generation bump redirects new prepares and retires every cached plan;
-  // in-flight prepared plans keep their old snapshot alive. Only then does
-  // the ordinal complete readmission, so it is never considered alive
-  // before its state is back.
+  // Refresh the catalog onto the readmitted ordinal in the background: the
+  // residency snapshot is refcounted, so queries keep running on the old
+  // one while the same host tables upload. The generation bump redirects
+  // new prepares and retires every cached plan. Only then does the ordinal
+  // complete readmission, so it is never considered alive before its state
+  // is back.
   std::lock_guard<std::mutex> lock(rebalance_mu_);
   if (rebalance_thread_.joinable()) rebalance_thread_.join();
   rebalance_thread_ = std::thread([this, fleet, ordinal] {
-    catalog_->Rebalance(&fleet->device(ordinal));
+    catalog_->Refresh(nullptr, &fleet->device(ordinal));
     fleet->CompleteReadmission(ordinal);
     catalog_rebalances_.fetch_add(1);
     devices_readmitted_.fetch_add(1);
@@ -405,7 +400,7 @@ void QueryServer::ServeConnection(Connection& conn) {
             session = OpenSession(req.tenant, req.cls);
             greeted = true;
             HelloReply reply;
-            reply.scale_factor = options_.catalog.scale_factor;
+            reply.scale_factor = catalog_->snapshot().host->scale_factor;
             reply.seed = options_.catalog.seed;
             reply.backend = options_.catalog.backend;
             reply.encoded = options_.catalog.use_encoding;

@@ -60,10 +60,6 @@ struct ServerOptions {
   size_t plan_cache_capacity = 64;
   bool use_governor = true;      ///< memory admission for intermediates
   double max_grant_fraction = 0.5;
-  /// Device layout the cached plans are keyed under. Execution here is
-  /// single-device; the key component exists so a relayout (sharded
-  /// execution across N devices) can never reuse a single-device plan.
-  int device_count = 1;
   /// Live-connection cap: further connects are answered kOverloaded and
   /// closed instead of spawning yet another thread.
   size_t max_connections = 64;
@@ -126,20 +122,23 @@ class QueryServer {
   /// Live (not yet reaped) socket connections right now.
   size_t ActiveConnections() const;
 
-  /// Replaces the catalog residency (regenerate at `scale_factor` +
-  /// re-upload); the generation bump retires every cached plan. Serialized
-  /// internally.
+  /// Regenerates the host tables at `scale_factor` (the catalog's seed) and
+  /// refreshes the catalog with them (ResidentCatalog::Refresh). Returns
+  /// once the new snapshot is swapped in, without waiting for queries in
+  /// flight: they finish on the snapshot they prepared against, while new
+  /// requests see the new tables. The generation bump retires every cached
+  /// plan.
   void ReloadCatalog(double scale_factor);
 
-  /// Drain-aware re-admission of a reset fleet device: resets it if still
-  /// Lost, runs the half-open probe, and mirrors the outcome into every
-  /// backend@ordinal breaker of the server's scheduler. On a passing probe
-  /// the catalog residency is re-uploaded to the ordinal on a background
-  /// thread while queries keep running (no Drain — only the refcounted
-  /// residency snapshot changes), the generation bumps (retiring every
-  /// cached plan), and the device completes readmission. Returns true when
-  /// the probe passed and the rebalance was started (or the device was
-  /// already alive); false on probe failure or when no fleet is attached.
+  /// Re-admission of a reset fleet device: resets it if still Lost, runs
+  /// the half-open probe, and mirrors the outcome into every backend@ordinal
+  /// breaker of the server's scheduler. On a passing probe a background
+  /// thread refreshes the catalog onto the ordinal (the same host tables,
+  /// ResidentCatalog::Refresh) while queries keep running, which bumps the
+  /// generation and retires every cached plan, and then the device
+  /// completes readmission. Returns true when the probe passed and the
+  /// refresh was started (or the device was already alive); false on probe
+  /// failure or when no fleet is attached.
   bool ReadmitDevice(int ordinal);
 
   /// Joins an in-flight background rebalance (tests/benches; Stop() also
@@ -179,7 +178,6 @@ class QueryServer {
   PlanCache plan_cache_;
   TenantRegistry tenants_;
 
-  std::mutex reload_mu_;  ///< serializes ReloadCatalog
   std::atomic<uint64_t> next_session_{0};
   std::atomic<uint64_t> ok_queries_{0};
   std::atomic<uint64_t> rejected_{0};

@@ -3,29 +3,57 @@
 #include <utility>
 
 #include "core/registry.h"
+#include "tpch/datagen.h"
 
 namespace serve {
+namespace {
 
-ResidentCatalog::ResidentCatalog(CatalogOptions options)
-    : options_(std::move(options)),
-      backend_(core::BackendRegistry::Instance().Create(options_.backend)) {
-  Generate();
-  resident_ =
-      plan::MakeResident(backend_->stream(), host(), options_.use_encoding);
+// Uploads on a backend that lives only for this call: the residency's
+// buffers hold their Device, never the stream that filled them.
+std::shared_ptr<const plan::ResidentTpchTables> Upload(
+    const CatalogOptions& options, gpusim::Device& device,
+    const HostTables& tables) {
+  gpusim::Device::DeviceGuard guard(device);  // the stream binds to it
+  const std::unique_ptr<core::Backend> backend =
+      core::BackendRegistry::Instance().Create(options.backend);
+  return plan::MakeResident(backend->stream(), tables.view(),
+                            options.use_encoding);
 }
 
-plan::TpchHostTables ResidentCatalog::host() const {
+}  // namespace
+
+plan::TpchHostTables HostTables::view() const {
   plan::TpchHostTables t;
-  t.lineitem = &lineitem_;
-  t.orders = &orders_;
-  t.customer = &customer_;
-  t.part = &part_;
+  t.lineitem = &lineitem;
+  t.orders = &orders;
+  t.customer = &customer;
+  t.part = &part;
   return t;
+}
+
+std::shared_ptr<const HostTables> GenerateHostTables(double scale_factor,
+                                                     uint64_t seed) {
+  tpch::Config config;
+  config.scale_factor = scale_factor;
+  config.seed = seed;
+  auto tables = std::make_shared<HostTables>();
+  tables->scale_factor = scale_factor;
+  tables->lineitem = tpch::GenerateLineitem(config);
+  tables->orders = tpch::GenerateOrders(config);
+  tables->customer = tpch::GenerateCustomer(config);
+  tables->part = tpch::GeneratePart(config);
+  return tables;
+}
+
+ResidentCatalog::ResidentCatalog(CatalogOptions options)
+    : options_(std::move(options)), device_(&gpusim::Device::Current()) {
+  current_.host = GenerateHostTables(options_.scale_factor, options_.seed);
+  current_.resident = Upload(options_, *device_, *current_.host);
 }
 
 CatalogSnapshot ResidentCatalog::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return {resident_, generation_};
+  return current_;
 }
 
 std::shared_ptr<const plan::ResidentTpchTables> ResidentCatalog::resident()
@@ -33,47 +61,29 @@ std::shared_ptr<const plan::ResidentTpchTables> ResidentCatalog::resident()
   return snapshot().resident;
 }
 
+plan::TpchHostTables ResidentCatalog::host() const {
+  return snapshot().host->view();
+}
+
 uint64_t ResidentCatalog::generation() const { return snapshot().generation; }
 
-void ResidentCatalog::Reload(double scale_factor) {
-  options_.scale_factor = scale_factor;
-  Generate();
-  std::shared_ptr<const plan::ResidentTpchTables> fresh =
-      plan::MakeResident(backend_->stream(), host(), options_.use_encoding);
-  std::lock_guard<std::mutex> lock(mu_);
-  resident_ = std::move(fresh);
-  ++generation_;
-}
-
-void ResidentCatalog::Rebalance(gpusim::Device* device) {
-  // Build the new upload backend on the target device (the backend's stream
-  // binds to the thread's current device at construction).
-  std::unique_ptr<core::Backend> fresh;
-  if (device != nullptr) {
-    gpusim::Device::DeviceGuard guard(*device);
-    fresh = core::BackendRegistry::Instance().Create(options_.backend);
-  } else {
-    fresh = core::BackendRegistry::Instance().Create(options_.backend);
+void ResidentCatalog::Refresh(std::shared_ptr<const HostTables> tables,
+                              gpusim::Device* device) {
+  std::lock_guard<std::mutex> refresh(refresh_mu_);
+  CatalogSnapshot next = snapshot();
+  if (tables != nullptr) next.host = std::move(tables);
+  if (device == nullptr) device = device_;
+  // Upload outside mu_: readers keep taking snapshots throughout, and an
+  // upload that throws leaves the catalog as it was.
+  next.resident = Upload(options_, *device, *next.host);
+  ++next.generation;
+  device_ = device;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::swap(current_, next);
   }
-  // Upload outside the lock: queries read snapshot() throughout, and the
-  // host tables are untouched, so nothing here needs the server to drain.
-  std::shared_ptr<const plan::ResidentTpchTables> uploaded =
-      plan::MakeResident(fresh->stream(), host(), options_.use_encoding);
-  std::lock_guard<std::mutex> lock(mu_);
-  retired_backends_.push_back(std::move(backend_));
-  backend_ = std::move(fresh);
-  resident_ = std::move(uploaded);
-  ++generation_;
-}
-
-void ResidentCatalog::Generate() {
-  tpch::Config config;
-  config.scale_factor = options_.scale_factor;
-  config.seed = options_.seed;
-  lineitem_ = tpch::GenerateLineitem(config);
-  orders_ = tpch::GenerateOrders(config);
-  customer_ = tpch::GenerateCustomer(config);
-  part_ = tpch::GeneratePart(config);
+  // `next` now holds the replaced snapshot; whatever of it no reader still
+  // holds is freed here, outside mu_.
 }
 
 }  // namespace serve

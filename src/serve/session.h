@@ -3,13 +3,15 @@
 // A serving process generates (or, in a real system, loads) its tables once
 // and keeps them device-resident across every request — the coordinator/
 // long-lived-GPU-worker shape of "Accelerating Presto with GPUs" (PAPERS.md).
-// The catalog owns the host source of truth, the resident upload
-// (plan::ResidentTpchTables), and a generation counter: Reload() and
-// Rebalance() swap in a new residency and bump the generation in one step,
-// and the server keys its plan cache by that generation. Residency
-// snapshots are handed out as shared_ptr<const>, so queries prepared
-// against an old generation keep computing against their own (consistent)
-// snapshot while new requests see the new one.
+// The catalog's state is one immutable snapshot: the host tables with their
+// scale factor, their residency (plan::ResidentTpchTables), and the
+// generation that names the pair. Refresh() is the only way that state
+// changes: it uploads new host tables, or the current ones onto another
+// device, swaps the next snapshot in and bumps the generation, and the
+// server keys its plan cache by that generation. Snapshots are refcounted,
+// so a query prepared against an old generation keeps computing against its
+// own (consistent) snapshot while new requests see the new one: a refresh
+// never waits for queries, and a query never waits for an upload.
 #ifndef SERVE_SESSION_H_
 #define SERVE_SESSION_H_
 
@@ -17,19 +19,36 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
-#include "core/backend.h"
 #include "core/scheduler.h"
+#include "gpusim/device.h"
 #include "plan/prepared.h"
 #include "serve/tenant.h"
 #include "storage/table.h"
-#include "tpch/datagen.h"
 
 namespace serve {
 
-/// A residency snapshot and the generation it belongs to, read together.
+/// The host TPC-H tables a residency is uploaded from, at one scale factor.
+/// Immutable once generated; snapshots share it as shared_ptr<const>.
+struct HostTables {
+  double scale_factor = 0.0;
+  storage::Table lineitem;
+  storage::Table orders;
+  storage::Table customer;
+  storage::Table part;
+
+  /// The tables as a plan or a host reference reads them.
+  plan::TpchHostTables view() const;
+};
+
+/// Generates all four tables at `scale_factor` from `seed`.
+std::shared_ptr<const HostTables> GenerateHostTables(double scale_factor,
+                                                     uint64_t seed);
+
+/// One catalog state: host tables, their residency, and its generation,
+/// read together.
 struct CatalogSnapshot {
+  std::shared_ptr<const HostTables> host;                    ///< never null
   std::shared_ptr<const plan::ResidentTpchTables> resident;  ///< never null
   uint64_t generation = 0;
 };
@@ -45,66 +64,42 @@ struct CatalogOptions {
 };
 
 /// Owns the TPC-H tables — host and device-resident — the server queries.
-/// Thread-safe for snapshot() against a concurrent Reload() or Rebalance();
-/// the host-table accessors are only safe while no Reload is in flight (the
-/// server serializes reloads behind its own lock).
+/// Thread-safe: readers never wait for a Refresh's upload.
 class ResidentCatalog {
  public:
+  /// Generates the tables at options.scale_factor and uploads them to the
+  /// calling thread's current device as generation 0.
   explicit ResidentCatalog(CatalogOptions options);
 
-  const CatalogOptions& options() const { return options_; }
-
-  const storage::Table& lineitem() const { return lineitem_; }
-  const storage::Table& orders() const { return orders_; }
-  const storage::Table& customer() const { return customer_; }
-  const storage::Table& part() const { return part_; }
-  plan::TpchHostTables host() const;
-
-  /// Current residency snapshot and its generation, under one lock.
+  /// Current snapshot, under a lock held only to copy its pointers.
   CatalogSnapshot snapshot() const;
   /// Current residency snapshot (never null).
   std::shared_ptr<const plan::ResidentTpchTables> resident() const;
-  /// Bumps on every Reload and Rebalance; generation 0 is the construction
-  /// upload.
+  /// Current host tables as plans read them. The pointers stay valid until
+  /// a Refresh replaces the tables; hold a snapshot() to keep them longer.
+  plan::TpchHostTables host() const;
+  /// Bumps on every Refresh; generation 0 is the construction upload.
   uint64_t generation() const;
 
-  /// Regenerates the tables at `scale_factor` (same seed) and replaces the
-  /// residency. Old snapshots stay alive as long as prepared plans hold
-  /// them.
-  void Reload(double scale_factor);
-
-  /// Re-uploads the *same* host tables as a fresh residency snapshot,
-  /// optionally onto `device` (a readmitted ordinal of a fleet) — the
-  /// drain-free half of recovery. Unlike Reload the host source of truth
-  /// never changes, so queries keep running throughout: in-flight prepared
-  /// plans hold the old snapshot by shared_ptr (its upload stream is
-  /// retired, not destroyed), new prepares see the new one, and the bumped
-  /// generation keeps the server's plan cache from serving plans bound to
-  /// the old one. Safe to call from a background thread concurrently with
-  /// snapshot().
-  void Rebalance(gpusim::Device* device = nullptr);
-
-  /// The stream the residency lives on (uploads are charged here).
-  gpusim::Stream& stream() { return backend_->stream(); }
+  /// The one refresh path. Uploads `tables` (null: the current ones) to
+  /// `device` (null: the current one) on a backend that lives only for the
+  /// call, then swaps the new snapshot in and bumps the generation.
+  /// Refreshes run one at a time, each reading the latest snapshot, so a
+  /// readmission that follows a reload re-uploads the reloaded tables.
+  /// Readers keep whatever snapshot they hold: until the last in-flight
+  /// plan drops the old residency, the old and the new one are both on the
+  /// device.
+  void Refresh(std::shared_ptr<const HostTables> tables,
+               gpusim::Device* device);
 
  private:
-  void Generate();  ///< fills host tables from options_.scale_factor
-
   CatalogOptions options_;
-  std::unique_ptr<core::Backend> backend_;  ///< owns the upload stream
-  storage::Table lineitem_;
-  storage::Table orders_;
-  storage::Table customer_;
-  storage::Table part_;
 
-  mutable std::mutex mu_;  ///< guards resident_, generation_, backends
-  std::shared_ptr<const plan::ResidentTpchTables> resident_;
-  uint64_t generation_ = 0;
-  /// Upload streams of superseded residencies: a snapshot an in-flight
-  /// prepared plan still holds must outlive neither its stream nor its
-  /// device, so Rebalance retires the old backend here instead of
-  /// destroying it.
-  std::vector<std::unique_ptr<core::Backend>> retired_backends_;
+  std::mutex refresh_mu_;   ///< serializes Refresh; guards device_
+  gpusim::Device* device_;  ///< where the current residency lives
+
+  mutable std::mutex mu_;  ///< guards current_; held only for pointer copies
+  CatalogSnapshot current_;
 };
 
 /// One client connection's registered identity.

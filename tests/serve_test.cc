@@ -1,9 +1,10 @@
 // Serving-tier tests: the shared percentile helper, plan fingerprints, the
-// LRU plan cache and its invalidation rules (changed table stats, device
-// count, backend, catalog reload), stale-plan lifetime safety, tenant QoS
-// dequeue (weighted fair share + aging) on the scheduler, admission fields
-// on rejected records, and the socket server end to end. Built into the
-// concurrency_tests binary, which CI also runs under ThreadSanitizer.
+// LRU plan cache and its invalidation rules (changed table stats, backend,
+// catalog generation), drain-free catalog refreshes, stale-plan lifetime
+// safety, tenant QoS dequeue (weighted fair share + aging) on the scheduler,
+// admission fields on rejected records, and the socket server end to end.
+// Built into the concurrency_tests binary, which CI also runs under
+// ThreadSanitizer.
 #include <dirent.h>
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -15,6 +16,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <future>
+#include <map>
 #include <mutex>
 #include <random>
 #include <string>
@@ -146,9 +148,9 @@ TEST_F(ServeTest, PlanCacheLruEvictsLeastRecentlyUsed) {
   const auto plan = MakeAnyPlan(*backend, lineitem);
 
   PlanCache cache(/*capacity=*/2);
-  const plan::PlanCacheKey k1{1, 10, "Handwritten", 1};
-  const plan::PlanCacheKey k2{2, 10, "Handwritten", 1};
-  const plan::PlanCacheKey k3{3, 10, "Handwritten", 1};
+  const plan::PlanCacheKey k1{1, 10, "Handwritten"};
+  const plan::PlanCacheKey k2{2, 10, "Handwritten"};
+  const plan::PlanCacheKey k3{3, 10, "Handwritten"};
 
   EXPECT_EQ(cache.Lookup(k1), nullptr);
   cache.Insert(k1, plan);
@@ -178,13 +180,11 @@ TEST_F(ServeTest, AnyKeyComponentChangeMissesTheCache) {
   const storage::Table lineitem = tpch::GenerateLineitem(config);
 
   PlanCache cache(4);
-  const plan::PlanCacheKey key{7, 9, "Handwritten", 1};
+  const plan::PlanCacheKey key{7, 9, "Handwritten"};
   cache.Insert(key, MakeAnyPlan(*backend, lineitem));
 
   plan::PlanCacheKey stats = key;
   stats.stats_fingerprint += 1;  // e.g. reloaded tables, new row count
-  plan::PlanCacheKey devices = key;
-  devices.device_count = 2;  // relayout across more devices
   plan::PlanCacheKey other_backend = key;
   other_backend.backend = "Thrust";
   plan::PlanCacheKey shape = key;
@@ -193,10 +193,8 @@ TEST_F(ServeTest, AnyKeyComponentChangeMissesTheCache) {
   generation.generation += 1;  // e.g. a readmission re-uploaded the tables
 
   EXPECT_FALSE(key == stats);
-  EXPECT_FALSE(key == devices);
   EXPECT_FALSE(key == generation);
   EXPECT_EQ(cache.Lookup(stats), nullptr);
-  EXPECT_EQ(cache.Lookup(devices), nullptr);
   EXPECT_EQ(cache.Lookup(other_backend), nullptr);
   EXPECT_EQ(cache.Lookup(shape), nullptr);
   EXPECT_EQ(cache.Lookup(generation), nullptr);
@@ -212,7 +210,7 @@ TEST_F(ServeTest, PlanCacheKeepsOnlyTheNewestGeneration) {
   const auto plan = MakeAnyPlan(*backend, lineitem);
 
   PlanCache cache(4);
-  const plan::PlanCacheKey gen1{1, 10, "Handwritten", 1, 1};
+  const plan::PlanCacheKey gen1{1, 10, "Handwritten", 1};
   plan::PlanCacheKey gen0 = gen1;
   gen0.generation = 0;
   plan::PlanCacheKey gen2 = gen1;
@@ -321,7 +319,6 @@ TEST_F(ServeTest, LateInsertAgainstARetiredResidencyIsNeverServed) {
   key.shape_hash = plan::QueryShapeHash(shape);
   key.stats_fingerprint = old.resident->stats_fingerprint;
   key.backend = options.catalog.backend;
-  key.device_count = options.device_count;
   key.generation = old.generation;
 
   fleet.MarkLost(0);
@@ -1114,6 +1111,192 @@ TEST_F(ServeTest, QueryWithRetrySleepsThroughShedsUntilTheBreakerHeals) {
   tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6, reply.result,
                                       server.catalog().host());
   EXPECT_GT(client.retries(), 0u);
+
+  client.Shutdown();
+  server.WaitForShutdown();
+  server.Stop();
+}
+
+// --------------------------------------------------------------------------
+// Drain-free catalog refresh: a reload or a readmission swaps the snapshot
+// while queries run, and queries keep the snapshot they prepared against.
+// --------------------------------------------------------------------------
+
+TEST_F(ServeTest, ReloadCatalogReturnsWhileAQueryIsHeld) {
+  ServerOptions options;  // in-process only
+  options.catalog.scale_factor = 0.004;
+  options.num_clients = 2;
+  QueryServer server(options);
+  server.Start();
+
+  // One client thread parks on the held query until the latch opens.
+  std::promise<void> latch;
+  std::shared_future<void> opened = latch.get_future().share();
+  std::promise<void> started;
+  ASSERT_EQ(server.scheduler().Submit("held",
+                                      [&started, opened](core::Backend&) {
+                                        started.set_value();
+                                        opened.wait();
+                                      }),
+            core::ScheduledQueryStatus::kAccepted);
+  started.get_future().wait();
+
+  std::future<void> reload = std::async(std::launch::async, [&server] {
+    server.ReloadCatalog(0.008);
+  });
+  const bool returned = reload.wait_for(std::chrono::seconds(30)) ==
+                        std::future_status::ready;
+  EXPECT_TRUE(returned) << "ReloadCatalog waited for the held query";
+  if (returned) {
+    // The other client thread already serves the reloaded tables.
+    const Session session =
+        server.OpenSession("tenant-a", TenantClass::kInteractive);
+    EXPECT_EQ(server.catalog().snapshot().host->scale_factor, 0.008);
+    tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6,
+                                        server.Execute(session, "q6").result,
+                                        server.catalog().host());
+  }
+  latch.set_value();
+  reload.get();
+  EXPECT_EQ(server.Stats().catalog_generation, 1u);
+}
+
+TEST_F(ServeTest, ReloadUnderConcurrentStreamsAnswersFromOneGeneration) {
+  constexpr double kScaleFactors[2] = {0.002, 0.004};
+  const std::vector<std::string> names = {"q1", "q6", "q14"};
+  constexpr int kStreams = 4;
+  constexpr int kReloads = 6;
+
+  ServerOptions options;  // in-process only
+  options.catalog.scale_factor = kScaleFactors[1];
+  options.num_clients = kStreams;
+  QueryServer server(options);
+  server.Start();
+
+  // Host references for both scale factors, from tables generated apart
+  // from the server's.
+  std::map<plan::TpchQuery, plan::TpchQueryResult> refs[2];
+  for (int i = 0; i < 2; ++i) {
+    refs[i] = plan::ReferenceAnswers(
+        GenerateHostTables(kScaleFactors[i], options.catalog.seed)->view());
+  }
+
+  struct Answer {
+    plan::TpchQuery query;
+    plan::TpchQueryResult result;
+    bool after_last_reload = false;
+  };
+  std::vector<std::vector<Answer>> answers(kStreams);
+  std::atomic<bool> reloads_done{false};
+  std::atomic<uint64_t> completed{0};
+  std::atomic<uint64_t> errors{0};
+  std::vector<std::thread> streams;
+  for (int s = 0; s < kStreams; ++s) {
+    streams.emplace_back([&, s] {
+      const Session session = server.OpenSession(
+          "stream-" + std::to_string(s), TenantClass::kInteractive);
+      // Every stream stops after three requests issued once the last
+      // reload has returned.
+      for (size_t i = s, after = 0; after < 3; ++i) {
+        const bool after_last_reload = reloads_done.load();
+        const std::string& name = names[i % names.size()];
+        try {
+          QueryReply reply = server.Execute(session, name);
+          if (reply.rejected) {
+            errors.fetch_add(1);
+          } else {
+            answers[s].push_back({plan::ParseTpchQuery(name),
+                                  std::move(reply.result),
+                                  after_last_reload});
+          }
+        } catch (const std::exception&) {
+          errors.fetch_add(1);  // failed or shed
+        }
+        completed.fetch_add(1);
+        if (after_last_reload) ++after;
+      }
+    });
+  }
+  for (int r = 0; r < kReloads; ++r) {
+    // Let a few requests complete between reloads, so each reload lands
+    // among running queries.
+    const uint64_t seen = completed.load();
+    while (completed.load() < seen + kStreams) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    server.ReloadCatalog(kScaleFactors[r % 2]);
+  }
+  const int last = (kReloads - 1) % 2;
+  reloads_done.store(true);
+  for (std::thread& t : streams) t.join();
+
+  EXPECT_EQ(errors.load(), 0u) << "no request may fail, be shed or rejected";
+  for (const std::vector<Answer>& stream : answers) {
+    for (const Answer& a : stream) {
+      const plan::TpchQueryResult& want_last = refs[last].at(a.query);
+      if (a.after_last_reload) {
+        std::string why;
+        EXPECT_TRUE(plan::SameAnswer(a.query, a.result, want_last, &why, 0.0))
+            << "a request issued after the last reload: " << why;
+      } else {
+        EXPECT_TRUE(
+            plan::SameAnswer(a.query, a.result, refs[0].at(a.query), nullptr,
+                             0.0) ||
+            plan::SameAnswer(a.query, a.result, refs[1].at(a.query), nullptr,
+                             0.0))
+            << "an answer matches neither scale factor's reference";
+      }
+    }
+  }
+  const StatsReply stats = server.Stats();
+  EXPECT_EQ(stats.catalog_generation, static_cast<uint64_t>(kReloads));
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.overloaded, 0u);
+  EXPECT_EQ(stats.rejected, 0u);
+}
+
+TEST_F(ServeTest, ReadmitDeviceRacingAReloadEndsOnTheReloadedTables) {
+  gpusim::DeviceGroup fleet(2);
+  ServerOptions options;  // in-process only
+  options.catalog.scale_factor = 0.004;
+  options.fleet = &fleet;
+  QueryServer server(options);
+  server.Start();
+
+  // The readmission refreshes the catalog on a background thread, so the
+  // reload races it. Refreshes run one at a time on the latest snapshot:
+  // in either order the catalog ends on the reloaded tables.
+  fleet.MarkLost(0);
+  ASSERT_TRUE(server.ReadmitDevice(0));
+  server.ReloadCatalog(0.008);
+  server.WaitForRebalance();
+
+  EXPECT_TRUE(fleet.IsAlive(0));
+  EXPECT_EQ(server.catalog().generation(), 2u);
+  EXPECT_EQ(server.catalog().snapshot().host->scale_factor, 0.008);
+  const Session session =
+      server.OpenSession("tenant-a", TenantClass::kInteractive);
+  tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6,
+                                      server.Execute(session, "q6").result,
+                                      server.catalog().host());
+}
+
+TEST_F(ServeTest, ReloadCatalogUpdatesTheHelloScaleFactor) {
+  ServerOptions options;
+  options.socket_path = TestSocketPath("hello");
+  options.catalog.scale_factor = 0.004;
+  QueryServer server(options);
+  server.Start();
+
+  server.ReloadCatalog(0.008);
+  Client client(options.socket_path, "late", TenantClass::kInteractive);
+  EXPECT_EQ(client.hello().scale_factor, 0.008);
+  // A client that verifies answers against tables it generates from the
+  // Hello parameters (bench_serving --connect) sees the reloaded data.
+  const std::shared_ptr<const HostTables> tables =
+      GenerateHostTables(client.hello().scale_factor, client.hello().seed);
+  tpch_testing::ExpectReferenceAnswer(
+      plan::TpchQuery::kQ6, client.Query("q6").result, tables->view());
 
   client.Shutdown();
   server.WaitForShutdown();
