@@ -10,11 +10,14 @@
 // paths run at both ends of group cardinality (4 and 262144 groups over 1M
 // rows), where tile-private partials are cheapest and dearest to merge. The
 // encoded-scan paths evaluate predicates and decode rows of FOR, dictionary
-// and RLE columns once per row, the per-row cost of serving encoded tables.
+// and RLE columns, the cost of serving encoded tables. The ArrayFire paths
+// evaluate fused JIT trees, alone and as the where() per outer row of its
+// nested-loops join.
 #include <algorithm>
 
 #include "bench_common.h"
 
+#include "afsim/afsim.h"
 #include "gpusim/algorithms.h"
 #include "handwritten/handwritten.h"
 #include "storage/encoded_column.h"
@@ -215,6 +218,48 @@ void GatherDecodeWallClockBench(benchmark::State& state,
   ReportPoolCounters(state, device.Snapshot().Delta(start), rows.size());
 }
 
+enum class AfExpr { kQ1Revenue, kKeyEq };
+
+/// One fused ArrayFire JIT tree built and evaluated per iteration: Q1's
+/// `price * (1 - disc) * (1 + tax)` over f64 columns, or the `key == k`
+/// over an int32 column that the nested-loops join evaluates per outer row.
+void AfJitEvalWallClockBench(benchmark::State& state, AfExpr expr) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const afsim::array price = afsim::from_vector(UniformDoubles(n, 1e5, 1));
+  const afsim::array disc = afsim::from_vector(UniformDoubles(n, 0.1, 2));
+  const afsim::array tax = afsim::from_vector(UniformDoubles(n, 0.08, 3));
+  const afsim::array key =
+      afsim::from_vector(UniformInts(n, static_cast<int32_t>(n)));
+
+  gpusim::Device& device = afsim::default_stream().device();
+  const auto start = device.Snapshot();
+  for (auto _ : state) {
+    const afsim::array out = expr == AfExpr::kQ1Revenue
+                                 ? price * (1.0 - disc) * (1.0 + tax)
+                                 : key == 42.0;
+    benchmark::DoNotOptimize(out.eval().device_ptr());
+    benchmark::ClobberMemory();
+  }
+  ReportPoolCounters(state, device.Snapshot().Delta(start), n);
+}
+
+/// ArrayFire's nested-loops join of 1,500 x 5,700 int32 keys: one where()
+/// of a fused `right == key` per left row.
+void AfNestedLoopsJoinWallClockBench(benchmark::State& state) {
+  auto backend = core::BackendRegistry::Instance().Create(backends::kArrayFire);
+  const storage::DeviceColumn left =
+      Upload(*backend, UniformInts(1500, 6000, 1));
+  const storage::DeviceColumn right =
+      Upload(*backend, UniformInts(5700, 6000, 2));
+
+  gpusim::Device& device = backend->stream().device();
+  const auto start = device.Snapshot();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(backend->NestedLoopsJoin(left, right).count);
+  }
+  ReportPoolCounters(state, device.Snapshot().Delta(start), 1500);
+}
+
 void RegisterBenchmarks() {
   for (const HotPath path :
        {HotPath::kReduce, HotPath::kScan, HotPath::kSort, HotPath::kCompact,
@@ -243,6 +288,16 @@ void RegisterBenchmarks() {
         [e](benchmark::State& s) { GatherDecodeWallClockBench(s, e); })
         ->Arg(1 << 20);
   }
+  for (const AfExpr expr : {AfExpr::kQ1Revenue, AfExpr::kKeyEq}) {
+    auto* b = benchmark::RegisterBenchmark(
+        expr == AfExpr::kQ1Revenue ? "WallClock/AfJitEval/Q1Revenue"
+                                   : "WallClock/AfJitEval/KeyEq",
+        [expr](benchmark::State& s) { AfJitEvalWallClockBench(s, expr); });
+    for (const int64_t n : {5700, 1 << 20}) b->Arg(n);
+  }
+  benchmark::RegisterBenchmark("WallClock/AfNestedLoopsJoin",
+                               AfNestedLoopsJoinWallClockBench)
+      ->Unit(benchmark::kMillisecond);
 }
 
 }  // namespace bench

@@ -6,11 +6,14 @@
 // eval time the whole element-wise subtree is fused into ONE generated
 // kernel — a single pass over the leaf buffers — which is ArrayFire's
 // signature performance behaviour that the paper's experiments surface.
+// fused_kernel is that kernel's host-side evaluator.
 #ifndef AFSIM_NODE_H_
 #define AFSIM_NODE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "gpusim/memory.h"
 
@@ -117,12 +120,51 @@ struct node {
 
 using node_ptr = std::shared_ptr<node>;
 
-/// Per-element evaluation cell: floating and integral lanes. The interpreter
-/// keeps values in the widest lane of their class, mirroring how the real
-/// JIT emits typed registers.
-struct cell {
-  double f = 0.0;
-  int64_t i = 0;
+/// Elements per tile of the fused kernel: each node of the tree is
+/// evaluated over this many elements at a time.
+inline constexpr size_t kJitTileElems = 128;
+
+/// One node's values over one tile (defined in eval.cc).
+union lane;
+
+/// The kernel ArrayFire's JIT would generate for one element-wise tree,
+/// evaluated a tile at a time. Each node takes one switch per tile and writes
+/// a typed lane, `double` for f32/f64 nodes and `int64_t` for the rest, so a
+/// value keeps the widest type of its class, as in a generated kernel's
+/// registers, until the root is stored as its dtype. A node that the tree
+/// reaches twice (`a * a`) is evaluated once per tile.
+class fused_kernel {
+ public:
+  explicit fused_kernel(const node* root);
+
+  /// Device bytes one launch reads: every distinct data leaf once.
+  uint64_t leaf_bytes() const;
+
+  /// Writes elements [begin, end) of the root into `out`, an array of the
+  /// root's dtype indexed from element 0. Disjoint ranges may run
+  /// concurrently: each call evaluates on scratch of its own (16 KiB of
+  /// stack, or a heap block for trees of more than 14 steps).
+  void run(void* out, size_t begin, size_t end) const;
+
+ private:
+  struct step {
+    const node* nd = nullptr;
+    uint32_t lhs = 0;  ///< step of nd->lhs (unary and binary nodes)
+    uint32_t rhs = 0;  ///< step of nd->rhs (binary nodes)
+  };
+
+  uint32_t flatten(const node* nd);
+  const double* floats(uint32_t k, size_t t, lane* lanes) const;
+  const int64_t* ints(uint32_t k, size_t t, lane* lanes) const;
+  const double* as_f(uint32_t k, size_t t, size_t m, lane* lanes,
+                     double* tmp) const;
+  const int64_t* as_i(uint32_t k, size_t t, size_t m, lane* lanes,
+                      int64_t* tmp) const;
+  const int64_t* truth(uint32_t k, size_t t, size_t m, lane* lanes,
+                       int64_t* tmp) const;
+  void eval_step(uint32_t k, size_t t, size_t m, lane* lanes) const;
+
+  std::vector<step> steps_;  ///< children before parents, the root last
 };
 
 }  // namespace detail

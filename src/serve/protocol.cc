@@ -232,7 +232,6 @@ void Encode(const StatsReply& m, Writer& w) {
   w.U64(m.overloaded);
   w.U64(m.malformed);
   w.U64(m.devices_readmitted);
-  w.U64(m.catalog_rebalances);
 }
 
 void Encode(const ErrorReply& m, Writer& w) { w.Str(m.message); }
@@ -295,7 +294,6 @@ StatsReply DecodeStatsReply(Reader& r) {
   m.malformed = r.U64();
   // Appended fields: absent in frames from a pre-lifecycle server.
   if (!r.AtEnd()) m.devices_readmitted = r.U64();
-  if (!r.AtEnd()) m.catalog_rebalances = r.U64();
   return m;
 }
 

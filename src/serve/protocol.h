@@ -104,7 +104,6 @@ struct StatsReply {
   // Fleet lifecycle (appended fields; decoders tolerate their absence so an
   // old server's stats frame still parses).
   uint64_t devices_readmitted = 0;  ///< devices probed healthy + readmitted
-  uint64_t catalog_rebalances = 0;  ///< background residency re-uploads
 };
 
 struct ErrorReply {

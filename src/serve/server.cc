@@ -277,9 +277,17 @@ bool QueryServer::ReadmitDevice(int ordinal) {
   std::lock_guard<std::mutex> lock(rebalance_mu_);
   if (rebalance_thread_.joinable()) rebalance_thread_.join();
   rebalance_thread_ = std::thread([this, fleet, ordinal] {
-    catalog_->Refresh(nullptr, &fleet->device(ordinal));
+    try {
+      catalog_->Refresh(nullptr, &fleet->device(ordinal));
+    } catch (const std::exception&) {
+      // The catalog is unchanged (Refresh swaps only after a whole upload).
+      // Send the ordinal back to Lost and re-open its breakers, so fleet
+      // and breaker state agree and a later ReadmitDevice can retry.
+      fleet->MarkLost(ordinal);
+      scheduler_->resilience().SyncDeviceProbe(ordinal, false);
+      return;
+    }
     fleet->CompleteReadmission(ordinal);
-    catalog_rebalances_.fetch_add(1);
     devices_readmitted_.fetch_add(1);
   });
   return true;
@@ -307,7 +315,6 @@ StatsReply QueryServer::Stats() const {
   s.overloaded = overloaded_.load();
   s.malformed = malformed_.load();
   s.devices_readmitted = devices_readmitted_.load();
-  s.catalog_rebalances = catalog_rebalances_.load();
   return s;
 }
 

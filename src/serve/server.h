@@ -136,9 +136,11 @@ class QueryServer {
   /// thread refreshes the catalog onto the ordinal (the same host tables,
   /// ResidentCatalog::Refresh) while queries keep running, which bumps the
   /// generation and retires every cached plan, and then the device
-  /// completes readmission. Returns true when the probe passed and the
-  /// refresh was started (or the device was already alive); false on probe
-  /// failure or when no fleet is attached.
+  /// completes readmission. If that upload fails, the catalog stays as it
+  /// was, the ordinal goes back to Lost and its breakers re-open, so a
+  /// later ReadmitDevice can retry. Returns true when the probe passed and
+  /// the refresh was started (or the device was already alive); false on
+  /// probe failure or when no fleet is attached.
   bool ReadmitDevice(int ordinal);
 
   /// Joins an in-flight background rebalance (tests/benches; Stop() also
@@ -185,7 +187,6 @@ class QueryServer {
   std::atomic<uint64_t> overloaded_{0};
   std::atomic<uint64_t> malformed_{0};
   std::atomic<uint64_t> devices_readmitted_{0};
-  std::atomic<uint64_t> catalog_rebalances_{0};
 
   std::mutex rebalance_mu_;  ///< serializes ReadmitDevice's background work
   std::thread rebalance_thread_;

@@ -352,6 +352,11 @@ TEST(PoolSizeInvarianceTest, BoostComputeQueriesRepeatOnEveryPool) {
   ExpectQueriesRepeatOnEveryPool(backends::kBoostCompute);
 }
 
+// ArrayFire's stream, afsim::default_stream(), is bound to
+// gpusim::Device::Default() whatever device the DeviceGuard selects, so
+// every pool size here runs ArrayFire's kernels on the default device's
+// pool: this case repeats the queries but never varies ArrayFire's pool.
+// AfsimFusedKernelTest splits ranges directly instead.
 TEST(PoolSizeInvarianceTest, ArrayFireQueriesRepeatOnEveryPool) {
   ExpectQueriesRepeatOnEveryPool(backends::kArrayFire);
 }

@@ -985,7 +985,6 @@ TEST_F(ServeTest, ReadmitDeviceRebalancesWithoutDrainAndHealsBreakers) {
 
   const StatsReply stats = server.Stats();
   EXPECT_EQ(stats.devices_readmitted, 1u);
-  EXPECT_EQ(stats.catalog_rebalances, 1u);
   (void)miss;
 }
 
@@ -1026,6 +1025,55 @@ TEST_F(ServeTest, ReadmitDeviceRejectsBadOrdinalsAndFailedProbes) {
   server.WaitForRebalance();
   EXPECT_TRUE(fleet.IsAlive(1));
   EXPECT_EQ(server.Stats().devices_readmitted, 1u);
+}
+
+TEST_F(ServeTest, ReadmitDeviceSurvivesAFailedUploadAndRetries) {
+  gpusim::DeviceGroup fleet(2);
+  // One-shot transfer fault on device 1: the probe (a kernel) passes, and
+  // the readmission's catalog upload fails once in the background.
+  gpusim::FaultRule rule;
+  rule.site = gpusim::FaultSite::kTransfer;
+  rule.kind = gpusim::FaultKind::kTransfer;
+  rule.at_call = 1;
+  rule.max_fires = 1;
+  fleet.ArmFaultInjector(1, 11).AddRule(rule);
+
+  ServerOptions options;  // in-process only
+  options.catalog.scale_factor = 0.002;
+  options.fleet = &fleet;
+  QueryServer server(options);
+  server.Start();
+  core::ResilienceManager& rm = server.scheduler().resilience();
+  const Session session =
+      server.OpenSession("tenant-a", TenantClass::kInteractive);
+  const plan::TpchQueryResult ref =
+      plan::ReferenceAnswer(plan::TpchQuery::kQ6, server.catalog().host());
+
+  fleet.MarkLost(1);
+  rm.RecordFailure(options.catalog.backend, 1);
+  rm.RecordFailure(options.catalog.backend, 1);
+  rm.RecordFailure(options.catalog.backend, 1);
+  ASSERT_TRUE(server.ReadmitDevice(1)) << "the probe passes";
+  server.WaitForRebalance();
+
+  EXPECT_EQ(server.catalog().generation(), 0u) << "the catalog is unchanged";
+  EXPECT_EQ(fleet.state(1), gpusim::DeviceState::kLost);
+  EXPECT_EQ(rm.StateOf(options.catalog.backend, 1),
+            core::CircuitBreaker::State::kOpen)
+      << "breakers must agree with the fleet: the device is lost again";
+  EXPECT_EQ(server.Stats().devices_readmitted, 0u);
+  tpch_testing::ExpectNearAnswer(plan::TpchQuery::kQ6,
+                                 server.Execute(session, "q6").result, ref);
+
+  ASSERT_TRUE(server.ReadmitDevice(1)) << "the retry's upload succeeds";
+  server.WaitForRebalance();
+  EXPECT_TRUE(fleet.IsAlive(1));
+  EXPECT_EQ(server.catalog().generation(), 1u);
+  EXPECT_EQ(rm.StateOf(options.catalog.backend, 1),
+            core::CircuitBreaker::State::kClosed);
+  EXPECT_EQ(server.Stats().devices_readmitted, 1u);
+  tpch_testing::ExpectNearAnswer(plan::TpchQuery::kQ6,
+                                 server.Execute(session, "q6").result, ref);
 }
 
 TEST_F(ServeTest, TenantClassesShedInPriorityOrderWithScaledRetryAfter) {

@@ -142,8 +142,7 @@ int main(int argc, char** argv) {
       std::printf(
           "queries=%llu rejected=%llu failed=%llu overloaded=%llu "
           "cache_hits=%llu cache_misses=%llu cache_size=%llu evictions=%llu "
-          "resident_bytes=%llu generation=%llu readmitted=%llu "
-          "rebalances=%llu\n",
+          "resident_bytes=%llu generation=%llu readmitted=%llu\n",
           static_cast<unsigned long long>(s.queries),
           static_cast<unsigned long long>(s.rejected),
           static_cast<unsigned long long>(s.failed),
@@ -154,8 +153,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(s.cache_evictions),
           static_cast<unsigned long long>(s.resident_bytes),
           static_cast<unsigned long long>(s.catalog_generation),
-          static_cast<unsigned long long>(s.devices_readmitted),
-          static_cast<unsigned long long>(s.catalog_rebalances));
+          static_cast<unsigned long long>(s.devices_readmitted));
     }
     if (want_shutdown) client.Shutdown();
     return 0;
