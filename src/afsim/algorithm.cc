@@ -1,7 +1,7 @@
 // Materializing operations: where/lookup, reductions, scans, sorts,
 // *-ByKey, set operations, join. Each forces evaluation of its inputs
 // (ending JIT fusion) and runs the standard GPU pass structure from
-// gpusim/algorithms.h on the ArrayFire default (CUDA-profile) stream.
+// gpusim/algorithms.h on its first input's stream, where its outputs live.
 #include <stdexcept>
 
 #include "afsim/array.h"
@@ -13,8 +13,6 @@ namespace {
 using detail::make_data_node;
 using detail::node;
 using detail::node_ptr;
-
-gpusim::Stream& S() { return default_stream(); }
 
 [[noreturn]] void unsupported(const char* what, dtype t) {
   throw std::invalid_argument(std::string("afsim: ") + what +
@@ -45,9 +43,10 @@ gpusim::Stream& S() { return default_stream(); }
 
 /// Shrinks a data node to `count` elements with one device copy.
 array shrink(const node_ptr& full, size_t count) {
-  node_ptr out = make_data_node(full->type, count);
+  gpusim::Stream& s = *full->stream;
+  node_ptr out = make_data_node(full->type, count, s);
   if (count > 0) {
-    gpusim::CopyDeviceToDevice(S(), out->buffer->data(), full->buffer->data(),
+    gpusim::CopyDeviceToDevice(s, out->buffer->data(), full->buffer->data(),
                                count * dtype_size(full->type));
   }
   return array(std::move(out));
@@ -55,20 +54,21 @@ array shrink(const node_ptr& full, size_t count) {
 
 }  // namespace
 
-array range(size_t n, dtype t) {
-  node_ptr out = make_data_node(t, n);
+array range(size_t n, dtype t, gpusim::Stream& s) {
+  node_ptr out = make_data_node(t, n, s);
   AFSIM_DISPATCH_NUMERIC(t, "range", {
-    gpusim::Sequence(S(), static_cast<T*>(out->buffer->data()), n, T{0}, T{1});
+    gpusim::Sequence(s, static_cast<T*>(out->buffer->data()), n, T{0}, T{1});
   });
   return array(std::move(out));
 }
 
 array where(const array& mask) {
   mask.eval();
+  gpusim::Stream& s = mask.stream();
   const node_ptr in = mask.node();
   const size_t n = mask.elements();
-  if (n == 0) return array(make_data_node(dtype::u32, 0));
-  gpusim::Device& device = S().device();
+  if (n == 0) return array(make_data_node(dtype::u32, 0, s));
+  gpusim::Device& device = s.device();
 
   gpusim::DeviceArray<uint32_t> flags(n, device);
   gpusim::DeviceArray<uint32_t> positions(n, device);
@@ -80,20 +80,20 @@ array where(const array& mask) {
     uint32_t* f = flags.data();
     AFSIM_DISPATCH_ALL(in->type, "where", {
       const T* data = static_cast<const T*>(in->buffer->data());
-      gpusim::ParallelFor(S(), n, stats,
+      gpusim::ParallelFor(s, n, stats,
                           [=](size_t i) { f[i] = data[i] != T{} ? 1u : 0u; });
     });
   }
-  gpusim::ExclusiveScan(S(), flags.data(), positions.data(), n, uint32_t{0},
+  gpusim::ExclusiveScan(s, flags.data(), positions.data(), n, uint32_t{0},
                         [](uint32_t a, uint32_t b) { return a + b; });
   uint32_t last_pos = 0, last_flag = 0;
-  gpusim::CopyDeviceToHost(S(), &last_pos, positions.data() + (n - 1),
+  gpusim::CopyDeviceToHost(s, &last_pos, positions.data() + (n - 1),
                            sizeof(uint32_t));
-  gpusim::CopyDeviceToHost(S(), &last_flag, flags.data() + (n - 1),
+  gpusim::CopyDeviceToHost(s, &last_flag, flags.data() + (n - 1),
                            sizeof(uint32_t));
   const size_t count = last_pos + last_flag;
 
-  node_ptr out = make_data_node(dtype::u32, count);
+  node_ptr out = make_data_node(dtype::u32, count, s);
   {
     gpusim::KernelStats stats;
     stats.name = "af::where_scatter";
@@ -102,7 +102,7 @@ array where(const array& mask) {
     const uint32_t* f = flags.data();
     const uint32_t* pos = positions.data();
     uint32_t* o = static_cast<uint32_t*>(out->buffer->data());
-    gpusim::ParallelFor(S(), n, stats, [=](size_t i) {
+    gpusim::ParallelFor(s, n, stats, [=](size_t i) {
       if (f[i]) o[pos[i]] = static_cast<uint32_t>(i);
     });
   }
@@ -115,12 +115,13 @@ array lookup(const array& in, const array& indices) {
   }
   in.eval();
   indices.eval();
+  gpusim::Stream& s = in.stream();
   const size_t n = indices.elements();
-  node_ptr out = make_data_node(in.type(), n);
+  node_ptr out = make_data_node(in.type(), n, s);
   const uint32_t* map =
       static_cast<const uint32_t*>(indices.node()->buffer->data());
   AFSIM_DISPATCH_ALL(in.type(), "lookup", {
-    gpusim::Gather(S(), map, n,
+    gpusim::Gather(s, map, n,
                    static_cast<const T*>(in.node()->buffer->data()),
                    static_cast<T*>(out->buffer->data()));
   });
@@ -131,10 +132,11 @@ namespace detail {
 
 double reduce_sum(const array& a) {
   a.eval();
+  gpusim::Stream& s = a.stream();
   double out = 0.0;
   AFSIM_DISPATCH_ALL(a.type(), "sum", {
     out = static_cast<double>(gpusim::Reduce(
-        S(), static_cast<const T*>(a.node()->buffer->data()), a.elements(),
+        s, static_cast<const T*>(a.node()->buffer->data()), a.elements(),
         T{}, [](T x, T y) { return static_cast<T>(x + y); }, "af::sum"));
   });
   return out;
@@ -142,10 +144,11 @@ double reduce_sum(const array& a) {
 
 int64_t reduce_sum_integral(const array& a) {
   a.eval();
+  gpusim::Stream& s = a.stream();
   int64_t out = 0;
   AFSIM_DISPATCH_ALL(a.type(), "sum", {
     out = static_cast<int64_t>(gpusim::Reduce(
-        S(), static_cast<const T*>(a.node()->buffer->data()), a.elements(),
+        s, static_cast<const T*>(a.node()->buffer->data()), a.elements(),
         T{}, [](T x, T y) { return static_cast<T>(x + y); }, "af::sum"));
   });
   return out;
@@ -153,14 +156,15 @@ int64_t reduce_sum_integral(const array& a) {
 
 double reduce_min(const array& a) {
   a.eval();
+  gpusim::Stream& s = a.stream();
   if (a.is_empty()) throw std::out_of_range("afsim: min of empty array");
   double out = 0.0;
   AFSIM_DISPATCH_NUMERIC(a.type(), "min", {
     const T* data = static_cast<const T*>(a.node()->buffer->data());
     T first;
-    gpusim::CopyDeviceToHost(S(), &first, data, sizeof(T));
+    gpusim::CopyDeviceToHost(s, &first, data, sizeof(T));
     out = static_cast<double>(gpusim::Reduce(
-        S(), data, a.elements(), first,
+        s, data, a.elements(), first,
         [](T x, T y) { return y < x ? y : x; }, "af::min"));
   });
   return out;
@@ -168,14 +172,15 @@ double reduce_min(const array& a) {
 
 double reduce_max(const array& a) {
   a.eval();
+  gpusim::Stream& s = a.stream();
   if (a.is_empty()) throw std::out_of_range("afsim: max of empty array");
   double out = 0.0;
   AFSIM_DISPATCH_NUMERIC(a.type(), "max", {
     const T* data = static_cast<const T*>(a.node()->buffer->data());
     T first;
-    gpusim::CopyDeviceToHost(S(), &first, data, sizeof(T));
+    gpusim::CopyDeviceToHost(s, &first, data, sizeof(T));
     out = static_cast<double>(gpusim::Reduce(
-        S(), data, a.elements(), first,
+        s, data, a.elements(), first,
         [](T x, T y) { return x < y ? y : x; }, "af::max"));
   });
   return out;
@@ -193,9 +198,10 @@ int64_t reduce_max_integral(const array& a) {
 
 size_t count(const array& mask) {
   mask.eval();
+  gpusim::Stream& s = mask.stream();
   size_t out = 0;
   AFSIM_DISPATCH_ALL(mask.type(), "count", {
-    out = gpusim::CountIf(S(),
+    out = gpusim::CountIf(s,
                           static_cast<const T*>(mask.node()->buffer->data()),
                           mask.elements(), [](T v) { return v != T{}; });
   });
@@ -213,9 +219,10 @@ bool allTrue(const array& a) { return count(a) == a.elements(); }
 
 array diff1(const array& a) {
   a.eval();
+  gpusim::Stream& s = a.stream();
   const size_t n = a.elements();
-  if (n < 2) return array(make_data_node(a.type(), 0));
-  node_ptr out = make_data_node(a.type(), n - 1);
+  if (n < 2) return array(make_data_node(a.type(), 0, s));
+  node_ptr out = make_data_node(a.type(), n - 1, s);
   AFSIM_DISPATCH_NUMERIC(a.type(), "diff1", {
     const T* in = static_cast<const T*>(a.node()->buffer->data());
     T* o = static_cast<T*>(out->buffer->data());
@@ -223,7 +230,7 @@ array diff1(const array& a) {
     stats.name = "af::diff1";
     stats.bytes_read = n * sizeof(T);
     stats.bytes_written = (n - 1) * sizeof(T);
-    gpusim::ParallelFor(S(), n - 1, stats, [=](size_t i) {
+    gpusim::ParallelFor(s, n - 1, stats, [=](size_t i) {
       o[i] = static_cast<T>(in[i + 1] - in[i]);
     });
   });
@@ -232,8 +239,9 @@ array diff1(const array& a) {
 
 array flip(const array& a) {
   a.eval();
+  gpusim::Stream& s = a.stream();
   const size_t n = a.elements();
-  node_ptr out = make_data_node(a.type(), n);
+  node_ptr out = make_data_node(a.type(), n, s);
   AFSIM_DISPATCH_ALL(a.type(), "flip", {
     const T* in = static_cast<const T*>(a.node()->buffer->data());
     T* o = static_cast<T*>(out->buffer->data());
@@ -241,7 +249,7 @@ array flip(const array& a) {
     stats.name = "af::flip";
     stats.bytes_read = n * sizeof(T);
     stats.bytes_written = n * sizeof(T);
-    gpusim::ParallelFor(S(), n, stats,
+    gpusim::ParallelFor(s, n, stats,
                         [=](size_t i) { o[i] = in[n - 1 - i]; });
   });
   return array(std::move(out));
@@ -249,16 +257,17 @@ array flip(const array& a) {
 
 array scan(const array& a, bool inclusive_scan) {
   a.eval();
+  gpusim::Stream& s = a.stream();
   const size_t n = a.elements();
-  node_ptr out = make_data_node(a.type(), n);
+  node_ptr out = make_data_node(a.type(), n, s);
   AFSIM_DISPATCH_NUMERIC(a.type(), "scan", {
     const T* in = static_cast<const T*>(a.node()->buffer->data());
     T* o = static_cast<T*>(out->buffer->data());
     auto plus = [](T x, T y) { return static_cast<T>(x + y); };
     if (inclusive_scan) {
-      gpusim::InclusiveScan(S(), in, o, n, plus);
+      gpusim::InclusiveScan(s, in, o, n, plus);
     } else {
-      gpusim::ExclusiveScan(S(), in, o, n, T{}, plus);
+      gpusim::ExclusiveScan(s, in, o, n, T{}, plus);
     }
   });
   return array(std::move(out));
@@ -268,15 +277,16 @@ array accum(const array& a) { return scan(a, /*inclusive_scan=*/true); }
 
 array sort(const array& a) {
   a.eval();
+  gpusim::Stream& s = a.stream();
   const size_t n = a.elements();
-  node_ptr out = make_data_node(a.type(), n);
+  node_ptr out = make_data_node(a.type(), n, s);
   if (n > 0) {
-    gpusim::CopyDeviceToDevice(S(), out->buffer->data(),
+    gpusim::CopyDeviceToDevice(s, out->buffer->data(),
                                a.node()->buffer->data(),
                                n * dtype_size(a.type()));
   }
   AFSIM_DISPATCH_NUMERIC(a.type(), "sort", {
-    gpusim::RadixSortKeys(S(), static_cast<T*>(out->buffer->data()), n);
+    gpusim::RadixSortKeys(s, static_cast<T*>(out->buffer->data()), n);
   });
   return array(std::move(out));
 }
@@ -288,14 +298,15 @@ void sort(array* out_keys, array* out_values, const array& keys,
   }
   keys.eval();
   values.eval();
+  gpusim::Stream& s = keys.stream();
   const size_t n = keys.elements();
-  node_ptr ok = make_data_node(keys.type(), n);
-  node_ptr ov = make_data_node(values.type(), n);
+  node_ptr ok = make_data_node(keys.type(), n, s);
+  node_ptr ov = make_data_node(values.type(), n, s);
   if (n > 0) {
-    gpusim::CopyDeviceToDevice(S(), ok->buffer->data(),
+    gpusim::CopyDeviceToDevice(s, ok->buffer->data(),
                                keys.node()->buffer->data(),
                                n * dtype_size(keys.type()));
-    gpusim::CopyDeviceToDevice(S(), ov->buffer->data(),
+    gpusim::CopyDeviceToDevice(s, ov->buffer->data(),
                                values.node()->buffer->data(),
                                n * dtype_size(values.type()));
   }
@@ -304,19 +315,19 @@ void sort(array* out_keys, array* out_values, const array& keys,
     K* kp = static_cast<K*>(ok->buffer->data());
     switch (values.type()) {
       case dtype::s32:
-        gpusim::RadixSortPairs(S(), kp, static_cast<int32_t*>(ov->buffer->data()), n);
+        gpusim::RadixSortPairs(s, kp, static_cast<int32_t*>(ov->buffer->data()), n);
         break;
       case dtype::u32:
-        gpusim::RadixSortPairs(S(), kp, static_cast<uint32_t*>(ov->buffer->data()), n);
+        gpusim::RadixSortPairs(s, kp, static_cast<uint32_t*>(ov->buffer->data()), n);
         break;
       case dtype::s64:
-        gpusim::RadixSortPairs(S(), kp, static_cast<int64_t*>(ov->buffer->data()), n);
+        gpusim::RadixSortPairs(s, kp, static_cast<int64_t*>(ov->buffer->data()), n);
         break;
       case dtype::f64:
-        gpusim::RadixSortPairs(S(), kp, static_cast<double*>(ov->buffer->data()), n);
+        gpusim::RadixSortPairs(s, kp, static_cast<double*>(ov->buffer->data()), n);
         break;
       case dtype::f32:
-        gpusim::RadixSortPairs(S(), kp, static_cast<float*>(ov->buffer->data()), n);
+        gpusim::RadixSortPairs(s, kp, static_cast<float*>(ov->buffer->data()), n);
         break;
       default:
         unsupported("sort_by_key value", values.type());
@@ -333,14 +344,15 @@ void sumByKey(array* keys_out, array* vals_out, const array& keys,
   }
   keys.eval();
   values.eval();
+  gpusim::Stream& s = keys.stream();
   const size_t n = keys.elements();
   if (n == 0) {
-    *keys_out = array(make_data_node(keys.type(), 0));
-    *vals_out = array(make_data_node(values.type(), 0));
+    *keys_out = array(make_data_node(keys.type(), 0, s));
+    *vals_out = array(make_data_node(values.type(), 0, s));
     return;
   }
-  node_ptr ok = make_data_node(keys.type(), n);
-  node_ptr ov = make_data_node(values.type(), n);
+  node_ptr ok = make_data_node(keys.type(), n, s);
+  node_ptr ov = make_data_node(values.type(), n, s);
   size_t groups = 0;
   AFSIM_DISPATCH_NUMERIC(keys.type(), "sumByKey key", {
     using K = T;
@@ -349,31 +361,31 @@ void sumByKey(array* keys_out, array* vals_out, const array& keys,
     switch (values.type()) {
       case dtype::s32:
         groups = gpusim::ReduceByKey(
-            S(), kp, static_cast<const int32_t*>(values.node()->buffer->data()),
+            s, kp, static_cast<const int32_t*>(values.node()->buffer->data()),
             n, kop, static_cast<int32_t*>(ov->buffer->data()),
             [](int32_t x, int32_t y) { return x + y; });
         break;
       case dtype::s64:
         groups = gpusim::ReduceByKey(
-            S(), kp, static_cast<const int64_t*>(values.node()->buffer->data()),
+            s, kp, static_cast<const int64_t*>(values.node()->buffer->data()),
             n, kop, static_cast<int64_t*>(ov->buffer->data()),
             [](int64_t x, int64_t y) { return x + y; });
         break;
       case dtype::u32:
         groups = gpusim::ReduceByKey(
-            S(), kp, static_cast<const uint32_t*>(values.node()->buffer->data()),
+            s, kp, static_cast<const uint32_t*>(values.node()->buffer->data()),
             n, kop, static_cast<uint32_t*>(ov->buffer->data()),
             [](uint32_t x, uint32_t y) { return x + y; });
         break;
       case dtype::f64:
         groups = gpusim::ReduceByKey(
-            S(), kp, static_cast<const double*>(values.node()->buffer->data()),
+            s, kp, static_cast<const double*>(values.node()->buffer->data()),
             n, kop, static_cast<double*>(ov->buffer->data()),
             [](double x, double y) { return x + y; });
         break;
       case dtype::f32:
         groups = gpusim::ReduceByKey(
-            S(), kp, static_cast<const float*>(values.node()->buffer->data()),
+            s, kp, static_cast<const float*>(values.node()->buffer->data()),
             n, kop, static_cast<float*>(ov->buffer->data()),
             [](float x, float y) { return x + y; });
         break;
@@ -387,21 +399,22 @@ void sumByKey(array* keys_out, array* vals_out, const array& keys,
 
 void countByKey(array* keys_out, array* counts_out, const array& keys) {
   keys.eval();
+  gpusim::Stream& s = keys.stream();
   const size_t n = keys.elements();
   if (n == 0) {
-    *keys_out = array(make_data_node(keys.type(), 0));
-    *counts_out = array(make_data_node(dtype::u32, 0));
+    *keys_out = array(make_data_node(keys.type(), 0, s));
+    *counts_out = array(make_data_node(dtype::u32, 0, s));
     return;
   }
   // ArrayFire realizes countByKey as a segmented reduction over ones.
-  gpusim::DeviceArray<uint32_t> ones(n, S().device());
-  gpusim::Fill(S(), ones.data(), n, uint32_t{1});
-  node_ptr ok = make_data_node(keys.type(), n);
-  node_ptr oc = make_data_node(dtype::u32, n);
+  gpusim::DeviceArray<uint32_t> ones(n, s.device());
+  gpusim::Fill(s, ones.data(), n, uint32_t{1});
+  node_ptr ok = make_data_node(keys.type(), n, s);
+  node_ptr oc = make_data_node(dtype::u32, n, s);
   size_t groups = 0;
   AFSIM_DISPATCH_NUMERIC(keys.type(), "countByKey", {
     groups = gpusim::ReduceByKey(
-        S(), static_cast<const T*>(keys.node()->buffer->data()), ones.data(),
+        s, static_cast<const T*>(keys.node()->buffer->data()), ones.data(),
         n, static_cast<T*>(ok->buffer->data()),
         static_cast<uint32_t*>(oc->buffer->data()),
         [](uint32_t x, uint32_t y) { return x + y; });
@@ -422,14 +435,15 @@ void extremum_by_key(array* keys_out, array* vals_out, const array& keys,
   }
   keys.eval();
   values.eval();
+  gpusim::Stream& s = keys.stream();
   const size_t n = keys.elements();
   if (n == 0) {
-    *keys_out = array(make_data_node(keys.type(), 0));
-    *vals_out = array(make_data_node(values.type(), 0));
+    *keys_out = array(make_data_node(keys.type(), 0, s));
+    *vals_out = array(make_data_node(values.type(), 0, s));
     return;
   }
-  node_ptr ok = make_data_node(keys.type(), n);
-  node_ptr ov = make_data_node(values.type(), n);
+  node_ptr ok = make_data_node(keys.type(), n, s);
+  node_ptr ov = make_data_node(values.type(), n, s);
   size_t groups = 0;
   AFSIM_DISPATCH_NUMERIC(keys.type(), "minmaxByKey key", {
     using K = T;
@@ -438,7 +452,7 @@ void extremum_by_key(array* keys_out, array* vals_out, const array& keys,
     AFSIM_DISPATCH_NUMERIC(values.type(), "minmaxByKey value", {
       using V = T;
       groups = gpusim::ReduceByKey(
-          S(), kp, static_cast<const V*>(values.node()->buffer->data()), n,
+          s, kp, static_cast<const V*>(values.node()->buffer->data()), n,
           kop, static_cast<V*>(ov->buffer->data()),
           [](V x, V y) { return kIsMin ? (y < x ? y : x) : (x < y ? y : x); });
     });
@@ -470,11 +484,12 @@ void assign_indexed(const array& target, const array& indices,
   target.eval();
   indices.eval();
   values.eval();
+  gpusim::Stream& s = target.stream();
   const size_t n = indices.elements();
   const uint32_t* map =
       static_cast<const uint32_t*>(indices.node()->buffer->data());
   AFSIM_DISPATCH_ALL(target.type(), "assign_indexed", {
-    gpusim::Scatter(S(), static_cast<const T*>(values.node()->buffer->data()),
+    gpusim::Scatter(s, static_cast<const T*>(values.node()->buffer->data()),
                     map, n, static_cast<T*>(target.node()->buffer->data()));
   });
 }
@@ -482,13 +497,14 @@ void assign_indexed(const array& target, const array& indices,
 array setUnique(const array& a, bool is_sorted) {
   array sorted = is_sorted ? a : sort(a);
   sorted.eval();
+  gpusim::Stream& s = sorted.stream();
   const size_t n = sorted.elements();
   if (n == 0) return sorted;
-  node_ptr tmp = make_data_node(sorted.type(), n);
+  node_ptr tmp = make_data_node(sorted.type(), n, s);
   size_t uniq = 0;
   AFSIM_DISPATCH_NUMERIC(sorted.type(), "setUnique", {
     uniq = gpusim::UniqueSorted(
-        S(), static_cast<const T*>(sorted.node()->buffer->data()), n,
+        s, static_cast<const T*>(sorted.node()->buffer->data()), n,
         static_cast<T*>(tmp->buffer->data()));
   });
   return shrink(tmp, uniq);
@@ -499,16 +515,17 @@ array setIntersect(const array& a, const array& b, bool is_unique) {
   array ub = is_unique ? b : setUnique(b);
   ua.eval();
   ub.eval();
+  gpusim::Stream& s = ua.stream();
   if (ua.type() != ub.type()) unsupported("setIntersect rhs", ub.type());
   const size_t na = ua.elements();
   if (na == 0 || ub.elements() == 0) {
-    return array(make_data_node(ua.type(), 0));
+    return array(make_data_node(ua.type(), 0, s));
   }
-  node_ptr tmp = make_data_node(ua.type(), na);
+  node_ptr tmp = make_data_node(ua.type(), na, s);
   size_t out_n = 0;
   AFSIM_DISPATCH_NUMERIC(ua.type(), "setIntersect", {
     out_n = gpusim::SetIntersectSorted(
-        S(), static_cast<const T*>(ua.node()->buffer->data()), na,
+        s, static_cast<const T*>(ua.node()->buffer->data()), na,
         static_cast<const T*>(ub.node()->buffer->data()), ub.elements(),
         static_cast<T*>(tmp->buffer->data()));
   });
@@ -525,15 +542,16 @@ array join(const array& a, const array& b) {
   if (a.type() != b.type()) unsupported("join rhs", b.type());
   a.eval();
   b.eval();
+  gpusim::Stream& s = a.stream();
   const size_t na = a.elements(), nb = b.elements();
-  node_ptr out = make_data_node(a.type(), na + nb);
+  node_ptr out = make_data_node(a.type(), na + nb, s);
   char* dst = static_cast<char*>(out->buffer->data());
   const size_t es = dtype_size(a.type());
   if (na > 0) {
-    gpusim::CopyDeviceToDevice(S(), dst, a.node()->buffer->data(), na * es);
+    gpusim::CopyDeviceToDevice(s, dst, a.node()->buffer->data(), na * es);
   }
   if (nb > 0) {
-    gpusim::CopyDeviceToDevice(S(), dst + na * es, b.node()->buffer->data(),
+    gpusim::CopyDeviceToDevice(s, dst + na * es, b.node()->buffer->data(),
                                nb * es);
   }
   return array(std::move(out));

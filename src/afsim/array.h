@@ -17,7 +17,8 @@
 
 namespace afsim {
 
-/// The library's default (CUDA-backend) stream.
+/// The library's default (CUDA-backend) stream, on gpusim::Device::Default():
+/// the stream of every array whose leaves were made without one.
 gpusim::Stream& default_stream();
 
 /// Host-side bookkeeping cost charged per lazy node created; models
@@ -62,6 +63,12 @@ class array {
   /// True while the handle points at an unevaluated expression.
   bool is_lazy() const { return node_ && !node_->materialized(); }
 
+  /// The stream the array was created on (af::array's device): evaluation,
+  /// downloads and every algorithm over the array are charged to it.
+  gpusim::Stream& stream() const {
+    return node_ ? *node_->stream : default_stream();
+  }
+
   /// Materializes the expression (single fused kernel for the element-wise
   /// subtree). Idempotent. Returns *this for chaining, like af::eval.
   const array& eval() const;
@@ -73,8 +80,8 @@ class array {
     eval();
     std::vector<T> out(elements());
     if (!out.empty()) {
-      gpusim::CopyDeviceToHost(default_stream(), out.data(),
-                               node_->buffer->data(), out.size() * sizeof(T));
+      gpusim::CopyDeviceToHost(stream(), out.data(), node_->buffer->data(),
+                               out.size() * sizeof(T));
     }
     return out;
   }
@@ -86,8 +93,7 @@ class array {
     if (is_empty()) throw std::out_of_range("afsim: scalar() on empty array");
     eval();
     T out;
-    gpusim::CopyDeviceToHost(default_stream(), &out, node_->buffer->data(),
-                             sizeof(T));
+    gpusim::CopyDeviceToHost(stream(), &out, node_->buffer->data(), sizeof(T));
     return out;
   }
 
@@ -116,23 +122,29 @@ class array {
 // Factories
 // ---------------------------------------------------------------------------
 
+// Each factory makes an array on `stream`; arrays built from it inherit it.
+
 /// n copies of a scalar (af::constant). Lazy: costs no memory until eval.
-array constant(double value, size_t n, dtype t = dtype::f32);
+array constant(double value, size_t n, dtype t = dtype::f32,
+               gpusim::Stream& stream = default_stream());
 
 /// [0, 1, ..., n-1] (af::range / af::iota). Materialized.
-array range(size_t n, dtype t = dtype::s32);
+array range(size_t n, dtype t = dtype::s32,
+            gpusim::Stream& stream = default_stream());
 
 /// Uploads host data (af::array(n, host_ptr)).
 template <typename T>
-array from_vector(const std::vector<T>& host);
+array from_vector(const std::vector<T>& host,
+                  gpusim::Stream& stream = default_stream());
 
 /// Zero-copy view over an existing device buffer (interop constructor, the
 /// analogue of af::array(dim, device_ptr, afDevice)).
 array from_buffer(std::shared_ptr<gpusim::DeviceBuffer> buffer, dtype t,
-                  size_t n);
+                  size_t n, gpusim::Stream& stream = default_stream());
 
 // ---------------------------------------------------------------------------
-// Element-wise operators (lazy graph builders)
+// Element-wise operators (lazy graph builders). Operands must have the same
+// size and stream; std::invalid_argument otherwise.
 // ---------------------------------------------------------------------------
 
 array operator+(const array& a, const array& b);
@@ -260,8 +272,8 @@ array join(const array& a, const array& b);
 // ---------------------------------------------------------------------------
 
 namespace detail {
-/// Allocates a materialized data node of `t` with n elements.
-node_ptr make_data_node(dtype t, size_t n);
+/// Allocates a materialized data node of `t` with n elements on `stream`.
+node_ptr make_data_node(dtype t, size_t n, gpusim::Stream& stream);
 /// Typed reductions implemented in algorithm.cc.
 double reduce_sum(const array& a);
 double reduce_min(const array& a);
@@ -272,11 +284,12 @@ int64_t reduce_max_integral(const array& a);
 }  // namespace detail
 
 template <typename T>
-array from_vector(const std::vector<T>& host) {
+array from_vector(const std::vector<T>& host, gpusim::Stream& stream) {
   static_assert(dtype_of<T>() == dtype_of<T>(), "unsupported element type");
-  detail::node_ptr n = detail::make_data_node(dtype_of<T>(), host.size());
+  detail::node_ptr n =
+      detail::make_data_node(dtype_of<T>(), host.size(), stream);
   if (!host.empty()) {
-    gpusim::CopyHostToDevice(default_stream(), n->buffer->data(), host.data(),
+    gpusim::CopyHostToDevice(stream, n->buffer->data(), host.data(),
                              host.size() * sizeof(T));
   }
   return array(std::move(n));

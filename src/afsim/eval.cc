@@ -17,13 +17,14 @@ gpusim::Stream& default_stream() {
 
 namespace detail {
 
-node_ptr make_data_node(dtype t, size_t n) {
+node_ptr make_data_node(dtype t, size_t n, gpusim::Stream& stream) {
   auto nd = std::make_shared<node>();
   nd->k = node::kind::data;
   nd->type = t;
   nd->n = n;
-  nd->buffer = std::make_shared<gpusim::DeviceBuffer>(
-      n * dtype_size(t), default_stream().device());
+  nd->stream = &stream;
+  nd->buffer = std::make_shared<gpusim::DeviceBuffer>(n * dtype_size(t),
+                                                      stream.device());
   return nd;
 }
 
@@ -346,11 +347,12 @@ void fused_kernel::run(void* out, size_t begin, size_t end) const {
 }  // namespace detail
 
 array from_buffer(std::shared_ptr<gpusim::DeviceBuffer> buffer, dtype t,
-                  size_t n) {
+                  size_t n, gpusim::Stream& stream) {
   auto nd = std::make_shared<detail::node>();
   nd->k = detail::node::kind::data;
   nd->type = t;
   nd->n = n;
+  nd->stream = &stream;
   nd->buffer = std::move(buffer);
   return array(std::move(nd));
 }
@@ -359,8 +361,9 @@ const array& array::eval() const {
   using detail::node;
   if (!node_ || node_->k == node::kind::data) return *this;
   const size_t n = node_->n;
+  gpusim::Stream& s = stream();
   auto buffer = std::make_shared<gpusim::DeviceBuffer>(
-      n * dtype_size(node_->type), default_stream().device());
+      n * dtype_size(node_->type), s.device());
 
   const detail::fused_kernel kernel(node_.get());
   gpusim::KernelStats stats;
@@ -370,7 +373,7 @@ const array& array::eval() const {
   stats.ops = static_cast<uint64_t>(n) * node_->tree_size;
   void* out = buffer->data();
   gpusim::ParallelForRange(
-      default_stream(), n, stats,
+      s, n, stats,
       [&](size_t begin, size_t end) { kernel.run(out, begin, end); });
 
   // Mutate the shared node into a data node so every aliasing handle sees

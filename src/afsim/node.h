@@ -17,6 +17,10 @@
 
 #include "gpusim/memory.h"
 
+namespace gpusim {
+class Stream;
+}  // namespace gpusim
+
 namespace afsim {
 
 /// Runtime element type of an array (af::dtype).
@@ -98,6 +102,10 @@ struct node {
   enum class kind : uint8_t { data, scalar, unary, binary } k = kind::data;
   dtype type = dtype::f32;
   size_t n = 0;  ///< element count (scalar nodes broadcast, n is peer count)
+
+  /// The stream the array was created on; every kernel, copy and JIT
+  /// charge of the node and of the nodes built from it goes here.
+  gpusim::Stream* stream = nullptr;
 
   // kind::data
   std::shared_ptr<gpusim::DeviceBuffer> buffer;

@@ -1,5 +1,4 @@
 // Element-wise operator graph builders (lazy).
-#include <algorithm>
 #include <cmath>
 
 #include "afsim/array.h"
@@ -32,6 +31,7 @@ node_ptr make_literal(double value, const node_ptr& peer) {
   auto nd = std::make_shared<node>();
   nd->k = node::kind::scalar;
   nd->n = peer->n;
+  nd->stream = peer->stream;
   const bool fractional = value != std::floor(value);
   nd->type = (is_floating(peer->type) || fractional) ? dtype::f64 : peer->type;
   nd->value.f = value;
@@ -40,7 +40,7 @@ node_ptr make_literal(double value, const node_ptr& peer) {
 }
 
 array finish(node_ptr nd) {
-  default_stream().ChargeOverhead(kJitNodeOverheadNs);
+  nd->stream->ChargeOverhead(kJitNodeOverheadNs);
   array out(std::move(nd));
   // Bound the fused kernel size like ArrayFire's JIT does.
   if (out.node()->tree_size > kMaxJitTreeSize) out.eval();
@@ -49,16 +49,19 @@ array finish(node_ptr nd) {
 
 array make_binary(binary_op op, const node_ptr& a, const node_ptr& b) {
   if (!a || !b) throw std::invalid_argument("afsim: binary op on null array");
-  if (a->n != b->n && a->k != node::kind::scalar &&
-      b->k != node::kind::scalar) {
+  if (a->n != b->n) {
     throw std::invalid_argument("afsim: size mismatch in binary op");
+  }
+  if (a->stream != b->stream) {
+    throw std::invalid_argument("afsim: binary op across streams");
   }
   auto nd = std::make_shared<node>();
   nd->k = node::kind::binary;
   nd->bop = op;
   nd->lhs = a;
   nd->rhs = b;
-  nd->n = std::max(a->n, b->n);
+  nd->n = a->n;
+  nd->stream = a->stream;
   nd->type = detail::is_predicate(op) ? dtype::b8 : promote(a->type, b->type);
   nd->tree_size = 1 + a->tree_size + b->tree_size;
   return finish(std::move(nd));
@@ -83,6 +86,7 @@ array make_unary(unary_op op, const array& a, dtype result) {
   nd->uop = op;
   nd->lhs = a.node();
   nd->n = a.node()->n;
+  nd->stream = a.node()->stream;
   nd->type = result;
   nd->tree_size = 1 + a.node()->tree_size;
   return finish(std::move(nd));
@@ -90,14 +94,15 @@ array make_unary(unary_op op, const array& a, dtype result) {
 
 }  // namespace
 
-array constant(double value, size_t n, dtype t) {
+array constant(double value, size_t n, dtype t, gpusim::Stream& stream) {
   auto nd = std::make_shared<node>();
   nd->k = node::kind::scalar;
   nd->n = n;
+  nd->stream = &stream;
   nd->type = t;
   nd->value.f = value;
   nd->value.i = static_cast<int64_t>(value);
-  default_stream().ChargeOverhead(kJitNodeOverheadNs);
+  stream.ChargeOverhead(kJitNodeOverheadNs);
   return array(std::move(nd));
 }
 

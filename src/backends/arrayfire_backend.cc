@@ -57,12 +57,6 @@ DataType ToDataType(afsim::dtype t) {
   }
 }
 
-/// Zero-copy view of a storage column as an af array.
-afsim::array Wrap(const DeviceColumn& column) {
-  return afsim::from_buffer(column.buffer_ptr(), ToAfDtype(column.type()),
-                            column.size());
-}
-
 /// Zero-copy view of an evaluated af array as a storage column.
 DeviceColumn Unwrap(const afsim::array& a) {
   a.eval();
@@ -85,19 +79,13 @@ afsim::array PredicateExpr(const afsim::array& col, const Predicate& pred) {
 
 class ArrayFireBackend : public core::Backend {
  public:
-  ArrayFireBackend() {
-    // afsim funnels all work through one global stream; label it so fault
-    // rules can target ArrayFire specifically.
-    afsim::default_stream().set_label(kArrayFire);
+  ArrayFireBackend()
+      : stream_(gpusim::Device::Current(), gpusim::ApiProfile::Cuda()) {
+    stream_.set_label(kArrayFire);
   }
 
   std::string name() const override { return kArrayFire; }
-  gpusim::Stream& stream() override { return afsim::default_stream(); }
-
-  /// All afsim arrays funnel their lazy-JIT bookkeeping through the library's
-  /// one global stream, so two ArrayFire clients on separate host threads
-  /// would race on a single timeline.
-  bool concurrency_safe() const override { return false; }
+  gpusim::Stream& stream() override { return stream_; }
 
   OperatorRealization Realization(DbOperator op) const override {
     switch (op) {
@@ -200,8 +188,8 @@ class ArrayFireBackend : public core::Backend {
     }
     JoinResult out;
     out.count = pairs_left.size();
-    out.left_rows = Unwrap(afsim::from_vector(pairs_left));
-    out.right_rows = Unwrap(afsim::from_vector(pairs_right));
+    out.left_rows = Unwrap(afsim::from_vector(pairs_left, stream_));
+    out.right_rows = Unwrap(afsim::from_vector(pairs_right, stream_));
     return out;
   }
 
@@ -283,20 +271,16 @@ class ArrayFireBackend : public core::Backend {
 
   DeviceColumn Gather(const DeviceColumn& src,
                       const DeviceColumn& indices) override {
-    // Indices arrive as kInt32 row ids; view them as s32 for lookup().
-    afsim::array idx = afsim::from_buffer(indices.buffer_ptr(),
-                                          afsim::dtype::s32, indices.size());
-    return Unwrap(afsim::lookup(Wrap(src), idx));
+    // Indices arrive as kInt32 row ids, which wrap as s32 for lookup().
+    return Unwrap(afsim::lookup(Wrap(src), Wrap(indices)));
   }
 
   DeviceColumn Scatter(const DeviceColumn& src, const DeviceColumn& indices,
                        size_t out_size) override {
     afsim::array target =
-        afsim::constant(0.0, out_size, ToAfDtype(src.type()));
+        afsim::constant(0.0, out_size, ToAfDtype(src.type()), stream_);
     target.eval();
-    afsim::array idx = afsim::from_buffer(indices.buffer_ptr(),
-                                          afsim::dtype::s32, indices.size());
-    afsim::assign_indexed(target, idx, Wrap(src));
+    afsim::assign_indexed(target, Wrap(indices), Wrap(src));
     return Unwrap(target);
   }
 
@@ -314,15 +298,22 @@ class ArrayFireBackend : public core::Backend {
   }
 
  protected:
-  /// Every encoded-domain kernel is an af JIT node on the global stream;
+  /// Every encoded-domain kernel is an af JIT node on the backend's stream;
   /// charge the lazy-graph bookkeeping the library pays per node.
   void EncodedOpPrologue(const char* op, int kernels) override {
     (void)op;
-    afsim::default_stream().ChargeOverhead(
-        static_cast<uint64_t>(kernels) * afsim::kJitNodeOverheadNs);
+    stream_.ChargeOverhead(static_cast<uint64_t>(kernels) *
+                           afsim::kJitNodeOverheadNs);
   }
 
  private:
+  /// Zero-copy view of a storage column as an af array on this backend's
+  /// stream.
+  afsim::array Wrap(const DeviceColumn& column) {
+    return afsim::from_buffer(column.buffer_ptr(), ToAfDtype(column.type()),
+                              column.size(), stream_);
+  }
+
   /// Converts a u32 where()-style index array into a SelectionResult.
   SelectionResult ToSelection(const afsim::array& idx) {
     idx.eval();
@@ -332,6 +323,8 @@ class ArrayFireBackend : public core::Backend {
         DeviceColumn(DataType::kInt32, idx.elements(), idx.node()->buffer);
     return out;
   }
+
+  gpusim::Stream stream_;
 };
 
 }  // namespace

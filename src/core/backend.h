@@ -314,14 +314,9 @@ class Backend {
   /// "Handwritten").
   virtual std::string name() const = 0;
 
-  /// The stream all of this backend's work is charged to.
+  /// The stream all of this backend's work is charged to: the instance's
+  /// own, on the device that was current when it was constructed.
   virtual gpusim::Stream& stream() = 0;
-
-  /// Whether independent instances of this backend can run on separate host
-  /// threads at once. Backends whose underlying library routes work through
-  /// process-global state (e.g. ArrayFire's implicit global JIT stream)
-  /// return false; the QueryScheduler refuses to run them multi-client.
-  virtual bool concurrency_safe() const { return true; }
 
   /// Table II entry for `op`.
   virtual OperatorRealization Realization(DbOperator op) const = 0;

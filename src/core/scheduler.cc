@@ -22,14 +22,8 @@ QueryScheduler::QueryScheduler(SchedulerOptions options)
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
 
   // Probe the backend on the construction thread: surfaces unknown-name
-  // errors eagerly and lets us refuse multi-client use of backends that
-  // funnel work through process-global library state.
+  // errors eagerly and finds the device the clients' backends land on.
   auto probe = BackendRegistry::Instance().Create(options_.backend_name);
-  if (options_.num_clients > 1 && !probe->concurrency_safe()) {
-    throw std::invalid_argument(
-        "backend '" + options_.backend_name +
-        "' is not concurrency-safe; run it with num_clients == 1");
-  }
   device_ = &probe->stream().device();
 
   client_sim_ns_.reserve(options_.num_clients);

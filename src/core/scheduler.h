@@ -153,8 +153,7 @@ struct SchedulerReport {
 class QueryScheduler {
  public:
   /// Spawns the client threads. Throws std::out_of_range for an unknown
-  /// backend and std::invalid_argument when the backend is not
-  /// concurrency-safe (Backend::concurrency_safe) but num_clients > 1.
+  /// backend.
   explicit QueryScheduler(SchedulerOptions options);
 
   /// Drains outstanding work and joins the clients.

@@ -362,8 +362,4 @@ uint64_t CostEstimator::BoundaryTransfer(const std::string& consumer,
   return D2D(ProfileFor(consumer), bytes);
 }
 
-uint64_t CostEstimator::Exchange(const std::string& b, uint64_t bytes) const {
-  return D2H(ProfileFor(b), bytes);  // one PCIe hop, either direction
-}
-
 }  // namespace plan

@@ -97,13 +97,6 @@ class CostEstimator {
   uint64_t BoundaryTransfer(const std::string& consumer,
                             uint64_t bytes) const;
 
-  /// One host<->device hop of an exchange operator (scatter shard upload,
-  /// partial gather, broadcast replica) executed on a single stream. The
-  /// multi-device runner prices cross-device routes with
-  /// gpusim::DeviceGroup::TransferNs instead; this is the degenerate
-  /// single-stream realization the executor charges.
-  uint64_t Exchange(const std::string& b, uint64_t bytes) const;
-
  private:
   uint64_t K(const gpusim::ApiProfile& api, uint64_t read, uint64_t written,
              uint64_t ops = 0, uint64_t serial_ns = 0) const;

@@ -10,8 +10,6 @@
 
 #include "core/registry.h"
 #include "gpusim/fault.h"
-#include "plan/explain.h"
-#include "plan/optimizer.h"
 #include "plan/partition_detail.h"
 
 namespace plan {
@@ -212,6 +210,10 @@ ShardedPlanSpec PlanShardedExecution(TpchQuery query,
   const size_t li_rows = tables.lineitem->num_rows();
   const uint64_t li_bytes = detail::HostTableBytes(*tables.lineitem);
   const uint64_t row_bytes = li_rows > 0 ? li_bytes / li_rows : 0;
+  const auto upload_ns = [&](int d, uint64_t bytes) {
+    return group.device(d).cost_model().TransferTime(
+        bytes, gpusim::ApiProfile::Cuda());
+  };
 
   for (size_t s = 0; s < layout.ranges.size(); ++s) {
     ShardPlacement p;
@@ -228,8 +230,8 @@ ShardedPlanSpec PlanShardedExecution(TpchQuery query,
     e.rows = p.row_end - p.row_begin;
     e.what = "lineitem[" + std::to_string(p.row_begin) + "," +
              std::to_string(p.row_end) + ")";
+    e.est_ns = upload_ns(e.device, e.bytes);
     spec.edges.push_back(e);
-    spec.exchange_plan.ExchangeScatter(e.device, e.bytes, e.rows, e.what);
   }
 
   // Devices that received at least one shard get the build-side broadcasts.
@@ -245,9 +247,8 @@ ShardedPlanSpec PlanShardedExecution(TpchQuery query,
       e.bytes = detail::HostTableBytes(t);
       e.rows = t.num_rows();
       e.what = TpchTableName(table);
+      e.est_ns = upload_ns(d, e.bytes);
       spec.edges.push_back(e);
-      spec.exchange_plan.ExchangeBroadcast(
-          d, e.bytes, e.rows, e.what + "->dev" + std::to_string(d));
     }
   }
 
@@ -264,27 +265,21 @@ ShardedPlanSpec PlanShardedExecution(TpchQuery query,
                          });
   for (int d = 0; d < group.size(); ++d) {
     if (d == spec.coordinator || !used[static_cast<size_t>(d)]) continue;
-    const gpusim::LinkPath link = group.Link(d, spec.coordinator);
     ExchangeEdge e;
     e.kind = ExchangeEdge::Kind::kGather;
     e.device = d;
     e.bytes = gather_bytes;
     e.rows = shard_rows;
     e.what = "partials";
-    e.peer = link.peer;
-    e.hops = link.hops;
+    e.peer = group.IsPeer(d, spec.coordinator);
+    e.est_ns = group.TransferNs(d, spec.coordinator, e.bytes);
     spec.edges.push_back(e);
-    spec.exchange_plan.ExchangeGather(
-        d, e.bytes, e.rows,
-        "partials dev" + std::to_string(d) + "->dev" +
-            std::to_string(spec.coordinator));
   }
   return spec;
 }
 
 std::string ExplainSharded(const ShardedPlanSpec& spec,
-                           const gpusim::DeviceGroup& group,
-                           const std::string& backend_name) {
+                           const gpusim::DeviceGroup& group) {
   std::ostringstream os;
   os << "sharded execution: " << spec.devices << " device(s), " << spec.shards
      << " shard(s), peer islands of " << group.topology().peer_island_size
@@ -297,6 +292,7 @@ std::string ExplainSharded(const ShardedPlanSpec& spec,
        << " B\n";
   }
   os << "exchange edges:\n";
+  uint64_t total_ns = 0;
   for (const ExchangeEdge& e : spec.edges) {
     os << "  " << ExchangeEdgeKindName(e.kind) << "  " << e.what;
     if (e.kind == ExchangeEdge::Kind::kGather) {
@@ -306,12 +302,11 @@ std::string ExplainSharded(const ShardedPlanSpec& spec,
     } else {
       os << "  host -> dev" << e.device << "  " << e.bytes << " B  pcie";
     }
-    os << "\n";
+    os << "  est " << e.est_ns << " ns\n";
+    total_ns += e.est_ns;
   }
-  os << "exchange plan (cost-estimated, " << backend_name << "):\n";
-  OptimizerOptions opt;
-  opt.pin_backend = backend_name;
-  os << Explain(Optimize(spec.exchange_plan, opt));
+  os << "exchange total: est " << total_ns << " ns over " << spec.edges.size()
+     << " edge(s)\n";
   return os.str();
 }
 
@@ -328,22 +323,6 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
   ShardedRunStats& st = stats != nullptr ? *stats : local;
   st = ShardedRunStats();
   st.devices = nd;
-
-  if (nd > 1) {
-    // Probe once: a backend routed through process-global library state
-    // (ArrayFire's implicit JIT stream) cannot run one instance per
-    // device-thread. A 1-device group runs one worker thread, so it takes
-    // any backend.
-    gpusim::Device::DeviceGuard guard(group.device(0));
-    const std::unique_ptr<core::Backend> probe =
-        core::BackendRegistry::Instance().Create(backend_name);
-    if (!probe->concurrency_safe()) {
-      throw std::invalid_argument(
-          "backend '" + backend_name +
-          "' is not concurrency-safe and cannot shard across " +
-          std::to_string(nd) + " devices");
-    }
-  }
 
   std::vector<WorkerState> workers(static_cast<size_t>(nd));
   // A group whose operator reset a lost device between runs (MarkReset)
@@ -362,8 +341,12 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
   }
   // Each device's grant covers its largest single slice plus the broadcast
   // tables — the same per-slice footprint the governed ladder would size.
-  const uint64_t footprint = EstimateQueryFootprint(
-      query, tables, backend_name, st.shards, options.use_encoding);
+  // Only a governor reads it.
+  const uint64_t footprint =
+      options.governor == nullptr
+          ? 0
+          : EstimateQueryFootprint(query, tables, backend_name, st.shards,
+                                   options.use_encoding);
 
   // Run rounds until every slice has executed somewhere. Round 1 is the
   // normal sharded run; a round ends by collecting the unfinished slices of

@@ -66,7 +66,6 @@
 
 #include "core/governor.h"
 #include "gpusim/device_group.h"
-#include "plan/ir.h"
 #include "plan/partition.h"
 
 namespace plan {
@@ -87,23 +86,22 @@ struct ExchangeEdge {
   uint64_t bytes = 0;    ///< estimated payload
   size_t rows = 0;
   std::string what;      ///< payload description ("lineitem[0,8192)", "orders")
-  bool peer = false;     ///< gather edges: routed over a direct peer link?
-  int hops = 0;          ///< gather edges: 1 = p2p, 2 = via host
+  bool peer = false;     ///< gather edges: 1 p2p hop? (else 2 via host)
+  /// Estimated simulated ns: a gather at DeviceGroup::TransferNs, the price
+  /// RunSharded charges; a scatter or broadcast at one host-to-device copy.
+  uint64_t est_ns = 0;
 };
 
 const char* ExchangeEdgeKindName(ExchangeEdge::Kind kind);
 
 /// Static placement + exchange structure of a sharded execution, computed
-/// without touching a device. `exchange_plan` realizes the edges as IR nodes
-/// (kExchangeScatter/kExchangeBroadcast/kExchangeGather) so the optimizer's
-/// cost estimator can price them for EXPLAIN output.
+/// without touching a device.
 struct ShardedPlanSpec {
   int devices = 1;
   size_t shards = 1;
   int coordinator = 0;  ///< device the gather edges lead into
   std::vector<ShardPlacement> placements;
   std::vector<ExchangeEdge> edges;
-  Plan exchange_plan;
 };
 
 /// Plans a sharded execution exactly as RunSharded places it: orderkey-snapped
@@ -111,18 +109,17 @@ struct ShardedPlanSpec {
 /// shards dealt round-robin over the live devices, broadcast edges for every
 /// non-lineitem table the query reads, and one gather edge per other device
 /// that takes shards, routed per the group topology into the lowest live
-/// device. Pure function of its inputs; throws gpusim::DeviceLost when no
-/// device of the group is alive.
+/// device. Every edge carries its estimated cost. Pure function of its
+/// inputs; throws gpusim::DeviceLost when no device of the group is alive.
 ShardedPlanSpec PlanShardedExecution(TpchQuery query,
                                      const TpchHostTables& tables,
                                      const gpusim::DeviceGroup& group,
                                      size_t force_shards = 0);
 
-/// Renders the spec: placement table, exchange edges with link routes, and
-/// the cost-estimated exchange plan pinned to `backend_name`.
+/// Renders the spec: placement table, and the exchange edges with their
+/// link routes and estimated costs.
 std::string ExplainSharded(const ShardedPlanSpec& spec,
-                           const gpusim::DeviceGroup& group,
-                           const std::string& backend_name);
+                           const gpusim::DeviceGroup& group);
 
 struct ShardedQueryOptions {
   /// Number of lineitem shards; 0 = one per device. Shards are dealt
@@ -184,13 +181,12 @@ struct ShardedRunStats {
 
 /// Runs `query` sharded across every live device of `group` on
 /// `backend_name` instances (one per device, each on its own host thread).
-/// Throws std::invalid_argument when the backend is not concurrency-safe and
-/// the group has more than one device, and std::runtime_error when a
-/// device's admission is rejected. A 1-device group runs one worker on the
-/// same path, with `force_shards` slices (one when 0). A device lost mid-run
-/// is marked dead in the group and its unfinished slices complete on the
-/// survivors (see the file comment); gpusim::DeviceLost escapes only when
-/// every device of the group is dead.
+/// Throws std::runtime_error when a device's admission is rejected. A
+/// 1-device group runs one worker on the same path, with `force_shards`
+/// slices (one when 0). A device lost mid-run is marked dead in the group
+/// and its unfinished slices complete on the survivors (see the file
+/// comment); gpusim::DeviceLost escapes only when every device of the group
+/// is dead.
 TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
                            gpusim::DeviceGroup& group,
                            const std::string& backend_name,

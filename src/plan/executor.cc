@@ -389,20 +389,6 @@ class Executor {
       case NodeKind::kFusedFilterSum:
         ExecuteFusedFilterSum(node, backend.stream(), value);
         break;
-      // Exchange operators on a single stream degenerate to one priced PCIe
-      // hop each (the multi-device runner routes them over DeviceGroup links
-      // instead and never takes this path).
-      case NodeKind::kExchangeScatter:
-      case NodeKind::kExchangeBroadcast:
-        backend.stream().ChargeTransfer(
-            gpusim::Stream::TransferKind::kHostToDevice, node.exch_bytes);
-        value.out_rows = node.exch_rows;
-        break;
-      case NodeKind::kExchangeGather:
-        backend.stream().ChargeTransfer(
-            gpusim::Stream::TransferKind::kDeviceToHost, node.exch_bytes);
-        value.out_rows = node.exch_rows;
-        break;
     }
   }
 

@@ -19,9 +19,6 @@ const char* NodeKindName(NodeKind kind) {
     case NodeKind::kFetchPair: return "FetchPair";
     case NodeKind::kFusedMap: return "FusedMap";
     case NodeKind::kFusedFilterSum: return "FusedFilterSum";
-    case NodeKind::kExchangeScatter: return "ExchangeScatter";
-    case NodeKind::kExchangeGather: return "ExchangeGather";
-    case NodeKind::kExchangeBroadcast: return "ExchangeBroadcast";
   }
   return "?";
 }
@@ -78,12 +75,6 @@ std::vector<NodeInput> NodeInputs(const PlanNode& node) {
       in = node.pred_cols;
       in.push_back(node.fused_value_a);
       if (node.fused_has_b) in.push_back(node.fused_value_b);
-      break;
-    case NodeKind::kExchangeScatter:
-    case NodeKind::kExchangeBroadcast:
-      break;  // payload comes from the host
-    case NodeKind::kExchangeGather:
-      if (node.exch_in.node >= 0) in = {node.exch_in};
       break;
   }
   return in;

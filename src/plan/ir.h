@@ -42,13 +42,6 @@ enum class NodeKind {
   kFetchPair,      ///< download a SortByKey result (first then second)
   kFusedMap,       ///< a*(alpha-b) or a*(b+alpha) in one kernel (rewrite)
   kFusedFilterSum, ///< filter+project+sum in one pass (rewrite)
-  // Exchange operators (multi-device plans; see plan/exchange.h). In a
-  // single-stream executor they charge the priced transfer on the executing
-  // stream; the sharded runner realizes them as actual per-device uploads /
-  // partial downloads routed over DeviceGroup links.
-  kExchangeScatter,   ///< ship one shard's slice host -> its device
-  kExchangeGather,    ///< collect one device's partials back to the host
-  kExchangeBroadcast, ///< replicate a small build side to one device
 };
 
 const char* NodeKindName(NodeKind kind);
@@ -142,16 +135,6 @@ struct PlanNode {
   // predicates hold of value_a[i] (* value_b[i] when value_b is set).
   NodeInput fused_value_a, fused_value_b;
   bool fused_has_b = false;
-
-  // kExchangeScatter / kExchangeGather / kExchangeBroadcast. `exch_device`
-  // names the remote end (the host is always the other); `exch_bytes` /
-  // `exch_rows` size the payload for costing and EXPLAIN. Gather may name a
-  // producer edge via exch_in (exch_in.node == -1 when the payload is
-  // described by bytes alone).
-  int exch_device = 0;
-  uint64_t exch_bytes = 0;
-  size_t exch_rows = 0;
-  NodeInput exch_in;
 
   /// Guard: when set (>= 0), the node (and transitively its consumers) is
   /// skipped unless the guard node produced a non-zero result — a group-by
@@ -315,42 +298,6 @@ struct Plan {
     n.kind = NodeKind::kFetchGroups;
     n.fetch_from = NodeInput{group_by_node, Part::kGroupKeys};
     n.label = "FetchGroups";
-    return Add(std::move(n));
-  }
-
-  int ExchangeScatter(int dst_device, uint64_t bytes, size_t rows,
-                      std::string label) {
-    PlanNode n;
-    n.kind = NodeKind::kExchangeScatter;
-    n.exch_device = dst_device;
-    n.exch_bytes = bytes;
-    n.exch_rows = rows;
-    n.exch_in.node = -1;
-    n.label = std::move(label);
-    return Add(std::move(n));
-  }
-
-  int ExchangeGather(int src_device, uint64_t bytes, size_t rows,
-                     std::string label, NodeInput from = NodeInput{}) {
-    PlanNode n;
-    n.kind = NodeKind::kExchangeGather;
-    n.exch_device = src_device;
-    n.exch_bytes = bytes;
-    n.exch_rows = rows;
-    n.exch_in = from;
-    n.label = std::move(label);
-    return Add(std::move(n));
-  }
-
-  int ExchangeBroadcast(int dst_device, uint64_t bytes, size_t rows,
-                        std::string label) {
-    PlanNode n;
-    n.kind = NodeKind::kExchangeBroadcast;
-    n.exch_device = dst_device;
-    n.exch_bytes = bytes;
-    n.exch_rows = rows;
-    n.exch_in.node = -1;
-    n.label = std::move(label);
     return Add(std::move(n));
   }
 

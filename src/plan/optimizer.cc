@@ -36,7 +36,6 @@ void RemapNode(PlanNode& node, Fn fn, FnId fn_id) {
   fn(node.fetch_from);
   fn(node.fused_value_a);
   fn(node.fused_value_b);
-  fn(node.exch_in);
   fn_id(node.guard);
   fn_id(node.filter_source);
 }
@@ -399,11 +398,6 @@ std::vector<size_t> EstimateRows(const Plan& p) {
       case NodeKind::kFetchPair:
         rows[i] = in_rows(n.fetch_from);
         break;
-      case NodeKind::kExchangeScatter:
-      case NodeKind::kExchangeGather:
-      case NodeKind::kExchangeBroadcast:
-        rows[i] = n.exch_rows;
-        break;
     }
   }
   return rows;
@@ -598,10 +592,6 @@ class Dispatcher {
         if (n.fused_has_b) bpr += ElemBytes(p, n.fused_value_b);
         return est_.FusedFilterSum(Rows(n.pred_cols[0].node), bpr);
       }
-      case NodeKind::kExchangeScatter:
-      case NodeKind::kExchangeGather:
-      case NodeKind::kExchangeBroadcast:
-        return est_.Exchange(c, n.exch_bytes);
       default:
         return 0;
     }

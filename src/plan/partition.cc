@@ -270,18 +270,6 @@ uint64_t FootprintOfPlan(const PhysicalPlan& phys, bool include_scans) {
       case NodeKind::kFetchPair:
         rows[i] = in_rows(n.fetch_from);  // host download, no device bytes
         break;
-      case NodeKind::kExchangeScatter:
-      case NodeKind::kExchangeBroadcast:
-        // Shard/broadcast payload lands as device-resident input.
-        rows[i] = n.exch_rows;
-        width[i] = n.exch_rows > 0
-                       ? static_cast<size_t>(n.exch_bytes / n.exch_rows)
-                       : sizeof(int32_t);
-        intermediate_bytes += block(n.exch_bytes);
-        break;
-      case NodeKind::kExchangeGather:
-        rows[i] = n.exch_rows;  // host-bound download, no device bytes
-        break;
     }
   }
 
@@ -523,8 +511,9 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
     k = options.force_partitions;
   } else {
     while (k < kMaxPartitions &&
-           EstimateQueryFootprint(query, tables, backend.name(), k,
-                                  options.use_encoding) > budget) {
+           (k == 1 ? footprint
+                   : EstimateQueryFootprint(query, tables, backend.name(), k,
+                                            options.use_encoding)) > budget) {
       k *= 2;
     }
     k = std::min(k, kMaxPartitions);

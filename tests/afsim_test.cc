@@ -131,6 +131,11 @@ TEST(AfsimTypeTest, SizeMismatchThrows) {
   array a = afsim::from_vector(std::vector<int32_t>{1, 2});
   array b = afsim::from_vector(std::vector<int32_t>{1, 2, 3});
   EXPECT_THROW(a + b, std::invalid_argument);
+  // A constant is sized like any array: a longer one would read past its
+  // peer's leaf.
+  EXPECT_THROW(afsim::constant(2.0, 20, dtype::f64) +
+                   afsim::from_vector(std::vector<double>(10, 1.0)),
+               std::invalid_argument);
 }
 
 TEST(AfsimWhereTest, WhereReturnsAscendingIndices) {
@@ -328,6 +333,29 @@ TEST(AfsimSetTest, IntersectOfDisjointSetsIsEmpty) {
   array a = afsim::from_vector(std::vector<int32_t>{1, 3, 5});
   array b = afsim::from_vector(std::vector<int32_t>{2, 4, 6});
   EXPECT_TRUE(afsim::setIntersect(a, b, /*is_unique=*/true).is_empty());
+}
+
+TEST(AfsimStreamTest, ArraysKeepTheStreamTheyWereMadeOn) {
+  gpusim::Device device(gpusim::DeviceProperties(), 2);
+  gpusim::Stream stream(device, gpusim::ApiProfile::Cuda());
+  const auto default_before = gpusim::Device::Default().Snapshot();
+  array a = afsim::from_vector(std::vector<int32_t>{5, -1, 7}, stream);
+  array sum = a + afsim::constant(1.0, 3, dtype::s32, stream);
+  EXPECT_EQ(&sum.stream(), &stream);
+  EXPECT_EQ(&(a > 0.0).stream(), &stream);
+  array idx = afsim::where(sum > 0.0);
+  EXPECT_EQ(&idx.stream(), &stream);
+  EXPECT_EQ(idx.host<uint32_t>(), (std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(&afsim::range(4, dtype::s32, stream).stream(), &stream);
+  EXPECT_GT(stream.now_ns(), 0u);
+  const auto default_delta =
+      gpusim::Device::Default().Snapshot().Delta(default_before);
+  EXPECT_EQ(default_delta.kernels_launched, 0u);
+  EXPECT_EQ(default_delta.transfers, 0u);
+  // Arrays on different streams do not mix, as af arrays on different
+  // devices do not.
+  EXPECT_THROW(a + afsim::from_vector(std::vector<int32_t>{1, 2, 3}),
+               std::invalid_argument);
 }
 
 TEST(AfsimOverheadTest, GraphBuildingChargesHostOverhead) {

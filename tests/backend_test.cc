@@ -1,6 +1,8 @@
 // Cross-backend conformance suite: every registered backend must produce
 // identical relational results (up to row order where the realization is
-// unordered), parameterized over the four library bindings.
+// unordered), parameterized over the four library bindings. Each case runs
+// on a device of its own, and no operator's work may land on the default
+// device: a leaf made off the backend's stream would show there.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include "backends/backends.h"
 #include "core/backend.h"
 #include "core/registry.h"
+#include "gpusim/device.h"
 #include "storage/device_column.h"
 
 namespace {
@@ -30,6 +33,15 @@ class BackendTest : public ::testing::TestWithParam<std::string> {
 
   void SetUp() override {
     backend_ = core::BackendRegistry::Instance().Create(GetParam());
+    ASSERT_EQ(&backend_->stream().device(), &device_);
+    default_before_ = gpusim::Device::Default().Snapshot();
+  }
+
+  void TearDown() override {
+    const gpusim::CounterSnapshot on_default =
+        gpusim::Device::Default().Snapshot().Delta(default_before_);
+    EXPECT_EQ(on_default.kernels_launched, 0u);
+    EXPECT_EQ(on_default.transfers, 0u);
   }
 
   DeviceColumn Upload(const std::vector<int32_t>& v) {
@@ -58,6 +70,9 @@ class BackendTest : public ::testing::TestWithParam<std::string> {
     return ids;
   }
 
+  gpusim::Device device_{gpusim::DeviceProperties(), 2};
+  gpusim::Device::DeviceGuard guard_{device_};
+  gpusim::CounterSnapshot default_before_;
   std::unique_ptr<Backend> backend_;
 };
 

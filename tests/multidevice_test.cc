@@ -3,7 +3,8 @@
 // MultiGovernor's per-device no-overtake guarantee, differential correctness
 // of RunSharded (forced shard counts x all five queries vs the host
 // reference), the 1-device degenerate case's bit-identical simulated
-// timeline vs RunGoverned, and exchange-operator pricing in the plan IR.
+// timeline vs RunGoverned, and the pricing of a sharded plan's exchange
+// edges.
 // Built into the concurrency_tests binary, which CI also runs under
 // ThreadSanitizer (the sharded runner spawns one host thread per device).
 #include <gtest/gtest.h>
@@ -26,8 +27,6 @@
 #include "gpusim/stream.h"
 #include "gpusim/trace.h"
 #include "plan/exchange.h"
-#include "plan/ir.h"
-#include "plan/optimizer.h"
 #include "plan/partition.h"
 #include "tpch/datagen.h"
 #include "tpch_answer_testing.h"
@@ -378,19 +377,6 @@ TEST_F(MultiDeviceQueryTest, GovernedShardsRunUnderPerDeviceGrants) {
   }
 }
 
-TEST_F(MultiDeviceQueryTest, NonConcurrencySafeBackendIsRejected) {
-  gpusim::DeviceGroup group(2);
-  EXPECT_THROW(plan::RunSharded(TpchQuery::kQ6, Tables(), group,
-                                backends::kArrayFire, {}, nullptr),
-               std::invalid_argument);
-  // On a single device the same backend is fine (no device threads).
-  gpusim::DeviceGroup one(1);
-  plan::ShardedRunStats stats;
-  const plan::TpchQueryResult result = plan::RunSharded(
-      TpchQuery::kQ6, Tables(), one, backends::kArrayFire, {}, &stats);
-  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ6, result, Tables());
-}
-
 TEST_F(MultiDeviceQueryTest, CrossIslandShardsRouteExchangesViaHost) {
   gpusim::GroupTopology topo;
   topo.peer_island_size = 2;  // devices {0,1} and {2,3} are separate islands
@@ -403,7 +389,7 @@ TEST_F(MultiDeviceQueryTest, CrossIslandShardsRouteExchangesViaHost) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded planning and exchange-operator pricing.
+// Sharded planning and exchange-edge pricing.
 
 TEST_F(MultiDeviceQueryTest, PlanShardedExecutionPlacesAndPricesEdges) {
   gpusim::GroupTopology topo;
@@ -434,21 +420,47 @@ TEST_F(MultiDeviceQueryTest, PlanShardedExecutionPlacesAndPricesEdges) {
     EXPECT_EQ(e.peer, e.device == 1);  // only device 1 shares island 0
   }
 
-  // The IR realization prices every edge through the cost estimator.
-  plan::OptimizerOptions opt;
-  opt.pin_backend = backends::kHandwritten;
-  const plan::PhysicalPlan phys = plan::Optimize(spec.exchange_plan, opt);
-  ASSERT_EQ(phys.plan.nodes.size(), spec.edges.size());
-  for (size_t i = 0; i < phys.plan.nodes.size(); ++i) {
-    EXPECT_GT(phys.est_ns[i], 0u) << "edge " << i << " has no estimated cost";
+  // A gather is priced as RunSharded charges it, over its routed link; a
+  // scatter or broadcast as one host-to-device copy.
+  uint64_t total_ns = 0;
+  for (const plan::ExchangeEdge& e : spec.edges) {
+    SCOPED_TRACE(std::string(plan::ExchangeEdgeKindName(e.kind)) + " " +
+                 e.what);
+    EXPECT_GT(e.est_ns, 0u);
+    if (e.kind == plan::ExchangeEdge::Kind::kGather) {
+      EXPECT_EQ(e.est_ns, group.TransferNs(e.device, spec.coordinator,
+                                           e.bytes));
+    } else {
+      EXPECT_EQ(e.est_ns,
+                group.device(e.device).cost_model().TransferTime(
+                    e.bytes, gpusim::ApiProfile::Cuda()));
+    }
+    total_ns += e.est_ns;
   }
+  // The via-host gathers (devices 2 and 3) cost more than the p2p one.
+  const auto gather_ns = [&](int device) {
+    for (const plan::ExchangeEdge& e : spec.edges) {
+      if (e.kind == plan::ExchangeEdge::Kind::kGather && e.device == device) {
+        return e.est_ns;
+      }
+    }
+    return uint64_t{0};
+  };
+  EXPECT_GT(gather_ns(2), gather_ns(1));
+  EXPECT_GT(gather_ns(3), gather_ns(1));
 
-  const std::string text =
-      plan::ExplainSharded(spec, group, backends::kHandwritten);
+  const std::string text = plan::ExplainSharded(spec, group);
   EXPECT_NE(text.find("shard placement:"), std::string::npos);
   EXPECT_NE(text.find("p2p link"), std::string::npos);
   EXPECT_NE(text.find("via host"), std::string::npos);
-  EXPECT_NE(text.find("ExchangeScatter"), std::string::npos);
+  EXPECT_NE(text.find("est " + std::to_string(gather_ns(2)) + " ns"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("exchange total: est " + std::to_string(total_ns) +
+                      " ns over " + std::to_string(spec.edges.size()) +
+                      " edge(s)"),
+            std::string::npos)
+      << text;
 }
 
 // ---------------------------------------------------------------------------
@@ -1019,8 +1031,7 @@ TEST_F(MultiDeviceQueryTest, ExplainPlacesShardsLikeTheDegradedRun) {
     EXPECT_NE(e.device, 1) << plan::ExchangeEdgeKindName(e.kind) << " "
                            << e.what;
   }
-  const std::string text =
-      plan::ExplainSharded(spec, group, backends::kHandwritten);
+  const std::string text = plan::ExplainSharded(spec, group);
   EXPECT_EQ(text.find("dev1"), std::string::npos) << text;
   EXPECT_EQ(text.find("device 1"), std::string::npos) << text;
 
@@ -1039,7 +1050,7 @@ TEST_F(MultiDeviceQueryTest, SliceOrderFoldKeepsAnswersBitIdentical) {
   // devices, a run that loses a device mid-query, and the governed
   // single-device path all add the same partials in the same order.
   for (const char* backend : {backends::kThrust, backends::kBoostCompute,
-                              backends::kHandwritten}) {
+                              backends::kArrayFire, backends::kHandwritten}) {
     for (const TpchQuery q : {TpchQuery::kQ1, TpchQuery::kQ3, TpchQuery::kQ4,
                               TpchQuery::kQ6, TpchQuery::kQ14}) {
       SCOPED_TRACE(std::string(backend) + " " + plan::TpchQueryName(q));

@@ -277,7 +277,8 @@ TEST(PoolSizeInvarianceTest, DenseCodeAggregationRepeatsOnEveryPool) {
 
 // ---------------------------------------------------------------------------
 // Whole queries: 5 queries x {raw, encoded} on one library per test, one-shot
-// on every pool and prepared on the first.
+// on every pool and prepared on the first. Each library's stream must be on
+// the pool's device, and none of its work may land on the default device.
 
 const plan::TpchHostTables& Tables() {
   static const auto* tables = [] {
@@ -312,6 +313,9 @@ void ExpectQueriesRepeatOnEveryPool(const char* backend_name) {
         gpusim::Device::DeviceGuard guard(device);
         const std::unique_ptr<core::Backend> backend =
             core::BackendRegistry::Instance().Create(backend_name);
+        ASSERT_EQ(&backend->stream().device(), &device);
+        const gpusim::CounterSnapshot default_before =
+            gpusim::Device::Default().Snapshot();
         plan::GovernedQueryOptions options;
         options.force_partitions = 1;
         options.use_encoding = encoded;
@@ -331,10 +335,14 @@ void ExpectQueriesRepeatOnEveryPool(const char* backend_name) {
               backend_name);
           SCOPED_TRACE("prepared");
           tpch_testing::ExpectSameAnswer(q, want, prepared->Run(*backend));
-          continue;
+        } else {
+          tpch_testing::ExpectSameAnswer(q, want, got);
+          EXPECT_EQ(stats.simulated_ns, want_ns);
         }
-        tpch_testing::ExpectSameAnswer(q, want, got);
-        EXPECT_EQ(stats.simulated_ns, want_ns);
+        const gpusim::CounterSnapshot on_default =
+            gpusim::Device::Default().Snapshot().Delta(default_before);
+        EXPECT_EQ(on_default.kernels_launched, 0u);
+        EXPECT_EQ(on_default.transfers, 0u);
       }
     }
   }
@@ -352,11 +360,6 @@ TEST(PoolSizeInvarianceTest, BoostComputeQueriesRepeatOnEveryPool) {
   ExpectQueriesRepeatOnEveryPool(backends::kBoostCompute);
 }
 
-// ArrayFire's stream, afsim::default_stream(), is bound to
-// gpusim::Device::Default() whatever device the DeviceGuard selects, so
-// every pool size here runs ArrayFire's kernels on the default device's
-// pool: this case repeats the queries but never varies ArrayFire's pool.
-// AfsimFusedKernelTest splits ranges directly instead.
 TEST(PoolSizeInvarianceTest, ArrayFireQueriesRepeatOnEveryPool) {
   ExpectQueriesRepeatOnEveryPool(backends::kArrayFire);
 }

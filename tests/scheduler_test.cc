@@ -1,8 +1,9 @@
 // QueryScheduler tests: admission of N genuinely concurrent clients,
 // bounded-queue backpressure, error isolation between clients, and the
 // serial-vs-concurrent golden check — the same queries produce bit-identical
-// per-stream simulated time at any client count and interleaving. Built into
-// the concurrency_tests binary, which CI also runs under ThreadSanitizer.
+// answers and per-stream simulated time at any client count and
+// interleaving. Built into the concurrency_tests binary, which CI also runs
+// under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +23,7 @@
 #include "gpusim/device.h"
 #include "plan/prepared.h"
 #include "tpch/datagen.h"
+#include "tpch_answer_testing.h"
 
 namespace core {
 namespace {
@@ -168,18 +170,6 @@ TEST_F(SchedulerTest, AFailingQueryIsIsolatedFromOtherClients) {
   EXPECT_EQ(scheduler.Records().size(), static_cast<size_t>(kQueries) + 1);
 }
 
-TEST_F(SchedulerTest, RefusesMultiClientUseOfConcurrencyUnsafeBackends) {
-  // ArrayFire's simulation routes all work through one global JIT stream.
-  EXPECT_THROW(QueryScheduler scheduler(
-                   Opts(2, 16, backends::kArrayFire)),
-               std::invalid_argument);
-  // Single-client use is fine.
-  QueryScheduler scheduler(Opts(1, 16, backends::kArrayFire));
-  scheduler.Submit("noop", [](Backend&) {});
-  scheduler.Drain();
-  EXPECT_EQ(scheduler.Report().failed, 0u);
-}
-
 TEST_F(SchedulerTest, UnknownBackendThrowsOnConstruction) {
   EXPECT_THROW(QueryScheduler scheduler(Opts(1, 16, "NoSuchLibrary")),
                std::out_of_range);
@@ -189,7 +179,7 @@ TEST_F(SchedulerTest, UnknownBackendThrowsOnConstruction) {
 // The golden invariant: per-query simulated time is independent of host
 // scheduling. Running the same TPC-H queries serially (1 client) and
 // concurrently (4 clients) must charge bit-identical simulated ns to each
-// query, for every backend whose instances are independent.
+// query, and return bit-identical answers, on every backend.
 // ---------------------------------------------------------------------------
 
 class SchedulerTimingGoldenTest : public SchedulerTest {};
@@ -203,26 +193,32 @@ TEST_F(SchedulerTimingGoldenTest, SerialAndConcurrentSimulatedTimeIdentical) {
   const auto resident = plan::MakeResident(
       setup, {&lineitem, nullptr, nullptr, &part}, /*use_encoding=*/false);
 
-  // Thrust and Handwritten charge no per-instance JIT warmup, so every
-  // instance of a query kind must cost identical simulated ns.
-  for (const char* backend : {backends::kHandwritten, backends::kThrust}) {
+  // Thrust, ArrayFire and Handwritten charge no per-instance JIT warmup, so
+  // every instance of a query kind must cost identical simulated ns.
+  for (const char* backend :
+       {backends::kHandwritten, backends::kThrust, backends::kArrayFire}) {
     std::vector<std::shared_ptr<const plan::PreparedTpchQuery>> mix;
     for (const plan::TpchQuery q : {plan::TpchQuery::kQ1, plan::TpchQuery::kQ6,
                                     plan::TpchQuery::kQ14}) {
       mix.push_back(plan::PrepareTpchQuery({q}, resident, backend));
     }
-    const auto submit_mix = [&](QueryScheduler& scheduler, int copies) {
-      for (int c = 0; c < copies; ++c) {
-        for (const auto& prepared : mix) {
-          scheduler.Submit(plan::TpchQueryName(prepared->shape().query),
-                           [prepared](Backend& b) { prepared->Run(b); });
-        }
+    // Copy c of mix entry m writes its answer to answers[c * mix.size() + m].
+    const auto submit_mix = [&](QueryScheduler& scheduler, int copies,
+                                std::vector<plan::TpchQueryResult>& answers) {
+      answers.resize(static_cast<size_t>(copies) * mix.size());
+      for (size_t i = 0; i < answers.size(); ++i) {
+        const auto& prepared = mix[i % mix.size()];
+        plan::TpchQueryResult* answer = &answers[i];
+        scheduler.Submit(
+            plan::TpchQueryName(prepared->shape().query),
+            [prepared, answer](Backend& b) { *answer = prepared->Run(b); });
       }
     };
     std::map<std::string, uint64_t> golden;
+    std::vector<plan::TpchQueryResult> serial_answers;
     {
       QueryScheduler serial(Opts(1, 16, backend));
-      submit_mix(serial, 2);
+      submit_mix(serial, 2, serial_answers);
       serial.Drain();
       for (const auto& r : serial.Records()) {
         ASSERT_TRUE(r.ok) << backend << "/" << r.label << ": " << r.error;
@@ -232,9 +228,10 @@ TEST_F(SchedulerTimingGoldenTest, SerialAndConcurrentSimulatedTimeIdentical) {
             << " disagree" << (inserted ? " (impossible)" : "");
       }
     }
+    std::vector<plan::TpchQueryResult> concurrent_answers;
     {
       QueryScheduler concurrent(Opts(4, 16, backend));
-      submit_mix(concurrent, 4);
+      submit_mix(concurrent, 4, concurrent_answers);
       concurrent.Drain();
       const auto records = concurrent.Records();
       ASSERT_EQ(records.size(), 12u);
@@ -244,6 +241,12 @@ TEST_F(SchedulerTimingGoldenTest, SerialAndConcurrentSimulatedTimeIdentical) {
             << backend << ": " << r.label
             << " charged different simulated time under concurrency";
       }
+    }
+    for (size_t i = 0; i < concurrent_answers.size(); ++i) {
+      const plan::TpchQuery q = mix[i % mix.size()]->shape().query;
+      SCOPED_TRACE(std::string(backend) + " " + plan::TpchQueryName(q));
+      tpch_testing::ExpectSameAnswer(q, serial_answers[i % mix.size()],
+                                     concurrent_answers[i]);
     }
   }
 }

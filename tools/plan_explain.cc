@@ -13,9 +13,9 @@
 //
 // With --devices=N (N > 1) the per-node EXPLAIN is followed by the sharded
 // execution plan over an N-device gpusim::DeviceGroup: shard->device
-// placement with orderkey-snapped row ranges, every exchange edge (scatter,
-// broadcast, gather) with its payload and link route, and the cost-estimated
-// exchange operators. --shards overrides the one-shard-per-device default.
+// placement with orderkey-snapped row ranges, and every exchange edge
+// (scatter, broadcast, gather) with its payload, link route and estimated
+// cost. --shards overrides the one-shard-per-device default.
 #include <cstdlib>
 #include <iostream>
 #include <map>
@@ -145,8 +145,7 @@ int main(int argc, char** argv) {
     gpusim::DeviceGroup group(devices);
     const plan::ShardedPlanSpec spec =
         plan::PlanShardedExecution(q, tables, group, shards);
-    const std::string explain_backend = pin.empty() ? "Handwritten" : pin;
-    std::cout << "\n" << plan::ExplainSharded(spec, group, explain_backend);
+    std::cout << "\n" << plan::ExplainSharded(spec, group);
   }
   return 0;
 }
