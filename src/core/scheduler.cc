@@ -7,6 +7,7 @@
 
 #include "core/metrics.h"
 #include "core/registry.h"
+#include "gpusim/device.h"
 
 namespace core {
 namespace {
@@ -230,7 +231,10 @@ SchedulerReport QueryScheduler::Report() const {
 
 void QueryScheduler::ClientLoop(unsigned client_index) {
   // Each client owns a full backend instance — and with it a private Stream
-  // whose simulated timeline is independent of every other client's.
+  // whose simulated timeline is independent of every other client's — on
+  // the device the probe found: the one current where the scheduler was
+  // built. The guard binds this thread to it for the thread's lifetime.
+  gpusim::Device::DeviceGuard guard(*device_);
   std::unique_ptr<Backend> backend =
       BackendRegistry::Instance().Create(options_.backend_name);
 

@@ -152,8 +152,9 @@ struct SchedulerReport {
 /// `num_clients` concurrent client threads. Thread-safe.
 class QueryScheduler {
  public:
-  /// Spawns the client threads. Throws std::out_of_range for an unknown
-  /// backend.
+  /// Spawns the client threads, each bound to the calling thread's current
+  /// device (gpusim::Device::Current()), so every client's backend runs
+  /// there. Throws std::out_of_range for an unknown backend.
   explicit QueryScheduler(SchedulerOptions options);
 
   /// Drains outstanding work and joins the clients.
@@ -230,7 +231,7 @@ class QueryScheduler {
 
   SchedulerOptions options_;
   ResilienceManager resilience_;  ///< this scheduler's breakers + counters
-  gpusim::Device* device_ = nullptr;  ///< the clients' device (for report)
+  gpusim::Device* device_ = nullptr;  ///< where every client runs
 
   mutable std::mutex mu_;  ///< guards queue_, in_flight_, stop_, timestamps
   std::condition_variable queue_not_full_;

@@ -639,7 +639,7 @@ PhysicalPlan Optimize(const Plan& logical, const OptimizerOptions& options,
 
   if (phys.hybrid) phys.candidates = options.candidates;
   MergeFilterChains(phys.plan);
-  if (phys.hybrid && options.enable_fusion) ApplyFusion(phys.plan);
+  if (phys.hybrid) ApplyFusion(phys.plan);
   phys.est_rows = EstimateRows(phys.plan);
   Dispatcher(phys, estimator, options).Run();
   return phys;

@@ -35,12 +35,10 @@ namespace plan {
 
 struct OptimizerOptions {
   /// Pin every node to this registry backend (the golden-equivalence mode).
-  /// Empty selects hybrid per-operator dispatch over `candidates`.
+  /// Empty selects hybrid per-operator dispatch over `candidates`, which
+  /// also applies the fusion rewrites (a pinned plan must replay the chain
+  /// of library calls verbatim).
   std::string pin_backend;
-
-  /// Fusion rewrites; only applied in hybrid mode (a pinned plan must replay
-  /// the chain of library calls verbatim).
-  bool enable_fusion = true;
 
   /// Dispatch candidates in preference (tie-break) order.
   std::vector<std::string> candidates = {"Handwritten", "Thrust", "ArrayFire",

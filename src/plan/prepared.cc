@@ -41,8 +41,6 @@ std::shared_ptr<const ResidentTpchTables> MakeResident(
     if (!use_encoding) bytes = detail::HostTableBytes(t);
     out->uploaded_bytes += bytes;
     out->resident_bytes += ResidentBytes(t, dev);
-    out->stats_fingerprint = CombineFingerprint(
-        out->stats_fingerprint, TableStatsFingerprint(t, dev));
     return dev;
   };
 

@@ -1,20 +1,22 @@
-// Resident tables and prepared (cacheable) query plans.
+// Resident tables and prepared (reusable) query plans.
 //
 // The one-shot execution paths (plan/partition.h) upload tables, build and
 // optimize a plan, run it, and throw everything away. A serving process
 // amortizes all of that: tables upload once and stay device-resident across
 // requests ("Accelerating Presto with GPUs", PAPERS.md), and an optimized
 // physical plan over those resident tables is reusable for every later
-// request with the same shape — a PreparedTpchQuery, the value stored in the
-// serving tier's plan cache.
+// request for the same query — a PreparedTpchQuery, the value a serving
+// catalog snapshot keeps one of per query (serve/session.h). Eiger
+// (PAPERS.md) motivates the reuse: repeated query shapes should reuse
+// optimization decisions instead of paying the optimizer per request.
 //
 // Lifetime is the safety argument: a physical plan binds raw pointers to the
 // DeviceColumns it scans, so a PreparedTpchQuery co-owns its
 // ResidentTpchTables via shared_ptr. A stale plan — one prepared against a
-// residency generation that has since been replaced — keeps its own tables
-// alive and merely computes against the old (consistent) snapshot; dangling
-// reuse is impossible by construction. The plan cache additionally drops
-// stale entries eagerly (serve/plan_cache.h) so lookups never return them.
+// residency that has since been replaced — keeps its own tables alive and
+// merely computes against the old (consistent) snapshot; dangling reuse is
+// impossible by construction. The server never serves one: each snapshot's
+// plans are prepared against that snapshot's residency only.
 #ifndef PLAN_PREPARED_H_
 #define PLAN_PREPARED_H_
 
@@ -24,7 +26,6 @@
 
 #include "core/backend.h"
 #include "gpusim/stream.h"
-#include "plan/fingerprint.h"
 #include "plan/optimizer.h"
 #include "plan/partition.h"
 #include "plan/tpch_plans.h"
@@ -32,9 +33,17 @@
 
 namespace plan {
 
-/// Device-resident TPC-H tables plus the statistics fingerprint of what was
-/// uploaded. Immutable after MakeResident — plan nodes hold pointers into
-/// the DeviceTables, so the struct is only handed out as shared_ptr<const>.
+/// Everything that identifies "the same query" for plan reuse: the query
+/// (its table entry fixes the parameters) and whether it runs against
+/// encoded residency (encoded tables take different operator paths).
+struct QueryShape {
+  TpchQuery query = TpchQuery::kQ1;
+  bool use_encoding = false;
+};
+
+/// Device-resident TPC-H tables. Immutable after MakeResident — plan nodes
+/// hold pointers into the DeviceTables, so the struct is only handed out as
+/// shared_ptr<const>.
 struct ResidentTpchTables {
   storage::DeviceTable lineitem;
   storage::DeviceTable orders;
@@ -46,16 +55,13 @@ struct ResidentTpchTables {
   bool encoded = false;          ///< uploaded via UploadTableEncoded
   uint64_t uploaded_bytes = 0;   ///< bytes that crossed the link
   uint64_t resident_bytes = 0;   ///< device bytes the residency occupies
-  /// Combined TableStatsFingerprint over the resident tables, folded in the
-  /// fixed order lineitem, orders, customer, part.
-  uint64_t stats_fingerprint = 0;
 
   /// The resident tables as a plan builder reads them (absent ones null).
   TpchDeviceTables view() const;
 };
 
 /// Uploads every non-null table of `host` on `stream` (encoded when
-/// `use_encoding`) and fingerprints the result. Lineitem is required.
+/// `use_encoding`). Lineitem is required.
 std::shared_ptr<const ResidentTpchTables> MakeResident(
     gpusim::Stream& stream, const TpchHostTables& host, bool use_encoding);
 
@@ -91,10 +97,9 @@ class PreparedTpchQuery {
   uint64_t footprint_bytes_ = 0;
 };
 
-/// The cache-miss path: builds the shape's logical plan over the resident
-/// tables and optimizes it pinned to `backend_name`. Throws
-/// std::invalid_argument when the shape's query needs a table the residency
-/// does not hold.
+/// Builds the shape's logical plan over the resident tables and optimizes
+/// it pinned to `backend_name`. Throws std::invalid_argument when the
+/// shape's query needs a table the residency does not hold.
 std::shared_ptr<const PreparedTpchQuery> PrepareTpchQuery(
     const QueryShape& shape,
     std::shared_ptr<const ResidentTpchTables> tables,

@@ -225,7 +225,6 @@ void Encode(const StatsReply& m, Writer& w) {
   w.U64(m.cache_hits);
   w.U64(m.cache_misses);
   w.U64(m.cache_size);
-  w.U64(m.cache_evictions);
   w.U64(m.resident_bytes);
   w.U64(m.uploaded_bytes);
   w.U64(m.catalog_generation);
@@ -286,7 +285,6 @@ StatsReply DecodeStatsReply(Reader& r) {
   m.cache_hits = r.U64();
   m.cache_misses = r.U64();
   m.cache_size = r.U64();
-  m.cache_evictions = r.U64();
   m.resident_bytes = r.U64();
   m.uploaded_bytes = r.U64();
   m.catalog_generation = r.U64();

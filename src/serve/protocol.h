@@ -75,7 +75,7 @@ struct QueryRequest {
 struct QueryReply {
   plan::TpchQuery query = plan::TpchQuery::kQ1;
   plan::TpchQueryResult result;
-  bool cache_hit = false;   ///< plan served from the plan cache
+  bool cache_hit = false;   ///< plan already prepared in this snapshot
   bool rejected = false;    ///< memory admission rejected; no result
   bool aged = false;        ///< dequeued via the starvation aging rule
   uint64_t simulated_ns = 0;
@@ -92,10 +92,9 @@ struct StatsReply {
   uint64_t queries = 0;        ///< completed (ok) queries
   uint64_t rejected = 0;       ///< admission rejections
   uint64_t failed = 0;         ///< execution failures
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_size = 0;     ///< entries currently cached
-  uint64_t cache_evictions = 0;
+  uint64_t cache_hits = 0;      ///< requests served an already prepared plan
+  uint64_t cache_misses = 0;    ///< requests that prepared their plan
+  uint64_t cache_size = 0;      ///< plans prepared in the current snapshot
   uint64_t resident_bytes = 0;   ///< device bytes of the resident tables
   uint64_t uploaded_bytes = 0;   ///< link bytes spent making them resident
   uint64_t catalog_generation = 0;  ///< bumps on every catalog refresh

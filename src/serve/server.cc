@@ -43,11 +43,10 @@ int MakeListener(const std::string& path) {
 
 QueryServer::QueryServer(ServerOptions options)
     : options_(std::move(options)),
-      catalog_(std::make_unique<ResidentCatalog>(options_.catalog)),
-      plan_cache_(options_.plan_cache_capacity) {
+      catalog_(std::make_unique<ResidentCatalog>(options_.catalog)) {
   if (options_.use_governor) {
     core::GovernorOptions gov;
-    gov.max_grant_fraction = options_.max_grant_fraction;
+    gov.max_grant_fraction = 0.5;  // no one query takes over half the device
     governor_ = std::make_unique<core::MemoryGovernor>(gov);
   }
   core::SchedulerOptions sched;
@@ -154,8 +153,9 @@ void QueryServer::CheckAdmission(TenantClass cls) {
                          TenantClassName(cls) + " bound",
                      retry_after);
   }
-  if (governor_ != nullptr && options_.shed_governor_depth > 0 &&
-      governor_->queue_depth() >= class_bound(options_.shed_governor_depth)) {
+  // The governor's admission queue has a fixed bound of 32, scaled the same
+  // way.
+  if (governor_ != nullptr && governor_->queue_depth() >= class_bound(32)) {
     overloaded_.fetch_add(1);
     throw Overloaded(std::string("governor admission queue at ") +
                          TenantClassName(cls) + " bound",
@@ -165,30 +165,17 @@ void QueryServer::CheckAdmission(TenantClass cls) {
 
 QueryReply QueryServer::Execute(const Session& session,
                                 const std::string& query_name) {
-  plan::QueryShape shape;
-  shape.query = plan::ParseTpchQuery(query_name);
+  const plan::TpchQuery query = plan::ParseTpchQuery(query_name);
   CheckAdmission(session.cls);
-  shape.use_encoding = options_.catalog.use_encoding;
 
-  // Plan-cache lookup under the current residency snapshot. The key carries
-  // the snapshot's stats fingerprint and generation, so neither a reloaded
-  // catalog nor a readmission's re-upload of the same tables can serve a
-  // plan prepared against the residency it replaced.
-  const CatalogSnapshot catalog = catalog_->snapshot();
-  plan::PlanCacheKey key;
-  key.shape_hash = plan::QueryShapeHash(shape);
-  key.stats_fingerprint = catalog.resident->stats_fingerprint;
-  key.backend = options_.catalog.backend;
-  key.generation = catalog.generation;
-
-  std::shared_ptr<const plan::PreparedTpchQuery> prepared =
-      plan_cache_.Lookup(key);
-  const bool cache_hit = prepared != nullptr;
-  if (!cache_hit) {
-    prepared = plan::PrepareTpchQuery(shape, catalog.resident,
-                                      options_.catalog.backend);
-    plan_cache_.Insert(key, prepared);
-  }
+  // The query's plan from the current snapshot's slot: prepared against
+  // that snapshot's residency, so neither a reloaded catalog nor a
+  // readmission's re-upload of the same tables serves a plan prepared
+  // against the residency it replaced.
+  bool prepared_here = false;
+  const std::shared_ptr<const plan::PreparedTpchQuery> prepared =
+      catalog_->snapshot().plans->Get(query, &prepared_here);
+  (prepared_here ? plan_misses_ : plan_hits_).fetch_add(1);
 
   auto result = std::make_shared<plan::TpchQueryResult>();
   auto done = std::make_shared<std::promise<core::QueryRecord>>();
@@ -213,8 +200,8 @@ QueryReply QueryServer::Execute(const Session& session,
   const core::QueryRecord record = record_future.get();
 
   QueryReply reply;
-  reply.query = shape.query;
-  reply.cache_hit = cache_hit;
+  reply.query = query;
+  reply.cache_hit = !prepared_here;
   reply.aged = record.aged;
   reply.simulated_ns = record.simulated_ns;
   reply.wall_ms = record.wall_ms;
@@ -270,10 +257,10 @@ bool QueryServer::ReadmitDevice(int ordinal) {
   if (!ok) return false;
   // Refresh the catalog onto the readmitted ordinal in the background: the
   // residency snapshot is refcounted, so queries keep running on the old
-  // one while the same host tables upload. The generation bump redirects
-  // new prepares and retires every cached plan. Only then does the ordinal
-  // complete readmission, so it is never considered alive before its state
-  // is back.
+  // one while the same host tables upload. The new snapshot's empty plan
+  // slots redirect new prepares to the new residency. Only then does the
+  // ordinal complete readmission, so it is never considered alive before
+  // its state is back.
   std::lock_guard<std::mutex> lock(rebalance_mu_);
   if (rebalance_thread_.joinable()) rebalance_thread_.join();
   rebalance_thread_ = std::thread([this, fleet, ordinal] {
@@ -303,12 +290,10 @@ StatsReply QueryServer::Stats() const {
   s.queries = ok_queries_.load();
   s.rejected = rejected_.load();
   s.failed = failed_.load();
-  const PlanCache::Stats cache = plan_cache_.stats();
-  s.cache_hits = cache.hits;
-  s.cache_misses = cache.misses;
-  s.cache_size = cache.size;
-  s.cache_evictions = cache.evictions;
+  s.cache_hits = plan_hits_.load();
+  s.cache_misses = plan_misses_.load();
   const CatalogSnapshot catalog = catalog_->snapshot();
+  s.cache_size = catalog.plans->size();
   s.resident_bytes = catalog.resident->resident_bytes;
   s.uploaded_bytes = catalog.resident->uploaded_bytes;
   s.catalog_generation = catalog.generation;

@@ -1,10 +1,11 @@
 // The resident query server.
 //
 // QueryServer ties the serving tier together: a ResidentCatalog (tables
-// uploaded once, device-resident across requests), a PlanCache (optimized
-// physical plans reused across same-shape requests of one catalog
-// generation), a TenantRegistry (QoS-class -> fair-share weights and
-// deadline classes), and a core::QueryScheduler + core::MemoryGovernor
+// uploaded once, device-resident across requests, and each query's
+// optimized physical plan, prepared once per catalog snapshot and reused by
+// every later request for it), a TenantRegistry (QoS-class -> fair-share
+// weights and deadline classes), and a core::QueryScheduler +
+// core::MemoryGovernor
 // (tenant-weighted dequeue with aging; memory admission for the per-run
 // intermediates). Requests arrive over the length-prefixed protocol
 // (serve/protocol.h) on a UNIX domain socket; each connection is one
@@ -43,7 +44,6 @@
 #include "core/governor.h"
 #include "core/scheduler.h"
 #include "gpusim/device_group.h"
-#include "serve/plan_cache.h"
 #include "serve/protocol.h"
 #include "serve/session.h"
 #include "serve/tenant.h"
@@ -57,16 +57,12 @@ struct ServerOptions {
   CatalogOptions catalog;
   unsigned num_clients = 4;      ///< scheduler client threads
   size_t queue_capacity = 64;    ///< scheduler submission queue bound
-  size_t plan_cache_capacity = 64;
   bool use_governor = true;      ///< memory admission for intermediates
-  double max_grant_fraction = 0.5;
   /// Live-connection cap: further connects are answered kOverloaded and
   /// closed instead of spawning yet another thread.
   size_t max_connections = 64;
   /// Shed when the scheduler queue reaches this depth (0 = queue_capacity).
   size_t shed_queue_depth = 0;
-  /// Shed when the governor's admission queue reaches this depth.
-  size_t shed_governor_depth = 32;
   /// Base retry-after hint carried in kOverloaded replies; each tenant
   /// class scales it by its TenantPolicy::retry_after_multiplier.
   uint64_t retry_after_ms = 50;
@@ -111,9 +107,10 @@ class QueryServer {
   /// Registers a session (the in-process analogue of Hello).
   Session OpenSession(const std::string& tenant, TenantClass cls);
 
-  /// Runs one query for a session: plan-cache lookup (miss -> prepare +
-  /// insert), tenant-weighted scheduling, memory admission, execution
-  /// against the resident tables. Throws std::invalid_argument for a bad
+  /// Runs one query for a session: the current catalog snapshot's plan for
+  /// it (the request that prepares it misses, every later one hits),
+  /// tenant-weighted scheduling, memory admission, execution against the
+  /// snapshot's resident tables. Throws std::invalid_argument for a bad
   /// query name, Overloaded when the request is shed (queue bound or open
   /// breaker), and std::runtime_error when execution fails; an admission
   /// rejection is NOT an error — the reply comes back with rejected = true.
@@ -126,16 +123,15 @@ class QueryServer {
   /// refreshes the catalog with them (ResidentCatalog::Refresh). Returns
   /// once the new snapshot is swapped in, without waiting for queries in
   /// flight: they finish on the snapshot they prepared against, while new
-  /// requests see the new tables. The generation bump retires every cached
-  /// plan.
+  /// requests see the new tables, each query's plan prepared anew.
   void ReloadCatalog(double scale_factor);
 
   /// Re-admission of a reset fleet device: resets it if still Lost, runs
   /// the half-open probe, and mirrors the outcome into every backend@ordinal
   /// breaker of the server's scheduler. On a passing probe a background
   /// thread refreshes the catalog onto the ordinal (the same host tables,
-  /// ResidentCatalog::Refresh) while queries keep running, which bumps the
-  /// generation and retires every cached plan, and then the device
+  /// ResidentCatalog::Refresh) while queries keep running, which swaps in a
+  /// snapshot with empty plan slots, and then the device
   /// completes readmission. If that upload fails, the catalog stays as it
   /// was, the ordinal goes back to Lost and its breakers re-open, so a
   /// later ReadmitDevice can retry. Returns true when the probe passed and
@@ -150,7 +146,6 @@ class QueryServer {
   StatsReply Stats() const;
 
   ResidentCatalog& catalog() { return *catalog_; }
-  PlanCache& plan_cache() { return plan_cache_; }
   core::QueryScheduler& scheduler() { return *scheduler_; }
   const ServerOptions& options() const { return options_; }
 
@@ -177,10 +172,11 @@ class QueryServer {
   std::unique_ptr<ResidentCatalog> catalog_;
   std::unique_ptr<core::MemoryGovernor> governor_;
   std::unique_ptr<core::QueryScheduler> scheduler_;
-  PlanCache plan_cache_;
   TenantRegistry tenants_;
 
   std::atomic<uint64_t> next_session_{0};
+  std::atomic<uint64_t> plan_hits_{0};
+  std::atomic<uint64_t> plan_misses_{0};
   std::atomic<uint64_t> ok_queries_{0};
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> failed_{0};

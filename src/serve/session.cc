@@ -22,6 +22,34 @@ std::shared_ptr<const plan::ResidentTpchTables> Upload(
 
 }  // namespace
 
+PlanSlots::PlanSlots(std::shared_ptr<const plan::ResidentTpchTables> resident,
+                     std::string backend)
+    : resident_(std::move(resident)),
+      backend_(std::move(backend)),
+      slots_(plan::QueryTable().size()) {}
+
+std::shared_ptr<const plan::PreparedTpchQuery> PlanSlots::Get(
+    plan::TpchQuery query, bool* prepared) {
+  *prepared = false;
+  Slot& slot = slots_[static_cast<size_t>(query)];  // table is in enum order
+  if (!slot.filled.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(slot.mu);
+    if (!slot.filled.load(std::memory_order_relaxed)) {
+      slot.plan = plan::PrepareTpchQuery({query, resident_->encoded}, resident_,
+                                         backend_);
+      slot.filled.store(true, std::memory_order_release);
+      *prepared = true;
+    }
+  }
+  return slot.plan;
+}
+
+size_t PlanSlots::size() const {
+  size_t filled = 0;
+  for (const Slot& slot : slots_) filled += slot.filled.load() ? 1 : 0;
+  return filled;
+}
+
 plan::TpchHostTables HostTables::view() const {
   plan::TpchHostTables t;
   t.lineitem = &lineitem;
@@ -49,6 +77,8 @@ ResidentCatalog::ResidentCatalog(CatalogOptions options)
     : options_(std::move(options)), device_(&gpusim::Device::Current()) {
   current_.host = GenerateHostTables(options_.scale_factor, options_.seed);
   current_.resident = Upload(options_, *device_, *current_.host);
+  current_.plans = std::make_shared<PlanSlots>(current_.resident,
+                                               options_.backend);
 }
 
 CatalogSnapshot ResidentCatalog::snapshot() const {
@@ -76,6 +106,7 @@ void ResidentCatalog::Refresh(std::shared_ptr<const HostTables> tables,
   // Upload outside mu_: readers keep taking snapshots throughout, and an
   // upload that throws leaves the catalog as it was.
   next.resident = Upload(options_, *device, *next.host);
+  next.plans = std::make_shared<PlanSlots>(next.resident, options_.backend);
   ++next.generation;
   device_ = device;
   {

@@ -4,21 +4,26 @@
 // and keeps them device-resident across every request — the coordinator/
 // long-lived-GPU-worker shape of "Accelerating Presto with GPUs" (PAPERS.md).
 // The catalog's state is one immutable snapshot: the host tables with their
-// scale factor, their residency (plan::ResidentTpchTables), and the
-// generation that names the pair. Refresh() is the only way that state
-// changes: it uploads new host tables, or the current ones onto another
-// device, swaps the next snapshot in and bumps the generation, and the
-// server keys its plan cache by that generation. Snapshots are refcounted,
-// so a query prepared against an old generation keeps computing against its
-// own (consistent) snapshot while new requests see the new one: a refresh
-// never waits for queries, and a query never waits for an upload.
+// scale factor, their residency (plan::ResidentTpchTables), the generation
+// that names the pair, and one prepared-plan slot per query (PlanSlots).
+// Refresh() is the only way that state changes: it uploads new host tables,
+// or the current ones onto another device, and swaps in the next snapshot
+// with a bumped generation and empty slots. A plan is therefore only ever
+// served against the residency it was prepared on: a refresh retires every
+// plan by construction, and a request that read the old snapshot can only
+// fill the old snapshot's slot. Snapshots are refcounted, so a query
+// prepared against an old generation keeps computing against its own
+// (consistent) snapshot while new requests see the new one: a refresh never
+// waits for queries, and a query never waits for an upload.
 #ifndef SERVE_SESSION_H_
 #define SERVE_SESSION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "core/scheduler.h"
 #include "gpusim/device.h"
@@ -45,12 +50,46 @@ struct HostTables {
 std::shared_ptr<const HostTables> GenerateHostTables(double scale_factor,
                                                      uint64_t seed);
 
-/// One catalog state: host tables, their residency, and its generation,
-/// read together.
+/// One residency's prepared plans: a slot per TpchQuery, filled at most
+/// once, by plan::PrepareTpchQuery against that residency. Thread-safe.
+class PlanSlots {
+ public:
+  /// Empty slots for plans over `resident`, pinned to `backend`.
+  PlanSlots(std::shared_ptr<const plan::ResidentTpchTables> resident,
+            std::string backend);
+
+  /// The query's plan. An empty slot is filled by this call, which then sets
+  /// `*prepared`; concurrent first calls wait for that one prepare. A
+  /// prepare that throws leaves the slot empty, so the next call tries
+  /// again.
+  std::shared_ptr<const plan::PreparedTpchQuery> Get(plan::TpchQuery query,
+                                                     bool* prepared);
+
+  /// Slots filled so far: 0 up to one per TpchQuery.
+  size_t size() const;
+
+ private:
+  struct Slot {
+    std::mutex mu;  ///< held by the one prepare; waiters block on it
+    std::atomic<bool> filled{false};
+    /// Written once, under `mu`, before `filled` is set; read-only after.
+    std::shared_ptr<const plan::PreparedTpchQuery> plan;
+  };
+
+  const std::shared_ptr<const plan::ResidentTpchTables> resident_;
+  const std::string backend_;
+  std::vector<Slot> slots_;  ///< indexed by TpchQuery
+};
+
+/// One catalog state: host tables, their residency, its generation, and the
+/// plans prepared against it, read together.
 struct CatalogSnapshot {
   std::shared_ptr<const HostTables> host;                    ///< never null
   std::shared_ptr<const plan::ResidentTpchTables> resident;  ///< never null
   uint64_t generation = 0;
+  /// Plans over `resident`, shared by every copy of this snapshot; a
+  /// refresh starts the next snapshot with empty slots. Never null.
+  std::shared_ptr<PlanSlots> plans;
 };
 
 struct CatalogOptions {
@@ -59,7 +98,7 @@ struct CatalogOptions {
   /// Upload via storage::UploadTableEncoded (encoded residency).
   bool use_encoding = true;
   /// Backend whose stream carries the uploads; also the backend every
-  /// cached plan is pinned to (must match the scheduler's backend).
+  /// prepared plan is pinned to (must match the scheduler's backend).
   std::string backend = "Handwritten";
 };
 
@@ -83,7 +122,8 @@ class ResidentCatalog {
 
   /// The one refresh path. Uploads `tables` (null: the current ones) to
   /// `device` (null: the current one) on a backend that lives only for the
-  /// call, then swaps the new snapshot in and bumps the generation.
+  /// call, then swaps the new snapshot in, with a bumped generation and
+  /// empty plan slots.
   /// Refreshes run one at a time, each reading the latest snapshot, so a
   /// readmission that follows a reload re-uploads the reloaded tables.
   /// Readers keep whatever snapshot they hold: until the last in-flight

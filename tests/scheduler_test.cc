@@ -1,5 +1,6 @@
 // QueryScheduler tests: admission of N genuinely concurrent clients,
-// bounded-queue backpressure, error isolation between clients, and the
+// bounded-queue backpressure, error isolation between clients, clients
+// running on the device current at construction, and the
 // serial-vs-concurrent golden check — the same queries produce bit-identical
 // answers and per-stream simulated time at any client count and
 // interleaving. Built into the concurrency_tests binary, which CI also runs
@@ -20,8 +21,11 @@
 #include "backends/backends.h"
 #include "core/registry.h"
 #include "core/scheduler.h"
+#include "gpusim/counters.h"
 #include "gpusim/device.h"
 #include "plan/prepared.h"
+#include "storage/column.h"
+#include "storage/device_column.h"
 #include "tpch/datagen.h"
 #include "tpch_answer_testing.h"
 
@@ -173,6 +177,37 @@ TEST_F(SchedulerTest, AFailingQueryIsIsolatedFromOtherClients) {
 TEST_F(SchedulerTest, UnknownBackendThrowsOnConstruction) {
   EXPECT_THROW(QueryScheduler scheduler(Opts(1, 16, "NoSuchLibrary")),
                std::out_of_range);
+}
+
+TEST_F(SchedulerTest, ClientsRunOnTheDeviceCurrentAtConstruction) {
+  gpusim::Device device(gpusim::DeviceProperties(), /*host_threads=*/2);
+  const gpusim::CounterSnapshot device_before = device.Snapshot();
+  const gpusim::CounterSnapshot default_before =
+      gpusim::Device::Default().Snapshot();
+  const gpusim::Device* ran_on = nullptr;
+  double sum = 0;
+  {
+    gpusim::Device::DeviceGuard guard(device);
+    QueryScheduler scheduler(Opts(1, 16, backends::kThrust));
+    scheduler.Submit("sum", [&](Backend& backend) {
+      ran_on = &backend.stream().device();
+      const storage::DeviceColumn column = storage::UploadColumn(
+          backend.stream(),
+          storage::Column(std::vector<double>{1.0, 2.0, 3.5}));
+      sum = backend.ReduceColumn(column, AggOp::kSum);
+    });
+    scheduler.Drain();
+    ASSERT_EQ(scheduler.Records().size(), 1u);
+    EXPECT_TRUE(scheduler.Records()[0].ok);
+  }
+  EXPECT_EQ(ran_on, &device);
+  EXPECT_EQ(sum, 6.5);
+  EXPECT_GT(device.Snapshot().Delta(device_before).kernels_launched, 0u);
+  EXPECT_EQ(gpusim::Device::Default()
+                .Snapshot()
+                .Delta(default_before)
+                .kernels_launched,
+            0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-// Serving-tier tests: the shared percentile helper, plan fingerprints, the
-// LRU plan cache and its invalidation rules (changed table stats, backend,
-// catalog generation), drain-free catalog refreshes, stale-plan lifetime
-// safety, tenant QoS dequeue (weighted fair share + aging) on the scheduler,
-// admission fields on rejected records, and the socket server end to end.
+// Serving-tier tests: the shared percentile helper, prepared-plan reuse
+// (one prepare per query and catalog snapshot, even under concurrent first
+// requests; a refresh retires every plan), drain-free catalog refreshes,
+// stale-plan lifetime safety, tenant QoS dequeue (weighted fair share +
+// aging) on the scheduler, admission fields on rejected records, and the
+// socket server end to end.
 // Built into the concurrency_tests binary, which CI also runs under
 // ThreadSanitizer.
 #include <dirent.h>
@@ -32,11 +33,9 @@
 #include "gpusim/device.h"
 #include "gpusim/device_group.h"
 #include "gpusim/fault.h"
-#include "plan/fingerprint.h"
 #include "plan/prepared.h"
 #include "plan/tpch_plans.h"
 #include "serve/client.h"
-#include "serve/plan_cache.h"
 #include "serve/server.h"
 #include "serve/tenant.h"
 #include "tpch/datagen.h"
@@ -76,155 +75,37 @@ TEST(MetricsTest, SummarizeLatenciesSortsItsInput) {
 }
 
 // --------------------------------------------------------------------------
-// plan/fingerprint.h: shape hashes and table-stats fingerprints
+// serve/session.h: a snapshot's plan slots
 // --------------------------------------------------------------------------
 
-TEST(FingerprintTest, ShapeHashDiscriminatesQueryAndEncoding) {
-  plan::QueryShape a;
-  a.query = plan::TpchQuery::kQ6;
-  plan::QueryShape same = a;
-  EXPECT_EQ(plan::QueryShapeHash(a), plan::QueryShapeHash(same));
-
-  plan::QueryShape other_query = a;
-  other_query.query = plan::TpchQuery::kQ1;
-  EXPECT_NE(plan::QueryShapeHash(a), plan::QueryShapeHash(other_query));
-
-  plan::QueryShape encoded = a;
-  encoded.use_encoding = true;
-  EXPECT_NE(plan::QueryShapeHash(a), plan::QueryShapeHash(encoded));
-}
-
-TEST_F(ServeTest, StatsFingerprintTracksRowCountAndEncoding) {
+TEST_F(ServeTest, PrepareThatThrowsLeavesItsSlotEmpty) {
   auto backend = core::BackendRegistry::Instance().Create(
       backends::kHandwritten);
-  tpch::Config small;
-  small.scale_factor = 0.002;
-  tpch::Config big;
-  big.scale_factor = 0.004;
-  const storage::Table li_small = tpch::GenerateLineitem(small);
-  const storage::Table li_big = tpch::GenerateLineitem(big);
-  plan::TpchHostTables host_small;
-  host_small.lineitem = &li_small;
-  plan::TpchHostTables host_big;
-  host_big.lineitem = &li_big;
-
-  const auto small_raw =
-      plan::MakeResident(backend->stream(), host_small, false);
-  const auto small_raw_again =
-      plan::MakeResident(backend->stream(), host_small, false);
-  const auto small_encoded =
-      plan::MakeResident(backend->stream(), host_small, true);
-  const auto big_raw = plan::MakeResident(backend->stream(), host_big, false);
-
-  // Same upload -> same fingerprint; changed row count or encoding -> new.
-  EXPECT_EQ(small_raw->stats_fingerprint, small_raw_again->stats_fingerprint);
-  EXPECT_NE(small_raw->stats_fingerprint, big_raw->stats_fingerprint);
-  EXPECT_NE(small_raw->stats_fingerprint, small_encoded->stats_fingerprint);
-}
-
-// --------------------------------------------------------------------------
-// serve/plan_cache.h: LRU behavior and key sensitivity
-// --------------------------------------------------------------------------
-
-/// One real prepared plan to store under synthetic keys.
-std::shared_ptr<const plan::PreparedTpchQuery> MakeAnyPlan(
-    core::Backend& backend, const storage::Table& lineitem) {
+  tpch::Config config;
+  config.scale_factor = 0.002;
+  const storage::Table lineitem = tpch::GenerateLineitem(config);
   plan::TpchHostTables host;
   host.lineitem = &lineitem;
-  plan::QueryShape shape;
-  shape.query = plan::TpchQuery::kQ6;
-  return plan::PrepareTpchQuery(shape,
-                                plan::MakeResident(backend.stream(), host,
-                                                   /*use_encoding=*/false),
-                                backends::kHandwritten);
-}
+  PlanSlots slots(plan::MakeResident(backend->stream(), host,
+                                     /*use_encoding=*/false),
+                  backends::kHandwritten);
 
-TEST_F(ServeTest, PlanCacheLruEvictsLeastRecentlyUsed) {
-  auto backend = core::BackendRegistry::Instance().Create(
-      backends::kHandwritten);
-  tpch::Config config;
-  config.scale_factor = 0.002;
-  const storage::Table lineitem = tpch::GenerateLineitem(config);
-  const auto plan = MakeAnyPlan(*backend, lineitem);
+  // q3 reads orders and customer, which this residency lacks: its prepare
+  // throws each time, so the slot stays empty and every call tries again.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    bool prepared = true;
+    EXPECT_THROW(slots.Get(plan::TpchQuery::kQ3, &prepared),
+                 std::invalid_argument);
+    EXPECT_FALSE(prepared);
+  }
+  EXPECT_EQ(slots.size(), 0u);
 
-  PlanCache cache(/*capacity=*/2);
-  const plan::PlanCacheKey k1{1, 10, "Handwritten"};
-  const plan::PlanCacheKey k2{2, 10, "Handwritten"};
-  const plan::PlanCacheKey k3{3, 10, "Handwritten"};
-
-  EXPECT_EQ(cache.Lookup(k1), nullptr);
-  cache.Insert(k1, plan);
-  cache.Insert(k2, plan);
-  EXPECT_NE(cache.Lookup(k1), nullptr);  // refreshes k1; k2 is now LRU
-  cache.Insert(k3, plan);                // evicts k2
-  EXPECT_EQ(cache.Lookup(k2), nullptr);
-  EXPECT_NE(cache.Lookup(k3), nullptr);
-
-  const PlanCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.insertions, 3u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.size, 2u);
-
-  cache.Clear();
-  EXPECT_EQ(cache.stats().size, 0u);
-  EXPECT_EQ(cache.Lookup(k1), nullptr);
-}
-
-TEST_F(ServeTest, AnyKeyComponentChangeMissesTheCache) {
-  auto backend = core::BackendRegistry::Instance().Create(
-      backends::kHandwritten);
-  tpch::Config config;
-  config.scale_factor = 0.002;
-  const storage::Table lineitem = tpch::GenerateLineitem(config);
-
-  PlanCache cache(4);
-  const plan::PlanCacheKey key{7, 9, "Handwritten"};
-  cache.Insert(key, MakeAnyPlan(*backend, lineitem));
-
-  plan::PlanCacheKey stats = key;
-  stats.stats_fingerprint += 1;  // e.g. reloaded tables, new row count
-  plan::PlanCacheKey other_backend = key;
-  other_backend.backend = "Thrust";
-  plan::PlanCacheKey shape = key;
-  shape.shape_hash += 1;
-  plan::PlanCacheKey generation = key;
-  generation.generation += 1;  // e.g. a readmission re-uploaded the tables
-
-  EXPECT_FALSE(key == stats);
-  EXPECT_FALSE(key == generation);
-  EXPECT_EQ(cache.Lookup(stats), nullptr);
-  EXPECT_EQ(cache.Lookup(other_backend), nullptr);
-  EXPECT_EQ(cache.Lookup(shape), nullptr);
-  EXPECT_EQ(cache.Lookup(generation), nullptr);
-  EXPECT_NE(cache.Lookup(key), nullptr);
-}
-
-TEST_F(ServeTest, PlanCacheKeepsOnlyTheNewestGeneration) {
-  auto backend = core::BackendRegistry::Instance().Create(
-      backends::kHandwritten);
-  tpch::Config config;
-  config.scale_factor = 0.002;
-  const storage::Table lineitem = tpch::GenerateLineitem(config);
-  const auto plan = MakeAnyPlan(*backend, lineitem);
-
-  PlanCache cache(4);
-  const plan::PlanCacheKey gen1{1, 10, "Handwritten", 1};
-  plan::PlanCacheKey gen0 = gen1;
-  gen0.generation = 0;
-  plan::PlanCacheKey gen2 = gen1;
-  gen2.generation = 2;
-
-  cache.Insert(gen1, plan);
-  cache.Insert(gen0, plan);  // older than the newest seen: not inserted
-  EXPECT_EQ(cache.Lookup(gen0), nullptr);
-  EXPECT_NE(cache.Lookup(gen1), nullptr);
-  cache.Insert(gen2, plan);  // newer: drops every older entry
-  EXPECT_EQ(cache.Lookup(gen1), nullptr);
-  EXPECT_NE(cache.Lookup(gen2), nullptr);
-  EXPECT_EQ(cache.stats().size, 1u);
-  EXPECT_EQ(cache.stats().insertions, 2u);
+  bool prepared = false;
+  const auto q6 = slots.Get(plan::TpchQuery::kQ6, &prepared);
+  EXPECT_TRUE(prepared);
+  EXPECT_EQ(slots.Get(plan::TpchQuery::kQ6, &prepared), q6);
+  EXPECT_FALSE(prepared) << "a filled slot is never prepared again";
+  EXPECT_EQ(slots.size(), 1u);
 }
 
 // --------------------------------------------------------------------------
@@ -253,11 +134,12 @@ TEST_F(ServeTest, ReloadInvalidatesPlanCacheAndServesNewData) {
   // simulated work, so the simulated latency is bit-identical.
   EXPECT_EQ(second.simulated_ns, first.simulated_ns);
 
-  // Reload at a different scale factor: new row counts -> new stats
-  // fingerprint -> the cached plan can never be served again.
+  // Reload at a different scale factor: the new snapshot starts with empty
+  // plan slots, so the plan prepared against the old residency can never be
+  // served again.
   server.ReloadCatalog(0.008);
   const QueryReply third = server.Execute(session, "q6");
-  EXPECT_FALSE(third.cache_hit) << "changed table stats must miss";
+  EXPECT_FALSE(third.cache_hit) << "a reloaded catalog must miss";
   tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6, third.result,
                                       server.catalog().host());
   EXPECT_NE(third.result.scalar, first.result.scalar)
@@ -296,50 +178,101 @@ TEST_F(ServeTest, TwoServersInOneProcessShareNoBreakers) {
 }
 
 TEST_F(ServeTest, LateInsertAgainstARetiredResidencyIsNeverServed) {
-  // A request that read the catalog just before a readmission's swap can
-  // insert its plan just after it. The readmission re-uploads the same
-  // tables, so the stats fingerprint is unchanged and only the generation
-  // in the key keeps that plan from being served.
-  gpusim::DeviceGroup fleet(2);
+  // A request that read the catalog just before a refresh's swap can
+  // prepare its plan just after it. It can only fill the slot of the
+  // snapshot it read, so that plan is never served against the new tables.
   ServerOptions options;  // in-process only
   options.catalog.scale_factor = 0.004;
-  options.fleet = &fleet;
   QueryServer server(options);
   server.Start();
   const Session session =
       server.OpenSession("tenant-a", TenantClass::kInteractive);
-  ASSERT_FALSE(server.Execute(session, "q6").cache_hit);
 
-  // The late request's view: the generation-0 snapshot and its key.
+  // The late request's view: the generation-0 snapshot.
   const CatalogSnapshot old = server.catalog().snapshot();
-  plan::QueryShape shape;
-  shape.query = plan::TpchQuery::kQ6;
-  shape.use_encoding = options.catalog.use_encoding;
-  plan::PlanCacheKey key;
-  key.shape_hash = plan::QueryShapeHash(shape);
-  key.stats_fingerprint = old.resident->stats_fingerprint;
-  key.backend = options.catalog.backend;
-  key.generation = old.generation;
+  server.ReloadCatalog(0.008);
+  bool prepared = false;
+  const auto late = old.plans->Get(plan::TpchQuery::kQ6, &prepared);
+  ASSERT_TRUE(prepared);
+  ASSERT_EQ(late->tables(), old.resident);
 
-  fleet.MarkLost(0);
-  ASSERT_TRUE(server.ReadmitDevice(0));
-  server.WaitForRebalance();
-  const CatalogSnapshot fresh = server.catalog().snapshot();
-  ASSERT_EQ(fresh.generation, old.generation + 1);
-  ASSERT_EQ(fresh.resident->stats_fingerprint,
-            old.resident->stats_fingerprint);
-
-  server.plan_cache().Insert(
-      key, plan::PrepareTpchQuery(shape, old.resident,
-                                  options.catalog.backend));
   const QueryReply reply = server.Execute(session, "q6");
   EXPECT_FALSE(reply.cache_hit)
       << "a plan bound to the retired residency must not be served";
   tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6, reply.result,
                                       server.catalog().host());
-  EXPECT_EQ(server.plan_cache().Lookup(key), nullptr)
-      << "no generation-0 entry may remain";
-  EXPECT_EQ(server.plan_cache().stats().size, 1u);
+  EXPECT_FALSE(plan::SameAnswer(
+      plan::TpchQuery::kQ6, reply.result,
+      plan::ReferenceAnswer(plan::TpchQuery::kQ6, old.host->view())))
+      << "the answer must come from the reloaded tables";
+  EXPECT_EQ(server.Stats().cache_size, 1u)
+      << "the current snapshot holds only the plan the request prepared";
+}
+
+TEST_F(ServeTest, ConcurrentFirstRequestsShareOnePrepare) {
+  ServerOptions options;  // in-process only
+  options.catalog.scale_factor = 0.004;
+  QueryServer server(options);
+  server.Start();
+
+  // Eight sessions send the server's first q1 at once: one prepares the
+  // plan and the other seven wait for it instead of preparing their own.
+  constexpr int kThreads = 8;
+  std::vector<QueryReply> replies(kThreads);
+  std::atomic<int> ready{0};
+  std::atomic<int> errors{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      const Session session = server.OpenSession(
+          "tenant-" + std::to_string(i), TenantClass::kInteractive);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      try {
+        replies[i] = server.Execute(session, "q1");
+      } catch (const std::exception&) {
+        errors.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_EQ(errors.load(), 0);
+
+  const StatsReply stats = server.Stats();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 7u);
+  EXPECT_EQ(stats.cache_size, 1u);
+  int misses = 0;
+  for (const QueryReply& reply : replies) {
+    misses += reply.cache_hit ? 0 : 1;
+    EXPECT_FALSE(reply.rejected);
+    EXPECT_EQ(reply.simulated_ns, replies[0].simulated_ns);
+    tpch_testing::ExpectSameAnswer(plan::TpchQuery::kQ1, replies[0].result,
+                                   reply.result);
+  }
+  EXPECT_EQ(misses, 1);
+  tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ1, replies[0].result,
+                                      server.catalog().host());
+}
+
+TEST_F(ServeTest, DifferentQueriesNeverShareAPlan) {
+  ServerOptions options;  // in-process only
+  options.catalog.scale_factor = 0.004;
+  QueryServer server(options);
+  server.Start();
+  const Session session =
+      server.OpenSession("tenant-a", TenantClass::kInteractive);
+
+  EXPECT_FALSE(server.Execute(session, "q6").cache_hit);
+  const QueryReply q1 = server.Execute(session, "q1");
+  EXPECT_FALSE(q1.cache_hit) << "q1 must not reuse q6's plan";
+  tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ1, q1.result,
+                                      server.catalog().host());
+
+  const StatsReply stats = server.Stats();
+  EXPECT_EQ(stats.cache_misses, 2u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_size, 2u);
 }
 
 TEST_F(ServeTest, StalePreparedPlanKeepsItsResidencySnapshotAlive) {

@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
       const serve::StatsReply s = client.Stats();
       std::printf(
           "queries=%llu rejected=%llu failed=%llu overloaded=%llu "
-          "cache_hits=%llu cache_misses=%llu cache_size=%llu evictions=%llu "
+          "cache_hits=%llu cache_misses=%llu cache_size=%llu "
           "resident_bytes=%llu generation=%llu readmitted=%llu\n",
           static_cast<unsigned long long>(s.queries),
           static_cast<unsigned long long>(s.rejected),
@@ -150,7 +150,6 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(s.cache_hits),
           static_cast<unsigned long long>(s.cache_misses),
           static_cast<unsigned long long>(s.cache_size),
-          static_cast<unsigned long long>(s.cache_evictions),
           static_cast<unsigned long long>(s.resident_bytes),
           static_cast<unsigned long long>(s.catalog_generation),
           static_cast<unsigned long long>(s.devices_readmitted));

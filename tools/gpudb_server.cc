@@ -4,9 +4,12 @@
 // default), and serves queries over a UNIX domain socket until a client
 // sends shutdown or the process receives SIGINT/SIGTERM.
 //
+// Each query's optimized plan is prepared by the first request for it and
+// reused by every later one.
+//
 //   gpudb_server --socket=/tmp/gpudb.sock [--sf=0.01] [--seed=42]
-//                [--backend=Handwritten] [--clients=4] [--no-encoding]
-//                [--cache-capacity=64] [--no-governor]
+//                [--backend=Handwritten] [--clients=4] [--queue-capacity=64]
+//                [--no-encoding] [--no-governor]
 
 #include <csignal>
 #include <cstdio>
@@ -33,7 +36,7 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --socket=PATH [--sf=F] [--seed=N] [--backend=NAME]\n"
-      "          [--clients=N] [--queue-capacity=N] [--cache-capacity=N]\n"
+      "          [--clients=N] [--queue-capacity=N]\n"
       "          [--no-encoding] [--no-governor]\n",
       argv0);
   return 64;
@@ -61,8 +64,6 @@ int main(int argc, char** argv) {
       options.num_clients = static_cast<unsigned>(std::atoi(v));
     } else if (const char* v = value("--queue-capacity=")) {
       options.queue_capacity = static_cast<size_t>(std::atoi(v));
-    } else if (const char* v = value("--cache-capacity=")) {
-      options.plan_cache_capacity = static_cast<size_t>(std::atoi(v));
     } else if (arg == "--no-encoding") {
       options.catalog.use_encoding = false;
     } else if (arg == "--no-governor") {
@@ -96,7 +97,7 @@ int main(int argc, char** argv) {
     server.Stop();
     std::printf(
         "gpudb_server: shutting down after %llu queries "
-        "(%llu rejected, %llu failed, plan cache %llu/%llu hits)\n",
+        "(%llu rejected, %llu failed, %llu/%llu prepared-plan hits)\n",
         static_cast<unsigned long long>(final_stats.queries),
         static_cast<unsigned long long>(final_stats.rejected),
         static_cast<unsigned long long>(final_stats.failed),
