@@ -349,8 +349,7 @@ int Run(const Options& opts) {
         << ", \"backoff_ns\": " << res.backoff_ns
         << ", \"oom_reclaims\": " << res.oom_reclaims
         << ", \"deadline_misses\": " << res.deadline_misses
-        << ", \"permanent_failures\": " << res.permanent_failures
-        << ", \"breaker_opens\": " << res.breaker_opens << "},\n"
+        << ", \"permanent_failures\": " << res.permanent_failures << "},\n"
         << "  \"device_calls_per_query\": {\"golden\": "
         << per_query(golden_calls, kNumKinds)
         << ", \"chaos\": " << per_query(fstats.checks, total)

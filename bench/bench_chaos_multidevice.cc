@@ -16,9 +16,8 @@
 // Phase B — serving tier under attack: a QueryServer takes a connection
 // flood past its cap (typed kOverloaded with retry-after), a stream of
 // malformed/truncated/oversized frames (typed kError, counted, never fatal),
-// and a tripped per-device breaker (queries shed until the half-open probe
-// heals it). The server must never crash and must still answer correctly
-// afterwards.
+// and a tripped breaker (queries shed until the half-open probe heals it).
+// The server must never crash and must still answer correctly afterwards.
 //
 // Phase C — kill -> degrade -> reset -> re-admit -> re-converge: for every
 // seed x query, a one-shot DeviceLost kills the victim mid-run (the run
@@ -517,7 +516,7 @@ int RunServerPhase(ServerOutcome* outcome) {
   options.max_connections = 4;
   serve::QueryServer server(options);
   server.Start();
-  core::ResilienceManager& rm = server.scheduler().resilience();
+  core::CircuitBreaker& breaker = server.breaker();
   const plan::TpchQueryResult ref_q6 =
       plan::ReferenceAnswer(plan::TpchQuery::kQ6, server.catalog().host());
   const auto q6_ok = [&](const serve::QueryReply& reply) {
@@ -585,11 +584,11 @@ int RunServerPhase(ServerOutcome* outcome) {
     }
   }
 
-  // Sticky device loss behind the serving backend: the per-device breaker
+  // Sticky device loss behind the serving backend: the server's breaker
   // opens, admission sheds with retry-after, and the half-open probe heals.
-  rm.RecordFailure(options.catalog.backend, 0);
-  rm.RecordFailure(options.catalog.backend, 0);
-  rm.RecordFailure(options.catalog.backend, 0);
+  breaker.RecordFailure();
+  breaker.RecordFailure();
+  breaker.RecordFailure();
   const serve::QueryReply shed = client.Query("q6");
   if (!shed.overloaded || shed.retry_after_ms == 0) {
     std::fprintf(stderr, "  server: open breaker did not shed\n");

@@ -136,51 +136,4 @@ GovernorStats MemoryGovernor::Stats() const {
   return s;
 }
 
-MultiGovernor::MultiGovernor(gpusim::DeviceGroup& group,
-                             GovernorOptions options) {
-  governors_.reserve(static_cast<size_t>(group.size()));
-  for (int i = 0; i < group.size(); ++i) {
-    GovernorOptions per_device = options;
-    per_device.device = &group.device(i);
-    governors_.push_back(std::make_unique<MemoryGovernor>(per_device));
-  }
-}
-
-AdmissionTicket MultiGovernor::Admit(int device_index, uint64_t stream_id,
-                                     uint64_t footprint_bytes,
-                                     uint64_t timeout_ms) {
-  return governor(device_index).Admit(stream_id, footprint_bytes, timeout_ms);
-}
-
-void MultiGovernor::Release(int device_index, uint64_t stream_id) {
-  governor(device_index).Release(stream_id);
-}
-
-void MultiGovernor::Shutdown() {
-  for (auto& g : governors_) g->Shutdown();
-}
-
-std::vector<GovernorStats> MultiGovernor::PerDeviceStats() const {
-  std::vector<GovernorStats> out;
-  out.reserve(governors_.size());
-  for (const auto& g : governors_) out.push_back(g->Stats());
-  return out;
-}
-
-GovernorStats MultiGovernor::Stats() const {
-  GovernorStats total;
-  for (const auto& g : governors_) {
-    const GovernorStats s = g->Stats();
-    total.granted += s.granted;
-    total.queued += s.queued;
-    total.rejected += s.rejected;
-    total.partial_grants += s.partial_grants;
-    total.released += s.released;
-    total.wait_p50_ms = std::max(total.wait_p50_ms, s.wait_p50_ms);
-    total.wait_p95_ms = std::max(total.wait_p95_ms, s.wait_p95_ms);
-    total.wait_max_ms = std::max(total.wait_max_ms, s.wait_max_ms);
-  }
-  return total;
-}
-
 }  // namespace core

@@ -33,13 +33,11 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <unordered_set>
 #include <vector>
 
 #include "gpusim/device.h"
-#include "gpusim/device_group.h"
 
 namespace core {
 
@@ -144,46 +142,6 @@ class MemoryGovernor {
   uint64_t partial_grants_ = 0;
   uint64_t released_ = 0;
   std::vector<double> wait_samples_ms_;
-};
-
-/// Admission control across a gpusim::DeviceGroup: one independent
-/// MemoryGovernor per device, so each device keeps its own strict-FIFO
-/// no-overtake queue and its own capacity accounting. Cross-device placement
-/// is the scheduler's job (plan/exchange.h picks the shard→device map); the
-/// MultiGovernor only arbitrates bytes within each device.
-class MultiGovernor {
- public:
-  /// Governs every device in `group`. `options.device` is ignored (each
-  /// per-device governor binds its own device); the timeout and grant-cap
-  /// fields apply uniformly.
-  MultiGovernor(gpusim::DeviceGroup& group, GovernorOptions options = {});
-
-  MultiGovernor(const MultiGovernor&) = delete;
-  MultiGovernor& operator=(const MultiGovernor&) = delete;
-
-  int size() const { return static_cast<int>(governors_.size()); }
-
-  /// Admission on one device; semantics match MemoryGovernor::Admit.
-  AdmissionTicket Admit(int device_index, uint64_t stream_id,
-                        uint64_t footprint_bytes, uint64_t timeout_ms = 0);
-
-  void Release(int device_index, uint64_t stream_id);
-
-  void Shutdown();
-
-  MemoryGovernor& governor(int device_index) {
-    return *governors_.at(static_cast<size_t>(device_index));
-  }
-
-  /// Per-device stats, indexed by device.
-  std::vector<GovernorStats> PerDeviceStats() const;
-
-  /// Sum of the per-device counters (wait percentiles are the max across
-  /// devices — a conservative "worst queue" view, not a merged sample set).
-  GovernorStats Stats() const;
-
- private:
-  std::vector<std::unique_ptr<MemoryGovernor>> governors_;
 };
 
 }  // namespace core

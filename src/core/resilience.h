@@ -1,30 +1,23 @@
 // Recovery policies of the scheduler and the serving tier. DESIGN.md §7
-// names the one owner of each fault class; these are the budgets, breakers
-// and counters the scheduler owns.
+// names the one owner of each fault class; these are its budgets, its
+// breaker and its counters.
 //
 // RetryPolicy      the scheduler's whole-query retry budget and capped
 //                  exponential backoff for transient faults.
-// CircuitBreaker   per-backend health gate: N consecutive failures open the
-//                  circuit; after a cooldown counted in *denied calls* (not
-//                  wall time, so runs stay deterministic) the circuit turns
+// CircuitBreaker   a health gate: N consecutive failures open the circuit;
+//                  after a cooldown counted in *denied calls* (not wall
+//                  time, so runs stay deterministic) the circuit turns
 //                  half-open and admits every call until the first recorded
-//                  result closes or re-opens it.
-// ResilienceManager one breaker per (backend name, device ordinal) plus
-//                  ResilienceStats counters. Each core::QueryScheduler owns
-//                  one and reports it in its SchedulerReport; a
-//                  serve::QueryServer gates admission through its
-//                  scheduler's. Keying by device ordinal means one device's
-//                  sticky DeviceLost opens only that device's breaker.
+//                  result closes or re-opens it. Each serve::QueryServer
+//                  owns one, for the one backend on the one device it
+//                  serves from.
+// ResilienceStats  the recovery counters a core::QueryScheduler keeps for
+//                  the queries it ran and reports in its SchedulerReport.
 #ifndef CORE_RESILIENCE_H_
 #define CORE_RESILIENCE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 namespace core {
 
@@ -55,7 +48,7 @@ struct CircuitBreakerOptions {
   int open_cooldown_checks = 16;
 };
 
-/// Health gate for one backend. Thread-safe.
+/// Health gate for one backend on one device. Thread-safe.
 class CircuitBreaker {
  public:
   enum class State : uint8_t { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
@@ -71,14 +64,6 @@ class CircuitBreaker {
 
   void RecordSuccess();
   void RecordFailure();
-
-  /// Applies the outcome of an *external* health probe (the DeviceGroup's
-  /// Probe kernel) as if it were this breaker's own half-open probe: success
-  /// closes the circuit from any non-closed state (counted as a half-open
-  /// then a close, so the stats read like the breaker's own probe cycle);
-  /// failure re-opens it with a fresh cooldown. Closed circuits are
-  /// untouched on success.
-  void OnProbe(bool success);
 
   State state() const;
   uint64_t opens() const;
@@ -96,9 +81,7 @@ class CircuitBreaker {
   uint64_t closes_ = 0;
 };
 
-const char* CircuitStateName(CircuitBreaker::State state);
-
-/// Aggregate resilience counters (plain values, safe to copy around).
+/// A scheduler's recovery counters (plain values, safe to copy around).
 struct ResilienceStats {
   uint64_t faults_seen = 0;      ///< exceptions caught at a resilience boundary
   uint64_t retries = 0;          ///< replays after a transient fault
@@ -106,61 +89,6 @@ struct ResilienceStats {
   uint64_t oom_reclaims = 0;     ///< TrimPool-then-retry recoveries
   uint64_t deadline_misses = 0;  ///< queries past their deadline
   uint64_t permanent_failures = 0;  ///< queries failed after all recovery
-  uint64_t breaker_opens = 0;
-  uint64_t breaker_half_opens = 0;
-  uint64_t breaker_closes = 0;
-  /// Circuits not closed right now, as "backend@ordinal" keys.
-  std::vector<std::string> open_backends;
-};
-
-/// One CircuitBreaker per (backend name, device ordinal) + ResilienceStats
-/// counters. Thread-safe; breakers are created on first touch.
-class ResilienceManager {
- public:
-  explicit ResilienceManager(CircuitBreakerOptions breaker_options = {})
-      : breaker_options_(breaker_options) {}
-
-  /// The breaker of `backend` on device ordinal `device`.
-  bool Allow(const std::string& backend, int device);
-  void RecordSuccess(const std::string& backend, int device);
-  void RecordFailure(const std::string& backend, int device);
-  CircuitBreaker::State StateOf(const std::string& backend, int device);
-
-  /// Propagates a DeviceGroup probe outcome to EVERY breaker keyed to that
-  /// ordinal ("*@device"): a healed device heals all its backends' breakers
-  /// at once, a failed probe re-opens them. Returns the number of breakers
-  /// touched. Breakers are only created by traffic, so a device nobody has
-  /// used has none to sync — that is fine.
-  size_t SyncDeviceProbe(int device, bool success);
-
-  void NoteFaultSeen() { faults_seen_.fetch_add(1, relaxed); }
-  void NoteRetry(uint64_t backoff_ns) {
-    retries_.fetch_add(1, relaxed);
-    backoff_ns_.fetch_add(backoff_ns, relaxed);
-  }
-  void NoteOomReclaim() { oom_reclaims_.fetch_add(1, relaxed); }
-  void NoteDeadlineMiss() { deadline_misses_.fetch_add(1, relaxed); }
-  void NotePermanentFailure() { permanent_failures_.fetch_add(1, relaxed); }
-
-  ResilienceStats Snapshot() const;
-
- private:
-  static constexpr std::memory_order relaxed = std::memory_order_relaxed;
-
-  /// Composes the breaker key "backend@ordinal".
-  static std::string Key(const std::string& backend, int device);
-
-  CircuitBreaker& BreakerFor(const std::string& backend, int device);
-
-  CircuitBreakerOptions breaker_options_;
-  mutable std::mutex mu_;  // guards breakers_ (map shape only)
-  std::unordered_map<std::string, std::unique_ptr<CircuitBreaker>> breakers_;
-  std::atomic<uint64_t> faults_seen_{0};
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> backoff_ns_{0};
-  std::atomic<uint64_t> oom_reclaims_{0};
-  std::atomic<uint64_t> deadline_misses_{0};
-  std::atomic<uint64_t> permanent_failures_{0};
 };
 
 }  // namespace core

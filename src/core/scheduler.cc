@@ -217,7 +217,12 @@ SchedulerReport QueryScheduler::Report() const {
   for (const auto& c : client_sim_ns_) {
     r.client_simulated_ns.push_back(c->load());
   }
-  r.resilience = resilience_.Snapshot();
+  r.resilience.faults_seen = faults_seen_.load();
+  r.resilience.retries = retries_.load();
+  r.resilience.backoff_ns = backoff_ns_.load();
+  r.resilience.oom_reclaims = oom_reclaims_.load();
+  r.resilience.deadline_misses = deadline_misses_.load();
+  r.resilience.permanent_failures = permanent_failures_.load();
   if (device_ != nullptr) {
     r.device_peak_bytes = device_->peak_bytes();
     r.device_reserved_bytes = device_->reserved_bytes();
@@ -305,7 +310,7 @@ void QueryScheduler::ClientLoop(unsigned client_index) {
         record.admission_rejected = true;
         record.error = "memory admission rejected (queue timeout)";
         record.error_class = ErrorClass::kResource;
-        resilience_.NotePermanentFailure();
+        ++permanent_failures_;
       }
     }
 
@@ -327,7 +332,7 @@ void QueryScheduler::ClientLoop(unsigned client_index) {
       } catch (...) {
         const std::exception_ptr error = std::current_exception();
         const ErrorClass cls = Classify(error);
-        resilience_.NoteFaultSeen();
+        ++faults_seen_;
         record.error = ErrorMessage(error);
         record.error_class = cls;
         const double elapsed_ms = std::chrono::duration<double, std::milli>(
@@ -346,14 +351,15 @@ void QueryScheduler::ClientLoop(unsigned client_index) {
             record.oom_reclaims < kOomReclaimsPerQuery) {
           backend->stream().device().TrimPool();
           ++record.oom_reclaims;
-          resilience_.NoteOomReclaim();
+          ++oom_reclaims_;
           continue;
         }
         if (within_deadline && cls == ErrorClass::kTransient &&
             attempt < retry.max_attempts) {
           const uint64_t backoff = retry.BackoffNs(attempt);
           record.backoff_ns += backoff;
-          resilience_.NoteRetry(backoff);
+          ++retries_;
+          backoff_ns_ += backoff;
           if (backoff > 0) {
             std::this_thread::sleep_for(std::chrono::nanoseconds(backoff));
           }
@@ -362,9 +368,9 @@ void QueryScheduler::ClientLoop(unsigned client_index) {
         }
         if (!within_deadline) {
           record.deadline_exceeded = true;
-          resilience_.NoteDeadlineMiss();
+          ++deadline_misses_;
         }
-        resilience_.NotePermanentFailure();
+        ++permanent_failures_;
         break;
       }
     }
@@ -379,7 +385,7 @@ void QueryScheduler::ClientLoop(unsigned client_index) {
     if (record.ok && deadline_ms != 0 &&
         record.wall_ms > static_cast<double>(deadline_ms)) {
       record.deadline_exceeded = true;
-      resilience_.NoteDeadlineMiss();
+      ++deadline_misses_;
     }
     client_sim_ns_[client_index]->fetch_add(record.simulated_ns);
 

@@ -10,10 +10,9 @@
 // latency. Report() aggregates throughput (queries/sec) and latency
 // percentiles.
 //
-// Each scheduler owns its ResilienceManager: the retry, reclaim and deadline
-// counters of the queries it ran, and the breakers of whoever serves through
-// it (serve::QueryServer). Two schedulers in one process share no breaker
-// state.
+// Each scheduler keeps the retry, reclaim and deadline counters of the
+// queries it ran (ResilienceStats, in its SchedulerReport). It holds no
+// circuit breaker: whoever serves through it (serve::QueryServer) owns one.
 //
 // Invariants:
 //  * Error isolation: an exception thrown by one query marks only that
@@ -26,6 +25,7 @@
 #ifndef CORE_SCHEDULER_H_
 #define CORE_SCHEDULER_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -140,7 +140,7 @@ struct SchedulerReport {
   LatencySummary wall_ms;         ///< percentiles over wall-clock latency
   LatencySummary simulated_ms;    ///< percentiles over simulated latency
   std::vector<uint64_t> client_simulated_ns;  ///< per-client timeline totals
-  ResilienceStats resilience;     ///< retry/breaker/reclaim counters
+  ResilienceStats resilience;     ///< retry/reclaim/deadline counters
   uint64_t device_peak_bytes = 0;      ///< high-water of live+reserved bytes
   uint64_t device_reserved_bytes = 0;  ///< reservation gauge at report time
   uint64_t bytes_h2d_encoded = 0;   ///< h2d bytes that crossed compressed
@@ -206,10 +206,6 @@ class QueryScheduler {
   unsigned num_clients() const { return options_.num_clients; }
   const SchedulerOptions& options() const { return options_; }
 
-  /// The breakers and counters this scheduler owns; Report() snapshots
-  /// them. A serve::QueryServer gates admission through these breakers.
-  ResilienceManager& resilience() { return resilience_; }
-
  private:
   struct Item {
     uint64_t id = 0;
@@ -230,8 +226,15 @@ class QueryScheduler {
   void ClientLoop(unsigned client_index);
 
   SchedulerOptions options_;
-  ResilienceManager resilience_;  ///< this scheduler's breakers + counters
   gpusim::Device* device_ = nullptr;  ///< where every client runs
+
+  // The ResilienceStats counters, bumped by the client threads.
+  std::atomic<uint64_t> faults_seen_{0};
+  std::atomic<uint64_t> retries_{0};
+  std::atomic<uint64_t> backoff_ns_{0};
+  std::atomic<uint64_t> oom_reclaims_{0};
+  std::atomic<uint64_t> deadline_misses_{0};
+  std::atomic<uint64_t> permanent_failures_{0};
 
   mutable std::mutex mu_;  ///< guards queue_, in_flight_, stop_, timestamps
   std::condition_variable queue_not_full_;

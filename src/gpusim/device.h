@@ -207,13 +207,6 @@ class Device {
     return next_stream_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Position of this device in its DeviceGroup (0 for the default device
-  /// and for free-standing devices). Health state — circuit breakers in
-  /// core::ResilienceManager — is keyed by (backend name, ordinal), so one
-  /// device's sticky failure never poisons the same backend elsewhere.
-  int ordinal() const { return ordinal_; }
-  void set_ordinal(int ordinal) { ordinal_ = ordinal; }
-
   /// Attaches (or detaches with nullptr) a fault injector; not owned, and it
   /// must outlive the attachment. The instrumented paths — Allocate plus the
   /// stream charge paths — consult it with a single relaxed load, so the
@@ -302,7 +295,6 @@ class Device {
   std::atomic<Tracer*> tracer_{nullptr};
   std::atomic<FaultInjector*> fault_injector_{nullptr};
   std::atomic<uint64_t> next_stream_id_{0};
-  int ordinal_ = 0;
 };
 
 }  // namespace gpusim

@@ -13,7 +13,7 @@ namespace {
 /// the two explicit cudaMemcpy calls it stands in for.
 constexpr uint64_t kHostHopLatencyNs = 10'000;
 
-/// SplitMix64 finalizer shared by the injector-seed and auto-reset draws.
+/// SplitMix64 finalizer for the per-device injector seeds.
 uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
@@ -29,8 +29,6 @@ const char* DeviceStateName(DeviceState state) {
       return "lost";
     case DeviceState::kProbing:
       return "probing";
-    case DeviceState::kReadmitting:
-      return "readmitting";
   }
   return "unknown";
 }
@@ -41,8 +39,6 @@ const char* LifecycleEventName(LifecycleEvent::Kind kind) {
       return "device_lost";
     case LifecycleEvent::Kind::kReset:
       return "device_reset";
-    case LifecycleEvent::Kind::kProbeOk:
-      return "probe_ok";
     case LifecycleEvent::Kind::kProbeFailed:
       return "probe_failed";
     case LifecycleEvent::Kind::kReadmitted:
@@ -64,7 +60,6 @@ DeviceGroup::DeviceGroup(int num_devices, const GroupTopology& topology,
   for (int i = 0; i < num_devices; ++i) {
     devices_.push_back(
         std::make_unique<Device>(props, host_threads_per_device));
-    devices_.back()->set_ordinal(i);
     state_.push_back(std::make_unique<std::atomic<uint8_t>>(
         static_cast<uint8_t>(DeviceState::kAlive)));
   }
@@ -109,7 +104,6 @@ void DeviceGroup::MarkLost(int i) {
   if (state(i) == DeviceState::kLost) return;  // idempotent
   Transition(i, DeviceState::kLost, LifecycleEvent::Kind::kLost);
   ++fleet_stats_.losses;
-  if (auto_reset_armed_) lost_ticks_[static_cast<size_t>(i)] = 0;
 }
 
 bool DeviceGroup::MarkReset(int i) {
@@ -146,10 +140,9 @@ bool DeviceGroup::Probe(int i) {
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
     ++fleet_stats_.probe_failures;
     Transition(i, DeviceState::kLost, LifecycleEvent::Kind::kProbeFailed);
-    if (auto_reset_armed_) lost_ticks_[static_cast<size_t>(i)] = 0;
     return false;
   } catch (const std::exception&) {
-    // Transient probe failure: stay Probing, retry on a later round.
+    // Transient probe failure: stay Probing for a later probe.
     std::lock_guard<std::mutex> lock(lifecycle_mu_);
     ++fleet_stats_.probe_failures;
     LifecycleEvent event;
@@ -160,53 +153,9 @@ bool DeviceGroup::Probe(int i) {
     return false;
   }
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  Transition(i, DeviceState::kReadmitting, LifecycleEvent::Kind::kProbeOk);
-  return true;
-}
-
-bool DeviceGroup::CompleteReadmission(int i) {
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  if (state(i) != DeviceState::kReadmitting) return false;
   Transition(i, DeviceState::kAlive, LifecycleEvent::Kind::kReadmitted);
   ++fleet_stats_.readmissions;
   return true;
-}
-
-void DeviceGroup::ArmAutoReset(uint64_t seed, int min_ticks, int max_ticks) {
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  if (min_ticks < 1) min_ticks = 1;
-  if (max_ticks < min_ticks) max_ticks = min_ticks;
-  auto_reset_armed_ = true;
-  auto_reset_after_.assign(static_cast<size_t>(size()), 0);
-  lost_ticks_.assign(static_cast<size_t>(size()), 0);
-  const uint64_t span = static_cast<uint64_t>(max_ticks - min_ticks + 1);
-  for (int i = 0; i < size(); ++i) {
-    const uint64_t draw = Mix64(
-        seed ^ (0xda942042e4dd58b5ULL * (static_cast<uint64_t>(i) + 1)));
-    auto_reset_after_[static_cast<size_t>(i)] =
-        min_ticks + static_cast<int>(draw % span);
-  }
-}
-
-std::vector<int> DeviceGroup::TickLostDevices() {
-  std::vector<int> reset_now;
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    if (!auto_reset_armed_) return reset_now;
-    for (int i = 0; i < size(); ++i) {
-      if (state(i) != DeviceState::kLost) continue;
-      if (++lost_ticks_[static_cast<size_t>(i)] >=
-          auto_reset_after_[static_cast<size_t>(i)]) {
-        reset_now.push_back(i);
-      }
-    }
-  }
-  // MarkReset re-takes the lock per device (it also talks to the injector).
-  std::vector<int> reset_ok;
-  for (int i : reset_now) {
-    if (MarkReset(i)) reset_ok.push_back(i);
-  }
-  return reset_ok;
 }
 
 bool DeviceGroup::IsAlive(int i) const {

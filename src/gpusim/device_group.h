@@ -21,24 +21,23 @@
 // BEFORE pricing anything, so a faulted exchange leaves both timelines
 // untouched and a replay charges exactly once.
 //
-// Device lifecycle is a four-state machine:
+// Device lifecycle is a three-state machine:
 //
 //       MarkLost            MarkReset           Probe ok
-//   Alive ------> Lost ---------------> Probing ---------> Readmitting
-//     ^             ^                    |    ^                |
-//     |             '---- Probe fires ---'    |                |
-//     |                   DeviceLost      transient probe      |
-//     '------------------- CompleteReadmission ----------------'
+//   Alive ------> Lost ---------------> Probing ---------> Alive
+//                   ^                    |    ^
+//                   '---- Probe fires ---'    |
+//                         DeviceLost      transient probe
 //
 // MarkLost is what the executor calls when a sticky DeviceLost surfaces;
-// MarkReset models the operator (or a seeded auto-reset policy, see
-// ArmAutoReset) power-cycling the device: the injector's sticky loss is
-// cleared but its rules and call counts survive. Probe charges a real probe
-// kernel on a fresh "probe"-labelled stream, so fault rules can kill or
-// transiently fail the probe itself — a half-open check, exactly like the
-// circuit breaker's. Only CompleteReadmission puts the ordinal back into
-// AliveDevices(); plan::RunSharded calls it after broadcast state has been
-// re-uploaded, so a readmitted device is never handed work it cannot serve.
+// MarkReset models the operator power-cycling the device: the injector's
+// sticky loss is cleared but its rules and call counts survive. Probe
+// charges a real probe kernel on a fresh "probe"-labelled stream, so fault
+// rules can kill or transiently fail the probe itself — a half-open check,
+// exactly like the circuit breaker's. A passing probe puts the ordinal back
+// into AliveDevices() at once: nothing device-resident survives a loss, and
+// plan::RunSharded re-uploads broadcast state on a device before it runs a
+// slice there.
 #ifndef GPUSIM_DEVICE_GROUP_H_
 #define GPUSIM_DEVICE_GROUP_H_
 
@@ -76,10 +75,9 @@ struct LinkPath {
 
 /// Where a device sits in its lifecycle. Only kAlive devices take work.
 enum class DeviceState : uint8_t {
-  kAlive = 0,        ///< healthy, eligible for placement
-  kLost = 1,         ///< sticky DeviceLost surfaced; no work placed
-  kProbing = 2,      ///< reset issued, awaiting a successful probe
-  kReadmitting = 3,  ///< probe passed; state re-upload in flight
+  kAlive = 0,    ///< healthy, eligible for placement
+  kLost = 1,     ///< sticky DeviceLost surfaced; no work placed
+  kProbing = 2,  ///< reset issued, awaiting a successful probe
 };
 
 const char* DeviceStateName(DeviceState state);
@@ -89,9 +87,8 @@ struct LifecycleEvent {
   enum class Kind : uint8_t {
     kLost = 0,
     kReset,        ///< Lost -> Probing (sticky loss cleared)
-    kProbeOk,      ///< Probing -> Readmitting
     kProbeFailed,  ///< probe faulted; Probing or back to Lost
-    kReadmitted,   ///< Readmitting -> Alive
+    kReadmitted,   ///< probe passed: Probing -> Alive
   };
   Kind kind = Kind::kLost;
   int device = -1;
@@ -168,7 +165,7 @@ class DeviceGroup {
 
   /// Takes the device out of placement (any state -> Lost). Called when a
   /// sticky DeviceLost surfaces. Idempotent; the only way back to Alive is
-  /// MarkReset -> Probe -> CompleteReadmission.
+  /// MarkReset -> Probe.
   void MarkLost(int i);
 
   /// Models a device reset (Lost -> Probing): clears the attached injector's
@@ -178,30 +175,15 @@ class DeviceGroup {
 
   /// Half-open probe of a Probing device: charges a real probe kernel on a
   /// fresh stream labelled "probe" so fault rules apply to the probe itself.
-  /// Success moves the device to Readmitting and returns true. A DeviceLost
+  /// Success readmits the device (Alive) and returns true. A DeviceLost
   /// during the probe sends it back to Lost; a transient fault leaves it
   /// Probing for a later retry; both return false.
   bool Probe(int i);
-
-  /// Readmitting -> Alive, after the caller has restored any device-resident
-  /// state (broadcast tables, residency). Returns false unless Readmitting.
-  bool CompleteReadmission(int i);
 
   DeviceState state(int i) const {
     return static_cast<DeviceState>(
         state_[static_cast<size_t>(i)]->load(std::memory_order_acquire));
   }
-
-  /// Arms a deterministic auto-reset policy: a device that has been Lost for
-  /// a per-device number of TickLostDevices calls (drawn from `seed` in
-  /// [min_ticks, max_ticks]) is MarkReset automatically on that tick.
-  /// plan::RunSharded ticks once per recovery round, so "ticks" are rounds.
-  void ArmAutoReset(uint64_t seed, int min_ticks = 1, int max_ticks = 3);
-
-  /// Advances the auto-reset clock for every Lost device; returns devices
-  /// that moved to Probing this tick (ascending). No-op unless ArmAutoReset
-  /// was called.
-  std::vector<int> TickLostDevices();
 
   /// True while the device is in the Alive state.
   bool IsAlive(int i) const;
@@ -237,10 +219,6 @@ class DeviceGroup {
   std::vector<LifecycleEvent> lifecycle_log_;
   FleetStats fleet_stats_;
   uint64_t lifecycle_sequence_ = 0;
-  /// Auto-reset policy: ticks a device must stay Lost before MarkReset.
-  bool auto_reset_armed_ = false;
-  std::vector<int> auto_reset_after_;  ///< per-device threshold, in ticks
-  std::vector<int> lost_ticks_;        ///< ticks spent Lost since last loss
 };
 
 }  // namespace gpusim

@@ -82,59 +82,32 @@ struct WorkerState {
   /// Every slice this device finished, in any round: host-resident partials
   /// (the checkpoints) that a loss reuses instead of recomputing.
   std::vector<detail::SliceResult> slices;
-  /// How many of `slices` a loss already credited to
-  /// ShardedRunStats::checkpointed_slices_reused, so a device that dies,
-  /// readmits, and dies again never double-counts.
-  size_t slices_credited = 0;
   size_t slice_replays = 0;  ///< the slice runner's replays, every round
 };
 
 /// Runs one device's shard list: bind the device, build a private backend
-/// (or reuse the round-1 backend on a recovery round), admit against the
-/// device's governor, and hand the ranges to the slice runner. A sticky
-/// DeviceLost is caught here: the device is marked dead in the group, the
-/// governor grant is returned, and the slices that did not finish are
+/// (or reuse the round-1 backend on a recovery round), and hand the ranges
+/// to the slice runner. A sticky DeviceLost is caught here: the device is
+/// marked dead in the group, and the slices that did not finish are
 /// reported for re-placement.
 void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
                      gpusim::DeviceGroup& group, int d,
                      const std::string& backend_name,
                      const std::vector<detail::RowRange>& ranges,
-                     const ShardedQueryOptions& options, uint64_t footprint,
-                     WorkerState& ws) {
-  bool admitted = false;
-  uint64_t stream_id = 0;
+                     const ShardedQueryOptions& options, WorkerState& ws) {
   detail::SliceProgress run;
   ws.device_lost = false;
   ws.unfinished.clear();
   try {
-    gpusim::Device& dev = group.device(d);
-    gpusim::Device::DeviceGuard guard(dev);
+    gpusim::Device::DeviceGuard guard(group.device(d));
     if (ws.backend == nullptr) {
       ws.backend = core::BackendRegistry::Instance().Create(backend_name);
       ws.start_ns = ws.backend->stream().now_ns();
     }
-    stream_id = ws.backend->stream().id();
-
-    if (options.governor != nullptr) {
-      const core::AdmissionTicket ticket =
-          options.governor->Admit(d, stream_id, footprint);
-      if (!ticket.admitted()) {
-        throw std::runtime_error("device " + std::to_string(d) +
-                                 " admission rejected for " +
-                                 TpchQueryName(q));
-      }
-      admitted = true;
-      ws.stats.granted_bytes = ticket.granted_bytes;
-    }
-    {
-      gpusim::Device::ReservationScope scope(dev, stream_id);
-      detail::RunSlices(q, tables, *ws.backend, ranges, options.use_encoding,
-                        run);
-    }
+    detail::RunSlices(q, tables, *ws.backend, ranges, options.use_encoding,
+                      run);
     ws.stats.busy_ns = ws.backend->stream().now_ns() - ws.start_ns;
-    if (admitted) options.governor->Release(d, stream_id);
   } catch (const gpusim::DeviceLost&) {
-    if (admitted) options.governor->Release(d, stream_id);
     group.MarkLost(d);
     ws.device_lost = true;
     ws.stats.lost = true;
@@ -145,7 +118,6 @@ void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
       ws.stats.busy_ns = ws.backend->stream().now_ns() - ws.start_ns;
     }
   } catch (...) {
-    if (admitted) options.governor->Release(d, stream_id);
     ws.error = std::current_exception();
   }
   // Finished slices are in host memory whatever became of the device.
@@ -161,26 +133,19 @@ void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
   }
 }
 
-/// Drives the group's lifecycle machine at a round boundary. When `tick` is
-/// set the armed auto-reset policy advances first (Lost devices that have
-/// waited their drawn number of rounds move to Probing); then every Probing
-/// device gets its half-open probe. A device that passes is readmitted on
-/// the spot: its worker keeps its backend (the stream is just a timeline;
-/// nothing device-resident survives a round) and its checkpointed host
-/// partials, and the next round's broadcast upload restores build-side
-/// state before any slice runs on it. On a healthy run no device is ever
-/// Probing, so nothing here executes or charges.
+/// Gives every Probing device of the group its half-open probe before
+/// placement. A device that passes is readmitted on the spot, and the
+/// broadcast upload of its first slice restores build-side state before
+/// anything runs on it. On a healthy group no device is Probing, so nothing
+/// here executes or charges.
 void ProbeAndReadmit(gpusim::DeviceGroup& group,
-                     std::vector<WorkerState>& workers, bool tick,
-                     ShardedRunStats& st) {
-  if (tick) group.TickLostDevices();
+                     std::vector<WorkerState>& workers, ShardedRunStats& st) {
   for (int d : group.ProbingDevices()) {
     if (!group.Probe(d)) {
       ++st.probe_failures;
       continue;
     }
     workers[static_cast<size_t>(d)].stats.readmitted = true;
-    group.CompleteReadmission(d);
     ++st.devices_readmitted;
   }
 }
@@ -328,7 +293,7 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
   // A group whose operator reset a lost device between runs (MarkReset)
   // re-admits here, before placement, so this run plans onto the recovered
   // ordinal. No-op — and charge-free — unless some device is Probing.
-  ProbeAndReadmit(group, workers, /*tick=*/false, st);
+  ProbeAndReadmit(group, workers, st);
 
   const ShardLayout layout =
       LayoutShards(query, *tables.lineitem, group, options.force_shards);
@@ -339,15 +304,6 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
     assigned[static_cast<size_t>(layout.device[s])].push_back(
         layout.ranges[s]);
   }
-  // Each device's grant covers its largest single slice plus the broadcast
-  // tables — the same per-slice footprint the governed ladder would size.
-  // Only a governor reads it.
-  const uint64_t footprint =
-      options.governor == nullptr
-          ? 0
-          : EstimateQueryFootprint(query, tables, backend_name, st.shards,
-                                   options.use_encoding);
-
   // Run rounds until every slice has executed somewhere. Round 1 is the
   // normal sharded run; a round ends by collecting the unfinished slices of
   // workers that lost their device and dealing them — sorted by row_begin,
@@ -361,7 +317,7 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
       if (assigned[static_cast<size_t>(d)].empty()) continue;
       threads.emplace_back([&, d] {
         RunDeviceShards(query, tables, group, d, backend_name,
-                        assigned[static_cast<size_t>(d)], options, footprint,
+                        assigned[static_cast<size_t>(d)], options,
                         workers[static_cast<size_t>(d)]);
       });
     }
@@ -379,20 +335,14 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
       ++st.devices_lost;
       // Everything the dead device had finished is in host memory
       // (ws.slices); those slices merge into the answer without ever
-      // re-running. Credit each one at most once across repeated losses of
-      // the same device.
-      st.checkpointed_slices_reused += ws.slices.size() - ws.slices_credited;
-      ws.slices_credited = ws.slices.size();
+      // re-running. A dead device takes no further slices this run, so
+      // each is credited once.
+      st.checkpointed_slices_reused += ws.slices.size();
       unfinished.insert(unfinished.end(), ws.unfinished.begin(),
                         ws.unfinished.end());
       ws.unfinished.clear();
     }
     if (unfinished.empty()) break;
-
-    // Round boundary: advance the lifecycle machine before re-dealing, so a
-    // device whose reset came through in time takes replacement slices
-    // itself instead of leaving the survivors to absorb them.
-    ProbeAndReadmit(group, workers, /*tick=*/true, st);
 
     const std::vector<int> alive = group.AliveDevices();
     if (alive.empty()) {

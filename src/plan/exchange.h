@@ -45,18 +45,14 @@
 // Finished slices are checkpoints: when a device dies only its *unfinished*
 // slices re-deal, and the finished ones merge into the final answer without
 // recompute (counted in checkpointed_slices_reused). A lost device can also
-// come back: between recovery rounds RunSharded drives the group's lifecycle
-// machine. An armed auto-reset policy ticks Lost devices back to Probing
-// (DeviceGroup::ArmAutoReset), every Probing device gets a half-open probe
-// kernel, and a device that passes is readmitted — its worker (and the
-// slices it finished before dying) retained, broadcast tables re-uploaded
-// when the next round hands it slices. The group's lifecycle is the run's
-// only health record: RunSharded keeps no circuit breakers. Probing also
-// runs once before initial placement, so a group whose operator called
-// MarkReset between queries re-admits on the next run. When no fault fires,
-// none of this machinery charges anything, so the healthy-path simulated
-// timeline is bit-identical to the fault-free build. The slice runner's
-// replays are counted in ShardedRunStats::slice_replays.
+// come back: before placement, every Probing device of the group (one whose
+// operator called MarkReset since it was lost) gets a half-open probe
+// kernel, and a device that passes is readmitted and placed like any other,
+// its broadcast tables uploaded with its first slice. The group's lifecycle
+// is the run's only health record: RunSharded keeps no circuit breakers.
+// When no fault fires, none of this machinery charges anything, so the
+// healthy-path simulated timeline is bit-identical to the fault-free build.
+// The slice runner's replays are counted in ShardedRunStats::slice_replays.
 #ifndef PLAN_EXCHANGE_H_
 #define PLAN_EXCHANGE_H_
 
@@ -64,7 +60,6 @@
 #include <string>
 #include <vector>
 
-#include "core/governor.h"
 #include "gpusim/device_group.h"
 #include "plan/partition.h"
 
@@ -129,10 +124,6 @@ struct ShardedQueryOptions {
   size_t force_shards = 0;
   /// Upload tables (and shard slices) compressed, as in GovernedQueryOptions.
   bool use_encoding = false;
-  /// Per-device admission control; nullptr = ungoverned. Each device thread
-  /// admits its own footprint against its own device's governor before
-  /// uploading anything, and releases on completion.
-  core::MultiGovernor* governor = nullptr;
 };
 
 /// Per-device accounting of one sharded run.
@@ -143,10 +134,9 @@ struct DeviceShardStats {
   uint64_t upload_bytes = 0;  ///< h2d: broadcast tables + shard slices
   uint64_t download_bytes = 0;  ///< d2h: partial-result fetches
   uint64_t busy_ns = 0;       ///< stream delta of the device's own work
-  uint64_t granted_bytes = 0; ///< admission grant (0 = ungoverned)
   uint64_t peak_bytes = 0;    ///< device allocator high-water over the run
   bool lost = false;          ///< device died (sticky DeviceLost) this run
-  bool readmitted = false;    ///< device re-joined after a reset + probe
+  bool readmitted = false;    ///< device probed healthy before placement
 };
 
 /// Accounting of one sharded run.
@@ -168,7 +158,7 @@ struct ShardedRunStats {
   size_t replaced_shards = 0;    ///< slices re-run on a surviving device
   uint64_t transfer_retries = 0; ///< gather exchanges replayed after a
                                  ///< transient TransferFault
-  int devices_readmitted = 0;    ///< devices probed healthy and re-placed
+  int devices_readmitted = 0;    ///< devices probed healthy before placement
   /// Slices a dying device had already finished whose host-checkpointed
   /// partials merged into the answer without recompute.
   size_t checkpointed_slices_reused = 0;
@@ -181,8 +171,7 @@ struct ShardedRunStats {
 
 /// Runs `query` sharded across every live device of `group` on
 /// `backend_name` instances (one per device, each on its own host thread).
-/// Throws std::runtime_error when a device's admission is rejected. A
-/// 1-device group runs one worker on the same path, with `force_shards`
+/// A 1-device group runs one worker on the same path, with `force_shards`
 /// slices (one when 0). A device lost mid-run is marked dead in the group
 /// and its unfinished slices complete on the survivors (see the file
 /// comment); gpusim::DeviceLost escapes only when every device of the group

@@ -230,7 +230,6 @@ void Encode(const StatsReply& m, Writer& w) {
   w.U64(m.catalog_generation);
   w.U64(m.overloaded);
   w.U64(m.malformed);
-  w.U64(m.devices_readmitted);
 }
 
 void Encode(const ErrorReply& m, Writer& w) { w.Str(m.message); }
@@ -290,8 +289,6 @@ StatsReply DecodeStatsReply(Reader& r) {
   m.catalog_generation = r.U64();
   m.overloaded = r.U64();
   m.malformed = r.U64();
-  // Appended fields: absent in frames from a pre-lifecycle server.
-  if (!r.AtEnd()) m.devices_readmitted = r.U64();
   return m;
 }
 

@@ -11,7 +11,9 @@
 // strictly request/response per connection: a client sends Hello once, then
 // any number of Query/Stats requests, and optionally Shutdown. Multiplexing
 // across queries comes from opening multiple connections (one session each),
-// exactly how bench_serving simulates thousands of client sessions.
+// exactly how bench_serving simulates thousands of client sessions. Frames
+// carry no version and no optional fields, so a client talks only to a
+// server built from the same source.
 #ifndef SERVE_PROTOCOL_H_
 #define SERVE_PROTOCOL_H_
 
@@ -100,9 +102,6 @@ struct StatsReply {
   uint64_t catalog_generation = 0;  ///< bumps on every catalog refresh
   uint64_t overloaded = 0;       ///< requests shed with kOverloaded
   uint64_t malformed = 0;        ///< garbage frames answered with kError
-  // Fleet lifecycle (appended fields; decoders tolerate their absence so an
-  // old server's stats frame still parses).
-  uint64_t devices_readmitted = 0;  ///< devices probed healthy + readmitted
 };
 
 struct ErrorReply {
@@ -143,7 +142,6 @@ class Reader {
   int64_t I64() { return static_cast<int64_t>(U64()); }
   double F64();
   std::string Str();
-  bool AtEnd() const { return pos_ == buf_.size(); }
 
  private:
   const std::vector<uint8_t>& buf_;

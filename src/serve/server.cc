@@ -11,8 +11,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/resilience.h"
-
 namespace serve {
 namespace {
 
@@ -46,6 +44,7 @@ QueryServer::QueryServer(ServerOptions options)
       catalog_(std::make_unique<ResidentCatalog>(options_.catalog)) {
   if (options_.use_governor) {
     core::GovernorOptions gov;
+    gov.device = &gpusim::Device::Current();  // the catalog's and clients'
     gov.max_grant_fraction = 0.5;  // no one query takes over half the device
     governor_ = std::make_unique<core::MemoryGovernor>(gov);
   }
@@ -98,10 +97,6 @@ void QueryServer::Stop() {
     ::close(c->fd);
   }
 
-  {
-    std::lock_guard<std::mutex> lock(rebalance_mu_);
-    if (rebalance_thread_.joinable()) rebalance_thread_.join();
-  }
   if (scheduler_ != nullptr) scheduler_->Shutdown();
   if (governor_ != nullptr) governor_->Shutdown();
   if (!options_.socket_path.empty()) ::unlink(options_.socket_path.c_str());
@@ -124,14 +119,14 @@ void QueryServer::CheckAdmission(TenantClass cls) {
   const TenantPolicy policy = PolicyFor(cls);
   const uint64_t retry_after =
       options_.retry_after_ms * policy.retry_after_multiplier;
-  // Per-device backend health first: a sticky DeviceLost on the serving
-  // device opens its breaker (the scheduler's) after failure_threshold
-  // query failures, and Allow() both gates admission and advances the
-  // open-state cooldown so a half-open probe eventually tests recovery.
-  if (!scheduler_->resilience().Allow(options_.catalog.backend, 0)) {
+  // Backend health first: a sticky DeviceLost on the serving device opens
+  // the breaker after failure_threshold query failures, and Allow() both
+  // gates admission and advances the open-state cooldown so a half-open
+  // probe eventually tests recovery.
+  if (!breaker_.Allow()) {
     overloaded_.fetch_add(1);
     throw Overloaded("backend '" + options_.catalog.backend +
-                         "' breaker open on device 0",
+                         "' breaker open",
                      retry_after);
   }
   // Queue bounds scale by the class's shed fraction, so as depth grows the
@@ -169,9 +164,8 @@ QueryReply QueryServer::Execute(const Session& session,
   CheckAdmission(session.cls);
 
   // The query's plan from the current snapshot's slot: prepared against
-  // that snapshot's residency, so neither a reloaded catalog nor a
-  // readmission's re-upload of the same tables serves a plan prepared
-  // against the residency it replaced.
+  // that snapshot's residency, so a reloaded catalog never serves a plan
+  // prepared against the residency it replaced.
   bool prepared_here = false;
   const std::shared_ptr<const plan::PreparedTpchQuery> prepared =
       catalog_->snapshot().plans->Get(query, &prepared_here);
@@ -214,12 +208,12 @@ QueryReply QueryServer::Execute(const Session& session,
   }
   if (!record.ok) {
     failed_.fetch_add(1);
-    // Feed the serving device's breaker so repeated failures (a sticky
-    // DeviceLost) trip it and CheckAdmission starts shedding.
-    scheduler_->resilience().RecordFailure(options_.catalog.backend, 0);
+    // Feed the breaker so repeated failures (a sticky DeviceLost) trip it
+    // and CheckAdmission starts shedding.
+    breaker_.RecordFailure();
     throw std::runtime_error("serve: query failed: " + record.error);
   }
-  scheduler_->resilience().RecordSuccess(options_.catalog.backend, 0);
+  breaker_.RecordSuccess();
   reply.result = std::move(*result);
   ok_queries_.fetch_add(1);
   return reply;
@@ -235,54 +229,8 @@ size_t QueryServer::ActiveConnections() const {
 }
 
 void QueryServer::ReloadCatalog(double scale_factor) {
-  // Generate before the refresh so a concurrent readmission's refresh never
-  // waits for it.
-  catalog_->Refresh(GenerateHostTables(scale_factor, options_.catalog.seed),
-                    nullptr);
-}
-
-bool QueryServer::ReadmitDevice(int ordinal) {
-  gpusim::DeviceGroup* fleet = options_.fleet;
-  if (fleet == nullptr || ordinal < 0 || ordinal >= fleet->size()) {
-    return false;
-  }
-  if (fleet->state(ordinal) == gpusim::DeviceState::kLost) {
-    fleet->MarkReset(ordinal);
-  }
-  if (fleet->state(ordinal) != gpusim::DeviceState::kProbing) {
-    return fleet->IsAlive(ordinal);  // already healthy (or mid-readmission)
-  }
-  const bool ok = fleet->Probe(ordinal);
-  scheduler_->resilience().SyncDeviceProbe(ordinal, ok);
-  if (!ok) return false;
-  // Refresh the catalog onto the readmitted ordinal in the background: the
-  // residency snapshot is refcounted, so queries keep running on the old
-  // one while the same host tables upload. The new snapshot's empty plan
-  // slots redirect new prepares to the new residency. Only then does the
-  // ordinal complete readmission, so it is never considered alive before
-  // its state is back.
-  std::lock_guard<std::mutex> lock(rebalance_mu_);
-  if (rebalance_thread_.joinable()) rebalance_thread_.join();
-  rebalance_thread_ = std::thread([this, fleet, ordinal] {
-    try {
-      catalog_->Refresh(nullptr, &fleet->device(ordinal));
-    } catch (const std::exception&) {
-      // The catalog is unchanged (Refresh swaps only after a whole upload).
-      // Send the ordinal back to Lost and re-open its breakers, so fleet
-      // and breaker state agree and a later ReadmitDevice can retry.
-      fleet->MarkLost(ordinal);
-      scheduler_->resilience().SyncDeviceProbe(ordinal, false);
-      return;
-    }
-    fleet->CompleteReadmission(ordinal);
-    devices_readmitted_.fetch_add(1);
-  });
-  return true;
-}
-
-void QueryServer::WaitForRebalance() {
-  std::lock_guard<std::mutex> lock(rebalance_mu_);
-  if (rebalance_thread_.joinable()) rebalance_thread_.join();
+  // Generate before the refresh so a concurrent reload never waits for it.
+  catalog_->Refresh(GenerateHostTables(scale_factor, options_.catalog.seed));
 }
 
 StatsReply QueryServer::Stats() const {
@@ -299,7 +247,6 @@ StatsReply QueryServer::Stats() const {
   s.catalog_generation = catalog.generation;
   s.overloaded = overloaded_.load();
   s.malformed = malformed_.load();
-  s.devices_readmitted = devices_readmitted_.load();
   return s;
 }
 

@@ -15,14 +15,17 @@
 // Execute() is also callable in-process (no socket), which is how the tests
 // and the local mode of bench_serving drive the server.
 //
+// A server owns one device: the one current on the thread that built it.
+// The catalog's residency, the scheduler's clients and the governor's
+// grants all live there.
+//
 // The server protects itself instead of trusting its clients. Admission
-// consults the per-device circuit breaker for the serving backend and sheds
-// with a typed kOverloaded reply (carrying a retry-after hint) when the
-// breaker is open or the scheduler queue or the governor queue crosses its
-// bound — rather than stacking unbounded work behind a sick device. The
-// breakers belong to the server's scheduler (core::QueryScheduler::
-// resilience()), so two servers in one process share no health state, and
-// the scheduler's report counts them. The accept loop caps live
+// consults the server's one circuit breaker (its backend on its device) and
+// sheds with a typed kOverloaded reply (carrying a retry-after hint) when
+// the breaker is open or the scheduler queue or the governor queue crosses
+// its bound — rather than stacking unbounded work behind a sick device.
+// Every executed query records its outcome on that breaker, so two servers
+// in one process share no health state. The accept loop caps live
 // connections (excess connects get kOverloaded and a clean close) and reaps
 // finished connection threads as it goes, so a client that connects and
 // dies mid-query leaks neither a thread nor an fd. Malformed frames —
@@ -42,8 +45,8 @@
 #include <vector>
 
 #include "core/governor.h"
+#include "core/resilience.h"
 #include "core/scheduler.h"
-#include "gpusim/device_group.h"
 #include "serve/protocol.h"
 #include "serve/session.h"
 #include "serve/tenant.h"
@@ -66,16 +69,12 @@ struct ServerOptions {
   /// Base retry-after hint carried in kOverloaded replies; each tenant
   /// class scales it by its TenantPolicy::retry_after_multiplier.
   uint64_t retry_after_ms = 50;
-  /// The device fleet this server runs over (not owned; must outlive the
-  /// server). Optional: with no fleet attached, ReadmitDevice is a no-op
-  /// and everything else behaves exactly as before.
-  gpusim::DeviceGroup* fleet = nullptr;
 };
 
 /// Thrown by Execute when the request is shed instead of queued: the
-/// scheduler or governor queue is past its bound, or the serving backend's
-/// per-device circuit breaker is open. Socket sessions see it as a typed
-/// kOverloaded reply with the retry-after hint.
+/// scheduler or governor queue is past its bound, or the server's circuit
+/// breaker is open. Socket sessions see it as a typed kOverloaded reply with
+/// the retry-after hint.
 class Overloaded : public std::runtime_error {
  public:
   Overloaded(const std::string& why, uint64_t retry_after_ms)
@@ -123,30 +122,17 @@ class QueryServer {
   /// refreshes the catalog with them (ResidentCatalog::Refresh). Returns
   /// once the new snapshot is swapped in, without waiting for queries in
   /// flight: they finish on the snapshot they prepared against, while new
-  /// requests see the new tables, each query's plan prepared anew.
+  /// requests see the new tables, each query's plan prepared anew. Throws
+  /// when the upload fails, and the catalog is then unchanged.
   void ReloadCatalog(double scale_factor);
-
-  /// Re-admission of a reset fleet device: resets it if still Lost, runs
-  /// the half-open probe, and mirrors the outcome into every backend@ordinal
-  /// breaker of the server's scheduler. On a passing probe a background
-  /// thread refreshes the catalog onto the ordinal (the same host tables,
-  /// ResidentCatalog::Refresh) while queries keep running, which swaps in a
-  /// snapshot with empty plan slots, and then the device
-  /// completes readmission. If that upload fails, the catalog stays as it
-  /// was, the ordinal goes back to Lost and its breakers re-open, so a
-  /// later ReadmitDevice can retry. Returns true when the probe passed and
-  /// the refresh was started (or the device was already alive); false on
-  /// probe failure or when no fleet is attached.
-  bool ReadmitDevice(int ordinal);
-
-  /// Joins an in-flight background rebalance (tests/benches; Stop() also
-  /// joins it).
-  void WaitForRebalance();
 
   StatsReply Stats() const;
 
   ResidentCatalog& catalog() { return *catalog_; }
   core::QueryScheduler& scheduler() { return *scheduler_; }
+  /// The server's health gate: CheckAdmission asks it, and every executed
+  /// query records its outcome on it.
+  core::CircuitBreaker& breaker() { return breaker_; }
   const ServerOptions& options() const { return options_; }
 
  private:
@@ -172,6 +158,7 @@ class QueryServer {
   std::unique_ptr<ResidentCatalog> catalog_;
   std::unique_ptr<core::MemoryGovernor> governor_;
   std::unique_ptr<core::QueryScheduler> scheduler_;
+  core::CircuitBreaker breaker_;
   TenantRegistry tenants_;
 
   std::atomic<uint64_t> next_session_{0};
@@ -182,10 +169,6 @@ class QueryServer {
   std::atomic<uint64_t> failed_{0};
   std::atomic<uint64_t> overloaded_{0};
   std::atomic<uint64_t> malformed_{0};
-  std::atomic<uint64_t> devices_readmitted_{0};
-
-  std::mutex rebalance_mu_;  ///< serializes ReadmitDevice's background work
-  std::thread rebalance_thread_;
 
   int listen_fd_ = -1;
   std::thread accept_thread_;

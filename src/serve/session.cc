@@ -74,9 +74,9 @@ std::shared_ptr<const HostTables> GenerateHostTables(double scale_factor,
 }
 
 ResidentCatalog::ResidentCatalog(CatalogOptions options)
-    : options_(std::move(options)), device_(&gpusim::Device::Current()) {
+    : options_(std::move(options)), device_(gpusim::Device::Current()) {
   current_.host = GenerateHostTables(options_.scale_factor, options_.seed);
-  current_.resident = Upload(options_, *device_, *current_.host);
+  current_.resident = Upload(options_, device_, *current_.host);
   current_.plans = std::make_shared<PlanSlots>(current_.resident,
                                                options_.backend);
 }
@@ -97,18 +97,15 @@ plan::TpchHostTables ResidentCatalog::host() const {
 
 uint64_t ResidentCatalog::generation() const { return snapshot().generation; }
 
-void ResidentCatalog::Refresh(std::shared_ptr<const HostTables> tables,
-                              gpusim::Device* device) {
+void ResidentCatalog::Refresh(std::shared_ptr<const HostTables> tables) {
   std::lock_guard<std::mutex> refresh(refresh_mu_);
   CatalogSnapshot next = snapshot();
-  if (tables != nullptr) next.host = std::move(tables);
-  if (device == nullptr) device = device_;
+  next.host = std::move(tables);
   // Upload outside mu_: readers keep taking snapshots throughout, and an
   // upload that throws leaves the catalog as it was.
-  next.resident = Upload(options_, *device, *next.host);
+  next.resident = Upload(options_, device_, *next.host);
   next.plans = std::make_shared<PlanSlots>(next.resident, options_.backend);
   ++next.generation;
-  device_ = device;
   {
     std::lock_guard<std::mutex> lock(mu_);
     std::swap(current_, next);

@@ -6,15 +6,17 @@
 // The catalog's state is one immutable snapshot: the host tables with their
 // scale factor, their residency (plan::ResidentTpchTables), the generation
 // that names the pair, and one prepared-plan slot per query (PlanSlots).
-// Refresh() is the only way that state changes: it uploads new host tables,
-// or the current ones onto another device, and swaps in the next snapshot
-// with a bumped generation and empty slots. A plan is therefore only ever
-// served against the residency it was prepared on: a refresh retires every
-// plan by construction, and a request that read the old snapshot can only
-// fill the old snapshot's slot. Snapshots are refcounted, so a query
-// prepared against an old generation keeps computing against its own
-// (consistent) snapshot while new requests see the new one: a refresh never
-// waits for queries, and a query never waits for an upload.
+// The residency always lives on the device that was current when the
+// catalog was built, the one the server's scheduler clients run on.
+// Refresh() is the only way that state changes: it uploads new host tables
+// and swaps in the next snapshot with a bumped generation and empty slots.
+// A plan is therefore only ever served against the residency it was
+// prepared on: a refresh retires every plan by construction, and a request
+// that read the old snapshot can only fill the old snapshot's slot.
+// Snapshots are refcounted, so a query prepared against an old generation
+// keeps computing against its own (consistent) snapshot while new requests
+// see the new one: a refresh never waits for queries, and a query never
+// waits for an upload.
 #ifndef SERVE_SESSION_H_
 #define SERVE_SESSION_H_
 
@@ -120,23 +122,22 @@ class ResidentCatalog {
   /// Bumps on every Refresh; generation 0 is the construction upload.
   uint64_t generation() const;
 
-  /// The one refresh path. Uploads `tables` (null: the current ones) to
-  /// `device` (null: the current one) on a backend that lives only for the
-  /// call, then swaps the new snapshot in, with a bumped generation and
-  /// empty plan slots.
-  /// Refreshes run one at a time, each reading the latest snapshot, so a
-  /// readmission that follows a reload re-uploads the reloaded tables.
+  /// The one refresh path. Uploads `tables` to the catalog's device on a
+  /// backend that lives only for the call, then swaps the new snapshot in,
+  /// with a bumped generation and empty plan slots. An upload that throws
+  /// leaves the catalog as it was. Refreshes run one at a time, so
+  /// concurrent reloads swap in one after another, each bumping the
+  /// generation.
   /// Readers keep whatever snapshot they hold: until the last in-flight
   /// plan drops the old residency, the old and the new one are both on the
   /// device.
-  void Refresh(std::shared_ptr<const HostTables> tables,
-               gpusim::Device* device);
+  void Refresh(std::shared_ptr<const HostTables> tables);
 
  private:
   CatalogOptions options_;
+  gpusim::Device& device_;  ///< where every residency lives
 
-  std::mutex refresh_mu_;   ///< serializes Refresh; guards device_
-  gpusim::Device* device_;  ///< where the current residency lives
+  std::mutex refresh_mu_;  ///< serializes Refresh
 
   mutable std::mutex mu_;  ///< guards current_; held only for pointer copies
   CatalogSnapshot current_;

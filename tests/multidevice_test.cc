@@ -1,15 +1,13 @@
 // Multi-device sharded execution tests: DeviceGroup topology routing and
-// exchange accounting, Device::Current()/DeviceGuard thread binding, the
-// MultiGovernor's per-device no-overtake guarantee, differential correctness
-// of RunSharded (forced shard counts x all five queries vs the host
-// reference), the 1-device degenerate case's bit-identical simulated
-// timeline vs RunGoverned, and the pricing of a sharded plan's exchange
-// edges.
+// exchange accounting, Device::Current()/DeviceGuard thread binding,
+// differential correctness of RunSharded (forced shard counts x all five
+// queries vs the host reference), the 1-device degenerate case's
+// bit-identical simulated timeline vs RunGoverned, the device lifecycle,
+// and the pricing of a sharded plan's exchange edges.
 // Built into the concurrency_tests binary, which CI also runs under
 // ThreadSanitizer (the sharded runner spawns one host thread per device).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -19,7 +17,6 @@
 #include <vector>
 
 #include "backends/backends.h"
-#include "core/governor.h"
 #include "core/registry.h"
 #include "gpusim/device.h"
 #include "gpusim/device_group.h"
@@ -145,72 +142,6 @@ TEST(DeviceGuardTest, BackendsBindToCurrentDevice) {
   const std::unique_ptr<core::Backend> backend =
       core::BackendRegistry::Instance().Create(backends::kHandwritten);
   EXPECT_EQ(&backend->stream().device(), &group.device(1));
-}
-
-// ---------------------------------------------------------------------------
-// MultiGovernor: per-device admission, no overtake within a device.
-
-TEST(MultiGovernorTest, DevicesAdmitIndependently) {
-  gpusim::DeviceProperties props;
-  props.global_memory_bytes = 1 << 20;
-  gpusim::DeviceGroup group(2, gpusim::GroupTopology(), props);
-  core::MultiGovernor governor(group);
-  ASSERT_EQ(governor.size(), 2);
-
-  // Fill device 0; device 1 must still grant immediately.
-  const core::AdmissionTicket t0 = governor.Admit(0, 1, 1 << 20);
-  EXPECT_EQ(t0.decision, core::AdmissionDecision::kGranted);
-  const core::AdmissionTicket t1 = governor.Admit(1, 2, 1 << 20);
-  EXPECT_EQ(t1.decision, core::AdmissionDecision::kGranted);
-
-  // A second request on the full device 0 times out; device 1's grant was
-  // untouched by it.
-  const core::AdmissionTicket t2 =
-      governor.Admit(0, 3, 1 << 20, /*timeout_ms=*/50);
-  EXPECT_EQ(t2.decision, core::AdmissionDecision::kRejected);
-
-  governor.Release(0, 1);
-  governor.Release(1, 2);
-  const core::GovernorStats total = governor.Stats();
-  EXPECT_EQ(total.granted, 2u);
-  EXPECT_EQ(total.rejected, 1u);
-  EXPECT_EQ(total.released, 2u);
-  const std::vector<core::GovernorStats> per = governor.PerDeviceStats();
-  ASSERT_EQ(per.size(), 2u);
-  EXPECT_EQ(per[0].rejected, 1u);
-  EXPECT_EQ(per[1].rejected, 0u);
-}
-
-TEST(MultiGovernorTest, NoOvertakeWithinADevice) {
-  gpusim::DeviceProperties props;
-  props.global_memory_bytes = 1 << 20;
-  gpusim::DeviceGroup group(2, gpusim::GroupTopology(), props);
-  core::MultiGovernor governor(group);
-
-  // Device 0 is full; two waiters queue in order. When memory frees, the
-  // first-queued (large) waiter must win even though the small one would fit
-  // sooner — strict FIFO per device.
-  ASSERT_TRUE(governor.Admit(0, 1, 1 << 20).admitted());
-  std::atomic<int> order{0};
-  int large_pos = -1, small_pos = -1;
-  std::thread large([&] {
-    const core::AdmissionTicket t = governor.Admit(0, 2, 1 << 20);
-    if (t.admitted()) large_pos = ++order;
-    governor.Release(0, 2);
-  });
-  // Give the large waiter time to reach the head of the queue.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  std::thread small([&] {
-    const core::AdmissionTicket t = governor.Admit(0, 3, 16);
-    if (t.admitted()) small_pos = ++order;
-    governor.Release(0, 3);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  governor.Release(0, 1);
-  large.join();
-  small.join();
-  EXPECT_EQ(large_pos, 1);
-  EXPECT_EQ(small_pos, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -356,24 +287,6 @@ TEST_F(MultiDeviceQueryTest, ShardedTimelineIsDeterministic) {
     } else {
       EXPECT_EQ(stats.simulated_ns, first);
     }
-  }
-}
-
-TEST_F(MultiDeviceQueryTest, GovernedShardsRunUnderPerDeviceGrants) {
-  gpusim::DeviceGroup group(2);
-  core::MultiGovernor governor(group);
-  plan::ShardedQueryOptions options;
-  options.governor = &governor;
-  plan::ShardedRunStats stats;
-  const plan::TpchQueryResult result = plan::RunSharded(
-      TpchQuery::kQ6, Tables(), group, backends::kHandwritten, options,
-      &stats);
-  tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ6, result, Tables());
-  const core::GovernorStats gs = governor.Stats();
-  EXPECT_EQ(gs.granted + gs.queued, 2u);  // one admission per device
-  EXPECT_EQ(gs.released, 2u);
-  for (const plan::DeviceShardStats& d : stats.per_device) {
-    EXPECT_GT(d.granted_bytes, 0u);
   }
 }
 
@@ -670,6 +583,8 @@ TEST_F(MultiDeviceQueryTest, ArmedRulelessInjectorsKeepTimelineBitIdentical) {
     EXPECT_EQ(armed_stats.devices_lost, 0);
     EXPECT_EQ(armed_stats.recovery_rounds, 0);
     EXPECT_EQ(armed_stats.slice_replays, 0u);
+    EXPECT_EQ(armed_stats.devices_readmitted, 0);
+    EXPECT_EQ(armed.fleet_stats().probes, 0u);
     EXPECT_GT(armed.fault_injector(0)->stats().checks, 0u);
   }
 }
@@ -698,7 +613,7 @@ TEST_F(MultiDeviceQueryTest, DegradedRunsAreDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// Device lifecycle: the Lost -> Probing -> Readmitting -> Alive machine.
+// Device lifecycle: the Lost -> Probing -> Alive machine.
 
 TEST(DeviceLifecycleTest, StateMachineWalksLostResetProbeReadmit) {
   gpusim::DeviceGroup group(2);
@@ -714,9 +629,6 @@ TEST(DeviceLifecycleTest, StateMachineWalksLostResetProbeReadmit) {
   ASSERT_EQ(group.ProbingDevices(), std::vector<int>{1});
 
   EXPECT_TRUE(group.Probe(1));
-  EXPECT_EQ(group.state(1), gpusim::DeviceState::kReadmitting);
-
-  EXPECT_TRUE(group.CompleteReadmission(1));
   EXPECT_EQ(group.state(1), gpusim::DeviceState::kAlive);
   EXPECT_TRUE(group.IsAlive(1));
   EXPECT_EQ(group.AliveCount(), 2);
@@ -729,11 +641,10 @@ TEST(DeviceLifecycleTest, StateMachineWalksLostResetProbeReadmit) {
   EXPECT_EQ(fs.readmissions, 1u);
 
   const std::vector<gpusim::LifecycleEvent> log = group.lifecycle_log();
-  ASSERT_EQ(log.size(), 4u);
+  ASSERT_EQ(log.size(), 3u);
   EXPECT_EQ(log[0].kind, gpusim::LifecycleEvent::Kind::kLost);
   EXPECT_EQ(log[1].kind, gpusim::LifecycleEvent::Kind::kReset);
-  EXPECT_EQ(log[2].kind, gpusim::LifecycleEvent::Kind::kProbeOk);
-  EXPECT_EQ(log[3].kind, gpusim::LifecycleEvent::Kind::kReadmitted);
+  EXPECT_EQ(log[2].kind, gpusim::LifecycleEvent::Kind::kReadmitted);
   for (size_t i = 0; i < log.size(); ++i) {
     EXPECT_EQ(log[i].device, 1);
     EXPECT_EQ(log[i].sequence, i);
@@ -749,14 +660,12 @@ TEST(DeviceLifecycleTest, TransitionsRejectWrongSourceStates) {
   gpusim::DeviceGroup group(2);
   EXPECT_FALSE(group.MarkReset(0)) << "only a Lost device can reset";
   EXPECT_FALSE(group.Probe(0)) << "only a Probing device can probe";
-  EXPECT_FALSE(group.CompleteReadmission(0))
-      << "only a Readmitting device can rejoin";
   EXPECT_EQ(group.state(0), gpusim::DeviceState::kAlive);
 
   group.MarkLost(0);
   group.MarkLost(0);  // idempotent
   EXPECT_EQ(group.fleet_stats().losses, 1u);
-  EXPECT_FALSE(group.CompleteReadmission(0)) << "Lost cannot skip the probe";
+  EXPECT_FALSE(group.Probe(0)) << "Lost cannot skip the reset";
   EXPECT_EQ(group.state(0), gpusim::DeviceState::kLost);
 }
 
@@ -781,36 +690,9 @@ TEST(DeviceLifecycleTest, ProbeFailsThenSucceedsAfterSecondReset) {
 
   ASSERT_TRUE(group.MarkReset(1));
   EXPECT_TRUE(group.Probe(1)) << "the kill was one-shot; the retry passes";
-  EXPECT_TRUE(group.CompleteReadmission(1));
   EXPECT_TRUE(group.IsAlive(1));
   EXPECT_EQ(group.fleet_stats().probes, 2u);
   EXPECT_EQ(group.fleet_stats().readmissions, 1u);
-}
-
-TEST(DeviceLifecycleTest, ArmAutoResetTicksLostDevicesBackDeterministically) {
-  // The auto-reset policy is a pure function of the seed: two groups armed
-  // identically tick their lost device back on the same round.
-  int first_ticks = -1;
-  for (int round = 0; round < 2; ++round) {
-    gpusim::DeviceGroup group(4);
-    group.ArmAutoReset(/*seed=*/21, /*min_ticks=*/1, /*max_ticks=*/3);
-    group.MarkLost(2);
-    int ticks = 0;
-    for (; ticks < 4; ++ticks) {
-      const std::vector<int> reset = group.TickLostDevices();
-      if (!reset.empty()) {
-        EXPECT_EQ(reset, std::vector<int>{2});
-        break;
-      }
-    }
-    EXPECT_LT(ticks, 4) << "the device must reset within max_ticks";
-    EXPECT_EQ(group.state(2), gpusim::DeviceState::kProbing);
-    if (round == 0) {
-      first_ticks = ticks;
-    } else {
-      EXPECT_EQ(ticks, first_ticks);
-    }
-  }
 }
 
 TEST(DeviceLifecycleTest, TransitionsLandInFaultTraceCategory) {
@@ -820,7 +702,6 @@ TEST(DeviceLifecycleTest, TransitionsLandInFaultTraceCategory) {
   group.MarkLost(1);
   group.MarkReset(1);
   ASSERT_TRUE(group.Probe(1));
-  group.CompleteReadmission(1);
   group.device(1).set_tracer(nullptr);
 
   std::vector<std::string> fault_events;
@@ -833,7 +714,7 @@ TEST(DeviceLifecycleTest, TransitionsLandInFaultTraceCategory) {
     }
   }
   const std::vector<std::string> want = {"device_lost", "device_reset",
-                                         "probe_ok", "device_readmitted"};
+                                         "device_readmitted"};
   EXPECT_EQ(fault_events, want);
   EXPECT_TRUE(saw_probe_kernel) << "the half-open probe charges a kernel";
 }
@@ -964,50 +845,6 @@ TEST_F(MultiDeviceQueryTest, CheckpointedSlicesAreReusedNotRecomputed) {
   EXPECT_GE(stats.checkpointed_slices_reused, 1u);
   // Checkpointed + re-dealt covers exactly the victim's two slices.
   EXPECT_EQ(stats.checkpointed_slices_reused + stats.replaced_shards, 2u);
-}
-
-TEST_F(MultiDeviceQueryTest, AutoResetReadmitsTheVictimMidRun) {
-  // With the auto-reset policy armed and an immediate threshold, the victim
-  // resets at the first round boundary, passes its probe, and takes
-  // replacement slices itself — all inside one RunSharded call.
-  gpusim::DeviceGroup group(4);
-  group.ArmAutoReset(/*seed=*/5, /*min_ticks=*/1, /*max_ticks=*/1);
-  KillDeviceOnceAtKernel(group, /*victim=*/2, /*at_call=*/2);
-  plan::ShardedQueryOptions options;
-  options.force_shards = 8;
-  plan::ShardedRunStats stats;
-  tpch_testing::ExpectReferenceAnswer(
-      TpchQuery::kQ1,
-      plan::RunSharded(TpchQuery::kQ1, Tables(), group,
-                       backends::kHandwritten, options, &stats),
-      Tables());
-  EXPECT_EQ(stats.devices_lost, 1);
-  EXPECT_EQ(stats.devices_readmitted, 1);
-  EXPECT_TRUE(group.IsAlive(2));
-  EXPECT_EQ(group.AliveCount(), 4);
-}
-
-TEST_F(MultiDeviceQueryTest, ArmedAutoResetKeepsZeroFaultTimelineIdentical) {
-  // The lifecycle machinery joins the zero-fault gate: armed injectors plus
-  // an armed auto-reset policy must not move a healthy run's timeline.
-  for (const TpchQuery q : {TpchQuery::kQ6, TpchQuery::kQ3}) {
-    SCOPED_TRACE(plan::TpchQueryName(q));
-    gpusim::DeviceGroup bare(4);
-    plan::ShardedRunStats bare_stats;
-    (void)plan::RunSharded(q, Tables(), bare, backends::kHandwritten, {},
-                           &bare_stats);
-
-    gpusim::DeviceGroup armed(4);
-    armed.ArmAutoReset(/*seed=*/3);
-    for (int d = 0; d < armed.size(); ++d) armed.ArmFaultInjector(d, 99);
-    plan::ShardedRunStats armed_stats;
-    (void)plan::RunSharded(q, Tables(), armed, backends::kHandwritten, {},
-                           &armed_stats);
-
-    EXPECT_EQ(armed_stats.simulated_ns, bare_stats.simulated_ns);
-    EXPECT_EQ(armed_stats.devices_readmitted, 0);
-    EXPECT_EQ(armed.fleet_stats().probes, 0u);
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@
 #include "core/resilience.h"
 #include "core/scheduler.h"
 #include "gpusim/device.h"
-#include "gpusim/device_group.h"
 #include "gpusim/fault.h"
 #include "gpusim/stream.h"
 #include "plan/partition.h"
@@ -120,95 +119,6 @@ TEST_F(ResilienceTest, SuccessResetsConsecutiveFailureCount) {
   }
   EXPECT_EQ(b.state(), CircuitBreaker::State::kClosed);
   EXPECT_EQ(b.opens(), 0u);
-}
-
-TEST_F(ResilienceTest, BreakersAreScopedPerBackendAndDevice) {
-  // Tripping the breaker for (Handwritten, device 1) must not gate the same
-  // backend on device 0: one device's loss leaves its siblings serving.
-  ResilienceManager rm;
-  rm.RecordFailure("Handwritten", 1);
-  rm.RecordFailure("Handwritten", 1);
-  rm.RecordFailure("Handwritten", 1);
-  EXPECT_EQ(rm.StateOf("Handwritten", 1), CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(rm.Allow("Handwritten", 1));
-  EXPECT_EQ(rm.StateOf("Handwritten", 0), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(rm.Allow("Handwritten", 0));
-
-  const ResilienceStats stats = rm.Snapshot();
-  ASSERT_EQ(stats.open_backends.size(), 1u);
-  EXPECT_EQ(stats.open_backends[0], "Handwritten@1");
-}
-
-TEST_F(ResilienceTest, OnProbeAppliesAnExternalProbeOutcome) {
-  CircuitBreakerOptions opts;
-  opts.failure_threshold = 2;
-  opts.open_cooldown_checks = 3;
-  CircuitBreaker b(opts);
-
-  // A successful external probe on a closed breaker changes nothing.
-  b.OnProbe(true);
-  EXPECT_EQ(b.state(), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(b.closes(), 0u);
-
-  // Open -> a passing device probe closes without waiting out the cooldown,
-  // counted as its own half-open cycle.
-  b.RecordFailure();
-  b.RecordFailure();
-  ASSERT_EQ(b.state(), CircuitBreaker::State::kOpen);
-  b.OnProbe(true);
-  EXPECT_EQ(b.state(), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(b.half_opens(), 1u);
-  EXPECT_EQ(b.closes(), 1u);
-  EXPECT_TRUE(b.Allow());
-
-  // A failing probe re-opens from closed with a fresh cooldown.
-  b.OnProbe(false);
-  EXPECT_EQ(b.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(b.opens(), 2u);
-  EXPECT_FALSE(b.Allow());
-}
-
-TEST_F(ResilienceTest, SyncDeviceProbeHealsEveryBreakerAtTheOrdinal) {
-  // Two backends tripped on device 1, one tripped on device 0: a passing
-  // probe of device 1 heals both of device 1's breakers and leaves device
-  // 0's open — the probe outcome is per-ordinal, not per-backend.
-  ResilienceManager rm;
-  for (int i = 0; i < 3; ++i) {
-    rm.RecordFailure("Handwritten", 1);
-    rm.RecordFailure("Thrust", 1);
-    rm.RecordFailure("Handwritten", 0);
-  }
-  ASSERT_EQ(rm.StateOf("Handwritten", 1), CircuitBreaker::State::kOpen);
-  ASSERT_EQ(rm.StateOf("Thrust", 1), CircuitBreaker::State::kOpen);
-  ASSERT_EQ(rm.StateOf("Handwritten", 0), CircuitBreaker::State::kOpen);
-
-  EXPECT_EQ(rm.SyncDeviceProbe(1, /*success=*/true), 2u);
-  EXPECT_EQ(rm.StateOf("Handwritten", 1), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(rm.StateOf("Thrust", 1), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(rm.StateOf("Handwritten", 0), CircuitBreaker::State::kOpen);
-
-  // A failing probe re-opens them; a device with no breakers touches none.
-  EXPECT_EQ(rm.SyncDeviceProbe(1, /*success=*/false), 2u);
-  EXPECT_EQ(rm.StateOf("Handwritten", 1), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(rm.SyncDeviceProbe(7, /*success=*/true), 0u);
-}
-
-TEST_F(ResilienceTest, GroupProbeOutcomeDrivesTheBreakers) {
-  // End to end: a lost device whose breaker opened heals through the
-  // lifecycle probe, exactly as QueryServer::ReadmitDevice wires it.
-  gpusim::DeviceGroup group(2);
-  ResilienceManager rm;
-  group.MarkLost(1);
-  for (int i = 0; i < 3; ++i) rm.RecordFailure("Handwritten", 1);
-  ASSERT_EQ(rm.StateOf("Handwritten", 1), CircuitBreaker::State::kOpen);
-
-  ASSERT_TRUE(group.MarkReset(1));
-  const bool ok = group.Probe(1);
-  ASSERT_TRUE(ok);
-  rm.SyncDeviceProbe(1, ok);
-  EXPECT_EQ(rm.StateOf("Handwritten", 1), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(group.CompleteReadmission(1));
-  EXPECT_TRUE(rm.Allow("Handwritten", 1));
 }
 
 TEST_F(ResilienceTest, ClassifyMapsTheFaultTaxonomy) {

@@ -1,9 +1,9 @@
 // Serving-tier tests: the shared percentile helper, prepared-plan reuse
 // (one prepare per query and catalog snapshot, even under concurrent first
 // requests; a refresh retires every plan), drain-free catalog refreshes,
-// stale-plan lifetime safety, tenant QoS dequeue (weighted fair share +
-// aging) on the scheduler, admission fields on rejected records, and the
-// socket server end to end.
+// stale-plan lifetime safety, one device and one breaker per server, tenant
+// QoS dequeue (weighted fair share + aging) on the scheduler, admission
+// fields on rejected records, and the socket server end to end.
 // Built into the concurrency_tests binary, which CI also runs under
 // ThreadSanitizer.
 #include <dirent.h>
@@ -31,7 +31,6 @@
 #include "core/registry.h"
 #include "core/scheduler.h"
 #include "gpusim/device.h"
-#include "gpusim/device_group.h"
 #include "gpusim/fault.h"
 #include "plan/prepared.h"
 #include "plan/tpch_plans.h"
@@ -153,8 +152,8 @@ TEST_F(ServeTest, ReloadInvalidatesPlanCacheAndServesNewData) {
 }
 
 TEST_F(ServeTest, TwoServersInOneProcessShareNoBreakers) {
-  // Each server gates admission through its own scheduler's breakers:
-  // tripping A's serving breaker sheds A's next query and leaves B serving.
+  // Each server gates admission through its own breaker: tripping A's
+  // breaker sheds A's next query and leaves B serving.
   ServerOptions options;  // in-process only
   options.catalog.scale_factor = 0.002;
   QueryServer a(options);
@@ -164,8 +163,7 @@ TEST_F(ServeTest, TwoServersInOneProcessShareNoBreakers) {
   const Session on_a = a.OpenSession("tenant", TenantClass::kInteractive);
   const Session on_b = b.OpenSession("tenant", TenantClass::kInteractive);
 
-  core::ResilienceManager& rm = a.scheduler().resilience();
-  for (int i = 0; i < 3; ++i) rm.RecordFailure(options.catalog.backend, 0);
+  for (int i = 0; i < 3; ++i) a.breaker().RecordFailure();
   EXPECT_THROW(a.Execute(on_a, "q6"), Overloaded);
   const QueryReply reply = b.Execute(on_b, "q6");
   tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6, reply.result,
@@ -173,8 +171,39 @@ TEST_F(ServeTest, TwoServersInOneProcessShareNoBreakers) {
 
   EXPECT_EQ(a.Stats().overloaded, 1u);
   EXPECT_EQ(b.Stats().overloaded, 0u);
-  EXPECT_EQ(a.scheduler().Report().resilience.open_backends.size(), 1u);
-  EXPECT_TRUE(b.scheduler().Report().resilience.open_backends.empty());
+  EXPECT_NE(a.breaker().state(), core::CircuitBreaker::State::kClosed);
+  EXPECT_EQ(b.breaker().state(), core::CircuitBreaker::State::kClosed);
+}
+
+TEST_F(ServeTest, ServerGovernsTheDeviceItWasBuiltOn) {
+  // A server built under a guard serves from that device alone: the
+  // catalog, the scheduler's clients and the governor's grants all land
+  // there, and the default device sees none of it.
+  gpusim::Device device(gpusim::DeviceProperties(), 2);
+  gpusim::Device::DeviceGuard guard(device);
+  gpusim::Device& fallback = gpusim::Device::Default();
+  const uint64_t fallback_kernels = fallback.Snapshot().kernels_launched;
+  const uint64_t fallback_peak = fallback.peak_bytes();
+
+  ServerOptions options;  // in-process only
+  options.catalog.scale_factor = 0.004;
+  QueryServer server(options);
+  server.Start();
+  const Session session =
+      server.OpenSession("tenant-a", TenantClass::kInteractive);
+  const QueryReply reply = server.Execute(session, "q6");
+  ASSERT_FALSE(reply.rejected);
+  tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6, reply.result,
+                                      server.catalog().host());
+
+  const std::vector<core::QueryRecord> records = server.scheduler().Records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_GT(records[0].granted_bytes, 0u);
+  EXPECT_GE(device.peak_bytes(), records[0].granted_bytes)
+      << "the grant must be reserved on the server's device";
+  EXPECT_GT(device.Snapshot().kernels_launched, 0u);
+  EXPECT_EQ(fallback.Snapshot().kernels_launched, fallback_kernels);
+  EXPECT_EQ(fallback.peak_bytes(), fallback_peak);
 }
 
 TEST_F(ServeTest, LateInsertAgainstARetiredResidencyIsNeverServed) {
@@ -831,16 +860,15 @@ TEST_F(ServeTest, OpenBreakerShedsQueriesUntilTheProbeHeals) {
   options.catalog.scale_factor = 0.002;
   QueryServer server(options);
   server.Start();
-  core::ResilienceManager& rm = server.scheduler().resilience();
 
   Client client(options.socket_path, "tenant", TenantClass::kInteractive);
   EXPECT_FALSE(client.Query("q6").overloaded);
 
-  // Trip the breaker for the serving backend on device 0 — what a run of
-  // real execution failures would do — and watch admission shed.
-  rm.RecordFailure(options.catalog.backend, 0);
-  rm.RecordFailure(options.catalog.backend, 0);
-  rm.RecordFailure(options.catalog.backend, 0);
+  // Trip the server's breaker — what a run of real execution failures
+  // would do — and watch admission shed.
+  server.breaker().RecordFailure();
+  server.breaker().RecordFailure();
+  server.breaker().RecordFailure();
   const QueryReply shed = client.Query("q6");
   EXPECT_TRUE(shed.overloaded);
   EXPECT_EQ(shed.retry_after_ms, options.retry_after_ms);
@@ -863,151 +891,8 @@ TEST_F(ServeTest, OpenBreakerShedsQueriesUntilTheProbeHeals) {
 }
 
 // --------------------------------------------------------------------------
-// Self-healing fleet: drain-aware readmission, per-tenant shed priorities,
-// and the client's seeded retry helper.
+// Per-tenant shed priorities and the client's seeded retry helper.
 // --------------------------------------------------------------------------
-
-TEST_F(ServeTest, ReadmitDeviceRebalancesWithoutDrainAndHealsBreakers) {
-  gpusim::DeviceGroup fleet(2);
-  ServerOptions options;  // in-process only
-  options.catalog.scale_factor = 0.004;
-  options.fleet = &fleet;
-  QueryServer server(options);
-  server.Start();
-  core::ResilienceManager& rm = server.scheduler().resilience();
-  const Session session =
-      server.OpenSession("tenant-a", TenantClass::kInteractive);
-
-  const QueryReply miss = server.Execute(session, "q6");
-  const QueryReply hit = server.Execute(session, "q6");
-  ASSERT_TRUE(hit.cache_hit);
-  const plan::TpchQueryResult ref =
-      plan::ReferenceAnswer(plan::TpchQuery::kQ6, server.catalog().host());
-  tpch_testing::ExpectNearAnswer(plan::TpchQuery::kQ6, hit.result, ref);
-
-  // The serving ordinal dies and its breaker opens.
-  fleet.MarkLost(0);
-  rm.RecordFailure(options.catalog.backend, 0);
-  rm.RecordFailure(options.catalog.backend, 0);
-  rm.RecordFailure(options.catalog.backend, 0);
-  ASSERT_EQ(rm.StateOf(options.catalog.backend, 0),
-            core::CircuitBreaker::State::kOpen);
-
-  ASSERT_TRUE(server.ReadmitDevice(0));
-  server.WaitForRebalance();
-
-  EXPECT_TRUE(fleet.IsAlive(0));
-  EXPECT_EQ(fleet.fleet_stats().readmissions, 1u);
-  EXPECT_EQ(rm.StateOf(options.catalog.backend, 0),
-            core::CircuitBreaker::State::kClosed)
-      << "the passing probe must heal the breaker, not just the fleet state";
-  EXPECT_EQ(server.catalog().generation(), 1u)
-      << "the rebalance bumps the residency generation";
-
-  // The cached plan belongs to the old generation (new residency), but the
-  // answer and the cache-hit simulated latency are unchanged: the host
-  // tables never moved.
-  const QueryReply remiss = server.Execute(session, "q6");
-  EXPECT_FALSE(remiss.cache_hit);
-  tpch_testing::ExpectNearAnswer(plan::TpchQuery::kQ6, remiss.result, ref);
-  const QueryReply rehit = server.Execute(session, "q6");
-  EXPECT_TRUE(rehit.cache_hit);
-  EXPECT_EQ(rehit.simulated_ns, hit.simulated_ns)
-      << "drain-free rebalance must not move the simulated query cost";
-  EXPECT_EQ(rehit.result.scalar, hit.result.scalar);
-
-  const StatsReply stats = server.Stats();
-  EXPECT_EQ(stats.devices_readmitted, 1u);
-  (void)miss;
-}
-
-TEST_F(ServeTest, ReadmitDeviceRejectsBadOrdinalsAndFailedProbes) {
-  {
-    ServerOptions options;  // no fleet attached
-    options.catalog.scale_factor = 0.002;
-    QueryServer server(options);
-    server.Start();
-    EXPECT_FALSE(server.ReadmitDevice(0)) << "no fleet -> nothing to readmit";
-  }
-
-  gpusim::DeviceGroup fleet(2);
-  // One-shot kill scoped to the probe stream: the first readmission attempt
-  // must fail and report false; the second passes.
-  gpusim::FaultRule rule;
-  rule.site = gpusim::FaultSite::kKernel;
-  rule.kind = gpusim::FaultKind::kDeviceLost;
-  rule.stream_label = "probe";
-  rule.at_call = 1;
-  rule.max_fires = 1;
-  fleet.ArmFaultInjector(1, 11).AddRule(rule);
-
-  ServerOptions options;
-  options.catalog.scale_factor = 0.002;
-  options.fleet = &fleet;
-  QueryServer server(options);
-  server.Start();
-
-  EXPECT_FALSE(server.ReadmitDevice(-1));
-  EXPECT_FALSE(server.ReadmitDevice(2));
-  EXPECT_TRUE(server.ReadmitDevice(0)) << "an alive ordinal is a no-op true";
-
-  fleet.MarkLost(1);
-  EXPECT_FALSE(server.ReadmitDevice(1)) << "the armed probe kill must fail";
-  EXPECT_EQ(fleet.state(1), gpusim::DeviceState::kLost);
-  EXPECT_TRUE(server.ReadmitDevice(1)) << "the retry probe passes";
-  server.WaitForRebalance();
-  EXPECT_TRUE(fleet.IsAlive(1));
-  EXPECT_EQ(server.Stats().devices_readmitted, 1u);
-}
-
-TEST_F(ServeTest, ReadmitDeviceSurvivesAFailedUploadAndRetries) {
-  gpusim::DeviceGroup fleet(2);
-  // One-shot transfer fault on device 1: the probe (a kernel) passes, and
-  // the readmission's catalog upload fails once in the background.
-  gpusim::FaultRule rule;
-  rule.site = gpusim::FaultSite::kTransfer;
-  rule.kind = gpusim::FaultKind::kTransfer;
-  rule.at_call = 1;
-  rule.max_fires = 1;
-  fleet.ArmFaultInjector(1, 11).AddRule(rule);
-
-  ServerOptions options;  // in-process only
-  options.catalog.scale_factor = 0.002;
-  options.fleet = &fleet;
-  QueryServer server(options);
-  server.Start();
-  core::ResilienceManager& rm = server.scheduler().resilience();
-  const Session session =
-      server.OpenSession("tenant-a", TenantClass::kInteractive);
-  const plan::TpchQueryResult ref =
-      plan::ReferenceAnswer(plan::TpchQuery::kQ6, server.catalog().host());
-
-  fleet.MarkLost(1);
-  rm.RecordFailure(options.catalog.backend, 1);
-  rm.RecordFailure(options.catalog.backend, 1);
-  rm.RecordFailure(options.catalog.backend, 1);
-  ASSERT_TRUE(server.ReadmitDevice(1)) << "the probe passes";
-  server.WaitForRebalance();
-
-  EXPECT_EQ(server.catalog().generation(), 0u) << "the catalog is unchanged";
-  EXPECT_EQ(fleet.state(1), gpusim::DeviceState::kLost);
-  EXPECT_EQ(rm.StateOf(options.catalog.backend, 1),
-            core::CircuitBreaker::State::kOpen)
-      << "breakers must agree with the fleet: the device is lost again";
-  EXPECT_EQ(server.Stats().devices_readmitted, 0u);
-  tpch_testing::ExpectNearAnswer(plan::TpchQuery::kQ6,
-                                 server.Execute(session, "q6").result, ref);
-
-  ASSERT_TRUE(server.ReadmitDevice(1)) << "the retry's upload succeeds";
-  server.WaitForRebalance();
-  EXPECT_TRUE(fleet.IsAlive(1));
-  EXPECT_EQ(server.catalog().generation(), 1u);
-  EXPECT_EQ(rm.StateOf(options.catalog.backend, 1),
-            core::CircuitBreaker::State::kClosed);
-  EXPECT_EQ(server.Stats().devices_readmitted, 1u);
-  tpch_testing::ExpectNearAnswer(plan::TpchQuery::kQ6,
-                                 server.Execute(session, "q6").result, ref);
-}
 
 TEST_F(ServeTest, TenantClassesShedInPriorityOrderWithScaledRetryAfter) {
   ServerOptions options;  // in-process only
@@ -1072,13 +957,12 @@ TEST_F(ServeTest, QueryWithRetrySleepsThroughShedsUntilTheBreakerHeals) {
   options.retry_after_ms = 1;  // keep the test's real sleeps tiny
   QueryServer server(options);
   server.Start();
-  core::ResilienceManager& rm = server.scheduler().resilience();
 
   Client client(options.socket_path, "tenant", TenantClass::kInteractive);
 
-  rm.RecordFailure(options.catalog.backend, 0);
-  rm.RecordFailure(options.catalog.backend, 0);
-  rm.RecordFailure(options.catalog.backend, 0);
+  server.breaker().RecordFailure();
+  server.breaker().RecordFailure();
+  server.breaker().RecordFailure();
 
   // Each shed attempt advances the breaker cooldown, so a generous budget
   // always reaches the half-open probe; the helper sleeps the hints out
@@ -1099,8 +983,8 @@ TEST_F(ServeTest, QueryWithRetrySleepsThroughShedsUntilTheBreakerHeals) {
 }
 
 // --------------------------------------------------------------------------
-// Drain-free catalog refresh: a reload or a readmission swaps the snapshot
-// while queries run, and queries keep the snapshot they prepared against.
+// Drain-free catalog refresh: a reload swaps the snapshot while queries run,
+// and queries keep the snapshot they prepared against.
 // --------------------------------------------------------------------------
 
 TEST_F(ServeTest, ReloadCatalogReturnsWhileAQueryIsHeld) {
@@ -1236,27 +1120,41 @@ TEST_F(ServeTest, ReloadUnderConcurrentStreamsAnswersFromOneGeneration) {
   EXPECT_EQ(stats.rejected, 0u);
 }
 
-TEST_F(ServeTest, ReadmitDeviceRacingAReloadEndsOnTheReloadedTables) {
-  gpusim::DeviceGroup fleet(2);
+TEST_F(ServeTest, ReloadWhoseUploadFailsChangesNothing) {
+  // Refresh swaps only after a whole upload: a reload whose upload faults
+  // throws and leaves the old snapshot serving, and the next reload
+  // succeeds. The server runs on a private device, so the fault touches no
+  // other test's device.
+  gpusim::FaultInjector injector(11);
+  gpusim::Device device(gpusim::DeviceProperties(), 2);
+  gpusim::Device::DeviceGuard guard(device);
   ServerOptions options;  // in-process only
   options.catalog.scale_factor = 0.004;
-  options.fleet = &fleet;
   QueryServer server(options);
   server.Start();
-
-  // The readmission refreshes the catalog on a background thread, so the
-  // reload races it. Refreshes run one at a time on the latest snapshot:
-  // in either order the catalog ends on the reloaded tables.
-  fleet.MarkLost(0);
-  ASSERT_TRUE(server.ReadmitDevice(0));
-  server.ReloadCatalog(0.008);
-  server.WaitForRebalance();
-
-  EXPECT_TRUE(fleet.IsAlive(0));
-  EXPECT_EQ(server.catalog().generation(), 2u);
-  EXPECT_EQ(server.catalog().snapshot().host->scale_factor, 0.008);
   const Session session =
       server.OpenSession("tenant-a", TenantClass::kInteractive);
+  const plan::TpchQueryResult ref =
+      plan::ReferenceAnswer(plan::TpchQuery::kQ6, server.catalog().host());
+
+  gpusim::FaultRule rule;
+  rule.site = gpusim::FaultSite::kTransfer;
+  rule.kind = gpusim::FaultKind::kTransfer;
+  rule.at_call = 1;
+  rule.max_fires = 1;
+  injector.AddRule(rule);
+  device.set_fault_injector(&injector);
+
+  EXPECT_THROW(server.ReloadCatalog(0.008), gpusim::TransferFault);
+  EXPECT_EQ(server.catalog().generation(), 0u) << "the catalog is unchanged";
+  EXPECT_EQ(server.catalog().snapshot().host->scale_factor, 0.004);
+  tpch_testing::ExpectNearAnswer(plan::TpchQuery::kQ6,
+                                 server.Execute(session, "q6").result, ref);
+
+  server.ReloadCatalog(0.008);
+  device.set_fault_injector(nullptr);
+  EXPECT_EQ(server.catalog().generation(), 1u);
+  EXPECT_EQ(injector.stats().injected_transfer, 1u);
   tpch_testing::ExpectReferenceAnswer(plan::TpchQuery::kQ6,
                                       server.Execute(session, "q6").result,
                                       server.catalog().host());

@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
       std::printf(
           "queries=%llu rejected=%llu failed=%llu overloaded=%llu "
           "cache_hits=%llu cache_misses=%llu cache_size=%llu "
-          "resident_bytes=%llu generation=%llu readmitted=%llu\n",
+          "resident_bytes=%llu generation=%llu\n",
           static_cast<unsigned long long>(s.queries),
           static_cast<unsigned long long>(s.rejected),
           static_cast<unsigned long long>(s.failed),
@@ -151,8 +151,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(s.cache_misses),
           static_cast<unsigned long long>(s.cache_size),
           static_cast<unsigned long long>(s.resident_bytes),
-          static_cast<unsigned long long>(s.catalog_generation),
-          static_cast<unsigned long long>(s.devices_readmitted));
+          static_cast<unsigned long long>(s.catalog_generation));
     }
     if (want_shutdown) client.Shutdown();
     return 0;

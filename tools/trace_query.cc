@@ -248,8 +248,8 @@ int main(int argc, char** argv) {
   }
 
   if (fleet_readmit > 0) {
-    // Device-lifecycle demo: lose device 0, reset it, run the half-open
-    // probe, and readmit. Every transition plus the probe kernel records
+    // Device-lifecycle demo: lose device 0, reset it, and run the half-open
+    // probe, which readmits it. Every transition plus the probe kernel records
     // against the shared tracer, so the exported trace shows the
     // fault-category timeline next to any injected faults above.
     gpusim::DeviceGroup fleet(fleet_readmit);
@@ -257,7 +257,6 @@ int main(int argc, char** argv) {
     fleet.MarkLost(0);
     fleet.MarkReset(0);
     const bool probe_ok = fleet.Probe(0);
-    if (probe_ok) fleet.CompleteReadmission(0);
     for (int d = 0; d < fleet.size(); ++d) fleet.device(d).set_tracer(nullptr);
     std::cout << "fleet: device 0 of " << fleet.size()
               << " lost -> reset -> probe "
