@@ -19,21 +19,23 @@
 // and a tripped breaker (queries shed until the half-open probe heals it).
 // The server must never crash and must still answer correctly afterwards.
 //
-// Phase C — kill -> degrade -> reset -> re-admit -> re-converge: for every
+// Phase C — kill -> degrade -> reset -> rerun -> re-converge: for every
 // seed x query, a one-shot DeviceLost kills the victim mid-run (the run
 // degrades onto the survivors, reusing the victim's host-checkpointed
 // slices), the operator resets the victim (MarkReset), and the SAME group
-// runs the query again: the run-start half-open probe re-admits the victim,
-// the answer must match the host reference, the recovered run must land
-// within 5% of a never-killed baseline, and replaying the whole sequence on
-// a second identical group must reproduce the placement and the simulated
-// timeline exactly. Across the whole matrix at least one checkpointed slice
-// must have been reused (otherwise the kill schedule proved nothing).
+// runs the query again: the victim must be alive and run at least one slice
+// of the rerun, the answer must match the host reference, the recovered run
+// must land within 5% of a never-killed baseline, and replaying the whole
+// sequence on a second identical group must reproduce the placement and the
+// simulated timeline exactly. Across the whole matrix at least one
+// checkpointed slice must have been reused (otherwise the kill schedule
+// proved nothing).
 //
 // Exit codes: 0 ok, 2 permanent query failure, 3 wrong answer, 4 zero-fault
 // timeline drift, 5 serving-tier failure, 6 no checkpointed slice reused,
-// 7 readmission failure (probe refused / non-deterministic replay / >5%
-// throughput regression after re-admission), 64 usage.
+// 7 readmission failure (victim not alive or given no slice after the reset
+// / non-deterministic replay / >5% throughput regression after the reset),
+// 64 usage.
 //
 // Usage:
 //   bench_chaos_multidevice [--seeds=1,2,3,4,5] [--sf=0.02]
@@ -271,17 +273,17 @@ int RunZeroFaultGate(const Options& opts, const plan::TpchHostTables& tables) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase C: kill -> degrade -> reset -> re-admit -> re-converge.
+// Phase C: kill -> degrade -> reset -> rerun -> re-converge.
 
 struct ReadmitPoint {
   uint64_t seed = 0;
   std::string query;
   int victim = 0;
   uint64_t degraded_ns = 0;   ///< sim makespan of the run the kill hit
-  uint64_t recovered_ns = 0;  ///< sim makespan after reset + readmission
+  uint64_t recovered_ns = 0;  ///< sim makespan of the rerun after the reset
   uint64_t baseline_ns = 0;   ///< never-killed fresh-group reference
   size_t checkpoints_reused = 0;
-  int readmitted = 0;
+  size_t victim_shards = 0;   ///< slices the victim ran in the rerun
   bool deterministic = false;
 };
 
@@ -296,6 +298,7 @@ struct SequenceOutcome {
   std::vector<size_t> placement;  ///< per-device shard counts of the rerun
   bool victim_died = false;
   bool victim_back = false;
+  size_t victim_shards = 0;  ///< slices the victim ran in the rerun
 };
 
 SequenceOutcome RunKillResetSequence(plan::TpchQuery q,
@@ -329,6 +332,7 @@ SequenceOutcome RunKillResetSequence(plan::TpchQuery q,
   out.victim_back = group.IsAlive(victim);
   for (const plan::DeviceShardStats& ds : out.recovered.per_device) {
     out.placement.push_back(ds.shards);
+    if (ds.device == victim) out.victim_shards = ds.shards;
   }
   return out;
 }
@@ -338,7 +342,7 @@ int RunReadmissionPhase(const Options& opts, const plan::TpchHostTables& tables,
                         std::vector<ReadmitPoint>* points,
                         size_t* total_reuse) {
   std::printf("%6s %5s %7s %6s %8s %12s %12s %12s %5s\n", "seed", "query",
-              "victim", "readm", "ckpt", "degraded_ms", "recover_ms",
+              "victim", "shards", "ckpt", "degraded_ms", "recover_ms",
               "baseline_ms", "ok");
   for (const uint64_t seed : opts.seeds) {
     for (const std::string& qname : opts.queries) {
@@ -373,7 +377,7 @@ int RunReadmissionPhase(const Options& opts, const plan::TpchHostTables& tables,
       p.recovered_ns = first.recovered.simulated_ns;
       p.baseline_ns = baseline.simulated_ns;
       p.checkpoints_reused = first.degraded.checkpointed_slices_reused;
-      p.readmitted = first.recovered.devices_readmitted;
+      p.victim_shards = first.victim_shards;
       *total_reuse += p.checkpoints_reused;
 
       std::string why;
@@ -391,9 +395,12 @@ int RunReadmissionPhase(const Options& opts, const plan::TpchHostTables& tables,
                      why.c_str());
         return kExitWrongAnswer;
       }
-      if (ok && (!first.victim_back || first.recovered.devices_readmitted < 1)) {
-        std::fprintf(stderr, "  seed=%llu %s: victim never readmitted\n",
-                     static_cast<unsigned long long>(seed), qname.c_str());
+      if (ok && (!first.victim_back || first.victim_shards < 1)) {
+        std::fprintf(stderr,
+                     "  seed=%llu %s: victim not back after the reset "
+                     "(alive=%d, slices=%zu)\n",
+                     static_cast<unsigned long long>(seed), qname.c_str(),
+                     first.victim_back ? 1 : 0, first.victim_shards);
         ok = false;
       }
       // Re-converge: the recovered run must be within 5% of never-killed.
@@ -416,8 +423,6 @@ int RunReadmissionPhase(const Options& opts, const plan::TpchHostTables& tables,
             second.degraded.simulated_ns == first.degraded.simulated_ns &&
             second.recovered.simulated_ns == first.recovered.simulated_ns &&
             second.placement == first.placement &&
-            second.recovered.devices_readmitted ==
-                first.recovered.devices_readmitted &&
             second.degraded.checkpointed_slices_reused ==
                 first.degraded.checkpointed_slices_reused;
         if (!p.deterministic) {
@@ -427,9 +432,9 @@ int RunReadmissionPhase(const Options& opts, const plan::TpchHostTables& tables,
         }
       }
 
-      std::printf("%6llu %5s %7d %6d %8zu %12.3f %12.3f %12.3f %5s\n",
+      std::printf("%6llu %5s %7d %6zu %8zu %12.3f %12.3f %12.3f %5s\n",
                   static_cast<unsigned long long>(seed), qname.c_str(), victim,
-                  p.readmitted, p.checkpoints_reused, p.degraded_ns / 1e6,
+                  p.victim_shards, p.checkpoints_reused, p.degraded_ns / 1e6,
                   p.recovered_ns / 1e6, p.baseline_ns / 1e6,
                   ok ? "OK" : "FAIL");
       points->push_back(std::move(p));
@@ -681,7 +686,7 @@ int Run(const Options& opts) {
   std::vector<ReadmitPoint> readmit_points;
   size_t checkpoint_reuse_total = 0;
   if (!opts.skip_readmit) {
-    std::printf("\nphase C: kill -> degrade -> reset -> re-admit -> "
+    std::printf("\nphase C: kill -> degrade -> reset -> rerun -> "
                 "re-converge\n");
     rc = RunReadmissionPhase(opts, tables, ref, &readmit_points,
                              &checkpoint_reuse_total);
@@ -727,7 +732,7 @@ int Run(const Options& opts) {
       const ReadmitPoint& p = readmit_points[i];
       out << "    {\"seed\": " << p.seed << ", \"query\": \"" << p.query
           << "\", \"victim\": " << p.victim
-          << ", \"readmitted\": " << p.readmitted
+          << ", \"victim_shards\": " << p.victim_shards
           << ", \"checkpoints_reused\": " << p.checkpoints_reused
           << ", \"degraded_ns\": " << p.degraded_ns
           << ", \"recovered_ns\": " << p.recovered_ns

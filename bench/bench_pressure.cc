@@ -215,12 +215,13 @@ int Run(const Options& opts) {
           submitted[i] = q;
           plan::GovernedQueryOptions gq;
           gq.use_encoding = opts.use_encoding;
+          core::SubmitOptions submit;
+          submit.footprint_bytes = plan::EstimateQueryFootprint(
+              q, tables, opts.backend, 1, opts.use_encoding);
           scheduler.Submit(
               plan::TpchQueryName(q),
               plan::MakeGovernedQuery(q, tables, gq, &results[i], &stats[i]),
-              plan::EstimateQueryFootprint(q, tables, opts.backend, 1,
-                                           opts.use_encoding),
-              nullptr);
+              submit);
         }
         scheduler.Drain();
 

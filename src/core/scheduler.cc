@@ -45,14 +45,6 @@ ScheduledQueryStatus QueryScheduler::Submit(std::string label, QueryFn query,
 }
 
 ScheduledQueryStatus QueryScheduler::Submit(std::string label, QueryFn query,
-                                            uint64_t footprint_bytes,
-                                            uint64_t* id) {
-  SubmitOptions submit;
-  submit.footprint_bytes = footprint_bytes;
-  return Submit(std::move(label), std::move(query), std::move(submit), id);
-}
-
-ScheduledQueryStatus QueryScheduler::Submit(std::string label, QueryFn query,
                                             SubmitOptions submit,
                                             uint64_t* id) {
   std::unique_lock<std::mutex> lock(mu_);
@@ -285,8 +277,7 @@ void QueryScheduler::ClientLoop(unsigned client_index) {
     record.queue_wait_ms = queue_wait_ms;
     record.aged = aged;
     record.footprint_bytes = item.footprint_bytes;
-    const uint64_t deadline_ms =
-        item.deadline_ms != 0 ? item.deadline_ms : options_.deadline_ms;
+    const uint64_t deadline_ms = item.deadline_ms;
     const RetryPolicy& retry = options_.retry;
     const uint64_t sim_start = backend->stream().now_ns();
     const auto wall_start = std::chrono::steady_clock::now();

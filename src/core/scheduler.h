@@ -8,7 +8,8 @@
 // blocks while the queue is full — backpressure toward the producers — and
 // every completed query yields a QueryRecord with wall-clock and simulated
 // latency. Report() aggregates throughput (queries/sec) and latency
-// percentiles.
+// percentiles. A query's memory footprint, wall-clock deadline and tenant
+// come with its submission (SubmitOptions).
 //
 // Each scheduler keeps the retry, reclaim and deadline counters of the
 // queries it ran (ResilienceStats, in its SchedulerReport). It holds no
@@ -58,10 +59,6 @@ struct SchedulerOptions {
   unsigned num_clients = 1;      ///< concurrent clients, each with own stream
   size_t queue_capacity = 16;    ///< bound on queued (not yet running) queries
   RetryPolicy retry;             ///< transient-retry budget and backoff
-  /// Wall-clock budget per query, 0 = none. A query past its deadline gets
-  /// no further retry attempts and its record is flagged; a query that
-  /// finishes late but ok keeps ok = true.
-  uint64_t deadline_ms = 0;
   /// Memory admission control; nullptr = none (queries run unconditionally).
   /// Queries submitted with a footprint pass through MemoryGovernor::Admit
   /// on their client thread before executing, and the grant is released when
@@ -119,11 +116,13 @@ struct QueryRecord {
   bool aged = false;               ///< dequeued via the starvation aging rule
 };
 
-/// Per-submission options (the richer Submit overload used by the serving
-/// tier). Zero-initialized fields reproduce the legacy overloads exactly.
+/// Per-submission options. Zero-initialized fields reproduce the plain
+/// Submit exactly.
 struct SubmitOptions {
   uint64_t footprint_bytes = 0;  ///< memory-admission estimate; 0 = ungoverned
-  /// Per-query deadline override; 0 falls back to SchedulerOptions::deadline_ms.
+  /// Wall-clock budget of the query, 0 = none. A query past its deadline
+  /// gets no further retry attempts and its record is flagged; a query that
+  /// finishes late but ok keeps ok = true.
   uint64_t deadline_ms = 0;
   TenantSpec tenant;
   /// Invoked on the client thread with the finalized record — including
@@ -170,13 +169,6 @@ class QueryScheduler {
   ScheduledQueryStatus Submit(std::string label, QueryFn query,
                               uint64_t* id = nullptr);
 
-  /// Submit with a declared memory footprint: when the scheduler has a
-  /// governor, the query passes through memory admission (grant / FIFO
-  /// queue / reject) on its client thread before executing. footprint 0 is
-  /// equivalent to the ungoverned overload.
-  ScheduledQueryStatus Submit(std::string label, QueryFn query,
-                              uint64_t footprint_bytes, uint64_t* id);
-
   /// Full-control Submit: memory footprint, per-query deadline, tenant
   /// fair-share tag, and a completion callback (see SubmitOptions). Tagged
   /// queries are dequeued by weighted fair share with aging instead of FIFO.
@@ -212,7 +204,7 @@ class QueryScheduler {
     std::string label;
     QueryFn fn;
     uint64_t footprint_bytes = 0;
-    uint64_t deadline_ms = 0;  ///< 0 = use options_.deadline_ms
+    uint64_t deadline_ms = 0;  ///< 0 = none
     TenantSpec tenant;
     std::function<void(const QueryRecord&)> on_complete;
     std::chrono::steady_clock::time_point enqueued;

@@ -19,33 +19,15 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
+
+/// Records a health transition as a zero-duration "fault" event on the
+/// device's tracer, next to the injected faults that caused it.
+void TraceTransition(Device& device, const char* name) {
+  if (Tracer* tracer = device.tracer()) {
+    tracer->Record(TraceEvent{name, "fault", 0, 0, 0});
+  }
+}
 }  // namespace
-
-const char* DeviceStateName(DeviceState state) {
-  switch (state) {
-    case DeviceState::kAlive:
-      return "alive";
-    case DeviceState::kLost:
-      return "lost";
-    case DeviceState::kProbing:
-      return "probing";
-  }
-  return "unknown";
-}
-
-const char* LifecycleEventName(LifecycleEvent::Kind kind) {
-  switch (kind) {
-    case LifecycleEvent::Kind::kLost:
-      return "device_lost";
-    case LifecycleEvent::Kind::kReset:
-      return "device_reset";
-    case LifecycleEvent::Kind::kProbeFailed:
-      return "probe_failed";
-    case LifecycleEvent::Kind::kReadmitted:
-      return "device_readmitted";
-  }
-  return "unknown";
-}
 
 DeviceGroup::DeviceGroup(int num_devices, const GroupTopology& topology,
                          const DeviceProperties& props,
@@ -55,17 +37,12 @@ DeviceGroup::DeviceGroup(int num_devices, const GroupTopology& topology,
     throw std::invalid_argument("DeviceGroup needs at least one device");
   }
   devices_.reserve(static_cast<size_t>(num_devices));
-  state_.reserve(static_cast<size_t>(num_devices));
+  alive_.reserve(static_cast<size_t>(num_devices));
   injectors_.resize(static_cast<size_t>(num_devices));
   for (int i = 0; i < num_devices; ++i) {
     devices_.push_back(
         std::make_unique<Device>(props, host_threads_per_device));
-    state_.push_back(std::make_unique<std::atomic<uint8_t>>(
-        static_cast<uint8_t>(DeviceState::kAlive)));
-  }
-  exchanged_.reserve(static_cast<size_t>(num_devices) * num_devices);
-  for (int i = 0; i < num_devices * num_devices; ++i) {
-    exchanged_.push_back(std::make_unique<std::atomic<uint64_t>>(0));
+    alive_.push_back(std::make_unique<std::atomic<bool>>(true));
   }
 }
 
@@ -82,84 +59,23 @@ FaultInjector& DeviceGroup::ArmFaultInjector(int i, uint64_t seed) {
   return *slot;
 }
 
-void DeviceGroup::Transition(int i, DeviceState next,
-                             LifecycleEvent::Kind kind) {
-  // Caller holds lifecycle_mu_.
-  state_[static_cast<size_t>(i)]->store(static_cast<uint8_t>(next),
-                                        std::memory_order_release);
-  LifecycleEvent event;
-  event.kind = kind;
-  event.device = i;
-  event.sequence = lifecycle_sequence_++;
-  lifecycle_log_.push_back(event);
-  // Lifecycle transitions show up on the device's trace in the fault
-  // category (zero duration), next to the injected faults that caused them.
-  if (Tracer* tracer = device(i).tracer()) {
-    tracer->Record(TraceEvent{LifecycleEventName(kind), "fault", 0, 0, 0});
-  }
-}
-
 void DeviceGroup::MarkLost(int i) {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  if (state(i) == DeviceState::kLost) return;  // idempotent
-  Transition(i, DeviceState::kLost, LifecycleEvent::Kind::kLost);
-  ++fleet_stats_.losses;
+  if (!IsAlive(i)) return;  // idempotent
+  alive_[static_cast<size_t>(i)]->store(false, std::memory_order_release);
+  TraceTransition(device(i), "device_lost");
 }
 
 bool DeviceGroup::MarkReset(int i) {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  if (state(i) != DeviceState::kLost) return false;
+  if (IsAlive(i)) return false;
   // The reset brings the context back: clear the injector's sticky loss but
   // keep its rules and per-stream call counts — an at_call kill that already
   // fired stays fired, while probability rules keep drawing.
   if (FaultInjector* inj = device(i).fault_injector()) inj->ClearStickyLoss();
-  Transition(i, DeviceState::kProbing, LifecycleEvent::Kind::kReset);
-  ++fleet_stats_.resets;
+  alive_[static_cast<size_t>(i)]->store(true, std::memory_order_release);
+  TraceTransition(device(i), "device_reset");
   return true;
-}
-
-bool DeviceGroup::Probe(int i) {
-  {
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    if (state(i) != DeviceState::kProbing) return false;
-    ++fleet_stats_.probes;
-  }
-  // Charge a real (small, fixed-size) probe kernel on a fresh stream labelled
-  // "probe": fault rules see the launch like any other, so a rule scoped to
-  // the probe can fail it, and a re-armed DeviceLost sends the device back to
-  // Lost — the half-open-probe contract.
-  Stream probe_stream(device(i));
-  probe_stream.set_label("probe");
-  KernelStats probe;
-  probe.name = "fleet_probe";
-  probe.bytes_read = 1u << 20;
-  probe.ops = 1u << 20;
-  try {
-    probe_stream.ChargeKernel(probe);
-  } catch (const DeviceLost&) {
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    ++fleet_stats_.probe_failures;
-    Transition(i, DeviceState::kLost, LifecycleEvent::Kind::kProbeFailed);
-    return false;
-  } catch (const std::exception&) {
-    // Transient probe failure: stay Probing for a later probe.
-    std::lock_guard<std::mutex> lock(lifecycle_mu_);
-    ++fleet_stats_.probe_failures;
-    LifecycleEvent event;
-    event.kind = LifecycleEvent::Kind::kProbeFailed;
-    event.device = i;
-    event.sequence = lifecycle_sequence_++;
-    lifecycle_log_.push_back(event);
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  Transition(i, DeviceState::kAlive, LifecycleEvent::Kind::kReadmitted);
-  ++fleet_stats_.readmissions;
-  return true;
-}
-
-bool DeviceGroup::IsAlive(int i) const {
-  return state(i) == DeviceState::kAlive;
 }
 
 std::vector<int> DeviceGroup::AliveDevices() const {
@@ -172,24 +88,6 @@ std::vector<int> DeviceGroup::AliveDevices() const {
 
 int DeviceGroup::AliveCount() const {
   return static_cast<int>(AliveDevices().size());
-}
-
-std::vector<int> DeviceGroup::ProbingDevices() const {
-  std::vector<int> probing;
-  for (int i = 0; i < size(); ++i) {
-    if (state(i) == DeviceState::kProbing) probing.push_back(i);
-  }
-  return probing;
-}
-
-FleetStats DeviceGroup::fleet_stats() const {
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  return fleet_stats_;
-}
-
-std::vector<LifecycleEvent> DeviceGroup::lifecycle_log() const {
-  std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  return lifecycle_log_;
 }
 
 bool DeviceGroup::IsPeer(int src, int dst) const {
@@ -271,19 +169,6 @@ void DeviceGroup::ChargeExchange(int src, Stream& src_stream, int dst,
   }
   sc.exchanges.fetch_add(1, std::memory_order_relaxed);
   dc.exchanges.fetch_add(1, std::memory_order_relaxed);
-  exchanged_[PairIndex(src, dst)]->fetch_add(bytes,
-                                             std::memory_order_relaxed);
-}
-
-uint64_t DeviceGroup::ExchangedBytes(int src, int dst) const {
-  return exchanged_[PairIndex(src, dst)]->load(std::memory_order_relaxed);
-}
-
-std::vector<uint64_t> DeviceGroup::PerDevicePeakBytes() const {
-  std::vector<uint64_t> peaks;
-  peaks.reserve(devices_.size());
-  for (const auto& d : devices_) peaks.push_back(d->peak_bytes());
-  return peaks;
 }
 
 }  // namespace gpusim

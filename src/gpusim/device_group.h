@@ -11,8 +11,8 @@
 // Exchange traffic between devices is charged with ChargeExchange: the
 // source stream pays the send, the destination stream synchronizes on its
 // completion (Record/Wait) and is then charged nothing extra — matching how
-// cudaMemcpyPeerAsync serializes against both streams. Per-pair byte totals
-// and per-device p2p/via-host counters feed the multi-device benches.
+// cudaMemcpyPeerAsync serializes against both streams. Per-device p2p and
+// via-host byte counters feed the multi-device benches.
 //
 // Fleet health is first-class: each device can carry its own seeded
 // FaultInjector (ArmFaultInjector), so fault rules — a sticky DeviceLost, a
@@ -21,26 +21,27 @@
 // BEFORE pricing anything, so a faulted exchange leaves both timelines
 // untouched and a replay charges exactly once.
 //
-// Device lifecycle is a three-state machine:
+// A device's health is one flag:
 //
-//       MarkLost            MarkReset           Probe ok
-//   Alive ------> Lost ---------------> Probing ---------> Alive
-//                   ^                    |    ^
-//                   '---- Probe fires ---'    |
-//                         DeviceLost      transient probe
+//           MarkLost
+//   Alive ----------> Lost
+//     ^                 |
+//     '--- MarkReset ---'
 //
 // MarkLost is what the executor calls when a sticky DeviceLost surfaces;
-// MarkReset models the operator power-cycling the device: the injector's
-// sticky loss is cleared but its rules and call counts survive. Probe
-// charges a real probe kernel on a fresh "probe"-labelled stream, so fault
-// rules can kill or transiently fail the probe itself — a half-open check,
-// exactly like the circuit breaker's. A passing probe puts the ordinal back
-// into AliveDevices() at once: nothing device-resident survives a loss, and
-// plan::RunSharded re-uploads broadcast state on a device before it runs a
-// slice there.
+// MarkReset models the operator power-cycling the device between runs: the
+// injector's sticky loss is cleared but its rules and call counts survive,
+// and the device takes work again at once. Nothing here checks that the
+// reset cured it: a device that is still sick fails its first slice of the
+// next plan::RunSharded, whose recovery rounds route around it as they do
+// around any loss mid-run. Nothing device-resident survives a loss, and
+// RunSharded uploads broadcast state on a device before it runs a slice
+// there. Each transition is recorded once, as a zero-duration
+// "fault"-category event on the device's tracer.
 #ifndef GPUSIM_DEVICE_GROUP_H_
 #define GPUSIM_DEVICE_GROUP_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -71,39 +72,6 @@ struct LinkPath {
   double bandwidth_bps = 0;   ///< effective end-to-end bandwidth
   uint64_t latency_ns = 0;    ///< end-to-end latency per exchange
   int hops = 0;               ///< 0 local, 1 peer, 2 via host
-};
-
-/// Where a device sits in its lifecycle. Only kAlive devices take work.
-enum class DeviceState : uint8_t {
-  kAlive = 0,    ///< healthy, eligible for placement
-  kLost = 1,     ///< sticky DeviceLost surfaced; no work placed
-  kProbing = 2,  ///< reset issued, awaiting a successful probe
-};
-
-const char* DeviceStateName(DeviceState state);
-
-/// One lifecycle transition (the group's audit log, in transition order).
-struct LifecycleEvent {
-  enum class Kind : uint8_t {
-    kLost = 0,
-    kReset,        ///< Lost -> Probing (sticky loss cleared)
-    kProbeFailed,  ///< probe faulted; Probing or back to Lost
-    kReadmitted,   ///< probe passed: Probing -> Alive
-  };
-  Kind kind = Kind::kLost;
-  int device = -1;
-  uint64_t sequence = 0;  ///< monotone across the group
-};
-
-const char* LifecycleEventName(LifecycleEvent::Kind kind);
-
-/// Plain-value counters of lifecycle activity across the fleet.
-struct FleetStats {
-  uint64_t losses = 0;
-  uint64_t resets = 0;
-  uint64_t probes = 0;
-  uint64_t probe_failures = 0;
-  uint64_t readmissions = 0;
 };
 
 /// N simulated devices plus the links between them. Thread-safe after
@@ -143,13 +111,6 @@ class DeviceGroup {
   void ChargeExchange(int src, Stream& src_stream, int dst,
                       Stream& dst_stream, uint64_t bytes);
 
-  /// Total bytes exchanged src->dst so far (both directions tracked
-  /// separately).
-  uint64_t ExchangedBytes(int src, int dst) const;
-
-  /// Sum of committed peak bytes across devices, and the per-device peaks.
-  std::vector<uint64_t> PerDevicePeakBytes() const;
-
   // -- Fleet health ---------------------------------------------------------
 
   /// Creates (or returns) a group-owned FaultInjector for device `i`, seeded
@@ -163,62 +124,33 @@ class DeviceGroup {
     return device(i).fault_injector();
   }
 
-  /// Takes the device out of placement (any state -> Lost). Called when a
-  /// sticky DeviceLost surfaces. Idempotent; the only way back to Alive is
-  /// MarkReset -> Probe.
+  /// Takes the device out of placement. Called when a sticky DeviceLost
+  /// surfaces. Idempotent; the only way back is MarkReset.
   void MarkLost(int i);
 
-  /// Models a device reset (Lost -> Probing): clears the attached injector's
-  /// sticky loss so the next probe has a chance, but leaves rules and call
-  /// counts in place. Returns false (no-op) unless the device is Lost.
+  /// Models a device reset between runs: clears the attached injector's
+  /// sticky loss, leaving rules and call counts in place, and puts the
+  /// device back into placement. Returns false (no-op) unless it was Lost.
   bool MarkReset(int i);
 
-  /// Half-open probe of a Probing device: charges a real probe kernel on a
-  /// fresh stream labelled "probe" so fault rules apply to the probe itself.
-  /// Success readmits the device (Alive) and returns true. A DeviceLost
-  /// during the probe sends it back to Lost; a transient fault leaves it
-  /// Probing for a later retry; both return false.
-  bool Probe(int i);
-
-  DeviceState state(int i) const {
-    return static_cast<DeviceState>(
-        state_[static_cast<size_t>(i)]->load(std::memory_order_acquire));
+  /// True unless the device was lost and not reset since.
+  bool IsAlive(int i) const {
+    return alive_[static_cast<size_t>(i)]->load(std::memory_order_acquire);
   }
 
-  /// True while the device is in the Alive state.
-  bool IsAlive(int i) const;
-
-  /// Devices in the Alive state, in ascending order (possibly empty).
+  /// Alive devices, in ascending order (possibly empty).
   std::vector<int> AliveDevices() const;
 
   int AliveCount() const;
 
-  /// Devices currently in the Probing state, ascending.
-  std::vector<int> ProbingDevices() const;
-
-  FleetStats fleet_stats() const;
-  std::vector<LifecycleEvent> lifecycle_log() const;
-
  private:
-  void Transition(int i, DeviceState next, LifecycleEvent::Kind kind);
-  size_t PairIndex(int src, int dst) const {
-    return static_cast<size_t>(src) * devices_.size() +
-           static_cast<size_t>(dst);
-  }
-
   GroupTopology topology_;
   std::vector<std::unique_ptr<Device>> devices_;
-  /// Flat [src][dst] matrix of exchanged bytes.
-  std::vector<std::unique_ptr<std::atomic<uint64_t>>> exchanged_;
-  /// Per-device lifecycle state (DeviceState as uint8_t). Reads are lock-free
-  /// (IsAlive sits on hot paths); transitions serialize on lifecycle_mu_.
-  std::vector<std::unique_ptr<std::atomic<uint8_t>>> state_;
+  /// Per-device health flags. Reads are lock-free (IsAlive sits on hot
+  /// paths); transitions serialize on lifecycle_mu_.
+  std::vector<std::unique_ptr<std::atomic<bool>>> alive_;
   std::vector<std::unique_ptr<FaultInjector>> injectors_;
-
-  mutable std::mutex lifecycle_mu_;
-  std::vector<LifecycleEvent> lifecycle_log_;
-  FleetStats fleet_stats_;
-  uint64_t lifecycle_sequence_ = 0;
+  std::mutex lifecycle_mu_;
 };
 
 }  // namespace gpusim

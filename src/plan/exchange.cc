@@ -133,23 +133,6 @@ void RunDeviceShards(TpchQuery q, const TpchHostTables& tables,
   }
 }
 
-/// Gives every Probing device of the group its half-open probe before
-/// placement. A device that passes is readmitted on the spot, and the
-/// broadcast upload of its first slice restores build-side state before
-/// anything runs on it. On a healthy group no device is Probing, so nothing
-/// here executes or charges.
-void ProbeAndReadmit(gpusim::DeviceGroup& group,
-                     std::vector<WorkerState>& workers, ShardedRunStats& st) {
-  for (int d : group.ProbingDevices()) {
-    if (!group.Probe(d)) {
-      ++st.probe_failures;
-      continue;
-    }
-    workers[static_cast<size_t>(d)].stats.readmitted = true;
-    ++st.devices_readmitted;
-  }
-}
-
 }  // namespace
 
 const char* ExchangeEdgeKindName(ExchangeEdge::Kind kind) {
@@ -290,11 +273,6 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
   st.devices = nd;
 
   std::vector<WorkerState> workers(static_cast<size_t>(nd));
-  // A group whose operator reset a lost device between runs (MarkReset)
-  // re-admits here, before placement, so this run plans onto the recovered
-  // ordinal. No-op — and charge-free — unless some device is Probing.
-  ProbeAndReadmit(group, workers, st);
-
   const ShardLayout layout =
       LayoutShards(query, *tables.lineitem, group, options.force_shards);
   st.shards = layout.ranges.size();
@@ -415,14 +393,13 @@ TpchQueryResult RunSharded(TpchQuery query, const TpchHostTables& tables,
     std::move(ws.slices.begin(), ws.slices.end(), std::back_inserter(slices));
   }
 
-  const std::vector<uint64_t> peaks = group.PerDevicePeakBytes();
   uint64_t makespan = 0;
   for (int d = 0; d < nd; ++d) {
     WorkerState& ws = workers[static_cast<size_t>(d)];
     if (ws.backend == nullptr) continue;
     DeviceShardStats ds = ws.stats;
     ds.device = d;
-    ds.peak_bytes = peaks[static_cast<size_t>(d)];
+    ds.peak_bytes = group.device(d).peak_bytes();
     st.broadcast_bytes += ws.broadcast_bytes;
     st.slice_replays += ws.slice_replays;
     makespan = std::max(makespan, ws.backend->stream().now_ns() - ws.start_ns);

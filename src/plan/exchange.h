@@ -45,11 +45,13 @@
 // Finished slices are checkpoints: when a device dies only its *unfinished*
 // slices re-deal, and the finished ones merge into the final answer without
 // recompute (counted in checkpointed_slices_reused). A lost device can also
-// come back: before placement, every Probing device of the group (one whose
-// operator called MarkReset since it was lost) gets a half-open probe
-// kernel, and a device that passes is readmitted and placed like any other,
-// its broadcast tables uploaded with its first slice. The group's lifecycle
-// is the run's only health record: RunSharded keeps no circuit breakers.
+// come back: once its operator calls MarkReset between runs, the next run
+// places slices on it like any other, its broadcast tables uploaded with its
+// first slice. If the reset did not cure it, that slice raises DeviceLost
+// and the recovery rounds re-deal its slices as for any loss mid-run, so
+// they are the one owner of DeviceLost in a sharded run. The group's health
+// flags are the run's only health record: RunSharded keeps no circuit
+// breakers.
 // When no fault fires, none of this machinery charges anything, so the
 // healthy-path simulated timeline is bit-identical to the fault-free build.
 // The slice runner's replays are counted in ShardedRunStats::slice_replays.
@@ -136,7 +138,6 @@ struct DeviceShardStats {
   uint64_t busy_ns = 0;       ///< stream delta of the device's own work
   uint64_t peak_bytes = 0;    ///< device allocator high-water over the run
   bool lost = false;          ///< device died (sticky DeviceLost) this run
-  bool readmitted = false;    ///< device probed healthy before placement
 };
 
 /// Accounting of one sharded run.
@@ -158,11 +159,9 @@ struct ShardedRunStats {
   size_t replaced_shards = 0;    ///< slices re-run on a surviving device
   uint64_t transfer_retries = 0; ///< gather exchanges replayed after a
                                  ///< transient TransferFault
-  int devices_readmitted = 0;    ///< devices probed healthy before placement
   /// Slices a dying device had already finished whose host-checkpointed
   /// partials merged into the answer without recompute.
   size_t checkpointed_slices_reused = 0;
-  uint64_t probe_failures = 0;   ///< readmission probes that faulted
   /// Uploads and slices the slice runner re-ran after a transient fault,
   /// summed over devices and rounds.
   size_t slice_replays = 0;

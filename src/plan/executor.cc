@@ -491,10 +491,4 @@ ExecutionResult RunHybrid(const PhysicalPlan& plan) {
   return Executor(plan, nullptr).Run();
 }
 
-core::QueryFn MakePlanQuery(std::shared_ptr<const PhysicalPlan> plan) {
-  return [plan = std::move(plan)](core::Backend& backend) {
-    RunPinned(*plan, backend);
-  };
-}
-
 }  // namespace plan

@@ -22,12 +22,10 @@
 #define PLAN_EXECUTOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "core/backend.h"
-#include "core/scheduler.h"
 #include "plan/optimizer.h"
 #include "storage/device_column.h"
 
@@ -73,10 +71,6 @@ ExecutionResult RunPinned(const PhysicalPlan& plan, core::Backend& backend);
 /// Runs each node on its assigned backend (instantiated from the registry),
 /// pricing boundary materializations. Requires RegisterBuiltinBackends().
 ExecutionResult RunHybrid(const PhysicalPlan& plan);
-
-/// Adapts a plan for core::QueryScheduler submission: the returned functor
-/// executes the plan pinned to the scheduler client's backend.
-core::QueryFn MakePlanQuery(std::shared_ptr<const PhysicalPlan> plan);
 
 }  // namespace plan
 

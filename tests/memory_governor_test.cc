@@ -206,8 +206,9 @@ TEST_F(GovernedSchedulerTest, GovernedSubmitRecordsAdmissionAndReleases) {
   opts.num_clients = 2;
   opts.governor = &governor;
   QueryScheduler scheduler(opts);
+  SubmitOptions submit;
+  submit.footprint_bytes = 128 * 1024;
   for (int i = 0; i < 4; ++i) {
-    uint64_t id = 0;
     scheduler.Submit(
         "alloc",
         [](Backend& b) {
@@ -215,7 +216,7 @@ TEST_F(GovernedSchedulerTest, GovernedSubmitRecordsAdmissionAndReleases) {
           void* p = d.Allocate(64 * 1024);
           d.Free(p);
         },
-        /*footprint_bytes=*/128 * 1024, &id);
+        submit);
   }
   scheduler.Drain();
   const auto records = scheduler.Records();
@@ -251,18 +252,19 @@ TEST_F(GovernedSchedulerTest, AdmissionRejectionFailsQueryWithoutRunningIt) {
   std::atomic<bool> victim_ran{false};
   // The hog is granted the whole device and sits on it past the victim's
   // admission timeout.
+  SubmitOptions whole_device;
+  whole_device.footprint_bytes = kMiB;
   scheduler.Submit(
       "hog",
       [&](Backend&) {
         hog_running.store(true);
         std::this_thread::sleep_for(std::chrono::milliseconds(400));
       },
-      /*footprint_bytes=*/kMiB, nullptr);
+      whole_device);
   while (!hog_running.load()) std::this_thread::sleep_for(
       std::chrono::milliseconds(1));
   scheduler.Submit(
-      "victim", [&](Backend&) { victim_ran.store(true); },
-      /*footprint_bytes=*/kMiB, nullptr);
+      "victim", [&](Backend&) { victim_ran.store(true); }, whole_device);
   scheduler.Drain();
 
   const auto records = scheduler.Records();

@@ -11,7 +11,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -87,16 +86,18 @@ TEST(DeviceGroupTest, ChargeExchangeAdvancesBothStreamsAndCounters) {
   EXPECT_GE(s1.now_ns(), s0.now_ns());
 
   group.ChargeExchange(0, s0, 2, s2, bytes);  // cross island: via host
-  EXPECT_EQ(group.ExchangedBytes(0, 1), bytes);
-  EXPECT_EQ(group.ExchangedBytes(0, 2), bytes);
-  EXPECT_EQ(group.ExchangedBytes(1, 0), 0u);
 
   // Counters land on both ends, split by route.
   EXPECT_EQ(group.device(0).counters().bytes_p2p.load(), bytes);
   EXPECT_EQ(group.device(1).counters().bytes_p2p.load(), bytes);
   EXPECT_EQ(group.device(0).counters().bytes_via_host.load(), bytes);
   EXPECT_EQ(group.device(2).counters().bytes_via_host.load(), bytes);
+  EXPECT_EQ(group.device(1).counters().bytes_via_host.load(), 0u);
+  EXPECT_EQ(group.device(2).counters().bytes_p2p.load(), 0u);
   EXPECT_EQ(group.device(0).counters().exchanges.load(), 2u);
+  EXPECT_EQ(group.device(1).counters().exchanges.load(), 1u);
+  EXPECT_EQ(group.device(2).counters().exchanges.load(), 1u);
+  EXPECT_EQ(group.device(3).counters().exchanges.load(), 0u);
 }
 
 TEST(DeviceGroupTest, ChargeExchangeRejectsForeignStreams) {
@@ -494,13 +495,14 @@ TEST(DeviceGroupFaultTest, ExchangeFaultFiresBeforeAnyPricing) {
   // A faulted exchange must leave both timelines and all counters untouched.
   EXPECT_EQ(src.now_ns(), src_before);
   EXPECT_EQ(dst.now_ns(), dst_before);
-  EXPECT_EQ(group.ExchangedBytes(0, 1), 0u);
+  EXPECT_EQ(group.device(0).counters().bytes_p2p.load(), 0u);
   EXPECT_EQ(group.device(0).counters().exchanges.load(), 0u);
 
   // The replay charges exactly once (max_fires exhausted the transient).
   EXPECT_NO_THROW(group.ChargeExchange(0, src, 1, dst, bytes));
   EXPECT_EQ(src.now_ns() - src_before, group.TransferNs(0, 1, bytes));
-  EXPECT_EQ(group.ExchangedBytes(0, 1), bytes);
+  EXPECT_EQ(group.device(1).counters().bytes_p2p.load(), bytes);
+  EXPECT_EQ(group.device(1).counters().exchanges.load(), 1u);
 }
 
 TEST_F(MultiDeviceQueryTest, TransientTransferChaosStillAnswersCorrectly) {
@@ -583,8 +585,6 @@ TEST_F(MultiDeviceQueryTest, ArmedRulelessInjectorsKeepTimelineBitIdentical) {
     EXPECT_EQ(armed_stats.devices_lost, 0);
     EXPECT_EQ(armed_stats.recovery_rounds, 0);
     EXPECT_EQ(armed_stats.slice_replays, 0u);
-    EXPECT_EQ(armed_stats.devices_readmitted, 0);
-    EXPECT_EQ(armed.fleet_stats().probes, 0u);
     EXPECT_GT(armed.fault_injector(0)->stats().checks, 0u);
   }
 }
@@ -613,86 +613,21 @@ TEST_F(MultiDeviceQueryTest, DegradedRunsAreDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// Device lifecycle: the Lost -> Probing -> Alive machine.
-
-TEST(DeviceLifecycleTest, StateMachineWalksLostResetProbeReadmit) {
-  gpusim::DeviceGroup group(2);
-  EXPECT_EQ(group.state(1), gpusim::DeviceState::kAlive);
-
-  group.MarkLost(1);
-  EXPECT_EQ(group.state(1), gpusim::DeviceState::kLost);
-  EXPECT_FALSE(group.IsAlive(1));
-
-  EXPECT_TRUE(group.MarkReset(1));
-  EXPECT_EQ(group.state(1), gpusim::DeviceState::kProbing);
-  EXPECT_FALSE(group.IsAlive(1)) << "probing devices are not schedulable yet";
-  ASSERT_EQ(group.ProbingDevices(), std::vector<int>{1});
-
-  EXPECT_TRUE(group.Probe(1));
-  EXPECT_EQ(group.state(1), gpusim::DeviceState::kAlive);
-  EXPECT_TRUE(group.IsAlive(1));
-  EXPECT_EQ(group.AliveCount(), 2);
-
-  const gpusim::FleetStats fs = group.fleet_stats();
-  EXPECT_EQ(fs.losses, 1u);
-  EXPECT_EQ(fs.resets, 1u);
-  EXPECT_EQ(fs.probes, 1u);
-  EXPECT_EQ(fs.probe_failures, 0u);
-  EXPECT_EQ(fs.readmissions, 1u);
-
-  const std::vector<gpusim::LifecycleEvent> log = group.lifecycle_log();
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0].kind, gpusim::LifecycleEvent::Kind::kLost);
-  EXPECT_EQ(log[1].kind, gpusim::LifecycleEvent::Kind::kReset);
-  EXPECT_EQ(log[2].kind, gpusim::LifecycleEvent::Kind::kReadmitted);
-  for (size_t i = 0; i < log.size(); ++i) {
-    EXPECT_EQ(log[i].device, 1);
-    EXPECT_EQ(log[i].sequence, i);
-  }
-  EXPECT_STREQ(gpusim::DeviceStateName(gpusim::DeviceState::kProbing),
-               "probing");
-  EXPECT_STREQ(
-      gpusim::LifecycleEventName(gpusim::LifecycleEvent::Kind::kReadmitted),
-      "device_readmitted");
-}
+// Device lifecycle: Alive <-> Lost, one tracer event per transition.
 
 TEST(DeviceLifecycleTest, TransitionsRejectWrongSourceStates) {
   gpusim::DeviceGroup group(2);
+  gpusim::Tracer tracer;
+  group.device(0).set_tracer(&tracer);
   EXPECT_FALSE(group.MarkReset(0)) << "only a Lost device can reset";
-  EXPECT_FALSE(group.Probe(0)) << "only a Probing device can probe";
-  EXPECT_EQ(group.state(0), gpusim::DeviceState::kAlive);
+  EXPECT_TRUE(group.IsAlive(0));
 
   group.MarkLost(0);
   group.MarkLost(0);  // idempotent
-  EXPECT_EQ(group.fleet_stats().losses, 1u);
-  EXPECT_FALSE(group.Probe(0)) << "Lost cannot skip the reset";
-  EXPECT_EQ(group.state(0), gpusim::DeviceState::kLost);
-}
-
-TEST(DeviceLifecycleTest, ProbeFailsThenSucceedsAfterSecondReset) {
-  // A one-shot DeviceLost scoped to the probe stream: the first half-open
-  // probe fires it and throws the device back to Lost; after a second reset
-  // the probe passes and the device readmits.
-  gpusim::DeviceGroup group(2);
-  gpusim::FaultRule rule;
-  rule.site = gpusim::FaultSite::kKernel;
-  rule.kind = gpusim::FaultKind::kDeviceLost;
-  rule.stream_label = "probe";
-  rule.at_call = 1;
-  rule.max_fires = 1;
-  group.ArmFaultInjector(1, 7).AddRule(rule);
-
-  group.MarkLost(1);
-  ASSERT_TRUE(group.MarkReset(1));
-  EXPECT_FALSE(group.Probe(1)) << "the armed probe-scoped kill must fire";
-  EXPECT_EQ(group.state(1), gpusim::DeviceState::kLost);
-  EXPECT_EQ(group.fleet_stats().probe_failures, 1u);
-
-  ASSERT_TRUE(group.MarkReset(1));
-  EXPECT_TRUE(group.Probe(1)) << "the kill was one-shot; the retry passes";
-  EXPECT_TRUE(group.IsAlive(1));
-  EXPECT_EQ(group.fleet_stats().probes, 2u);
-  EXPECT_EQ(group.fleet_stats().readmissions, 1u);
+  group.device(0).set_tracer(nullptr);
+  EXPECT_FALSE(group.IsAlive(0));
+  ASSERT_EQ(tracer.size(), 1u) << "a repeated MarkLost records nothing";
+  EXPECT_EQ(tracer.events()[0].name, "device_lost");
 }
 
 TEST(DeviceLifecycleTest, TransitionsLandInFaultTraceCategory) {
@@ -700,23 +635,20 @@ TEST(DeviceLifecycleTest, TransitionsLandInFaultTraceCategory) {
   gpusim::Tracer tracer;
   group.device(1).set_tracer(&tracer);
   group.MarkLost(1);
-  group.MarkReset(1);
-  ASSERT_TRUE(group.Probe(1));
+  EXPECT_FALSE(group.IsAlive(1));
+  EXPECT_EQ(group.AliveDevices(), std::vector<int>{0});
+  EXPECT_TRUE(group.MarkReset(1));
+  EXPECT_TRUE(group.IsAlive(1));
+  EXPECT_EQ(group.AliveCount(), 2);
   group.device(1).set_tracer(nullptr);
 
   std::vector<std::string> fault_events;
-  bool saw_probe_kernel = false;
   for (const gpusim::TraceEvent& ev : tracer.events()) {
-    const std::string_view category = ev.category;
-    if (category == "fault") fault_events.push_back(ev.name);
-    if (category == "kernel" && ev.name == "fleet_probe") {
-      saw_probe_kernel = true;
-    }
+    EXPECT_STREQ(ev.category, "fault");
+    fault_events.push_back(ev.name);
   }
-  const std::vector<std::string> want = {"device_lost", "device_reset",
-                                         "device_readmitted"};
+  const std::vector<std::string> want = {"device_lost", "device_reset"};
   EXPECT_EQ(fault_events, want);
-  EXPECT_TRUE(saw_probe_kernel) << "the half-open probe charges a kernel";
 }
 
 // ---------------------------------------------------------------------------
@@ -749,7 +681,6 @@ TEST_F(MultiDeviceQueryTest, ResetDeviceReadmitsOnNextRun) {
                        backends::kHandwritten, options, &degraded),
       Tables());
   ASSERT_FALSE(group.IsAlive(2));
-  EXPECT_EQ(degraded.devices_readmitted, 0);
 
   ASSERT_TRUE(group.MarkReset(2));
   plan::ShardedRunStats recovered;
@@ -758,17 +689,39 @@ TEST_F(MultiDeviceQueryTest, ResetDeviceReadmitsOnNextRun) {
       plan::RunSharded(TpchQuery::kQ6, Tables(), group,
                        backends::kHandwritten, options, &recovered),
       Tables());
-  EXPECT_TRUE(group.IsAlive(2)) << "the run-start probe must readmit";
-  EXPECT_EQ(recovered.devices_readmitted, 1);
+  EXPECT_TRUE(group.IsAlive(2));
   EXPECT_EQ(recovered.devices_lost, 0);
-  bool victim_flagged = false;
+  size_t victim_shards = 0;
   for (const plan::DeviceShardStats& d : recovered.per_device) {
-    if (d.device == 2) {
-      victim_flagged = d.readmitted;
-      EXPECT_GT(d.shards, 0u) << "the readmitted device must take work";
-    }
+    if (d.device == 2) victim_shards = d.shards;
   }
-  EXPECT_TRUE(victim_flagged);
+  EXPECT_GT(victim_shards, 0u) << "the reset device must take work";
+}
+
+TEST_F(MultiDeviceQueryTest,
+       ResetDeviceThatIsStillSickIsLostAgainByItsFirstSlice) {
+  // A persistent kill without max_fires fires on the first kernel of every
+  // new stream, so the reset does not cure the device: the rerun places
+  // slices on it, its first slice raises DeviceLost, and one recovery round
+  // re-deals its slices onto the survivors.
+  gpusim::DeviceGroup group(4);
+  KillDeviceAtKernel(group, /*victim=*/2, /*at_call=*/1);
+  plan::ShardedQueryOptions options;
+  options.force_shards = 8;
+  (void)plan::RunSharded(TpchQuery::kQ6, Tables(), group,
+                         backends::kHandwritten, options, nullptr);
+  ASSERT_FALSE(group.IsAlive(2));
+
+  ASSERT_TRUE(group.MarkReset(2));
+  plan::ShardedRunStats rerun;
+  tpch_testing::ExpectReferenceAnswer(
+      TpchQuery::kQ6,
+      plan::RunSharded(TpchQuery::kQ6, Tables(), group,
+                       backends::kHandwritten, options, &rerun),
+      Tables());
+  EXPECT_EQ(rerun.devices_lost, 1);
+  EXPECT_EQ(rerun.recovery_rounds, 1);
+  EXPECT_FALSE(group.IsAlive(2));
 }
 
 TEST_F(MultiDeviceQueryTest, ReadmittedRunMatchesNeverKilledTimeline) {
@@ -789,13 +742,12 @@ TEST_F(MultiDeviceQueryTest, ReadmittedRunMatchesNeverKilledTimeline) {
   plan::ShardedRunStats recovered;
   (void)plan::RunSharded(TpchQuery::kQ1, Tables(), group,
                          backends::kHandwritten, options, &recovered);
-  EXPECT_EQ(recovered.devices_readmitted, 1);
   EXPECT_EQ(recovered.simulated_ns, baseline.simulated_ns);
 }
 
 TEST_F(MultiDeviceQueryTest, ReadmissionSequenceIsDeterministic) {
-  // The whole kill -> reset -> readmit -> rerun sequence on two identical
-  // groups: same degraded makespan, same recovered makespan, same placement.
+  // The whole kill -> reset -> rerun sequence on two identical groups: same
+  // degraded makespan, same recovered makespan, same placement.
   uint64_t first_degraded = 0;
   uint64_t first_recovered = 0;
   std::vector<size_t> first_placement;

@@ -408,7 +408,9 @@ TEST_F(PlanTest, PlanQueryRunsThroughScheduler) {
   sched_opts.num_clients = 2;
   core::QueryScheduler scheduler(sched_opts);
   for (int i = 0; i < 4; ++i) {
-    scheduler.Submit("plan/q6", plan::MakePlanQuery(phys));
+    scheduler.Submit("plan/q6", [phys](core::Backend& client) {
+      plan::RunPinned(*phys, client);
+    });
   }
   scheduler.Drain();
 

@@ -417,13 +417,17 @@ TEST_F(SchedulerRecoveryTest, DeadlineStopsRetryAndFlagsTheRecord) {
   SchedulerOptions opts;
   opts.backend_name = backends::kHandwritten;
   opts.num_clients = 1;
-  opts.deadline_ms = 1;
   opts.retry.max_attempts = 5;
   QueryScheduler scheduler(opts);
-  scheduler.Submit("slow-then-faulty", [](Backend&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    throw gpusim::TransientKernelFault("too late to matter");
-  });
+  SubmitOptions submit;
+  submit.deadline_ms = 1;
+  scheduler.Submit(
+      "slow-then-faulty",
+      [](Backend&) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        throw gpusim::TransientKernelFault("too late to matter");
+      },
+      submit);
   scheduler.Drain();
   const auto records = scheduler.Records();
   ASSERT_EQ(records.size(), 1u);
@@ -437,11 +441,15 @@ TEST_F(SchedulerRecoveryTest, LateSuccessKeepsOkButFlagsDeadline) {
   SchedulerOptions opts;
   opts.backend_name = backends::kHandwritten;
   opts.num_clients = 1;
-  opts.deadline_ms = 1;
   QueryScheduler scheduler(opts);
-  scheduler.Submit("slow-but-fine", [](Backend&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  });
+  SubmitOptions submit;
+  submit.deadline_ms = 1;
+  scheduler.Submit(
+      "slow-but-fine",
+      [](Backend&) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      },
+      submit);
   scheduler.Drain();
   const auto records = scheduler.Records();
   ASSERT_EQ(records.size(), 1u);

@@ -22,29 +22,20 @@
 // encoded-transfer counters (bytes moved encoded / bytes saved vs raw)
 // print after the run.
 //
-// With --fleet-readmit=N a fleet of N simulated devices runs the full
-// device-lifecycle sequence (lost -> reset -> half-open probe -> readmit)
-// after the query, with the same tracer attached: the probe kernel and
-// every state transition print inline and land in the exported trace
-// under the "fault" category, next to any injected faults.
-//
 //   build/tools/trace_query [backend] [q1|q6|q3|q4|q14] [out.json]
 //                           [--chaos-seed=N] [--capacity-bytes=N] [--encoded]
-//                           [--fleet-readmit=N]
 //   build/tools/trace_query --help
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/error.h"
 #include "core/governor.h"
 #include "core/registry.h"
 #include "core/scheduler.h"
-#include "gpusim/device_group.h"
 #include "gpusim/fault.h"
 #include "gpusim/trace.h"
 #include "plan/partition.h"
@@ -55,8 +46,7 @@ namespace {
 
 void PrintUsage(std::ostream& out) {
   out << "usage: trace_query [backend] [q1|q6|q3|q4|q14] [out.json] "
-         "[--chaos-seed=N] [--capacity-bytes=N] [--encoded] "
-         "[--fleet-readmit=N]\n";
+         "[--chaos-seed=N] [--capacity-bytes=N] [--encoded]\n";
 }
 
 }  // namespace
@@ -71,7 +61,6 @@ int main(int argc, char** argv) {
   bool governed = false;
   uint64_t capacity_bytes = 0;
   bool encoded = false;
-  int fleet_readmit = 0;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -93,9 +82,11 @@ int main(int argc, char** argv) {
       encoded = true;
       continue;
     }
-    if (arg.rfind("--fleet-readmit=", 0) == 0) {
-      fleet_readmit = std::stoi(arg.substr(16));
-      continue;
+    if (arg.rfind("--", 0) == 0) {
+      // A mistyped or retired flag must not become the output path.
+      std::cerr << "unknown option: " << arg << "\n";
+      PrintUsage(std::cerr);
+      return 2;
     }
     switch (positional++) {
       case 0: backend_name = arg; break;
@@ -117,10 +108,6 @@ int main(int argc, char** argv) {
   }
   if (!core::BackendRegistry::Instance().Contains(backend_name)) {
     std::cerr << "unknown backend '" << backend_name << "'\n";
-    PrintUsage(std::cerr);
-    return 2;
-  }
-  if (fleet_readmit < 0) {
     PrintUsage(std::cerr);
     return 2;
   }
@@ -245,32 +232,6 @@ int main(int argc, char** argv) {
     std::cerr << "permanent failure after " << record.attempts
               << " attempt(s): " << record.error << "\n";
     return 3;
-  }
-
-  if (fleet_readmit > 0) {
-    // Device-lifecycle demo: lose device 0, reset it, and run the half-open
-    // probe, which readmits it. Every transition plus the probe kernel records
-    // against the shared tracer, so the exported trace shows the
-    // fault-category timeline next to any injected faults above.
-    gpusim::DeviceGroup fleet(fleet_readmit);
-    for (int d = 0; d < fleet.size(); ++d) fleet.device(d).set_tracer(&tracer);
-    fleet.MarkLost(0);
-    fleet.MarkReset(0);
-    const bool probe_ok = fleet.Probe(0);
-    for (int d = 0; d < fleet.size(); ++d) fleet.device(d).set_tracer(nullptr);
-    std::cout << "fleet: device 0 of " << fleet.size()
-              << " lost -> reset -> probe "
-              << (probe_ok ? "passed -> readmitted" : "FAILED") << "\n";
-    for (const gpusim::LifecycleEvent& ev : fleet.lifecycle_log()) {
-      std::cout << "  lifecycle[" << ev.sequence << "] device " << ev.device
-                << " " << gpusim::LifecycleEventName(ev.kind) << "\n";
-    }
-    for (const gpusim::TraceEvent& ev : tracer.events()) {
-      if (std::string_view(ev.category) != "fault") continue;
-      std::cout << "  fault-event \"" << ev.name << "\" stream "
-                << ev.stream_id << " @ " << ev.start_ns << " ns ("
-                << ev.duration_ns << " ns)\n";
-    }
   }
 
   if (encoded) {
