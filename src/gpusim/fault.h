@@ -5,7 +5,9 @@
 // allocation (cudaMalloc), kernel launch, and explicit transfers (memcpy).
 // When no injector is attached the hot-path cost is a single relaxed pointer
 // load — the fault-free simulated timeline is bit-identical with the
-// machinery compiled in (tests/timing_invariance_test.cc pins this).
+// machinery compiled in, even with a rule-less injector attached
+// (MultiDeviceQueryTest.ArmedRulelessInjectorsKeepTimelineBitIdentical and
+// bench_chaos's golden passes pin this).
 //
 // Rules are typed (which fault), sited (which call path), optionally scoped
 // to a stream label (so one backend's streams can "die" while others stay

@@ -350,10 +350,6 @@ class Executor {
         value.out_rows = 1;
         break;
       }
-      case NodeKind::kSort:
-        value.column = backend.Sort(ColDecoded(node.unary_in, backend));
-        value.out_rows = value.column.size();
-        break;
       case NodeKind::kSortByKey:
         value.pair = backend.SortByKey(ColDecoded(node.sort_keys, backend),
                                        ColDecoded(node.sort_values, backend));

@@ -13,7 +13,6 @@ const char* NodeKindName(NodeKind kind) {
     case NodeKind::kUnique: return "Unique";
     case NodeKind::kGroupBy: return "GroupBy";
     case NodeKind::kReduce: return "Reduce";
-    case NodeKind::kSort: return "Sort";
     case NodeKind::kSortByKey: return "SortByKey";
     case NodeKind::kFetchGroups: return "FetchGroups";
     case NodeKind::kFetchPair: return "FetchPair";
@@ -56,7 +55,6 @@ std::vector<NodeInput> NodeInputs(const PlanNode& node) {
       in = {node.join_build, node.join_probe};
       break;
     case NodeKind::kUnique:
-    case NodeKind::kSort:
     case NodeKind::kReduce:
       in = {node.unary_in};
       break;

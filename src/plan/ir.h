@@ -36,7 +36,6 @@ enum class NodeKind {
   kUnique,         ///< distinct values (semi-join build side)
   kGroupBy,        ///< grouped aggregation
   kReduce,         ///< full-column reduction to a host scalar
-  kSort,           ///< ascending sort
   kSortByKey,      ///< key-value sort
   kFetchGroups,    ///< download a GroupBy result (keys then aggregate)
   kFetchPair,      ///< download a SortByKey result (first then second)
@@ -117,8 +116,8 @@ struct PlanNode {
   NodeInput join_build, join_probe;
   JoinAlgo join_algo = JoinAlgo::kAuto;
 
-  // kUnique / kSort / kReduce / kGroupBy / kSortByKey
-  NodeInput unary_in;            ///< unique/sort/reduce input column
+  // kUnique / kReduce / kGroupBy / kSortByKey
+  NodeInput unary_in;            ///< unique/reduce input column
   NodeInput group_keys, group_values;
   /// kGroupBy over encoded keys: a selection's row ids (node -1 = none).
   /// When set, group_keys is an encoded base-table scan, group_values holds

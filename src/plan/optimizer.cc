@@ -101,7 +101,6 @@ std::optional<storage::DataType> InferType(const Plan& p, NodeInput in) {
     case NodeKind::kFusedMap:
       return storage::DataType::kFloat64;
     case NodeKind::kUnique:
-    case NodeKind::kSort:
       return InferType(p, n.unary_in);
     default:
       return std::nullopt;
@@ -388,9 +387,6 @@ std::vector<size_t> EstimateRows(const Plan& p) {
       case NodeKind::kFusedFilterSum:
         rows[i] = 1;
         break;
-      case NodeKind::kSort:
-        rows[i] = in_rows(n.unary_in);
-        break;
       case NodeKind::kSortByKey:
         rows[i] = in_rows(n.sort_keys);
         break;
@@ -520,7 +516,6 @@ class Dispatcher {
         break;
       case NodeKind::kUnique:
       case NodeKind::kReduce:
-      case NodeKind::kSort:
         add(n.unary_in);
         break;
       case NodeKind::kSortByKey:
@@ -577,8 +572,6 @@ class Dispatcher {
                             ElemBytes(p, n.group_values));
       case NodeKind::kReduce:
         return est_.Reduce(c, Rows(n.unary_in.node), ElemBytes(p, n.unary_in));
-      case NodeKind::kSort:
-        return est_.Sort(c, Rows(n.unary_in.node), ElemBytes(p, n.unary_in));
       case NodeKind::kSortByKey:
         return est_.SortByKey(c, Rows(n.sort_keys.node),
                               ElemBytes(p, n.sort_keys),

@@ -250,11 +250,6 @@ uint64_t FootprintOfPlan(const PhysicalPlan& phys, bool include_scans) {
         intermediate_bytes += block(rows[i] * sizeof(int32_t)) +
                               block(rows[i] * sizeof(double));
         break;
-      case NodeKind::kSort:
-        rows[i] = in_rows(n.unary_in);
-        width[i] = in_width(n.unary_in);
-        intermediate_bytes += block(rows[i] * width[i]);
-        break;
       case NodeKind::kSortByKey:
         rows[i] = in_rows(n.sort_keys);
         width[i] = sizeof(double);
@@ -308,25 +303,18 @@ namespace {
 /// Top of RunGoverned's repartitioning ladder; an OOM there is fatal.
 constexpr size_t kMaxPartitions = 256;
 
-void Emit(const GovernedQueryOptions& options, gpusim::Stream& stream,
-          PressureEvent::Kind kind, std::string detail, uint64_t bytes,
-          size_t partitions) {
+/// Records one memory-pressure event of a governed run, named "<kind>:
+/// <detail>", on the device's tracer if one is attached (RunGoverned's
+/// comment lists the kinds).
+void Emit(gpusim::Stream& stream, const std::string& name) {
   gpusim::Tracer* tracer = stream.device().tracer();
-  if (tracer != nullptr) {
-    gpusim::TraceEvent e;
-    e.name = std::string(PressureEventKindName(kind)) + ": " + detail;
-    e.category = "memory";
-    e.start_ns = stream.now_ns();
-    e.stream_id = stream.id();
-    tracer->Record(std::move(e));
-  }
-  if (!options.on_event) return;
-  PressureEvent event;
-  event.kind = kind;
-  event.detail = std::move(detail);
-  event.bytes = bytes;
-  event.partitions = partitions;
-  options.on_event(event);
+  if (tracer == nullptr) return;
+  gpusim::TraceEvent e;
+  e.name = name;
+  e.category = "memory";
+  e.start_ns = stream.now_ns();
+  e.stream_id = stream.id();
+  tracer->Record(std::move(e));
 }
 
 }  // namespace
@@ -461,16 +449,6 @@ uint64_t HostTableBytes(const storage::Table& t) {
 
 }  // namespace detail
 
-const char* PressureEventKindName(PressureEvent::Kind kind) {
-  switch (kind) {
-    case PressureEvent::Kind::kAdmission: return "admission";
-    case PressureEvent::Kind::kPartition: return "partition";
-    case PressureEvent::Kind::kSpill: return "spill";
-    case PressureEvent::Kind::kFallback: return "fallback";
-  }
-  return "?";
-}
-
 uint64_t EstimateQueryFootprint(TpchQuery query, const TpchHostTables& tables,
                                 const std::string& backend_name,
                                 size_t partitions, bool use_encoding) {
@@ -518,13 +496,11 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
     }
     k = std::min(k, kMaxPartitions);
   }
-  Emit(options, stream, PressureEvent::Kind::kAdmission,
-       std::string(TpchQueryName(query)) + " footprint " +
-           std::to_string(footprint) + " B, budget " +
-           std::to_string(budget) + " B (" +
-           (grant > 0 ? "granted" : "ungoverned") + ") -> " +
-           std::to_string(k) + " partition(s)",
-       budget, k);
+  Emit(stream, "admission: " + std::string(TpchQueryName(query)) +
+                   " footprint " + std::to_string(footprint) + " B, budget " +
+                   std::to_string(budget) + " B (" +
+                   (grant > 0 ? "granted" : "ungoverned") + ") -> " +
+                   std::to_string(k) + " partition(s)");
 
   // Bind this thread's allocations to the stream's admission reservation
   // (no-op without one): every pool-miss upload/intermediate below draws
@@ -534,10 +510,9 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
   const TpchQueryDef& def = QueryDef(query);
   for (;;) {
     if (k > 1) {
-      Emit(options, stream, PressureEvent::Kind::kPartition,
-           std::string(TpchQueryName(query)) + " executing in " +
-               std::to_string(k) + " row-range partitions",
-           0, k);
+      Emit(stream, "partition: " + std::string(TpchQueryName(query)) +
+                       " executing in " + std::to_string(k) +
+                       " row-range partitions");
     }
     st.spill_h2d_bytes = 0;  // an abandoned attempt's traffic is not spill
     st.spill_d2h_bytes = 0;
@@ -550,14 +525,13 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
                   if (k == 1) return;  // the whole table spills nothing
                   st.spill_h2d_bytes += s.upload_bytes;
                   st.spill_d2h_bytes += s.download_bytes;
-                  Emit(options, stream, PressureEvent::Kind::kSpill,
-                       "partition " + std::to_string(p) + "/" +
-                           std::to_string(k) + " rows [" +
-                           std::to_string(s.rows.first) + ", " +
-                           std::to_string(s.rows.second) + ") h2d " +
-                           std::to_string(s.upload_bytes) + " B, d2h " +
-                           std::to_string(s.download_bytes) + " B",
-                       s.upload_bytes + s.download_bytes, k);
+                  Emit(stream, "spill: partition " + std::to_string(p) +
+                                   "/" + std::to_string(k) + " rows [" +
+                                   std::to_string(s.rows.first) + ", " +
+                                   std::to_string(s.rows.second) + ") h2d " +
+                                   std::to_string(s.upload_bytes) +
+                                   " B, d2h " +
+                                   std::to_string(s.download_bytes) + " B");
                 });
       st.slice_replays += run.replays;
       st.partitions = k;
@@ -573,10 +547,9 @@ TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
       }
       k = std::min(kMaxPartitions, k * 2);
       ++st.oom_fallbacks;
-      Emit(options, stream, PressureEvent::Kind::kFallback,
-           std::string(TpchQueryName(query)) +
-               " hit device OOM; repartitioning to " + std::to_string(k),
-           0, k);
+      Emit(stream, "fallback: " + std::string(TpchQueryName(query)) +
+                       " hit device OOM; repartitioning to " +
+                       std::to_string(k));
     } catch (...) {
       st.slice_replays += run.replays;
       throw;

@@ -29,7 +29,6 @@
 #define PLAN_PARTITION_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -58,30 +57,11 @@ uint64_t EstimateQueryFootprint(TpchQuery query, const TpchHostTables& tables,
                                 size_t partitions = 1,
                                 bool use_encoding = false);
 
-/// One memory-pressure event of a governed run, for inline reporting
-/// (tools/trace_query) and the tracer's "memory" category.
-struct PressureEvent {
-  enum class Kind {
-    kAdmission,  ///< grant observed at query start
-    kPartition,  ///< a partitioned execution attempt begins
-    kSpill,      ///< one partition's host<->device traffic
-    kFallback,   ///< recurring OOM absorbed by repartitioning
-  };
-  Kind kind = Kind::kAdmission;
-  std::string detail;   ///< human-readable summary
-  uint64_t bytes = 0;   ///< grant / slice / spill bytes (kind-dependent)
-  size_t partitions = 0;
-};
-
-const char* PressureEventKindName(PressureEvent::Kind kind);
-
 struct GovernedQueryOptions {
   /// Skip grant-driven sizing and use exactly this many partitions (0 =
-  /// derive from the grant). Used by the timing-invariance golden test.
+  /// derive from the grant). Tests and bench_multidevice set it to compare
+  /// runs at a fixed slice count.
   size_t force_partitions = 0;
-  /// Observer for admission/partition/spill events; may be null. Called on
-  /// the executing thread.
-  std::function<void(const PressureEvent&)> on_event;
   /// Upload tables (and partition slices) compressed: columns where a
   /// lightweight encoding beats the raw layout cross the link encoded and
   /// run on the encoded operator path. Shrinks both the admission footprint
@@ -112,7 +92,11 @@ struct GovernedRunStats {
 /// `force_partitions` set there is no ladder and an OOM propagates as is.
 /// A transient fault replays the slice it hit (partition_detail.h), and a
 /// spent replay budget is fatal too. K == 1 charges exactly the ordinary
-/// unpartitioned plan execution.
+/// unpartitioned plan execution. The admission decision, each partitioned
+/// attempt, each slice's spill (K > 1) and each OOM fallback are recorded
+/// on the device's tracer, when one is attached, as zero-duration
+/// "memory"-category events named "<admission|partition|spill|fallback>:
+/// <detail>".
 TpchQueryResult RunGoverned(TpchQuery query, const TpchHostTables& tables,
                             core::Backend& backend,
                             const GovernedQueryOptions& options = {},

@@ -9,11 +9,13 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "backends/backends.h"
 #include "core/registry.h"
 #include "gpusim/device.h"
+#include "gpusim/trace.h"
 #include "plan/partition.h"
 #include "tpch/datagen.h"
 #include "tpch_answer_testing.h"
@@ -142,20 +144,25 @@ TEST_F(PartitionTest, ConstrainedCapacityTriggersAutomaticPartitioning) {
   device.set_memory_capacity(footprint / 4);
   GovernedRunStats stats;
   auto backend = MakeBackend();
-  std::vector<PressureEvent> events;
-  GovernedQueryOptions options;
-  options.on_event = [&](const PressureEvent& e) { events.push_back(e); };
+  gpusim::Tracer tracer;
+  device.set_tracer(&tracer);
   const TpchQueryResult result =
-      RunGoverned(TpchQuery::kQ6, Tables(), *backend, options, &stats);
+      RunGoverned(TpchQuery::kQ6, Tables(), *backend, {}, &stats);
+  device.set_tracer(nullptr);
   EXPECT_GT(stats.partitions, 1u);
   EXPECT_GT(stats.spill_h2d_bytes, 0u);
   tpch_testing::ExpectReferenceAnswer(TpchQuery::kQ6, result, Tables());
-  // The event stream narrates the degradation: an admission estimate, the
-  // partition decision, one spill event per executed slice.
+  // The tracer's memory events narrate the degradation: an admission
+  // estimate, the partition decision, one spill event per executed slice.
+  std::vector<std::string> events;
+  for (const gpusim::TraceEvent& e : tracer.events()) {
+    if (std::string_view(e.category) == "memory") events.push_back(e.name);
+  }
   ASSERT_GE(events.size(), 2u);
-  EXPECT_EQ(events[0].kind, PressureEvent::Kind::kAdmission);
-  EXPECT_EQ(events[1].kind, PressureEvent::Kind::kPartition);
-  EXPECT_EQ(events[1].partitions, stats.partitions);
+  EXPECT_EQ(events[0].rfind("admission: q6 ", 0), 0u) << events[0];
+  EXPECT_EQ(events[1], "partition: q6 executing in " +
+                           std::to_string(stats.partitions) +
+                           " row-range partitions");
 }
 
 TEST_F(PartitionTest, FootprintEstimateShrinksWithPartitionsAndIsDeterministic) {

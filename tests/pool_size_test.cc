@@ -3,9 +3,11 @@
 // handwritten hash aggregations and the dense-code aggregation) are where
 // host threads could reorder float additions, so each runs here on pools of
 // 1, 2, 3 and 8 host threads, at sizes that spread its grid over many tiles,
-// with few groups and with many. Then every TPC-H query runs on every
-// library, raw and encoded, on the same pools; the prepared (served) path
-// answers each of them too, and must match the one-shot run bit for bit.
+// with few groups and with many. Then every TPC-H query runs on the
+// handwritten library, raw and encoded, on the same pools; the prepared
+// (served) path answers each of them too, and must match the one-shot run bit
+// for bit. DeterminismTest (determinism_test.cc) runs the same check on every
+// library.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -276,9 +278,9 @@ TEST(PoolSizeInvarianceTest, DenseCodeAggregationRepeatsOnEveryPool) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole queries: 5 queries x {raw, encoded} on one library per test, one-shot
-// on every pool and prepared on the first. Each library's stream must be on
-// the pool's device, and none of its work may land on the default device.
+// Whole queries: 5 queries x {raw, encoded} on the handwritten library,
+// one-shot on every pool and prepared on the first. Its stream must be on the
+// pool's device, and none of its work may land on the default device.
 
 const plan::TpchHostTables& Tables() {
   static const auto* tables = [] {
@@ -298,7 +300,8 @@ const plan::TpchHostTables& Tables() {
   return *tables;
 }
 
-void ExpectQueriesRepeatOnEveryPool(const char* backend_name) {
+TEST(PoolSizeInvarianceTest, HandwrittenQueriesRepeatOnEveryPool) {
+  const char* backend_name = backends::kHandwritten;
   core::RegisterBuiltinBackends();
   for (const TpchQuery q : {TpchQuery::kQ1, TpchQuery::kQ3, TpchQuery::kQ4,
                             TpchQuery::kQ6, TpchQuery::kQ14}) {
@@ -346,22 +349,6 @@ void ExpectQueriesRepeatOnEveryPool(const char* backend_name) {
       }
     }
   }
-}
-
-TEST(PoolSizeInvarianceTest, HandwrittenQueriesRepeatOnEveryPool) {
-  ExpectQueriesRepeatOnEveryPool(backends::kHandwritten);
-}
-
-TEST(PoolSizeInvarianceTest, ThrustQueriesRepeatOnEveryPool) {
-  ExpectQueriesRepeatOnEveryPool(backends::kThrust);
-}
-
-TEST(PoolSizeInvarianceTest, BoostComputeQueriesRepeatOnEveryPool) {
-  ExpectQueriesRepeatOnEveryPool(backends::kBoostCompute);
-}
-
-TEST(PoolSizeInvarianceTest, ArrayFireQueriesRepeatOnEveryPool) {
-  ExpectQueriesRepeatOnEveryPool(backends::kArrayFire);
 }
 
 }  // namespace

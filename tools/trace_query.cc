@@ -13,9 +13,9 @@
 //
 // With --capacity-bytes=N the simulated device capacity shrinks to N and
 // the query runs through memory admission (core::MemoryGovernor) and the
-// governed spill path (plan/partition.h): admission, partition, and spill
-// events print inline and appear in the exported trace under the "memory"
-// category.
+// governed spill path (plan/partition.h): the run's admission, partition,
+// and spill events, which the device tracer records under the "memory"
+// category, print after it and appear in the exported trace.
 //
 // With --encoded the base tables upload compressed (storage/encoding.h):
 // selections run in the encoded domain, survivors decode late, and the
@@ -30,6 +30,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/error.h"
@@ -143,6 +144,7 @@ int main(int argc, char** argv) {
   governor_opts.device = &device;
   core::MemoryGovernor governor(governor_opts);
 
+  gpusim::Tracer tracer;
   const core::QueryFn run = [&](core::Backend& b) {
     if (!governed) {
       prepared->Run(b);
@@ -161,17 +163,29 @@ int main(int argc, char** argv) {
     }
     plan::GovernedQueryOptions gq;
     gq.use_encoding = encoded;
-    gq.on_event = [](const plan::PressureEvent& e) {
-      std::cout << "  [" << plan::PressureEventKindName(e.kind) << "] "
-                << e.detail << "\n";
-    };
     plan::GovernedRunStats stats;
+    // The governed run records its admission, partition, spill and fallback
+    // events on the tracer as "<kind>: <detail>"; print this attempt's as
+    // "[<kind>] <detail>", whether it succeeds or throws.
+    const size_t first_event = tracer.size();
+    const auto print_memory_events = [&] {
+      const std::vector<gpusim::TraceEvent> events = tracer.events();
+      for (size_t i = first_event; i < events.size(); ++i) {
+        if (std::string_view(events[i].category) != "memory") continue;
+        const std::string& name = events[i].name;
+        const size_t colon = name.find(": ");
+        std::cout << "  [" << name.substr(0, colon) << "] "
+                  << name.substr(colon + 2) << "\n";
+      }
+    };
     try {
       plan::RunGoverned(q, tables, b, gq, &stats);
     } catch (...) {
+      print_memory_events();
       governor.Release(b.stream().id());
       throw;
     }
+    print_memory_events();
     governor.Release(b.stream().id());
     std::cout << "  governed run: " << stats.partitions << " partition(s), "
               << stats.oom_fallbacks << " OOM fallback(s), spill "
@@ -198,7 +212,6 @@ int main(int argc, char** argv) {
               << " kernel/transfer fault probability 0.02\n";
   }
 
-  gpusim::Tracer tracer;
   device.set_tracer(&tracer);
   core::QueryRecord record;
   if (chaos) {
